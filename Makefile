@@ -43,7 +43,8 @@ batch:
 # What .github/workflows/ci.yml runs: compile check, full suite (once on
 # the reference interpreter, once with REPRO_EXECUTOR=vectorized so the
 # array executor serves every interpreter-mode run — docs/EXECUTORS.md),
-# lint gate, fault sweep (includes the numeric.sentinel scenario), the
+# the wall-clock benchmark's own tests (wallbench/README.md), lint
+# gate, fault sweep (includes the numeric.sentinel scenario), the
 # fixed-seed differential fuzz campaign (docs/FUZZING.md), the
 # crash-isolated batch-compiler smoke (docs/BATCH.md), the
 # resume-integrity smoke (kill a bench recording *and* a batch
@@ -57,6 +58,7 @@ ci: lint batch
 	$(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest wallbench/tests -q
 	PYTHONPATH=src $(PYTHON) -m repro runs selftest
 	PYTHONPATH=src $(PYTHON) -m repro faultcheck
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 7 --count 25 --profile small --crosscheck

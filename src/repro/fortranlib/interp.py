@@ -1,23 +1,47 @@
-"""Tree-walking interpreter for the FORTRAN subset.
+"""Compiled runtime for the FORTRAN subset.
 
 This is the reproduction's stand-in for compiling with gfortran/ifort and
 running natively: generated GLAF FORTRAN and the hand-written "legacy"
 sources both execute here, so the paper's side-by-side functional
 comparisons (§4.1.1, §4.2.1) can be run for real.
 
+Execution model:
+
+* A program unit compiles on its first call.  Its declarations become a
+  frame layout (one slot index per local name, plus one per module
+  variable the unit touches) and its body becomes nested Python closures.
+  Local-vs-module names, callees, intrinsics, constants and operators are
+  resolved at compile time, in the search order the scoping notes below
+  describe.  Compiled units are cached per runtime; :meth:`FortranRuntime.load`
+  clears the cache, and so does :meth:`FortranRuntime.run_program` when it
+  registers a new CONTAINS'd unit.
+* Compilation never raises.  A name that does not resolve compiles to a
+  closure that raises the same typed :class:`FortranRuntimeError` only if
+  it runs, so an unexecuted branch may name anything.  Every run-time
+  check (bounds and rank, ALLOCATE state, PARAMETER writes, call depth,
+  argument count and dtype, DO step zero) happens on execution.
+* Closures take the activation frame and reach the runtime through it;
+  they never hold the runtime or their compiled unit, so a runtime owns
+  no reference cycles and is freed as soon as it is dropped.
+
 Semantics notes:
 
 * Scalars are stored as 0-d NumPy arrays; arrays are NumPy arrays with
   1-based index adjustment at access time.  Kind 4/8 map to
   float32/float64 and int64 (FORTRAN default integers are modelled as
-  int64 throughout, which only widens).
+  int64 throughout, which only widens).  Integer ``/`` truncates toward
+  zero in exact integer arithmetic; dividing by zero raises.
 * Arguments pass by reference whenever the actual argument is a variable,
   array, array element or derived-type component; other expressions pass as
   anonymous temporaries, matching FORTRAN's evaluation of expressions into
   temporaries.
+* A name resolves to the unit's own declarations first, then to its host
+  module's variables, then to the modules it (or its host) USEs, honouring
+  ONLY lists and one level of re-export.  A callee resolves to the host
+  module, then the USEd modules, then any loaded module, then bare units.
 * COMMON blocks are runtime-global, name-associated storage: every unit
-  declaring ``COMMON /blk/ a, b`` sees the same cells (§3.2).  Shape/kind
-  consistency across units is checked.
+  declaring ``COMMON /blk/ a, b`` sees the same cells (§3.2).  Only kind
+  consistency across units is checked, not shape.
 * SAVE (and ``ALLOCATABLE, SAVE``) locals persist across calls — the FUN3D
   no-reallocation behaviour (§4.2.1).
 * ``!$OMP`` sentinels do not change results (execution is sequential) but
@@ -28,8 +52,10 @@ Semantics notes:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,9 +87,8 @@ from .ast import (
     FPrint,
     FProgramUnit,
     FReturn,
-    FSourceFile,
-    FStop,
     FStmt,
+    FStop,
     FString,
     FSubprogram,
     FTypeDef,
@@ -170,15 +195,1055 @@ class ModuleEnv:
     uses: list[FUse] = field(default_factory=list)
 
 
-@dataclass
 class _Frame:
-    unit: FSubprogram
-    module: ModuleEnv | None
-    locals: dict[str, Slot]
-    uses: list[FUse]
-    commons: dict[str, str] = field(default_factory=dict)  # local name -> block
-    do_depth: int = 0
+    """One activation: the runtime and the unit's slots, by layout index."""
 
+    __slots__ = ("rt", "slots")
+
+    def __init__(self, rt: "FortranRuntime", slots: list) -> None:
+        self.rt = rt
+        self.slots = slots
+
+
+class _Unit:
+    """A compiled program unit, cached per runtime."""
+
+    __slots__ = ("node", "name", "nparams", "layout", "bind", "body", "result")
+
+
+# ---------------------------------------------------------------------------
+# run-time helpers shared by the compiled closures
+# ---------------------------------------------------------------------------
+
+_ndarray = np.ndarray
+_bool_ = np.bool_
+_TRUE = np.bool_(True)
+_FALSE = np.bool_(False)
+_NOCONST = object()      # "not a compile-time constant"
+
+
+def _int_like(v: Any) -> bool:
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return False
+    if isinstance(v, (int, np.integer)):
+        return True
+    return isinstance(v, np.ndarray) and v.ndim == 0 and np.issubdtype(v.dtype, np.integer)
+
+
+def _div(lv: Any, rv: Any) -> Any:
+    """FORTRAN ``/``: exact integer division truncating toward zero."""
+    if _int_like(lv) and _int_like(rv):
+        a, b = int(lv), int(rv)
+        if b == 0:
+            raise FortranRuntimeError("integer division by zero")
+        q = abs(a) // abs(b)
+        return np.int64(q if (a < 0) == (b < 0) else -q)
+    return lv / rv
+
+
+def _logical(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def op(lv: Any, rv: Any) -> Any:
+        v = compare(lv, rv)
+        return v if type(v) is _bool_ else _bool_(v)
+    return op
+
+
+# The operator table of compiled expressions and of module-scope constant
+# folding.  ``.AND.``/``.OR.`` short-circuit, so they compile separately.
+_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "**": operator.pow,
+    "==": _logical(operator.eq),
+    "/=": _logical(operator.ne),
+    "<": _logical(operator.lt),
+    "<=": _logical(operator.le),
+    ">": _logical(operator.gt),
+    ">=": _logical(operator.ge),
+}
+
+
+def _negate(v: Any) -> Any:
+    return -v
+
+
+def _not(v: Any) -> Any:
+    return _FALSE if v else _TRUE
+
+
+def _identity(v: Any) -> Any:
+    return v
+
+
+_UNOPS: dict[str, Callable[[Any], Any]] = {"neg": _negate, "not": _not}
+
+
+def _as_int(v: Any) -> int:
+    if isinstance(v, np.ndarray):
+        if v.ndim != 0:
+            raise FortranRuntimeError("array used where a scalar is required")
+        v = v[()]
+    return int(v)
+
+
+def _value(store: Any, alloc_msg: str) -> Any:
+    """A variable's value: scalars by value, arrays and TYPEs as storage."""
+    if store is None:
+        raise FortranRuntimeError(alloc_msg)
+    if isinstance(store, np.ndarray) and store.ndim == 0:
+        return store[()]
+    return store
+
+
+def _check_bounds(store: Any, idx: tuple) -> None:
+    if not isinstance(store, np.ndarray):
+        raise FortranRuntimeError("indexing a non-array")
+    if len(idx) != store.ndim:
+        raise FortranRuntimeError(
+            f"rank mismatch: {len(idx)} subscript(s) for rank-{store.ndim} array"
+        )
+    for k, (i, n) in enumerate(zip(idx, store.shape)):
+        if not (0 <= i < n):
+            raise FortranRuntimeError(
+                f"subscript {i + 1} out of bounds for dimension {k + 1} (extent {n})"
+            )
+
+
+def _index_slow(f: _Frame, store: Any, subs: tuple, alloc_msg: str,
+                name: str) -> Any:
+    """Element read off the fast paths: unallocated, non-array, odd rank."""
+    if store is None:
+        raise FortranRuntimeError(alloc_msg)
+    if isinstance(store, np.ndarray):
+        idx = tuple(s(f) for s in subs)
+        _check_bounds(store, idx)
+        return store[idx]
+    raise FortranRuntimeError(f"{name!r} is not indexable")
+
+
+def _as_cell(value: Any) -> Any:
+    """Pass an expression value as an anonymous temporary."""
+    if isinstance(value, np.ndarray):
+        return value
+    cell = np.zeros((), dtype=np.asarray(value).dtype if not isinstance(value, bool) else np.bool_)
+    cell[()] = value
+    return cell
+
+
+def _to_python(v: Any) -> Any:
+    if isinstance(v, np.generic):
+        return v.item()
+    return v
+
+
+def _coerce_argument(pname: str, slot: Slot, actual: Any) -> Any:
+    if isinstance(actual, DerivedValue):
+        return actual
+    if isinstance(actual, np.ndarray):
+        if slot.spec.base != "type":
+            want = _dtype_of(slot.spec)
+            if actual.ndim > 0 and actual.dtype != want:
+                raise FortranRuntimeError(
+                    f"argument {pname!r}: dtype {actual.dtype} != {want}"
+                )
+        return actual
+    if isinstance(actual, (int, float, bool, np.generic)):
+        dtype = _dtype_of(slot.spec)
+        cell = np.zeros((), dtype=dtype)
+        cell[()] = actual
+        return cell
+    raise FortranRuntimeError(f"argument {pname!r}: unsupported value {type(actual)}")
+
+
+def _check_common_compat(block: str, existing: Slot,
+                         spec: tuple[FDecl, FDeclEntity] | None) -> None:
+    if spec is None:
+        return
+    d, _ = spec
+    if _dtype_of(d.spec) != _dtype_of(existing.spec):
+        raise FortranRuntimeError(
+            f"COMMON /{block}/ {existing.name}: kind mismatch across units"
+        )
+
+
+def _slot_kwargs(name: str, d: FDecl, ent: FDeclEntity) -> dict[str, Any]:
+    return dict(
+        name=name,
+        spec=d.spec,
+        dims=ent.dims if not ent.deferred_rank else (),
+        deferred_rank=ent.deferred_rank,
+        allocatable="allocatable" in d.attrs or "pointer" in d.attrs,
+        save="save" in d.attrs,
+        parameter="parameter" in d.attrs,
+        intent=d.intent,
+    )
+
+
+def _raiser(message: str) -> Callable[..., Any]:
+    """A closure that raises ``message`` when (and only if) it runs."""
+    def fail(*_: Any) -> Any:
+        raise FortranRuntimeError(message)
+    return fail
+
+
+def _noop(*_: Any) -> None:
+    return None
+
+
+def _target_name(target: FExpr) -> str:
+    if isinstance(target, FVar):
+        return target.name
+    if isinstance(target, FIndexed):
+        return _target_name(target.base)
+    if isinstance(target, FFieldRef):
+        return f"{_target_name(target.base)}%{target.field}"
+    return ""
+
+
+# ---------------------------------------------------------------------------
+# the unit compiler
+# ---------------------------------------------------------------------------
+
+class _UnitCompiler:
+    """Turns one program unit into a :class:`_Unit`.
+
+    The compiler reads the runtime's name tables, never the runtime
+    itself, and no closure it builds refers back to the compiler: every
+    closure captures only slot indices, module ``Slot`` objects, AST
+    nodes, constants and other closures.
+    """
+
+    def __init__(self, rt: "FortranRuntime", sub: FSubprogram,
+                 env: ModuleEnv | None) -> None:
+        self.modules = rt.modules
+        self.bare = rt.bare_subprograms
+        self.sub = sub
+        self.env = env
+        self.name = sub.name
+        self.unit_uses = [d for d in sub.decls if isinstance(d, FUse)]
+        self.uses = self.unit_uses + (env.uses if env is not None else [])
+        self.layout: list[Any] = []          # None per local, Slot per module var
+        self.index: dict[str, int] = {}      # local name -> layout index
+        self.visible: set[str] = set()       # locals bound at this point
+        self.nonlocal_index: dict[int, int] = {}   # id(module Slot) -> index
+
+    # -- name resolution -------------------------------------------------
+    def _nonlocal(self, name: str) -> Slot | None:
+        env = self.env
+        if env is not None and name in env.variables:
+            return env.variables[name]
+        for u in self.uses:
+            m = self.modules.get(u.module)
+            if m is None:
+                continue
+            if u.only is not None and name not in u.only:
+                continue
+            if name in m.variables:
+                return m.variables[name]
+            # one level of re-export
+            for u2 in m.uses:
+                m2 = self.modules.get(u2.module)
+                if m2 and name in m2.variables:
+                    return m2.variables[name]
+        return None
+
+    def _slot_index(self, name: str) -> int | None:
+        if name in self.visible:
+            return self.index[name]
+        slot = self._nonlocal(name)
+        if slot is None:
+            return None
+        k = self.nonlocal_index.get(id(slot))
+        if k is None:
+            k = self.nonlocal_index[id(slot)] = len(self.layout)
+            self.layout.append(slot)
+        return k
+
+    def _callee(self, name: str) -> tuple[FSubprogram, ModuleEnv | None] | None:
+        env = self.env
+        if env is not None and name in env.subprograms:
+            return env.subprograms[name], env
+        for u in self.uses:
+            m = self.modules.get(u.module)
+            if m and (u.only is None or name in u.only) and name in m.subprograms:
+                return m.subprograms[name], m
+        for m in self.modules.values():
+            if name in m.subprograms:
+                return m.subprograms[name], m
+        if name in self.bare:
+            return self.bare[name], None
+        return None
+
+    def _local(self, name: str) -> int:
+        """Give a local name its layout index (once) and make it visible."""
+        k = self.index.get(name)
+        if k is None:
+            k = self.index[name] = len(self.layout)
+            self.layout.append(None)
+        self.visible.add(name)
+        return k
+
+    # -- the unit ----------------------------------------------------------
+    def compile(self, node: Any) -> _Unit:
+        sub = self.sub
+        decl_by_name: dict[str, tuple[FDecl, FDeclEntity]] = {}
+        commons: list[FCommon] = []
+        for d in sub.decls:
+            if isinstance(d, FCommon):
+                commons.append(d)
+            elif isinstance(d, FDecl):
+                for ent in d.entities:
+                    decl_by_name[ent.name] = (d, ent)
+
+        steps: list[Callable[[_Frame, list], None]] = []
+        params = []
+        for k, pname in enumerate(sub.params):
+            params.append((k, self._local(pname), pname,
+                           self._factory(pname, decl_by_name.get(pname))))
+        if params:
+            steps.append(self._bind_params(tuple(params)))
+        if sub.kind == "function" and sub.result:
+            spec = decl_by_name.get(sub.result)
+            steps.append(self._bind_local(sub.result, spec, saved=False))
+        for c in commons:
+            for vname in c.names:
+                steps.append(self._bind_common(c.block, vname, decl_by_name.get(vname)))
+        for vname, spec in decl_by_name.items():
+            if vname not in self.visible:
+                steps.append(self._bind_local(vname, spec))
+        body = self._block(sub.body)
+
+        unit = _Unit()
+        unit.node = node
+        unit.name = sub.name
+        unit.nparams = len(sub.params)
+        unit.layout = self.layout
+        unit.bind = self._sequence(steps)
+        unit.body = body
+        unit.result = (self.index.get(sub.result)
+                       if sub.kind == "function" and sub.result else None)
+        return unit
+
+    @staticmethod
+    def _sequence(steps: list) -> Callable[[_Frame, list], None]:
+        steps = tuple(steps)
+
+        def bind(f: _Frame, args: list) -> None:
+            for step in steps:
+                step(f, args)
+        return bind
+
+    # -- declarations -> frame binding steps -------------------------------
+    @staticmethod
+    def _factory(name: str, spec: tuple[FDecl, FDeclEntity] | None) -> Callable[[], Slot]:
+        if spec is None:
+            return _raiser(
+                f"variable {name!r} has no declaration (IMPLICIT NONE everywhere)"
+            )
+        return partial(Slot, **_slot_kwargs(name, *spec))
+
+    @staticmethod
+    def _bind_params(params: tuple) -> Callable[[_Frame, list], None]:
+        def bind(f: _Frame, args: list) -> None:
+            slots = f.slots
+            for k, i, pname, factory in params:
+                slot = factory()
+                slot.store = _coerce_argument(pname, slot, args[k])
+                slots[i] = slot
+        return bind
+
+    def _materializer(self, spec: tuple[FDecl, FDeclEntity] | None) -> Callable[[_Frame, Slot], None]:
+        """Storage for a fresh non-allocatable local, compiled against the
+        names bound before it."""
+        if spec is None:
+            return _noop
+        d, ent = spec
+        if "allocatable" in d.attrs or "pointer" in d.attrs or ent.deferred_rank:
+            return _noop
+        if d.spec.base == "type":
+            type_name, env, uses = d.spec.type_name, self.env, tuple(self.unit_uses)
+
+            def derived(f: _Frame, slot: Slot) -> None:
+                slot.store = f.rt._new_derived(type_name, env, uses)
+            return derived
+        try:
+            dtype = _dtype_of(d.spec)
+        except FortranRuntimeError as exc:
+            return _raiser(str(exc))
+        dims = tuple(self._int(x) for x in ent.dims)
+        init = self._expr(ent.init) if ent.init is not None else None
+        if dims:
+            def array(f: _Frame, slot: Slot) -> None:
+                store = slot.store = np.zeros(tuple(dim(f) for dim in dims), dtype=dtype)
+                f.rt.allocation_count += 1
+                if init is not None:
+                    store[...] = init(f)
+            return array
+
+        def scalar(f: _Frame, slot: Slot) -> None:
+            store = slot.store = np.zeros((), dtype=dtype)
+            if init is not None:
+                store[()] = init(f)
+        return scalar
+
+    def _bind_local(self, vname: str, spec: tuple[FDecl, FDeclEntity] | None,
+                    saved: bool = True) -> Callable:
+        factory = self._factory(vname, spec)
+        materialize = self._materializer(spec)
+        i = self._local(vname)
+        if saved and spec is not None and "save" in spec[0].attrs:
+            key = (self.name, vname)
+
+            def bind_saved(f: _Frame, args: list) -> None:
+                kept = f.rt._save_store
+                slot = kept.get(key)
+                if slot is None:
+                    slot = factory()
+                    materialize(f, slot)
+                    kept[key] = slot
+                f.slots[i] = slot
+            return bind_saved
+
+        def bind(f: _Frame, args: list) -> None:
+            slot = factory()
+            materialize(f, slot)
+            f.slots[i] = slot
+        return bind
+
+    def _bind_common(self, block: str, vname: str,
+                     spec: tuple[FDecl, FDeclEntity] | None) -> Callable:
+        factory = self._factory(vname, spec)
+        materialize = self._materializer(spec)
+        i = self._local(vname)
+
+        def bind(f: _Frame, args: list) -> None:
+            cells = f.rt.commons.setdefault(block, {})
+            slot = cells.get(vname)
+            if slot is None:
+                slot = factory()
+                materialize(f, slot)
+                cells[vname] = slot
+            else:
+                _check_common_compat(block, slot, spec)
+            f.slots[i] = slot
+        return bind
+
+    # -- statements --------------------------------------------------------
+    def _block(self, stmts: list[FStmt]) -> Callable[[_Frame], None]:
+        fns: list[Callable[[_Frame], Any]] = []
+        pending: FOmpDirective | None = None
+        for s in stmts:
+            if isinstance(s, FOmpDirective):
+                if s.kind == "parallel_do":
+                    pending = s
+                elif s.kind in ("atomic", "critical", "simd"):
+                    fns.append(self._omp_event(s))
+                # end_* markers need no action.
+                continue
+            if isinstance(s, FDo):
+                omp = pending if pending is not None else s.omp
+                pending = None
+                fns.append(self._do(s, omp))
+            elif not isinstance(s, FContinue):
+                fns.append(self._stmt(s))
+        if not fns:
+            return _noop
+        if len(fns) == 1:
+            return fns[0]
+        fns_t = tuple(fns)
+
+        def run(f: _Frame) -> None:
+            for fn in fns_t:
+                fn(f)
+        return run
+
+    def _omp_event(self, s: FOmpDirective) -> Callable[[_Frame], None]:
+        kind, unit, line = s.kind, self.name, s.line
+        reductions = s.reductions if kind == "simd" else ()
+
+        def log(f: _Frame) -> None:
+            f.rt.omp_log.append(OmpEvent(kind=kind, unit=unit, line=line,
+                                         reductions=reductions))
+        return log
+
+    def _stmt(self, s: FStmt) -> Callable[[_Frame], Any]:
+        if isinstance(s, FAssign):
+            return self._assign(s)
+        if isinstance(s, FCall):
+            callee = self._callee(s.name)
+            if callee is None:
+                return _raiser(f"no subprogram named {s.name!r}")
+            return self._invoke(callee, s.args)
+        if isinstance(s, FIf):
+            return self._if(s)
+        if isinstance(s, FDoWhile):
+            return self._do_while(s)
+        if isinstance(s, FReturn):
+            def ret(f: _Frame) -> None:
+                raise _Return()
+            return ret
+        if isinstance(s, FExit):
+            def exit_(f: _Frame) -> None:
+                raise _Exit()
+            return exit_
+        if isinstance(s, FCycle):
+            def cycle(f: _Frame) -> None:
+                raise _Cycle()
+            return cycle
+        if isinstance(s, FAllocate):
+            return self._allocate(s)
+        if isinstance(s, FDeallocate):
+            getters = tuple(self._slot_of(item) for item in s.items)
+
+            def deallocate(f: _Frame) -> None:
+                for get in getters:
+                    get(f).store = None
+            return deallocate
+        if isinstance(s, FPrint):
+            args = tuple(self._expr(a) for a in s.args)
+
+            def print_(f: _Frame) -> None:
+                f.rt.output.append(tuple(_to_python(a(f)) for a in args))
+            return print_
+        if isinstance(s, FStop):
+            message = s.message
+
+            def stop(f: _Frame) -> None:
+                raise StopSignal(message)
+            return stop
+        return _raiser(f"cannot execute {type(s).__name__}")
+
+    def _if(self, s: FIf) -> Callable[[_Frame], None]:
+        branches = tuple((self._expr(c) if c is not None else None, self._block(body))
+                         for c, body in s.branches)
+
+        def if_(f: _Frame) -> None:
+            for cond, body in branches:
+                if cond is None or cond(f):
+                    body(f)
+                    return
+        return if_
+
+    def _do(self, s: FDo, omp: FOmpDirective | None) -> Callable[[_Frame], None]:
+        start, end = self._int(s.start), self._int(s.end)
+        step = self._int(s.step) if s.step is not None else None
+        i = self.index.get(s.var) if s.var in self.visible else None
+        body = self._block(s.body)
+        undeclared = f"undeclared DO variable {s.var!r}"
+        unit, line = self.name, s.line
+
+        def do(f: _Frame) -> None:
+            lo, hi = start(f), end(f)
+            inc = step(f) if step is not None else 1
+            if inc == 0:
+                raise FortranRuntimeError("DO step of zero")
+            var = f.slots[i] if i is not None else None
+            if var is None or var.store is None:
+                raise FortranRuntimeError(undeclared)
+            if omp is not None:
+                trip = max(0, (hi - lo) // inc + 1) if (hi - lo) * inc >= 0 else 0
+                f.rt.omp_log.append(OmpEvent(
+                    kind="parallel_do", unit=unit, line=line,
+                    collapse=omp.collapse, reductions=omp.reductions,
+                    private=omp.private, iterations=trip,
+                ))
+            k = lo
+            if inc > 0:
+                while k <= hi:
+                    var.store[()] = k
+                    try:
+                        body(f)
+                    except _Exit:
+                        break
+                    except _Cycle:
+                        pass
+                    k += inc
+            else:
+                while k >= hi:
+                    var.store[()] = k
+                    try:
+                        body(f)
+                    except _Exit:
+                        break
+                    except _Cycle:
+                        pass
+                    k += inc
+        return do
+
+    def _do_while(self, s: FDoWhile) -> Callable[[_Frame], None]:
+        cond, body = self._expr(s.cond), self._block(s.body)
+
+        def do_while(f: _Frame) -> None:
+            guard = 0
+            while cond(f):
+                guard += 1
+                if guard > 100_000_000:
+                    raise FortranRuntimeError("DO WHILE runaway")
+                try:
+                    body(f)
+                except _Exit:
+                    break
+                except _Cycle:
+                    continue
+        return do_while
+
+    def _allocate(self, s: FAllocate) -> Callable[[_Frame], None]:
+        items = tuple((self._slot_of(target), tuple(self._int(d) for d in dims))
+                      for target, dims in s.items)
+
+        def allocate(f: _Frame) -> None:
+            for get, dims in items:
+                slot = get(f)
+                shape = tuple(dim(f) for dim in dims)
+                slot.store = np.zeros(shape, dtype=_dtype_of(slot.spec))
+                f.rt.allocation_count += 1
+        return allocate
+
+    def _assign(self, s: FAssign) -> Callable[[_Frame], None]:
+        target, value = s.target, self._expr(s.value)
+        site = f"{self.name}:{s.line}" if s.line else self.name
+        grid = _target_name(target)
+        if isinstance(target, FVar):
+            return self._assign_var(target.name, value, site)
+        if isinstance(target, FIndexed):
+            if isinstance(target.base, FVar):
+                i = self._slot_index(target.base.name)
+                if i is None:
+                    return self._fail_after(value, f"unknown variable {target.base.name!r}")
+                subs = tuple(self._int(a, 1) for a in target.args)
+                return self._assign_element(i, target.base.name, subs, value, site, grid)
+            get = self._storage(target.base)
+            subs = tuple(self._int(a, 1) for a in target.args)
+
+            def assign_indexed(f: _Frame) -> None:
+                v = value(f)
+                store = get(f)
+                idx = tuple(sub(f) for sub in subs)
+                _check_bounds(store, idx)
+                if _sentinel._ACTIVE is not None:
+                    _sentinel.check_value(v, function=site, grid=grid,
+                                          cell=tuple(k + 1 for k in idx))
+                store[idx] = v
+            return assign_indexed
+        if isinstance(target, FFieldRef):
+            get, fname = self._storage(target.base), target.field
+
+            def assign_field(f: _Frame) -> None:
+                v = value(f)
+                base = get(f)
+                if not isinstance(base, DerivedValue):
+                    raise FortranRuntimeError(f"%{fname} on a non-TYPE value")
+                store = base.fields.get(fname)
+                if store is None:
+                    raise FortranRuntimeError(
+                        f"TYPE {base.type_name} has no component {fname!r}"
+                    )
+                scalar = store.ndim == 0
+                if _sentinel._ACTIVE is not None:
+                    _sentinel.check_value(v, function=site, grid=grid,
+                                          cell=() if scalar else None)
+                if scalar:
+                    store[()] = v
+                else:
+                    store[...] = v
+            return assign_field
+        return self._fail_after(value, f"bad assignment target {type(target).__name__}")
+
+    @staticmethod
+    def _fail_after(value: Callable, message: str) -> Callable[[_Frame], None]:
+        """Evaluate the right-hand side, then raise (the evaluation order of
+        an assignment whose target does not resolve)."""
+        def fail(f: _Frame) -> None:
+            value(f)
+            raise FortranRuntimeError(message)
+        return fail
+
+    def _assign_var(self, name: str, value: Callable, site: str) -> Callable[[_Frame], None]:
+        i = self._slot_index(name)
+        if i is None:
+            return self._fail_after(value, f"assignment to undeclared {name!r}")
+        param_msg = f"cannot assign to PARAMETER {name!r}"
+        alloc_msg = f"{name!r} used before ALLOCATE"
+
+        def assign(f: _Frame) -> None:
+            v = value(f)
+            slot = f.slots[i]
+            if slot.parameter:
+                raise FortranRuntimeError(param_msg)
+            store = slot.store
+            if store is None:
+                raise FortranRuntimeError(alloc_msg)
+            if _sentinel._ACTIVE is not None:
+                _sentinel.check_value(v, function=site, grid=name)
+            if store.ndim == 0:
+                store[()] = v
+            else:
+                store[...] = v   # whole-array assignment
+        return assign
+
+    def _assign_element(self, i: int, name: str, subs: tuple, value: Callable,
+                        site: str, grid: str) -> Callable[[_Frame], None]:
+        alloc_msg = f"{name!r} used before ALLOCATE"
+
+        def slow(f: _Frame, v: Any, store: Any, idx: tuple | None) -> None:
+            if idx is None:
+                if store is None:
+                    raise FortranRuntimeError(alloc_msg)
+                idx = tuple(sub(f) for sub in subs)
+            _check_bounds(store, idx)
+            if _sentinel._ACTIVE is not None:
+                _sentinel.check_value(v, function=site, grid=grid,
+                                      cell=tuple(k + 1 for k in idx))
+            store[idx] = v
+
+        if len(subs) == 1:
+            s0, = subs
+
+            def assign1(f: _Frame) -> None:
+                v = value(f)
+                store = f.slots[i].store
+                if type(store) is not _ndarray:
+                    return slow(f, v, store, None)
+                k = s0(f)
+                if store.ndim != 1 or not 0 <= k < len(store):
+                    return slow(f, v, store, (k,))
+                if _sentinel._ACTIVE is not None:
+                    _sentinel.check_value(v, function=site, grid=grid, cell=(k + 1,))
+                store[k] = v
+            return assign1
+        if len(subs) == 2:
+            s0, s1 = subs
+
+            def assign2(f: _Frame) -> None:
+                v = value(f)
+                store = f.slots[i].store
+                if type(store) is not _ndarray:
+                    return slow(f, v, store, None)
+                k0, k1 = s0(f), s1(f)
+                if store.ndim != 2:
+                    return slow(f, v, store, (k0, k1))
+                n0, n1 = store.shape
+                if not (0 <= k0 < n0 and 0 <= k1 < n1):
+                    return slow(f, v, store, (k0, k1))
+                if _sentinel._ACTIVE is not None:
+                    _sentinel.check_value(v, function=site, grid=grid,
+                                          cell=(k0 + 1, k1 + 1))
+                store[k0, k1] = v
+            return assign2
+
+        def assign(f: _Frame) -> None:
+            v = value(f)
+            store = f.slots[i].store
+            slow(f, v, store, None if store is None else tuple(sub(f) for sub in subs))
+        return assign
+
+    # -- designators -------------------------------------------------------
+    def _slot_of(self, e: FExpr) -> Callable[[_Frame], Slot]:
+        """The Slot an ALLOCATE / DEALLOCATE / ALLOCATED names."""
+        if isinstance(e, FVar):
+            i = self._slot_index(e.name)
+            if i is None:
+                return _raiser(f"unknown variable {e.name!r}")
+
+            def slot(f: _Frame) -> Slot:
+                return f.slots[i]
+            return slot
+        if isinstance(e, FIndexed):
+            return self._slot_of(e.base)
+        return _raiser(f"cannot resolve slot for {type(e).__name__}")
+
+    def _storage(self, e: FExpr) -> Callable[[_Frame], Any]:
+        """A designator's *storage* (not a copied value)."""
+        if isinstance(e, FVar):
+            i = self._slot_index(e.name)
+            if i is None:
+                return _raiser(f"unknown variable {e.name!r}")
+            alloc_msg = f"{e.name!r} used before ALLOCATE"
+
+            def var(f: _Frame) -> Any:
+                store = f.slots[i].store
+                if store is None:
+                    raise FortranRuntimeError(alloc_msg)
+                return store
+            return var
+        if isinstance(e, FFieldRef):
+            base, fname = self._storage(e.base), e.field
+
+            def component(f: _Frame) -> Any:
+                b = base(f)
+                if isinstance(b, DerivedValue):
+                    store = b.fields.get(fname)
+                    if store is None:
+                        raise FortranRuntimeError(
+                            f"TYPE {b.type_name} has no component {fname!r}"
+                        )
+                    return store
+                raise FortranRuntimeError(f"%{fname} on a non-TYPE value")
+            return component
+        if isinstance(e, FIndexed):
+            # Element of array-of-derived or sub-array: only element access
+            # of numeric arrays is supported as storage.
+            base = self._storage(e.base)
+            subs = tuple(self._int(a, 1) for a in e.args)
+
+            def element(f: _Frame) -> Any:
+                b = base(f)
+                idx = tuple(sub(f) for sub in subs)
+                _check_bounds(b, idx)
+                if isinstance(b, np.ndarray):
+                    return b[idx]
+                raise FortranRuntimeError("unsupported indexed storage")
+            return element
+        return _raiser(f"not a designator: {type(e).__name__}")
+
+    def _actual(self, e: FExpr) -> Callable[[_Frame], Any]:
+        """An actual argument: storage by reference when it is a designator."""
+        if isinstance(e, FVar) and self._slot_index(e.name) is not None:
+            return self._storage(e)
+        if isinstance(e, FFieldRef):
+            return self._storage(e)
+        if isinstance(e, FIndexed) and (
+                isinstance(e.base, FFieldRef)
+                or isinstance(e.base, FVar) and self._slot_index(e.base.name) is not None):
+            base = self._storage(e.base)
+            subs = tuple(self._int(a, 1) for a in e.args)
+            rank = len(subs)
+            value = self._expr(e)
+
+            def element(f: _Frame) -> Any:
+                # Array element by reference (0-d view) if base is an array.
+                try:
+                    b = base(f)
+                except FortranRuntimeError:
+                    b = None
+                if isinstance(b, np.ndarray) and b.ndim == rank and rank > 0:
+                    idx = tuple(sub(f) for sub in subs)
+                    _check_bounds(b, idx)
+                    view = b[idx[:-1] + (slice(idx[-1], idx[-1] + 1),)]
+                    return view.reshape(())
+                return _as_cell(value(f))
+            return element
+        value = self._expr(e)
+
+        def temporary(f: _Frame) -> Any:
+            return _as_cell(value(f))
+        return temporary
+
+    def _invoke(self, callee: tuple[FSubprogram, ModuleEnv | None],
+                argexprs: tuple[FExpr, ...]) -> Callable[[_Frame], Any]:
+        sub, env = callee
+        actuals = tuple(self._actual(a) for a in argexprs)
+
+        def invoke(f: _Frame) -> Any:
+            return f.rt._invoke(sub, env, [a(f) for a in actuals])
+        return invoke
+
+    # -- expressions -------------------------------------------------------
+    def _const(self, e: FExpr) -> Any:
+        """The value of a literal, else :data:`_NOCONST`.  Never raises."""
+        if isinstance(e, FNum):
+            try:
+                return np.int64(e.value) if isinstance(e.value, int) else np.float64(e.value)
+            except (OverflowError, TypeError, ValueError):
+                return _NOCONST
+        if isinstance(e, FString):
+            return e.value
+        if isinstance(e, FLogical):
+            return np.bool_(e.value)
+        return _NOCONST
+
+    def _int(self, e: FExpr, bias: int = 0) -> Callable[[_Frame], int]:
+        """A scalar integer (a bound, an extent, or with ``bias=1`` a
+        0-based subscript)."""
+        c = self._const(e)
+        if c is not _NOCONST:
+            try:
+                k = _as_int(c) - bias
+            except (FortranRuntimeError, OverflowError, TypeError, ValueError):
+                pass
+            else:
+                def const(f: _Frame) -> int:
+                    return k
+                return const
+        if isinstance(e, FVar):
+            i = self._slot_index(e.name)
+            if i is not None:
+                alloc_msg = f"{e.name!r} used before ALLOCATE"
+
+                def var(f: _Frame) -> int:
+                    store = f.slots[i].store
+                    if type(store) is _ndarray and not store.ndim:
+                        k = store.item()
+                        return (k if type(k) is int else int(k)) - bias
+                    return _as_int(_value(store, alloc_msg)) - bias
+                return var
+        value = self._expr(e)
+
+        def expr(f: _Frame) -> int:
+            return _as_int(value(f)) - bias
+        return expr
+
+    def _expr(self, e: FExpr) -> Callable[[_Frame], Any]:
+        c = self._const(e)
+        if c is not _NOCONST:
+            def const(f: _Frame) -> Any:
+                return c
+            return const
+        if isinstance(e, FNum):
+            v = e.value
+
+            def num(f: _Frame) -> Any:
+                return np.int64(v) if isinstance(v, int) else np.float64(v)
+            return num
+        if isinstance(e, FVar):
+            return self._var(e.name)
+        if isinstance(e, FFieldRef):
+            get = self._storage(e)
+
+            def component(f: _Frame) -> Any:
+                store = get(f)
+                if isinstance(store, np.ndarray) and store.ndim == 0:
+                    return store[()]
+                return store
+            return component
+        if isinstance(e, FIndexed):
+            return self._indexed(e)
+        if isinstance(e, FUn):
+            operand = self._expr(e.operand)
+            fn = _UNOPS.get(e.op)
+            if fn is None:
+                return operand
+            return lambda f: fn(operand(f))
+        if isinstance(e, FBin):
+            return self._bin(e)
+        return _raiser(f"cannot evaluate {type(e).__name__}")
+
+    def _var(self, name: str) -> Callable[[_Frame], Any]:
+        i = self._slot_index(name)
+        if i is None:
+            # Argument-less function call? Not supported; report clearly.
+            return _raiser(f"unknown name {name!r}")
+        alloc_msg = f"{name!r} used before ALLOCATE"
+
+        def var(f: _Frame) -> Any:
+            store = f.slots[i].store
+            if type(store) is _ndarray and not store.ndim:
+                return store[()]
+            return _value(store, alloc_msg)
+        return var
+
+    def _bin(self, e: FBin) -> Callable[[_Frame], Any]:
+        op = e.op
+        left, right = self._expr(e.left), self._expr(e.right)
+        if op == "and":
+            def and_(f: _Frame) -> Any:
+                if left(f):
+                    return _TRUE if right(f) else _FALSE
+                return _FALSE
+            return and_
+        if op == "or":
+            def or_(f: _Frame) -> Any:
+                if left(f):
+                    return _TRUE
+                return _TRUE if right(f) else _FALSE
+            return or_
+        fn = _BINOPS.get(op)
+        if fn is None:
+            message = f"unknown operator {op!r}"
+
+            def unknown(f: _Frame) -> Any:
+                left(f)
+                right(f)
+                raise FortranRuntimeError(message)
+            return unknown
+        return lambda f: fn(left(f), right(f))
+
+    def _indexed(self, e: FIndexed) -> Callable[[_Frame], Any]:
+        # Resolution order: variable (array) -> user subprogram -> intrinsic.
+        if isinstance(e.base, FVar):
+            name = e.base.name
+            i = self._slot_index(name)
+            if i is not None:
+                return self._element(i, name, tuple(self._int(a, 1) for a in e.args))
+            if name in SPECIAL_FORMS:
+                return self._special_form(name, e.args)
+            callee = self._callee(name)
+            if callee is not None:
+                return self._invoke(callee, e.args)
+            fn = INTRINSICS.get(name)
+            if fn is not None:
+                return self._intrinsic(fn, e.args)
+            return _raiser(f"unknown array/function {name!r}")
+        if isinstance(e.base, FFieldRef):
+            get = self._storage(e.base)
+            subs = tuple(self._int(a, 1) for a in e.args)
+
+            def component(f: _Frame) -> Any:
+                store = get(f)
+                if isinstance(store, np.ndarray):
+                    idx = tuple(sub(f) for sub in subs)
+                    _check_bounds(store, idx)
+                    return store[idx]
+                raise FortranRuntimeError("unsupported indexed expression")
+            return component
+        return _raiser("unsupported indexed expression")
+
+    def _element(self, i: int, name: str, subs: tuple) -> Callable[[_Frame], Any]:
+        alloc_msg = f"{name!r} used before ALLOCATE"
+        if len(subs) == 1:
+            s0, = subs
+
+            def element1(f: _Frame) -> Any:
+                store = f.slots[i].store
+                if type(store) is _ndarray:
+                    k = s0(f)
+                    if store.ndim == 1 and 0 <= k < len(store):
+                        return store[k]
+                    _check_bounds(store, (k,))
+                    return store[(k,)]
+                return _index_slow(f, store, subs, alloc_msg, name)
+            return element1
+        if len(subs) == 2:
+            s0, s1 = subs
+
+            def element2(f: _Frame) -> Any:
+                store = f.slots[i].store
+                if type(store) is _ndarray:
+                    k0, k1 = s0(f), s1(f)
+                    if store.ndim == 2:
+                        n0, n1 = store.shape
+                        if 0 <= k0 < n0 and 0 <= k1 < n1:
+                            return store[k0, k1]
+                    _check_bounds(store, (k0, k1))
+                    return store[k0, k1]
+                return _index_slow(f, store, subs, alloc_msg, name)
+            return element2
+
+        def element(f: _Frame) -> Any:
+            return _index_slow(f, f.slots[i].store, subs, alloc_msg, name)
+        return element
+
+    def _special_form(self, name: str, args: tuple[FExpr, ...]) -> Callable[[_Frame], Any]:
+        if name == "allocated":
+            if len(args) != 1:
+                return _raiser("ALLOCATED takes one argument")
+            get = self._slot_of(args[0])
+
+            def allocated(f: _Frame) -> Any:
+                return _TRUE if get(f).allocated else _FALSE
+            return allocated
+        return _raiser(f"unknown special form {name!r}")
+
+    def _intrinsic(self, fn: Callable, argexprs: tuple[FExpr, ...]) -> Callable[[_Frame], Any]:
+        args = tuple(self._expr(a) for a in argexprs)
+        return lambda f: fn(*[a(f) for a in args])
+
+
+# ---------------------------------------------------------------------------
+# the runtime
+# ---------------------------------------------------------------------------
 
 class FortranRuntime:
     """Loads FORTRAN sources and executes subprograms / programs."""
@@ -194,6 +1259,7 @@ class FortranRuntime:
         self._save_store: dict[tuple[str, str], Slot] = {}
         self._call_depth = 0
         self.max_call_depth = 100
+        self._units: dict[int, _Unit] = {}   # id(unit node) -> compiled unit
 
     # ------------------------------------------------------------------
     # loading
@@ -201,6 +1267,7 @@ class FortranRuntime:
     def load(self, source: str) -> None:
         """Parse and register a source file (modules become importable)."""
         f = parse_source(source)
+        self._units.clear()
         for mod in f.modules:
             self._load_module(mod)
         for prog in f.programs:
@@ -217,11 +1284,9 @@ class FortranRuntime:
             elif isinstance(d, FTypeDef):
                 env.typedefs[d.name] = d.decls
             elif isinstance(d, FDecl):
-                for slot, ent in zip(self._decl_slots(d, env=env, frame=None),
-                                     d.entities):
-                    env.variables[slot.name] = slot
-                    self._initialize_slot(slot, env=env, frame=None,
-                                          init=ent.init)
+                for ent in d.entities:
+                    slot = env.variables[ent.name] = Slot(**_slot_kwargs(ent.name, d, ent))
+                    self._initialize_slot(slot, env, init=ent.init)
             elif isinstance(d, FImplicitNone):
                 pass
             elif isinstance(d, FOmpDirective):
@@ -237,35 +1302,19 @@ class FortranRuntime:
             env.subprograms[sub.name] = sub
 
     # ------------------------------------------------------------------
-    # declaration -> slots
+    # module-scope declarations -> slots
     # ------------------------------------------------------------------
-    def _decl_slots(self, d: FDecl, env: ModuleEnv | None, frame: _Frame | None) -> Iterator[Slot]:
-        for ent in d.entities:
-            yield Slot(
-                name=ent.name,
-                spec=d.spec,
-                dims=ent.dims if not ent.deferred_rank else (),
-                deferred_rank=ent.deferred_rank,
-                allocatable="allocatable" in d.attrs or "pointer" in d.attrs,
-                save="save" in d.attrs,
-                parameter="parameter" in d.attrs,
-                intent=d.intent,
-            )
-
-    def _initialize_slot(self, slot: Slot, env: ModuleEnv | None, frame: _Frame | None,
+    def _initialize_slot(self, slot: Slot, env: ModuleEnv,
                          init: FExpr | None = None) -> None:
-        """Materialize storage for a non-allocatable slot."""
+        """Materialize storage for a non-allocatable module variable."""
         if slot.allocatable or slot.deferred_rank:
             return
         if slot.spec.base == "type":
-            slot.store = self._new_derived(slot.spec.type_name, env, frame)
+            slot.store = self._new_derived(slot.spec.type_name, env, ())
             return
         dtype = _dtype_of(slot.spec)
         if slot.is_array:
-            shape = tuple(
-                int(self._eval(dim, frame)) if frame is not None else int(self._eval_const(dim, env))
-                for dim in slot.dims
-            )
+            shape = tuple(int(self._fold_const(dim, env)) for dim in slot.dims)
             for n in shape:
                 if n < 0:
                     raise FortranRuntimeError(f"{slot.name}: negative extent {n}")
@@ -274,45 +1323,39 @@ class FortranRuntime:
         else:
             slot.store = np.zeros((), dtype=dtype)
         if init is not None:
-            value = self._eval(init, frame) if frame is not None else self._eval_const(init, env)
+            value = self._fold_const(init, env)
             if slot.is_array:
                 slot.store[...] = value
             else:
                 slot.store[()] = value
 
     def _new_derived(self, type_name: str | None, env: ModuleEnv | None,
-                     frame: _Frame | None) -> DerivedValue:
-        decls = self._find_typedef(type_name, env, frame)
+                     uses: tuple[FUse, ...]) -> DerivedValue:
+        decls = self._find_typedef(type_name, env, uses)
         fields: dict[str, Any] = {}
         for d in decls:
             for ent in d.entities:
                 dtype = _dtype_of(d.spec)
                 if ent.dims:
-                    shape = tuple(int(self._eval_const(x, env)) for x in ent.dims)
+                    shape = tuple(int(self._fold_const(x, env)) for x in ent.dims)
                     fields[ent.name] = np.zeros(shape, dtype=dtype)
                 else:
                     fields[ent.name] = np.zeros((), dtype=dtype)
         return DerivedValue(type_name=type_name or "?", fields=fields)
 
     def _find_typedef(self, type_name: str | None, env: ModuleEnv | None,
-                      frame: _Frame | None) -> list[FDecl]:
+                      uses: tuple[FUse, ...]) -> list[FDecl]:
+        """Search ``env``, the modules it USEs, then the modules the
+        declaring unit USEs."""
         if type_name is None:
             raise FortranRuntimeError("TYPE declaration without a type name")
-        envs: list[ModuleEnv] = []
+        stack: list[ModuleEnv] = []
         if env is not None:
-            envs.append(env)
-        if frame is not None and frame.module is not None:
-            envs.append(frame.module)
+            stack.append(env)
+            stack.extend(self.modules[u.module] for u in env.uses
+                         if u.module in self.modules)
+        stack.extend(self.modules[u.module] for u in uses if u.module in self.modules)
         seen: set[str] = set()
-        stack = list(envs)
-        for e in envs:
-            for u in e.uses:
-                if u.module in self.modules:
-                    stack.append(self.modules[u.module])
-        if frame is not None:
-            for u in frame.uses:
-                if u.module in self.modules:
-                    stack.append(self.modules[u.module])
         for e in stack:
             if e.name in seen:
                 continue
@@ -325,10 +1368,11 @@ class FortranRuntime:
                     return m.typedefs[type_name]
         raise FortranRuntimeError(f"unknown derived type {type_name!r}")
 
-    def _eval_const(self, e: FExpr, env: ModuleEnv | None) -> Any:
-        """Evaluate an expression using only module-level names."""
+    def _fold_const(self, e: FExpr, env: ModuleEnv | None) -> Any:
+        """Fold an expression over literals and module-level scalars, with
+        the operator table of compiled code."""
         if isinstance(e, FNum):
-            return e.value
+            return np.int64(e.value) if isinstance(e.value, int) else np.float64(e.value)
         if isinstance(e, FVar) and env is not None:
             slot = env.variables.get(e.name)
             if slot is None:
@@ -339,12 +1383,11 @@ class FortranRuntime:
                         break
             if slot is not None and slot.store is not None and slot.store.ndim == 0:
                 return slot.store[()]
-        if isinstance(e, FUn) and e.op == "neg":
-            return -self._eval_const(e.operand, env)
-        if isinstance(e, FBin):
-            l = self._eval_const(e.left, env)
-            r = self._eval_const(e.right, env)
-            return {"+": l + r, "-": l - r, "*": l * r}[e.op]
+        if isinstance(e, FUn):
+            return _UNOPS.get(e.op, _identity)(self._fold_const(e.operand, env))
+        if isinstance(e, FBin) and e.op in _BINOPS:
+            return _BINOPS[e.op](self._fold_const(e.left, env),
+                                 self._fold_const(e.right, env))
         raise FortranRuntimeError("unsupported constant expression at module scope")
 
     # ------------------------------------------------------------------
@@ -363,14 +1406,19 @@ class FortranRuntime:
         if not self.programs:
             raise FortranRuntimeError("no PROGRAM unit loaded")
         prog = self.programs[name] if name else next(iter(self.programs.values()))
-        pseudo = FSubprogram(kind="subroutine", name=prog.name, params=[],
-                             result=None, decls=prog.decls, body=prog.body)
-        env = None
         # A PROGRAM's CONTAINS'd subprograms are registered as bare units.
-        for sub in prog.subprograms:
-            self.bare_subprograms.setdefault(sub.name, sub)
+        fresh = [sub for sub in prog.subprograms if sub.name not in self.bare_subprograms]
+        for sub in fresh:
+            self.bare_subprograms[sub.name] = sub
+        if fresh:
+            self._units.clear()
+        unit = self._units.get(id(prog))
+        if unit is None:
+            pseudo = FSubprogram(kind="subroutine", name=prog.name, params=[],
+                                 result=None, decls=prog.decls, body=prog.body)
+            unit = self._units[id(prog)] = _UnitCompiler(self, pseudo, None).compile(prog)
         try:
-            self._invoke(pseudo, env, [])
+            self._run(unit, [])
         except StopSignal:
             pass
 
@@ -388,588 +1436,30 @@ class FortranRuntime:
         raise FortranRuntimeError(f"no subprogram named {name!r}")
 
     def _invoke(self, sub: FSubprogram, env: ModuleEnv | None, args: list[Any]) -> Any:
-        if self._call_depth >= self.max_call_depth:
-            raise FortranRuntimeError(f"call depth exceeded in {sub.name}")
-        if len(args) != len(sub.params):
-            raise FortranRuntimeError(
-                f"{sub.name}: expected {len(sub.params)} argument(s), got {len(args)}"
-            )
-        frame = _Frame(unit=sub, module=env, locals={}, uses=[])
-        # Pass 1: classify declarations.
-        decl_by_name: dict[str, tuple[FDecl, FDeclEntity]] = {}
-        commons: list[FCommon] = []
-        for d in sub.decls:
-            if isinstance(d, FUse):
-                frame.uses.append(d)
-            elif isinstance(d, FCommon):
-                commons.append(d)
-            elif isinstance(d, FDecl):
-                for ent in d.entities:
-                    decl_by_name[ent.name] = (d, ent)
-            elif isinstance(d, (FImplicitNone, FTypeDef)):
-                pass
-        # Bind parameters by reference.
-        for pname, actual in zip(sub.params, args):
-            slot = self._make_slot(pname, decl_by_name.get(pname))
-            slot.store = self._coerce_argument(pname, slot, actual)
-            frame.locals[pname] = slot
-        # Result variable.
-        if sub.kind == "function" and sub.result:
-            rslot = self._make_slot(sub.result, decl_by_name.get(sub.result))
-            self._materialize_local(rslot, frame, decl_by_name.get(sub.result))
-            frame.locals[sub.result] = rslot
-        # COMMON associations.
-        for c in commons:
-            block = self.commons.setdefault(c.block, {})
-            for vname in c.names:
-                spec = decl_by_name.get(vname)
-                if vname not in block:
-                    slot = self._make_slot(vname, spec)
-                    self._materialize_local(slot, frame, spec)
-                    block[vname] = slot
-                else:
-                    self._check_common_compat(c.block, block[vname], spec, frame)
-                frame.locals[vname] = block[vname]
-                frame.commons[vname] = c.block
-        # Remaining locals.
-        for vname, (d, ent) in decl_by_name.items():
-            if vname in frame.locals:
-                continue
-            slot = self._make_slot(vname, (d, ent))
-            if slot.save:
-                key = (sub.name, vname)
-                prev = self._save_store.get(key)
-                if prev is not None:
-                    frame.locals[vname] = prev
-                    continue
-                self._materialize_local(slot, frame, (d, ent))
-                self._save_store[key] = slot
-            else:
-                self._materialize_local(slot, frame, (d, ent))
-            frame.locals[vname] = slot
+        unit = self._units.get(id(sub))
+        if unit is None:
+            unit = self._units[id(sub)] = _UnitCompiler(self, sub, env).compile(sub)
+        return self._run(unit, args)
 
+    def _run(self, unit: _Unit, args: list[Any]) -> Any:
+        if self._call_depth >= self.max_call_depth:
+            raise FortranRuntimeError(f"call depth exceeded in {unit.name}")
+        if len(args) != unit.nparams:
+            raise FortranRuntimeError(
+                f"{unit.name}: expected {unit.nparams} argument(s), got {len(args)}"
+            )
+        frame = _Frame(self, unit.layout.copy())
+        unit.bind(frame, args)
         self._call_depth += 1
         try:
-            self._exec_block(frame, sub.body)
+            unit.body(frame)
         except _Return:
             pass
         finally:
             self._call_depth -= 1
-
-        if sub.kind == "function":
-            rslot = frame.locals[sub.result]
-            if rslot.store is None:
-                raise FortranRuntimeError(f"{sub.name}: result never set")
-            return rslot.store[()] if getattr(rslot.store, "ndim", 1) == 0 else rslot.store
-        return None
-
-    def _make_slot(self, name: str, spec: tuple[FDecl, FDeclEntity] | None) -> Slot:
-        if spec is None:
-            raise FortranRuntimeError(
-                f"variable {name!r} has no declaration (IMPLICIT NONE everywhere)"
-            )
-        d, ent = spec
-        return Slot(
-            name=name,
-            spec=d.spec,
-            dims=ent.dims if not ent.deferred_rank else (),
-            deferred_rank=ent.deferred_rank,
-            allocatable="allocatable" in d.attrs or "pointer" in d.attrs,
-            save="save" in d.attrs,
-            parameter="parameter" in d.attrs,
-            intent=d.intent,
-        )
-
-    def _materialize_local(self, slot: Slot, frame: _Frame,
-                           spec: tuple[FDecl, FDeclEntity] | None) -> None:
-        if slot.allocatable or slot.deferred_rank:
-            return
-        if slot.spec.base == "type":
-            slot.store = self._new_derived(slot.spec.type_name, frame.module, frame)
-            return
-        dtype = _dtype_of(slot.spec)
-        if slot.is_array:
-            shape = tuple(int(self._as_int(self._eval(x, frame))) for x in slot.dims)
-            slot.store = np.zeros(shape, dtype=dtype)
-            self.allocation_count += 1
-        else:
-            slot.store = np.zeros((), dtype=dtype)
-        if spec is not None and spec[1].init is not None:
-            value = self._eval(spec[1].init, frame)
-            if slot.is_array:
-                slot.store[...] = value
-            else:
-                slot.store[()] = value
-
-    def _coerce_argument(self, pname: str, slot: Slot, actual: Any) -> Any:
-        if isinstance(actual, DerivedValue):
-            return actual
-        if isinstance(actual, np.ndarray):
-            if slot.spec.base != "type":
-                want = _dtype_of(slot.spec)
-                if actual.ndim > 0 and actual.dtype != want:
-                    raise FortranRuntimeError(
-                        f"argument {pname!r}: dtype {actual.dtype} != {want}"
-                    )
-            return actual
-        if isinstance(actual, (int, float, bool, np.generic)):
-            dtype = _dtype_of(slot.spec)
-            cell = np.zeros((), dtype=dtype)
-            cell[()] = actual
-            return cell
-        raise FortranRuntimeError(f"argument {pname!r}: unsupported value {type(actual)}")
-
-    def _check_common_compat(self, block: str, existing: Slot,
-                             spec: tuple[FDecl, FDeclEntity] | None, frame: _Frame) -> None:
-        if spec is None:
-            return
-        d, ent = spec
-        if _dtype_of(d.spec) != _dtype_of(existing.spec):
-            raise FortranRuntimeError(
-                f"COMMON /{block}/ {existing.name}: kind mismatch across units"
-            )
-
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
-    def _exec_block(self, frame: _Frame, stmts: list[FStmt]) -> None:
-        pending_omp: FOmpDirective | None = None
-        skip_next_atomic = False
-        i = 0
-        while i < len(stmts):
-            s = stmts[i]
-            if isinstance(s, FOmpDirective):
-                if s.kind == "parallel_do":
-                    pending_omp = s
-                elif s.kind == "atomic":
-                    self.omp_log.append(OmpEvent(kind="atomic", unit=frame.unit.name,
-                                                 line=s.line))
-                elif s.kind == "critical":
-                    self.omp_log.append(OmpEvent(kind="critical", unit=frame.unit.name,
-                                                 line=s.line))
-                elif s.kind == "simd":
-                    self.omp_log.append(OmpEvent(kind="simd", unit=frame.unit.name,
-                                                 line=s.line,
-                                                 reductions=s.reductions))
-                # end_* markers need no action.
-                i += 1
-                continue
-            if isinstance(s, FDo) and pending_omp is not None:
-                s.omp = pending_omp
-                pending_omp = None
-            self._exec_stmt(frame, s)
-            i += 1
-
-    def _exec_stmt(self, frame: _Frame, s: FStmt) -> None:
-        if isinstance(s, FAssign):
-            self._exec_assign(frame, s)
-        elif isinstance(s, FCall):
-            self._exec_call(frame, s.name, s.args)
-        elif isinstance(s, FIf):
-            for cond, body in s.branches:
-                if cond is None or bool(self._eval(cond, frame)):
-                    self._exec_block(frame, body)
-                    return
-        elif isinstance(s, FDo):
-            self._exec_do(frame, s)
-        elif isinstance(s, FDoWhile):
-            guard = 0
-            while bool(self._eval(s.cond, frame)):
-                guard += 1
-                if guard > 100_000_000:
-                    raise FortranRuntimeError("DO WHILE runaway")
-                try:
-                    self._exec_block(frame, s.body)
-                except _Exit:
-                    break
-                except _Cycle:
-                    continue
-        elif isinstance(s, FReturn):
-            raise _Return()
-        elif isinstance(s, FExit):
-            raise _Exit()
-        elif isinstance(s, FCycle):
-            raise _Cycle()
-        elif isinstance(s, FContinue):
-            pass
-        elif isinstance(s, FAllocate):
-            for target, dims in s.items:
-                slot = self._resolve_slot(frame, target)
-                shape = tuple(int(self._as_int(self._eval(d, frame))) for d in dims)
-                dtype = _dtype_of(slot.spec)
-                slot.store = np.zeros(shape, dtype=dtype)
-                self.allocation_count += 1
-        elif isinstance(s, FDeallocate):
-            for item in s.items:
-                slot = self._resolve_slot(frame, item)
-                slot.store = None
-        elif isinstance(s, FPrint):
-            self.output.append(tuple(self._to_python(self._eval(a, frame)) for a in s.args))
-        elif isinstance(s, FStop):
-            raise StopSignal(s.message)
-        else:
-            raise FortranRuntimeError(f"cannot execute {type(s).__name__}")
-
-    @staticmethod
-    def _to_python(v: Any) -> Any:
-        if isinstance(v, np.generic):
-            return v.item()
-        return v
-
-    def _exec_do(self, frame: _Frame, s: FDo) -> None:
-        start = self._as_int(self._eval(s.start, frame))
-        end = self._as_int(self._eval(s.end, frame))
-        step = self._as_int(self._eval(s.step, frame)) if s.step is not None else 1
-        if step == 0:
-            raise FortranRuntimeError("DO step of zero")
-        var_slot = frame.locals.get(s.var)
-        if var_slot is None or var_slot.store is None:
-            raise FortranRuntimeError(f"undeclared DO variable {s.var!r}")
-        if s.omp is not None:
-            trip = max(0, (end - start) // step + 1) if (end - start) * step >= 0 else 0
-            self.omp_log.append(OmpEvent(
-                kind="parallel_do", unit=frame.unit.name, line=s.line,
-                collapse=s.omp.collapse, reductions=s.omp.reductions,
-                private=s.omp.private, iterations=trip,
-            ))
-        frame.do_depth += 1
-        try:
-            i = start
-            while (i <= end) if step > 0 else (i >= end):
-                var_slot.store[()] = i
-                try:
-                    self._exec_block(frame, s.body)
-                except _Exit:
-                    break
-                except _Cycle:
-                    pass
-                i += step
-        finally:
-            frame.do_depth -= 1
-
-    def _exec_assign(self, frame: _Frame, s: FAssign) -> None:
-        target = s.target
-        value = self._eval(s.value, frame)
-        if isinstance(target, FVar):
-            slot = frame.locals.get(target.name)
-            if slot is None:
-                slot = self._lookup_nonlocal_slot(frame, target.name)
-            if slot is None:
-                raise FortranRuntimeError(f"assignment to undeclared {target.name!r}")
-            if slot.parameter:
-                raise FortranRuntimeError(f"cannot assign to PARAMETER {target.name!r}")
-            if slot.store is None:
-                raise FortranRuntimeError(f"{target.name!r} used before ALLOCATE")
-            if _sentinel._ACTIVE is not None:
-                _sentinel.check_value(
-                    value, function=self._assign_site(frame, s),
-                    grid=target.name)
-            if slot.store.ndim == 0:
-                slot.store[()] = value
-            else:
-                slot.store[...] = value   # whole-array assignment
-            return
-        store, idx = self._resolve_element(frame, target)
-        if _sentinel._ACTIVE is not None:
-            _sentinel.check_value(
-                value, function=self._assign_site(frame, s),
-                grid=self._target_name(target),
-                cell=None if idx is None else tuple(i + 1 for i in idx))
-        if idx is None:
-            store[...] = value
-        else:
-            store[idx] = value
-
-    @staticmethod
-    def _assign_site(frame: _Frame, s: FAssign) -> str:
-        name = frame.unit.name
-        return f"{name}:{s.line}" if s.line else name
-
-    @classmethod
-    def _target_name(cls, target: FExpr) -> str:
-        if isinstance(target, FVar):
-            return target.name
-        if isinstance(target, FIndexed):
-            return cls._target_name(target.base)
-        if isinstance(target, FFieldRef):
-            return f"{cls._target_name(target.base)}%{target.field}"
-        return ""
-
-    def _exec_call(self, frame: _Frame, name: str, argexprs: tuple[FExpr, ...]) -> Any:
-        sub, env = self._find_callee(frame, name)
-        args = [self._eval_actual(frame, a) for a in argexprs]
-        return self._invoke(sub, env, args)
-
-    def _find_callee(self, frame: _Frame, name: str) -> tuple[FSubprogram, ModuleEnv | None]:
-        if frame.module is not None and name in frame.module.subprograms:
-            return frame.module.subprograms[name], frame.module
-        for u in frame.uses + (frame.module.uses if frame.module else []):
-            m = self.modules.get(u.module)
-            if m and (u.only is None or name in u.only) and name in m.subprograms:
-                return m.subprograms[name], m
-        for env in self.modules.values():
-            if name in env.subprograms:
-                return env.subprograms[name], env
-        if name in self.bare_subprograms:
-            return self.bare_subprograms[name], None
-        raise FortranRuntimeError(f"no subprogram named {name!r}")
-
-    # ------------------------------------------------------------------
-    # name resolution
-    # ------------------------------------------------------------------
-    def _lookup_nonlocal_slot(self, frame: _Frame, name: str) -> Slot | None:
-        if frame.module is not None and name in frame.module.variables:
-            return frame.module.variables[name]
-        search_uses = frame.uses + (frame.module.uses if frame.module else [])
-        for u in search_uses:
-            m = self.modules.get(u.module)
-            if m is None:
-                continue
-            if u.only is not None and name not in u.only:
-                continue
-            if name in m.variables:
-                return m.variables[name]
-            # one level of re-export
-            for u2 in m.uses:
-                m2 = self.modules.get(u2.module)
-                if m2 and name in m2.variables:
-                    return m2.variables[name]
-        return None
-
-    def _resolve_slot(self, frame: _Frame, e: FExpr) -> Slot:
-        if isinstance(e, FVar):
-            slot = frame.locals.get(e.name) or self._lookup_nonlocal_slot(frame, e.name)
-            if slot is None:
-                raise FortranRuntimeError(f"unknown variable {e.name!r}")
-            return slot
-        if isinstance(e, FIndexed):
-            return self._resolve_slot(frame, e.base)
-        raise FortranRuntimeError(f"cannot resolve slot for {type(e).__name__}")
-
-    def _resolve_element(self, frame: _Frame, target: FExpr) -> tuple[Any, tuple | None]:
-        """Resolve an assignment target to (storage, index-or-None)."""
-        if isinstance(target, FIndexed):
-            base_store = self._eval_storage(frame, target.base)
-            idx = tuple(self._as_int(self._eval(a, frame)) - 1 for a in target.args)
-            self._check_bounds(base_store, idx, target)
-            return base_store, idx
-        if isinstance(target, FFieldRef):
-            base = self._eval_storage(frame, target.base)
-            if not isinstance(base, DerivedValue):
-                raise FortranRuntimeError(f"%{target.field} on a non-TYPE value")
-            store = base.fields.get(target.field)
-            if store is None:
-                raise FortranRuntimeError(
-                    f"TYPE {base.type_name} has no component {target.field!r}"
-                )
-            if store.ndim == 0:
-                return store, ()
-            return store, None
-        raise FortranRuntimeError(f"bad assignment target {type(target).__name__}")
-
-    def _eval_storage(self, frame: _Frame, e: FExpr) -> Any:
-        """Evaluate a designator to its *storage* (not a copied value)."""
-        if isinstance(e, FVar):
-            slot = frame.locals.get(e.name) or self._lookup_nonlocal_slot(frame, e.name)
-            if slot is None:
-                raise FortranRuntimeError(f"unknown variable {e.name!r}")
-            if slot.store is None:
-                raise FortranRuntimeError(f"{e.name!r} used before ALLOCATE")
-            return slot.store
-        if isinstance(e, FFieldRef):
-            base = self._eval_storage(frame, e.base)
-            if isinstance(base, DerivedValue):
-                store = base.fields.get(e.field)
-                if store is None:
-                    raise FortranRuntimeError(
-                        f"TYPE {base.type_name} has no component {e.field!r}"
-                    )
-                return store
-            raise FortranRuntimeError(f"%{e.field} on a non-TYPE value")
-        if isinstance(e, FIndexed):
-            # Element of array-of-derived or sub-array: only element access
-            # of numeric arrays is supported as storage.
-            base = self._eval_storage(frame, e.base)
-            idx = tuple(self._as_int(self._eval(a, frame)) - 1 for a in e.args)
-            self._check_bounds(base, idx, e)
-            if isinstance(base, np.ndarray):
-                return base[idx]
-            raise FortranRuntimeError("unsupported indexed storage")
-        raise FortranRuntimeError(f"not a designator: {type(e).__name__}")
-
-    @staticmethod
-    def _check_bounds(store: Any, idx: tuple, node: FExpr) -> None:
-        if not isinstance(store, np.ndarray):
-            raise FortranRuntimeError("indexing a non-array")
-        if len(idx) != store.ndim:
-            raise FortranRuntimeError(
-                f"rank mismatch: {len(idx)} subscript(s) for rank-{store.ndim} array"
-            )
-        for k, (i, n) in enumerate(zip(idx, store.shape)):
-            if not (0 <= i < n):
-                raise FortranRuntimeError(
-                    f"subscript {i + 1} out of bounds for dimension {k + 1} (extent {n})"
-                )
-
-    # ------------------------------------------------------------------
-    # expressions
-    # ------------------------------------------------------------------
-    def _eval_actual(self, frame: _Frame, e: FExpr) -> Any:
-        """Evaluate an actual argument, passing storage by reference when
-        the argument is a designator."""
-        if isinstance(e, FVar):
-            slot = frame.locals.get(e.name) or self._lookup_nonlocal_slot(frame, e.name)
-            if slot is not None:
-                if slot.store is None:
-                    raise FortranRuntimeError(f"{e.name!r} used before ALLOCATE")
-                return slot.store
-        if isinstance(e, FFieldRef):
-            return self._eval_storage(frame, e)
-        if isinstance(e, FIndexed) and isinstance(e.base, (FVar, FFieldRef)):
-            # Array element by reference (0-d view) if base is an array.
-            try:
-                base = self._eval_storage(frame, e.base)
-            except FortranRuntimeError:
-                base = None
-            if isinstance(base, np.ndarray) and base.ndim == len(e.args) and base.ndim > 0:
-                idx = tuple(self._as_int(self._eval(a, frame)) - 1 for a in e.args)
-                self._check_bounds(base, idx, e)
-                view = base[idx[:-1] + (slice(idx[-1], idx[-1] + 1),)]
-                return view.reshape(())
-        value = self._eval(e, frame)
-        if isinstance(value, np.ndarray):
-            return value
-        cell = np.zeros((), dtype=np.asarray(value).dtype if not isinstance(value, bool) else np.bool_)
-        cell[()] = value
-        return cell
-
-    def _as_int(self, v: Any) -> int:
-        if isinstance(v, np.ndarray):
-            if v.ndim != 0:
-                raise FortranRuntimeError("array used where a scalar is required")
-            v = v[()]
-        return int(v)
-
-    def _eval(self, e: FExpr, frame: _Frame) -> Any:
-        if isinstance(e, FNum):
-            if isinstance(e.value, int):
-                return np.int64(e.value)
-            return np.float64(e.value)
-        if isinstance(e, FString):
-            return e.value
-        if isinstance(e, FLogical):
-            return np.bool_(e.value)
-        if isinstance(e, FVar):
-            slot = frame.locals.get(e.name) or self._lookup_nonlocal_slot(frame, e.name)
-            if slot is not None:
-                if slot.store is None:
-                    raise FortranRuntimeError(f"{e.name!r} used before ALLOCATE")
-                store = slot.store
-                if isinstance(store, np.ndarray) and store.ndim == 0:
-                    return store[()]
-                return store
-            # Argument-less function call? Not supported; report clearly.
-            raise FortranRuntimeError(f"unknown name {e.name!r}")
-        if isinstance(e, FFieldRef):
-            store = self._eval_storage(frame, e)
-            if isinstance(store, np.ndarray) and store.ndim == 0:
-                return store[()]
-            return store
-        if isinstance(e, FIndexed):
-            return self._eval_indexed(e, frame)
-        if isinstance(e, FUn):
-            v = self._eval(e.operand, frame)
-            if e.op == "neg":
-                return -v
-            if e.op == "not":
-                return np.bool_(not bool(v))
-            return v
-        if isinstance(e, FBin):
-            return self._eval_bin(e, frame)
-        raise FortranRuntimeError(f"cannot evaluate {type(e).__name__}")
-
-    def _eval_indexed(self, e: FIndexed, frame: _Frame) -> Any:
-        # Resolution order: variable (array) -> user subprogram -> intrinsic.
-        if isinstance(e.base, FVar):
-            name = e.base.name
-            slot = frame.locals.get(name) or self._lookup_nonlocal_slot(frame, name)
-            if slot is not None:
-                store = slot.store
-                if store is None:
-                    raise FortranRuntimeError(f"{name!r} used before ALLOCATE")
-                if isinstance(store, np.ndarray):
-                    idx = tuple(self._as_int(self._eval(a, frame)) - 1 for a in e.args)
-                    self._check_bounds(store, idx, e)
-                    return store[idx]
-                raise FortranRuntimeError(f"{name!r} is not indexable")
-            if name in SPECIAL_FORMS:
-                return self._special_form(name, e.args, frame)
-            try:
-                sub, env = self._find_callee(frame, name)
-            except FortranRuntimeError:
-                sub = None
-            if sub is not None:
-                args = [self._eval_actual(frame, a) for a in e.args]
-                return self._invoke(sub, env, args)
-            fn = INTRINSICS.get(name)
-            if fn is not None:
-                args = [self._eval(a, frame) for a in e.args]
-                return fn(*args)
-            raise FortranRuntimeError(f"unknown array/function {name!r}")
-        if isinstance(e.base, FFieldRef):
-            store = self._eval_storage(frame, e.base)
-            if isinstance(store, np.ndarray):
-                idx = tuple(self._as_int(self._eval(a, frame)) - 1 for a in e.args)
-                self._check_bounds(store, idx, e)
-                return store[idx]
-        raise FortranRuntimeError("unsupported indexed expression")
-
-    def _special_form(self, name: str, args: tuple[FExpr, ...], frame: _Frame) -> Any:
-        if name == "allocated":
-            if len(args) != 1:
-                raise FortranRuntimeError("ALLOCATED takes one argument")
-            slot = self._resolve_slot(frame, args[0])
-            return np.bool_(slot.allocated)
-        raise FortranRuntimeError(f"unknown special form {name!r}")
-
-    def _eval_bin(self, e: FBin, frame: _Frame) -> Any:
-        op = e.op
-        if op == "and":
-            return np.bool_(bool(self._eval(e.left, frame)) and bool(self._eval(e.right, frame)))
-        if op == "or":
-            return np.bool_(bool(self._eval(e.left, frame)) or bool(self._eval(e.right, frame)))
-        lv = self._eval(e.left, frame)
-        rv = self._eval(e.right, frame)
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op == "/":
-            if self._int_like(lv) and self._int_like(rv):
-                return np.int64(np.trunc(lv / rv))
-            return lv / rv
-        if op == "**":
-            return lv ** rv
-        if op == "==":
-            return np.bool_(lv == rv)
-        if op == "/=":
-            return np.bool_(lv != rv)
-        if op == "<":
-            return np.bool_(lv < rv)
-        if op == "<=":
-            return np.bool_(lv <= rv)
-        if op == ">":
-            return np.bool_(lv > rv)
-        if op == ">=":
-            return np.bool_(lv >= rv)
-        raise FortranRuntimeError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _int_like(v: Any) -> bool:
-        if isinstance(v, bool) or isinstance(v, np.bool_):
-            return False
-        if isinstance(v, (int, np.integer)):
-            return True
-        return isinstance(v, np.ndarray) and v.ndim == 0 and np.issubdtype(v.dtype, np.integer)
+        if unit.result is None:
+            return None
+        store = frame.slots[unit.result].store
+        if store is None:
+            raise FortranRuntimeError(f"{unit.name}: result never set")
+        return store[()] if getattr(store, "ndim", 1) == 0 else store

@@ -1,5 +1,10 @@
 """Unit tests for the FORTRAN-subset interpreter."""
 
+import gc
+import re
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,16 +20,28 @@ def _rt(*sources: str) -> FortranRuntime:
 
 
 class TestArithmetic:
-    def test_integer_division_truncates(self):
-        rt = _rt("""
+    IDIV = """
 INTEGER FUNCTION idiv(a, b)
   INTEGER, INTENT(IN) :: a
   INTEGER, INTENT(IN) :: b
   idiv = a / b
 END FUNCTION idiv
-""")
+"""
+
+    def test_integer_division_truncates(self):
+        rt = _rt(self.IDIV)
         assert rt.call("idiv", [7, 2]) == 3
         assert rt.call("idiv", [-7, 2]) == -3
+        assert rt.call("idiv", [7, -2]) == -3
+        exact = rt.call("idiv", [2**53 + 1, 1])   # not rounded through float64
+        assert exact == 2**53 + 1 and isinstance(exact, np.int64)
+
+    def test_integer_division_by_zero_is_a_typed_error(self):
+        rt = _rt(self.IDIV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FortranRuntimeError, match="^integer division by zero$"):
+                rt.call("idiv", [5, 0])
 
     def test_real_division(self):
         rt = _rt("""
@@ -380,3 +397,138 @@ END SUBROUTINE s
 """)
         with pytest.raises(FortranRuntimeError, match="argument"):
             rt.call("s", [])
+
+
+class TestModuleConstantFolding:
+    def test_division_and_power_in_module_extents(self):
+        rt = _rt("""
+MODULE ext_mod
+  IMPLICIT NONE
+  INTEGER, PARAMETER :: n = 10
+  REAL(KIND=8) :: a(n / 2)
+  REAL(KIND=8) :: b(2 ** 3, -7 / 2 + 5)
+END MODULE ext_mod
+""")
+        v = rt.modules["ext_mod"].variables
+        assert v["a"].store.shape == (5,)
+        assert v["b"].store.shape == (8, 2)
+
+    def test_unsupported_node_is_a_typed_error(self):
+        with pytest.raises(FortranRuntimeError,
+                           match="unsupported constant expression at module scope"):
+            _rt("""
+MODULE bad_mod
+  IMPLICIT NONE
+  REAL(KIND=8) :: a(MAX(2, 3))
+END MODULE bad_mod
+""")
+
+
+class TestCompiledUnits:
+    def test_unexecuted_unknown_names_raise_only_when_run(self):
+        rt = _rt("""
+INTEGER FUNCTION f(flag)
+  INTEGER, INTENT(IN) :: flag
+  f = 0
+  IF (flag == 1) THEN
+    f = mystery + 1
+  ELSE IF (flag == 2) THEN
+    CALL nowhere(f)
+  ELSE IF (flag == 3) THEN
+    f = nofunc(2)
+  ELSE IF (flag == 4) THEN
+    undeclared = 1
+  END IF
+END FUNCTION f
+""")
+        assert rt.call("f", [0]) == 0
+        for flag, message in [(1, "unknown name 'mystery'"),
+                              (2, "no subprogram named 'nowhere'"),
+                              (3, "unknown array/function 'nofunc'"),
+                              (4, "assignment to undeclared 'undeclared'")]:
+            with pytest.raises(FortranRuntimeError, match=f"^{re.escape(message)}$"):
+                rt.call("f", [flag])
+        assert rt.call("f", [0]) == 0
+
+    def test_module_loaded_after_first_call_is_seen(self):
+        rt = _rt("""
+REAL(KIND=8) FUNCTION peek(flag)
+  USE late_mod
+  INTEGER, INTENT(IN) :: flag
+  peek = -1.0D0
+  IF (flag == 1) peek = payload + bump(1.0D0)
+END FUNCTION peek
+""")
+        assert rt.call("peek", [0]) == -1.0
+        with pytest.raises(FortranRuntimeError, match="unknown name 'payload'"):
+            rt.call("peek", [1])
+        rt.load("""
+MODULE late_mod
+  IMPLICIT NONE
+  REAL(KIND=8) :: payload = 2.5D0
+CONTAINS
+  REAL(KIND=8) FUNCTION bump(x)
+    REAL(KIND=8), INTENT(IN) :: x
+    bump = x + 1.0D0
+  END FUNCTION bump
+END MODULE late_mod
+""")
+        assert rt.call("peek", [1]) == 4.5
+
+    def test_contains_subprogram_registered_by_run_program_resolves(self):
+        rt = _rt("""
+INTEGER FUNCTION quad(n, flag)
+  INTEGER, INTENT(IN) :: n
+  INTEGER, INTENT(IN) :: flag
+  quad = 0
+  IF (flag == 1) quad = twice(twice(n))
+END FUNCTION quad
+
+PROGRAM p
+  INTEGER :: k
+  k = twice(21)
+  PRINT *, k
+CONTAINS
+  INTEGER FUNCTION twice(n)
+    INTEGER, INTENT(IN) :: n
+    twice = 2 * n
+  END FUNCTION twice
+END PROGRAM p
+""")
+        assert rt.call("quad", [3, 0]) == 0
+        rt.run_program()
+        assert rt.output == [(42,)]
+        assert rt.call("quad", [3, 1]) == 12
+
+    def test_dropped_runtime_is_freed_without_the_cycle_collector(self):
+        from repro.sarb import make_inputs, run_legacy_fortran
+
+        gc.collect()
+        gc.disable()
+        try:
+            rt = _rt("""
+MODULE m
+  IMPLICIT NONE
+  REAL(KIND=8) :: acc(4)
+CONTAINS
+  REAL(KIND=8) FUNCTION sq(x)
+    REAL(KIND=8), INTENT(IN) :: x
+    sq = x * x
+  END FUNCTION sq
+  SUBROUTINE fill(n)
+    INTEGER, INTENT(IN) :: n
+    INTEGER :: i
+    DO i = 1, n
+      acc(i) = sq(i * 1.0D0)
+    END DO
+  END SUBROUTINE fill
+END MODULE m
+""")
+            rt.call("fill", [4])
+            with pytest.raises(FortranRuntimeError, match="bounds"):
+                rt.call("fill", [5])
+            refs = [weakref.ref(rt), weakref.ref(run_legacy_fortran(make_inputs(seed=1))[1])]
+            del rt
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
