@@ -17,6 +17,8 @@ X2     docs/BATCH.md — warm-artifact-cache batch throughput vs cold
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..fun3d.perffig import PAPER_FIGURE7, figure7_rows
 from ..sarb.perffig import (
     PAPER_FIGURE5,
@@ -179,9 +181,30 @@ def run_fun3d_correctness() -> ExperimentResult:
 
 
 #: The vectorized executor must beat the interpreter by at least this
-#: factor on the scaled SARB workload (ISSUE acceptance bar; measured
-#: headroom is ~60x, so this gate survives noisy CI hosts).
+#: factor on the scaled SARB workload.  Measured warm headroom is
+#: ~23-38x against the step-compiling interpreter, so this gate survives
+#: noisy CI hosts.
 EXECUTOR_SPEEDUP_GATE = 10.0
+
+
+def _warm_times(run) -> tuple[float, Any, float, Any]:
+    """Interpreter ms and output, then vectorized ms and output, of
+    ``run(executor)``: one untimed warm-up call of each executor, then the
+    median of three timed calls of each."""
+    import statistics
+    import time
+
+    for how in ("interpreter", "vectorized"):
+        run(how)
+    out: list[Any] = []
+    for how in ("interpreter", "vectorized"):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            result = run(how)
+            times.append(time.perf_counter() - t0)
+        out += [statistics.median(times) * 1e3, result]
+    return tuple(out)
 
 
 def run_executor_speedup() -> ExperimentResult:
@@ -193,9 +216,12 @@ def run_executor_speedup() -> ExperimentResult:
     reported but not speed-gated: its hot loop calls a subprogram per
     cell, which the vectorizer correctly demotes to the interpreter
     (``executor:fallback``), so only the pointwise steps are lifted.
-    """
-    import time
 
+    Each executor is timed as the median of three calls after one untimed
+    warm-up call of every executor, so set-up a process pays once (lazy
+    imports such as the dataflow engine behind lift analysis) lands on
+    neither side.
+    """
     from ..fun3d import make_mesh, rms_check
     from ..fun3d import run_ir_interpreter as fun3d_run
     from ..sarb import make_inputs
@@ -209,29 +235,21 @@ def run_executor_speedup() -> ExperimentResult:
     # to amortize its per-step setup (the paper-default dims still show
     # >10x, the scaled run shows the asymptotic picture).
     inp = make_inputs(SarbDimensions(nv=600, nblw=24, nbsw=12))
-    t0 = time.perf_counter()
-    ref = sarb_run(inp, executor="interpreter")
-    t_interp = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    vec = sarb_run(inp, executor="vectorized")
-    t_vec = time.perf_counter() - t0
+    t_interp, ref, t_vec, vec = _warm_times(
+        lambda how: sarb_run(inp, executor=how))
     agree = compare_outputs(vec, ref, tolerance=SARB_COMPARE_TOLERANCE).ok
     speedup = t_interp / t_vec
-    rows.append(["SARB nv=600", round(t_interp * 1e3, 2),
-                 round(t_vec * 1e3, 2), round(speedup, 1),
+    rows.append(["SARB nv=600", round(t_interp, 2), round(t_vec, 2),
+                 round(speedup, 1),
                  "PASS" if agree and speedup >= EXECUTOR_SPEEDUP_GATE
                  else "FAIL"])
 
     # FUN3D: correctness-gated only (see docstring).
     mesh = make_mesh(27)
-    t0 = time.perf_counter()
-    jac_ref = fun3d_run(mesh, executor="interpreter")
-    t_interp = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    jac_vec = fun3d_run(mesh, executor="vectorized")
-    t_vec = time.perf_counter() - t0
-    rows.append(["FUN3D mesh 27", round(t_interp * 1e3, 2),
-                 round(t_vec * 1e3, 2), round(t_interp / t_vec, 1),
+    t_interp, jac_ref, t_vec, jac_vec = _warm_times(
+        lambda how: fun3d_run(mesh, executor=how))
+    rows.append(["FUN3D mesh 27", round(t_interp, 2), round(t_vec, 2),
+                 round(t_interp / t_vec, 1),
                  "PASS" if rms_check(jac_vec, jac_ref) else "FAIL"])
 
     return ExperimentResult(
@@ -244,7 +262,8 @@ def run_executor_speedup() -> ExperimentResult:
         notes=(f"gate: SARB speedup >= {EXECUTOR_SPEEDUP_GATE:g}x with "
                "outputs agreeing at each case study's tolerance; FUN3D is "
                "correctness-gated only (per-cell subprogram call demotes "
-               "its hot loop to the interpreter)."),
+               "its hot loop to the interpreter); times are the median of "
+               "three calls after one warm-up call of each executor."),
     )
 
 

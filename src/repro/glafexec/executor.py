@@ -4,8 +4,9 @@ Three interchangeable back ends run a program's entry point against an
 :class:`~repro.glafexec.context.ExecutionContext`:
 
 ``interpreter``
-    The reference tree-walking :class:`~repro.glafexec.interp.Interpreter`
-    — authoritative FORTRAN semantics, one Python dispatch per cell.
+    The reference :class:`~repro.glafexec.interp.Interpreter` —
+    authoritative FORTRAN semantics.  Each step compiles once to nested
+    closures and then runs one loop iteration at a time.
 ``vectorized``
     :class:`~repro.glafexec.vectorize.VectorizedInterpreter` — liftable loop
     steps run as whole-grid NumPy array programs; everything else falls back
@@ -86,7 +87,7 @@ class Executor:
 
 
 class InterpreterExecutor(Executor):
-    """Reference semantics: the tree-walking interpreter."""
+    """Reference semantics: the step-compiling scalar interpreter."""
 
     name = "interpreter"
 

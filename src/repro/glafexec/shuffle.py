@@ -53,11 +53,13 @@ class ShuffledInterpreter(Interpreter):
             super()._exec_step(frame, idx, step)
             return
 
-        tuples = self._enumerate_nest(frame, step)
+        compiled = self._compiled(frame.fn, idx, step)
+        tuples = self._enumerate_nest(frame, compiled.ranges)
         order = self.rng.permutation(len(tuples))
         self.shuffled_steps.append((frame.fn.name, idx))
         self.stats.note_iter(frame.fn.name, idx, len(tuples))
         names = step.index_names()
+        cond, body = compiled.cond, compiled.body
         for k in order:
             if self._budget is not None:
                 self._budget.tick()
@@ -66,33 +68,33 @@ class ShuffledInterpreter(Interpreter):
                                step=idx)
             for var, value in zip(names, tuples[k]):
                 frame.indices[var] = value
-            if step.condition is not None and not self._truth(frame, step.condition):
+            if cond is not None and not cond(frame):
                 continue
-            self._exec_stmts(frame, step.stmts)
+            body(frame)
         for var in names:
             frame.indices.pop(var, None)
 
-    def _enumerate_nest(self, frame, step: Step) -> list[tuple[int, ...]]:
-        """All index tuples of the nest (handles triangular bounds)."""
+    def _enumerate_nest(self, frame, ranges: tuple) -> list[tuple[int, ...]]:
+        """All index tuples of the nest (handles triangular bounds);
+        ``ranges`` are the compiled ``(var, start, end, stride)`` levels."""
         out: list[tuple[int, ...]] = []
+        names = [var for var, *_ in ranges]
 
         def rec(level: int, prefix: tuple[int, ...]) -> None:
-            if level == len(step.ranges):
+            if level == len(ranges):
                 out.append(prefix)
                 return
-            r = step.ranges[level]
-            for var, value in zip(step.index_names(), prefix):
+            _, lo, hi, by = ranges[level]
+            for var, value in zip(names, prefix):
                 frame.indices[var] = value
-            start = int(self._eval(frame, r.start))
-            end = int(self._eval(frame, r.end))
-            stride = int(self._eval(frame, r.step))
+            start, end, stride = lo(frame), hi(frame), by(frame)
             if stride <= 0:
                 raise ExecutionError("non-positive stride")
             for i in range(start, end + 1, stride):
                 rec(level + 1, prefix + (i,))
 
         rec(0, ())
-        for var in step.index_names():
+        for var in names:
             frame.indices.pop(var, None)
         return out
 

@@ -471,19 +471,18 @@ class VectorizedInterpreter(Interpreter):
         extents: dict[str, tuple[int, int, int, int]] = {}  # start,last,stride,n
         axis_of: dict[str, int] = {}
         shape_l: list[int] = []
-        for k, r in enumerate(step.ranges):
-            start = int(self._eval(frame, r.start))
-            end = int(self._eval(frame, r.end))
-            stride = int(self._eval(frame, r.step))
+        ranges = self._compiled(frame.fn, idx, step).ranges
+        for k, (var, lo, hi, by) in enumerate(ranges):
+            start, end, stride = lo(frame), hi(frame), by(frame)
             if stride <= 0:
                 raise ExecutionError(
                     f"{frame.fn.name}/{step.name}: non-positive stride")
             vals = np.arange(start, end + 1, stride, dtype=np.int64)
             shape_l.append(vals.size)
-            axis_of[r.var] = k
+            axis_of[var] = k
             if vals.size:
-                extents[r.var] = (start, int(vals[-1]), stride, vals.size)
-            axes[r.var] = vals.reshape(
+                extents[var] = (start, int(vals[-1]), stride, vals.size)
+            axes[var] = vals.reshape(
                 (1,) * k + (vals.size,) + (1,) * (nranges - 1 - k))
         shape = tuple(shape_l)
         total = 1

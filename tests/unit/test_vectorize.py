@@ -329,23 +329,27 @@ class TestFortranSemantics:
     def test_division_by_zero_demotes_to_reference_semantics(self):
         # The array path refuses to guess at a zero divisor: it raises
         # internally, the step is rolled back and demoted, and the
-        # interpreter's reference semantics are what the caller sees.
+        # interpreter's reference semantics are what the caller sees: the
+        # same typed error, after the same cells were written.
+        from repro.glafexec import ExecutionContext, Interpreter
+        from repro.glafexec.vectorize import VectorizedInterpreter
+
         p = _semantics_program()
         a = np.ones(3, dtype=np.int64)
         b = np.array([1, 0, 1], dtype=np.int64)
-        q = np.zeros(3, dtype=np.int64)
-        r = np.zeros(3, dtype=np.int64)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run = get_executor("vectorized").run(p, "f", [3, a, b, q, r],
-                                                 sizes={"n": 3})
-            q2 = np.zeros(3, dtype=np.int64)
-            r2 = np.zeros(3, dtype=np.int64)
-            get_executor("interpreter").run(p, "f", [3, a, b, q2, r2],
-                                            sizes={"n": 3})
-        assert any("zero" in f.reason for f in run.fallbacks)
-        assert np.array_equal(q, q2) and np.array_equal(r, r2)
+        written = []
+        for cls in (VectorizedInterpreter, Interpreter):
+            q = np.zeros(3, dtype=np.int64)
+            r = np.zeros(3, dtype=np.int64)
+            interp = cls(p, ExecutionContext(p, sizes={"n": 3}))
+            with pytest.raises(ExecutionError,
+                               match="^integer division by zero$"):
+                interp.call("f", [3, a, b, q, r])
+            written.append(q)
+            if cls is VectorizedInterpreter:
+                assert any("zero" in f.reason for f in interp.fallbacks)
+        assert np.array_equal(written[0], [1, 0, 0])
+        assert np.array_equal(written[0], written[1])
 
     def test_sentinel_trip_raises_through_lifted_step(self):
         from repro.numeric import sentinels
