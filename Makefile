@@ -7,8 +7,9 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# The tier-1 suite (ROADMAP.md), as `make ci` runs it.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # Static parallel-correctness gate: every shipped SARB/FUN3D output must
 # lint clean at every pruning level — structural rules plus the
@@ -85,7 +86,7 @@ figures:
 	$(PYTHON) examples/paper_figures.py
 
 outputs:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q 2>&1 | tee bench_output.txt
 
 clean:

@@ -129,14 +129,15 @@ def _compile_source(item, budget: Budget) -> dict:
     from ..codegen import count_sloc
     from ..fortranlib.parser import parse_source
     from ..lint.dataflow import analyze_batch_ranges
-    from ..lint.runner import lint_text
+    from ..lint.runner import lint_parsed
 
     stage = "parse"
     try:
-        parsed = parse_source(item.content, recover=True)
+        # One parse serves both the range analysis and the lint.
+        parsed = {"source.f90": parse_source(item.content, recover=True)}
         budget.check_time()
         stage = "analyze"
-        ranges = analyze_batch_ranges({"source.f90": parsed})
+        ranges = analyze_batch_ranges(parsed)
         summary = {
             ur.unit: {"proven": ur.summary.proven,
                       "possible": ur.summary.possible,
@@ -145,7 +146,7 @@ def _compile_source(item, budget: Budget) -> dict:
         }
         budget.check_time()
         stage = "lint"
-        report = lint_text(item.content)
+        report = lint_parsed(parsed)
         budget.check_time()
     except GlafError as e:
         e.batch_stage = getattr(e, "batch_stage", "") or stage
@@ -170,7 +171,7 @@ def _compile_program(item, config: WorkerConfig, budget: Budget) -> dict:
         generate_python_source,
     )
     from ..fortranlib.parser import parse_source
-    from ..lint.runner import lint_text
+    from ..lint.runner import lint_parsed
     from ..optimize import make_plan
 
     stage = "build"
@@ -216,13 +217,13 @@ def _compile_program(item, config: WorkerConfig, budget: Budget) -> dict:
         budget.check_time()
         if config.target == "fortran":
             # Round-trip the emitted module through the front end, then
-            # lint it: generated code must satisfy the same gates the
-            # case studies do.
+            # lint that tree: generated code must satisfy the same gates
+            # the case studies do.
             stage = "parse"
-            parse_source(code)
+            parsed = {"<source>": parse_source(code)}
             budget.check_time()
             stage = "lint"
-            report_json = lint_text(code, plan=plan).to_json()
+            report_json = lint_parsed(parsed, plan=plan).to_json()
         else:
             report_json = _empty_lint()
         budget.check_time()

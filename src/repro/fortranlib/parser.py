@@ -58,6 +58,19 @@ __all__ = ["parse_source", "Parser"]
 _TYPE_KEYWORDS = {"integer", "real", "double", "logical", "character", "type"}
 _ATTR_KEYWORDS = {"parameter", "allocatable", "save", "pointer", "target"}
 
+# Expression binding levels, loosest first.
+_OR, _AND, _NOT, _RELATION, _SUM, _PRODUCT, _FACTOR, _PRIMARY = range(1, 9)
+# Binary operator -> (its level, the level its right operand is parsed
+# at).  ``**`` parses its right operand at its own level, so it binds
+# right to left; the others bind left to right.
+_BINARY = {
+    "or": (_OR, _AND), "and": (_AND, _NOT),
+    **{op: (_RELATION, _SUM) for op in ("==", "/=", "<", "<=", ">", ">=")},
+    "+": (_SUM, _PRODUCT), "-": (_SUM, _PRODUCT),
+    "*": (_PRODUCT, _FACTOR), "/": (_PRODUCT, _FACTOR),
+    "**": (_FACTOR, _FACTOR),
+}
+
 
 def parse_source(source: str, *, recover: bool = False) -> FSourceFile:
     """Parse ``source``; with ``recover=True`` the parser resynchronizes at
@@ -848,77 +861,37 @@ class Parser:
     # expressions
     # ------------------------------------------------------------------
     def parse_expr(self) -> FExpr:
-        return self._parse_or()
+        return self._parse_binary(_OR)
 
-    def _parse_or(self) -> FExpr:
-        left = self._parse_and()
-        while self.ts.at("op", "or"):
-            self.ts.next()
-            left = FBin("or", left, self._parse_and())
-        return left
+    def _parse_binary(self, min_level: int) -> FExpr:
+        """Precedence climbing: an expression whose binary operators all
+        bind at ``min_level`` or tighter (:data:`_BINARY`).
 
-    def _parse_and(self) -> FExpr:
-        left = self._parse_not()
-        while self.ts.at("op", "and"):
-            self.ts.next()
-            left = FBin("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> FExpr:
-        if self.ts.at("op", "not"):
-            self.ts.next()
-            return FUn("not", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> FExpr:
-        left = self._parse_add()
-        if self.ts.peek().kind == "op" and self.ts.peek().text in (
-            "==", "/=", "<", "<=", ">", ">=",
-        ):
-            op = self.ts.next().text
-            return FBin(op, left, self._parse_add())
-        return left
-
-    def _parse_add(self) -> FExpr:
+        Relations do not chain.  A sign that opens a sum covers the
+        product after it (``-a*b`` is ``-(a*b)``); a sign anywhere else
+        covers one factor.  ``.NOT.`` may open only a logical operand."""
         ts = self.ts
-        if ts.at("op", "-"):
+        t = ts.peek()
+        if t.kind == "op" and t.text == "not" and min_level <= _NOT:
             ts.next()
-            left: FExpr = FUn("neg", self._parse_mul())
-        elif ts.at("op", "+"):
+            left, level = FUn("not", self._parse_binary(_NOT)), _NOT
+        elif t.kind == "op" and t.text in ("-", "+"):
             ts.next()
-            left = self._parse_mul()
+            level = _SUM if min_level <= _SUM else _FACTOR
+            left = self._parse_binary(_PRODUCT if level == _SUM else _FACTOR)
+            if t.text == "-":
+                left = FUn("neg", left)
         else:
-            left = self._parse_mul()
-        while ts.peek().kind == "op" and ts.peek().text in ("+", "-"):
-            op = ts.next().text
-            left = FBin(op, left, self._parse_mul())
-        return left
-
-    def _parse_mul(self) -> FExpr:
-        ts = self.ts
-        left = self._parse_unary()
-        while ts.peek().kind == "op" and ts.peek().text in ("*", "/"):
-            op = ts.next().text
-            left = FBin(op, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> FExpr:
-        ts = self.ts
-        if ts.at("op", "-"):
+            left, level = self._parse_primary(), _PRIMARY
+        while True:
+            t = ts.peek()
+            op = _BINARY.get(t.text) if t.kind == "op" else None
+            if (op is None or op[0] < min_level
+                    or (op[0] == _RELATION and level < _SUM)):
+                return left
             ts.next()
-            return FUn("neg", self._parse_unary())
-        if ts.at("op", "+"):
-            ts.next()
-            return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self) -> FExpr:
-        left = self._parse_primary()
-        if self.ts.at("op", "**"):
-            self.ts.next()
-            # Right-associative.
-            return FBin("**", left, self._parse_unary())
-        return left
+            left = FBin(t.text, left, self._parse_binary(op[1]))
+            level = op[0]
 
     def _parse_primary(self) -> FExpr:
         ts = self.ts

@@ -183,20 +183,19 @@ def _execute_unit(program, spec: CodebaseSpec, unit,
     return failures, len(vec_run.fallbacks)
 
 
-def _static_bounds_claims(source: str) -> dict[str, object]:
-    """Per-unit range summaries of the generated source (lowercase keys).
+def _static_bounds_claims(tree) -> dict[str, object]:
+    """Per-unit range summaries of the parsed generated source
+    (lowercase keys).
 
     A unit whose every subscript is *proven* in-bounds (``possible == 0``
     and ``unknown == 0`` with at least one classified subscript) carries a
     refutable static claim: any runtime out-of-bounds trip in that unit
     means the bounds proof was unsound.
     """
-    from ..fortranlib.parser import parse_source
     from ..lint.dataflow import analyze_batch_ranges
 
-    parsed = {"<fuzz>": parse_source(source)}
     return {ur.unit.lower(): ur.summary
-            for ur in analyze_batch_ranges(parsed)}
+            for ur in analyze_batch_ranges({"<fuzz>": tree})}
 
 
 def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
@@ -247,24 +246,32 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
                 FailureSignature("codegen", type(e).__name__),
                 detail=str(e)))
             return res
+        # One parse of the emitted text feeds lint and the crosscheck.
+        # When it fails, both stages report the error a strict parse
+        # stops at: the bundle's first diagnostic.
+        tree = parse_error = None
         try:
             from ..fortranlib.parser import parse_source
 
-            parse_source(res.source, recover=True)
+            tree = parse_source(res.source, recover=True)
         except DiagnosticBundle as e:
             res.failures.append(ItemFailure(
                 FailureSignature("parse", type(e).__name__),
                 detail=str(e),
                 diagnostics=tuple(str(d) for d in e.diagnostics)))
+            parse_error = e.diagnostics[0]
         except GlafError as e:
             res.failures.append(ItemFailure(
                 FailureSignature("parse", type(e).__name__),
                 detail=str(e)))
+            parse_error = e
         try:
-            from ..lint import lint_text
+            if parse_error is not None:
+                raise parse_error
+            from ..lint.runner import lint_parsed
 
-            report = lint_text(res.source, plan=plan,
-                               label=f"fuzz item {spec.index}")
+            report = lint_parsed({"<fuzz>": tree}, plan=plan,
+                                 label=f"fuzz item {spec.index}")
             for finding in report.findings:
                 res.failures.append(ItemFailure(
                     FailureSignature("lint", "LintFinding",
@@ -279,7 +286,9 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
         claims: dict[str, object] = {}
         if crosscheck and res.source:
             try:
-                claims = _static_bounds_claims(res.source)
+                if parse_error is not None:
+                    raise parse_error
+                claims = _static_bounds_claims(tree)
             except GlafError as e:
                 res.failures.append(ItemFailure(
                     FailureSignature("crosscheck", type(e).__name__),

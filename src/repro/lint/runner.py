@@ -33,11 +33,13 @@ LEVELS: dict[str, str] = {f"v{n}": f"GLAF-parallel v{n}" for n in range(4)}
 
 
 def lint_parsed(parsed: dict[str, FSourceFile], *, legacy=None,
-                label: str = "", dataflow: bool = False) -> LintReport:
+                label: str = "", dataflow: bool = False,
+                plan=None) -> LintReport:
     """Lint already-parsed files as one batch (modules defined in any of
     the files resolve wildcard USEs in all of them).  With ``dataflow``,
     the interprocedural fixpoint pass (use-before-def, dead stores,
-    bounds, INTENT) runs over the same batch."""
+    bounds, INTENT) runs over the same batch.  With ``plan``, the
+    directives of every file's units are cross-checked against it last."""
     report = LintReport(label=label)
     siblings: dict[str, FModule] = {}
     for out in parsed.values():
@@ -62,6 +64,11 @@ def lint_parsed(parsed: dict[str, FSourceFile], *, legacy=None,
         from .dataflow import run_dataflow
 
         run_dataflow(parsed, report, legacy=legacy)
+    if plan is not None:
+        units: dict = {}
+        for out in parsed.values():
+            units.update(collect_units(out))
+        crosscheck_plan(plan, units, report)
     return report
 
 
@@ -74,11 +81,8 @@ def lint_sources(sources: dict[str, str], *, legacy=None, label: str = "",
 def lint_text(source: str, *, plan=None, label: str = "",
               dataflow: bool = False) -> LintReport:
     """Lint one source text; with ``plan``, cross-check directives too."""
-    parsed = {"<source>": parse_source(source)}
-    report = lint_parsed(parsed, label=label, dataflow=dataflow)
-    if plan is not None:
-        crosscheck_plan(plan, collect_units(parsed["<source>"]), report)
-    return report
+    return lint_parsed({"<source>": parse_source(source)}, label=label,
+                       dataflow=dataflow, plan=plan)
 
 
 # ----------------------------------------------------------------------
@@ -128,10 +132,9 @@ def _lint_case(case: str, variant: str, *, spliced: bool,
     plan = make_plan(program, variant)
 
     gen_source = FortranGenerator(plan).generate_module()
-    gen_parsed = {"generated.f90": parse_source(gen_source)}
-    report = lint_parsed(gen_parsed, legacy=legacy,
-                         label=f"{case} {variant}", dataflow=dataflow)
-    crosscheck_plan(plan, collect_units(gen_parsed["generated.f90"]), report)
+    report = lint_parsed({"generated.f90": parse_source(gen_source)},
+                         legacy=legacy, label=f"{case} {variant}",
+                         dataflow=dataflow, plan=plan)
 
     if spliced:
         result = splice_into_codebase(plan, legacy, names,
@@ -140,13 +143,8 @@ def _lint_case(case: str, variant: str, *, spliced: bool,
         if result.support_source:
             sources["glaf_support_module.f90"] = result.support_source
         parsed = {f: parse_source(src) for f, src in sorted(sources.items())}
-        spliced_report = lint_parsed(parsed, legacy=legacy,
-                                     dataflow=dataflow)
-        all_units = {}
-        for out in parsed.values():
-            all_units.update(collect_units(out))
-        crosscheck_plan(plan, all_units, spliced_report)
-        report.merge(spliced_report)
+        report.merge(lint_parsed(parsed, legacy=legacy, dataflow=dataflow,
+                                 plan=plan))
     return report
 
 

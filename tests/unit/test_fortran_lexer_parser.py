@@ -74,6 +74,126 @@ class TestLexer:
         assert sum(1 for t in toks if t.kind == "newline") >= 2
 
 
+# (source, [(kind, text, line, col), ...]) — the full token stream.
+_TOKEN_STREAMS = [
+    # '1.' is a real, so '.eq.' is never seen as an operator here.
+    ("1.eq.2", [("real", "1.", 1, 1), ("name", "eq", 1, 3),
+                ("real", ".2", 1, 5), ("newline", "\n", 1, 7),
+                ("eof", "", 2, 1)]),
+    (".5e3_8", [("real", ".5e3_8", 1, 1), ("newline", "\n", 1, 7),
+                ("eof", "", 2, 1)]),
+    ("10_4", [("int", "10_4", 1, 1), ("newline", "\n", 1, 5),
+              ("eof", "", 2, 1)]),
+    ("2.5d0", [("real", "2.5d0", 1, 1), ("newline", "\n", 1, 6),
+               ("eof", "", 2, 1)]),
+    ("a .AND. b", [("name", "a", 1, 1), ("op", "and", 1, 3),
+                   ("name", "b", 1, 9), ("newline", "\n", 1, 10),
+                   ("eof", "", 2, 1)]),
+    ("s = 'it''s'; t = \"a\"\"b\"",
+     [("name", "s", 1, 1), ("op", "=", 1, 3), ("string", "it's", 1, 5),
+      ("newline", ";", 1, 12), ("name", "t", 1, 14), ("op", "=", 1, 16),
+      ("string", 'a"b', 1, 18), ("newline", "\n", 1, 24),
+      ("eof", "", 2, 1)]),
+    ("x = 1 + & ! note\n  2",
+     [("name", "x", 1, 1), ("op", "=", 1, 3), ("int", "1", 1, 5),
+      ("op", "+", 1, 7), ("int", "2", 2, 3), ("newline", "\n", 2, 4),
+      ("eof", "", 3, 1)]),
+    # A Unicode decimal digit is a digit.
+    ("x = ٣",
+     [("name", "x", 1, 1), ("op", "=", 1, 3), ("int", "٣", 1, 5),
+      ("newline", "\n", 1, 6), ("eof", "", 2, 1)]),
+    # An OMP line after a trailing '&' is still its own token.
+    ("x = 1 + &\n!$OMP BARRIER\n2",
+     [("name", "x", 1, 1), ("op", "=", 1, 3), ("int", "1", 1, 5),
+      ("op", "+", 1, 7), ("omp", "!$OMP BARRIER", 2, 1),
+      ("newline", "\n", 2, 14), ("int", "2", 3, 1),
+      ("newline", "\n", 3, 2), ("eof", "", 4, 1)]),
+]
+
+# (source, message, line, col) — every lexer error, in full.
+_LEXER_ERRORS = [
+    ("s = 'oops", "unterminated string", 1, 5),
+    ("s = 'it''", "unterminated string", 1, 5),
+    ("x = a @ b", "unexpected character '@'", 1, 7),
+    # Not a dotted operator, and not a number either.
+    (".x.", "unexpected character '.'", 1, 1),
+    # Dotted operators fold ASCII case only: the long s is not an 's'.
+    ("x = .falſe.", "unexpected character '.'", 1, 5),
+    # A digit to str.isdigit() but not a decimal digit.
+    ("x = ²", "unexpected character '²'", 1, 5),
+    ("x = 1 + & y", "unexpected text after continuation '&'", 1, 11),
+    ("!$OMP PARALLEL DO &\nx = 1",
+     "'!$OMP' continuation ('&') not followed by an '!$OMP' line", 1, 1),
+    ("!$OMP PARALLEL DO &",
+     "'!$OMP' continuation ('&') at end of source", 1, 1),
+]
+
+
+class TestLexerContract:
+    @pytest.mark.parametrize("src,expected", _TOKEN_STREAMS,
+                             ids=[s for s, _ in _TOKEN_STREAMS])
+    def test_token_stream(self, src, expected):
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in tokenize(src)] == expected
+
+    @pytest.mark.parametrize("src,message,line,col", _LEXER_ERRORS,
+                             ids=[s for s, *_ in _LEXER_ERRORS])
+    def test_error(self, src, message, line, col):
+        with pytest.raises(FortranSyntaxError) as info:
+            tokenize(src)
+        e = info.value
+        assert (e.message, e.line, e.col) == (message, line, col)
+        assert str(e) == f"{message} (line {line}, col {col})"
+
+    def test_token_keyword_constructor_and_folding(self):
+        from repro.fortranlib.lexer import Token
+
+        t = Token(kind="name", text="MiXed", line=3, col=7)
+        assert (t.kind, t.text, t.line, t.col) == ("name", "MiXed", 3, 7)
+        assert t.lower() == t.low == "mixed"
+
+
+class TestFreeFormContinuation:
+    """A statement continued with '&' may cross comment and blank lines,
+    and its continuation line may start with '&'."""
+
+    HEAD = "SUBROUTINE s()\nREAL(KIND=8) :: x\nx = 1.0D0 + &\n"
+    TAIL = "END SUBROUTINE s\n"
+
+    def _one_line(self):
+        return parse_source("SUBROUTINE s()\nREAL(KIND=8) :: x\n"
+                            "x = 1.0D0 + 2.0D0\n" + self.TAIL)
+
+    @pytest.mark.parametrize("between,lead", [
+        ("  ! the second term\n", ""),
+        ("\n", ""),
+        ("", "      & "),
+        ("\n   \n  ! two\n! comments\n", "  &"),
+        ("      & ! a lone '&' is itself a trailing '&'\n", ""),
+    ], ids=["comment-line", "blank-line", "leading-amp", "mixed", "lone-amp"])
+    def test_parses_like_one_line(self, between, lead):
+        src = self.HEAD + between + lead + "2.0D0\n" + self.TAIL
+        assert repr(parse_source(src)) == repr(self._one_line())
+        assert repr(parse_source(src, recover=True)) == repr(self._one_line())
+
+    def test_text_after_trailing_amp_still_fails(self):
+        with pytest.raises(FortranSyntaxError) as info:
+            tokenize("x = 1.0D0 + & 2.0D0")
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "unexpected text after continuation '&'", 1, 15)
+
+    def test_leading_amp_needs_a_continued_statement(self):
+        with pytest.raises(FortranSyntaxError) as info:
+            tokenize("x = 1.0D0\n  & 2.0D0")
+        assert (info.value.line, info.value.col) == (2, 5)
+
+    def test_amp_on_last_line_still_fails(self):
+        with pytest.raises(FortranSyntaxError):
+            parse_source(self.HEAD.rstrip("\n"))
+        with pytest.raises(FortranSyntaxError):
+            parse_source(self.HEAD + "! trailing comment\n\n")
+
+
 def _sub_body(src: str):
     full = f"SUBROUTINE t()\n{src}\nEND SUBROUTINE t\n"
     tree = parse_source(full)
@@ -212,6 +332,48 @@ class TestParserExpressions:
     def test_double_literal_flag(self):
         e = self._expr("1.5D0")
         assert isinstance(e, FNum) and e.is_double
+
+    @pytest.mark.parametrize("text,tree", [
+        # A sign opening a sum covers the product after it...
+        ("-a*b", FUn("neg", FBin("*", FVar("a"), FVar("b")))),
+        ("-a**2", FUn("neg", FBin("**", FVar("a"), FNum(2)))),
+        ("+a*b + c", FBin("+", FBin("*", FVar("a"), FVar("b")), FVar("c"))),
+        ("-a < -b * c", FBin("<", FUn("neg", FVar("a")),
+                             FUn("neg", FBin("*", FVar("b"), FVar("c"))))),
+        # ...any other sign covers one factor.
+        ("a*-b*c", FBin("*", FBin("*", FVar("a"), FUn("neg", FVar("b"))),
+                        FVar("c"))),
+        ("a - -b", FBin("-", FVar("a"), FUn("neg", FVar("b")))),
+        ("a**-b**c", FBin("**", FVar("a"),
+                          FUn("neg", FBin("**", FVar("b"), FVar("c"))))),
+        ("2 ** 3 ** 2", FBin("**", FNum(2), FBin("**", FNum(3), FNum(2)))),
+        ("a + b < c * d", FBin("<", FBin("+", FVar("a"), FVar("b")),
+                               FBin("*", FVar("c"), FVar("d")))),
+        (".not. a < b", FUn("not", FBin("<", FVar("a"), FVar("b")))),
+        (".not. a .and. b .or. c",
+         FBin("or", FBin("and", FUn("not", FVar("a")), FVar("b")),
+              FVar("c"))),
+        ("a < b .and. .not. c >= d",
+         FBin("and", FBin("<", FVar("a"), FVar("b")),
+              FUn("not", FBin(">=", FVar("c"), FVar("d"))))),
+        ("(a < b) .eq. c", FBin("==", FBin("<", FVar("a"), FVar("b")),
+                                FVar("c"))),
+    ])
+    def test_precedence_table(self, text, tree):
+        assert self._expr(text) == tree
+
+    @pytest.mark.parametrize("text,message,col", [
+        # Relations do not chain.
+        ("a < b < c", "expected end of statement, found '<'", 11),
+        # .NOT. opens only a logical operand.
+        ("a + .not. b", "unexpected token 'not'", 9),
+        ("a < .not. b", "unexpected token 'not'", 9),
+    ])
+    def test_precedence_errors(self, text, message, col):
+        with pytest.raises(FortranSyntaxError) as info:
+            self._expr(text)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            message, 3, col)
 
     def test_function_prefix_form(self):
         tree = parse_source(

@@ -100,6 +100,7 @@ class TestCrosscheck:
     """The fuzzer as a soundness oracle for the static bounds checker."""
 
     def test_static_claims_classify_a_literal_kernel(self):
+        from repro.fortranlib.parser import parse_source
         from repro.fuzz.runner import _static_bounds_claims
 
         src = """\
@@ -111,7 +112,7 @@ subroutine k1(a)
   end do
 end subroutine k1
 """
-        claim = _static_bounds_claims(src)["k1"]
+        claim = _static_bounds_claims(parse_source(src))["k1"]
         assert claim.possible == 0 and claim.unknown == 0
         assert claim.proven > 0
 
@@ -126,6 +127,46 @@ end subroutine k1
         doc = res.to_json()
         assert doc["claims_proven"] == res.claims_proven
         assert doc["claims_refuted"] == 0
+
+    def test_unparsable_module_fails_parse_lint_and_crosscheck(
+            self, monkeypatch):
+        # Lint and the crosscheck share the one recover-mode parse; when
+        # it fails they report its first diagnostic, which is what a
+        # strict parse of the same text raises.
+        import repro.codegen
+        from repro.fuzz.runner import run_item
+
+        monkeypatch.setattr(
+            repro.codegen, "generate_fortran_module",
+            lambda plan: "SUBROUTINE k1(n)\n  x = = 1\nEND SUBROUTINE k1\n")
+        res = run_item(generate_spec(7, "small", index=0), "small",
+                       crosscheck=True)
+        first = "unexpected token '=' (line 2, col 7)"
+        got = [(f.signature.key, f.detail, f.diagnostics)
+               for f in res.failures[:3]]
+        assert got == [
+            ("parse:DiagnosticBundle",
+             f"1 error(s) collected; first: {first}", (first,)),
+            ("lint:FortranSyntaxError", first, ()),
+            ("crosscheck:FortranSyntaxError", first, ()),
+        ]
+        assert res.claims_proven == 0
+
+    def test_corrupted_lex_reaches_every_stage(self):
+        # One corrupted token stream is the only parse: lint and the
+        # crosscheck fail on it too, and no bounds claim is made.
+        from repro.fuzz.runner import run_item
+        from repro.robust import FaultSpec
+
+        sp = generate_spec(7, "small", index=0)
+        assert run_item(sp, "small", crosscheck=True).claims_proven > 0
+        res = run_item(sp, "small", crosscheck=True, faults=(
+            FaultSpec.parse("fortran.lex.tokens:corrupt-token"),))
+        keys = [f.signature.key for f in res.failures]
+        assert keys == ["parse:DiagnosticBundle", "lint:FortranSyntaxError",
+                        "crosscheck:FortranSyntaxError"]
+        assert res.failures[1].detail == res.failures[0].diagnostics[0]
+        assert res.claims_proven == 0
 
     def test_item_result_claims_round_trip(self):
         from repro.fuzz.runner import ItemResult
