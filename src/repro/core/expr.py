@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 __all__ = [
     "Expr",
     "Const",
@@ -120,12 +122,17 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    """A literal constant (int, float or bool)."""
+    """A literal constant (int, float, bool or str).
+
+    A NumPy scalar is kept as it is: the FORTRAN runtime lowers its
+    literals, which are ``np.int64``/``np.float64``, with their types.
+    """
 
     value: object
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, (int, float, bool, str)):
+        if not isinstance(self.value, (int, float, bool, str, np.number,
+                                       np.bool_)):
             raise TypeError(f"Const holds int/float/bool/str, got {type(self.value)!r}")
 
     def __repr__(self) -> str:
@@ -283,9 +290,24 @@ def walk(e: Expr) -> Iterator[Expr]:
 
 def index_vars_used(e: Expr) -> set[str]:
     """Names of all index variables appearing in ``e``."""
-    return {n.name for n in walk(e) if isinstance(n, IndexVar)}
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, IndexVar):
+            out.add(node.name)
+        else:
+            stack.extend(node.children())
+    return out
 
 
 def grids_read(e: Expr) -> set[str]:
     """Names of all grids referenced anywhere in ``e``."""
-    return {n.grid for n in walk(e) if isinstance(n, GridRef)}
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, GridRef):
+            out.add(node.grid)
+        stack.extend(node.children())
+    return out

@@ -428,6 +428,8 @@ class _UnitCompiler:
         self.index: dict[str, int] = {}      # local name -> layout index
         self.visible: set[str] = set()       # locals bound at this point
         self.nonlocal_index: dict[int, int] = {}   # id(module Slot) -> index
+        self.decls: dict[str, tuple[FDecl, FDeclEntity]] = {}
+        self.lift = True                     # try to lift DO nests
 
     # -- name resolution -------------------------------------------------
     def _nonlocal(self, name: str) -> Slot | None:
@@ -476,6 +478,14 @@ class _UnitCompiler:
             return self.bare[name], None
         return None
 
+    def _spec_of(self, name: str) -> FTypeSpec | None:
+        """The declared type of a variable, if the unit can name it."""
+        if name in self.visible:
+            spec = self.decls.get(name)
+            return spec[0].spec if spec is not None else None
+        slot = self._nonlocal(name)
+        return slot.spec if slot is not None else None
+
     def _local(self, name: str) -> int:
         """Give a local name its layout index (once) and make it visible."""
         k = self.index.get(name)
@@ -496,6 +506,7 @@ class _UnitCompiler:
             elif isinstance(d, FDecl):
                 for ent in d.entities:
                     decl_by_name[ent.name] = (d, ent)
+        self.decls = decl_by_name
 
         steps: list[Callable[[_Frame, list], None]] = []
         params = []
@@ -727,6 +738,30 @@ class _UnitCompiler:
         return if_
 
     def _do(self, s: FDo, omp: FOmpDirective | None) -> Callable[[_Frame], None]:
+        """A DO statement: its nest lifted onto the array engine
+        (:mod:`repro.fortranlib.lower`) when it lowers, with the scalar
+        closure as the fallback; inner DO statements of a nest that does
+        not lower try on their own."""
+        if not self.lift:
+            return self._scalar_do(s, omp)
+        from .lower import lifted_do, lower_nest, note_rejected
+
+        nest = lower_nest(self, s)
+        if isinstance(nest, str):
+            note_rejected(self.name, s, nest)
+            return self._scalar_do(s, omp)
+        self.lift = False
+        try:
+            scalar = self._scalar_do(s, omp)
+        finally:
+            self.lift = True
+        return lifted_do(nest, scalar, omp, self.name, s)
+
+    def _scalar_do(self, s: FDo, omp: FOmpDirective | None) -> Callable[[_Frame], None]:
+        """A DO statement run one iteration at a time.  On normal
+        completion the DO variable holds the value after its last
+        increment (the start value for zero trips); after EXIT it keeps
+        its current value (Fortran 2018 11.1.7.4)."""
         start, end = self._int(s.start), self._int(s.end)
         step = self._int(s.step) if s.step is not None else None
         i = self.index.get(s.var) if s.var in self.visible else None
@@ -749,10 +784,11 @@ class _UnitCompiler:
                     collapse=omp.collapse, reductions=omp.reductions,
                     private=omp.private, iterations=trip,
                 ))
+            store = var.store
             k = lo
             if inc > 0:
                 while k <= hi:
-                    var.store[()] = k
+                    store[()] = k
                     try:
                         body(f)
                     except _Exit:
@@ -760,9 +796,11 @@ class _UnitCompiler:
                     except _Cycle:
                         pass
                     k += inc
+                else:
+                    store[()] = k
             else:
                 while k >= hi:
-                    var.store[()] = k
+                    store[()] = k
                     try:
                         body(f)
                     except _Exit:
@@ -770,6 +808,8 @@ class _UnitCompiler:
                     except _Cycle:
                         pass
                     k += inc
+                else:
+                    store[()] = k
         return do
 
     def _do_while(self, s: FDoWhile) -> Callable[[_Frame], None]:

@@ -1,30 +1,41 @@
-"""Vectorized execution of GLAF steps as whole-grid NumPy array programs.
+"""Lifting loop nests to whole-array NumPy programs.
 
 The reference :class:`~repro.glafexec.interp.Interpreter` executes one loop
 iteration at a time; for the paper's kernels (2x60-level SARB loops, FUN3D
-edge sweeps) that costs a Python-level dispatch per cell.  This module lifts
-each step's perfect loop nest into array operations over the full iteration
-space — the loop->map transformation of DaCe's ``LoopToMap`` pass, restricted
-to the patterns GLAF steps actually produce:
+edge sweeps) that costs a Python-level dispatch per cell.  This module
+*lifts* a step's perfect loop nest into array operations over the full
+iteration space — the loop->map transformation of DaCe's ``LoopToMap``
+pass, restricted to the patterns GLAF steps actually produce:
 
 * **pointwise** formulas (the write covers every loop index) become a single
   array expression committed through a strided slice;
 * **reductions** (the write covers a proper subset of the loop indices and
   the formula is ``acc = acc + term``, ``acc = acc - term`` or
-  ``acc = MIN/MAX(acc, term)``) become ``sum``/``min``/``max`` over the
-  missing axes;
+  ``acc = MIN/MAX(acc, term)``) fold their terms into the accumulator in
+  loop order;
 * **conditionals** (``IfStmt`` bodies and step conditions) become boolean
   masks applied with ``np.where`` (pointwise) or reduction identities
   (masked reductions).
 
+It is one engine with two front ends.  :func:`compile_step` decides
+legality on the IR :class:`~repro.core.step.Step` form and
+:func:`compile_lifted` turns a legal step into closures once; the GLAF IR
+executor (:class:`VectorizedInterpreter`, below) and the FORTRAN-text
+runtime (:mod:`repro.fortranlib.lower`, which lowers DO nests into the
+same step form) each wrap it with their own guards.  A lifted step equals
+the scalar loop bit for bit: reads of plain loop-variable subscripts are
+strided views, reductions fold with ``np.add.accumulate`` (or the
+``minimum``/``maximum`` ufunc) in nest order, and every update of one
+accumulator interleaves in statement order.
+
 Everything else — loop-carried dependences, indirect/scatter writes,
 subroutine calls or early exits in the body, triangular bounds — is *not*
-lifted: the step runs through the inherited reference interpreter and the
-demotion is recorded as an ``executor:fallback`` DecisionLog event, so a
-vectorized run is never wrong, only selectively slower.  A lift that fails
-at runtime (out-of-bounds gather, zero divisor in integer arithmetic) rolls
-back the step's written grids and re-executes through the interpreter the
-same way.
+lifted: the step runs on its front end's scalar path, and the demotion is
+recorded as an ``executor:fallback`` decision, so a lifted run is never
+wrong, only selectively slower.  A lift that fails at run time
+(out-of-bounds gather, zero integer divisor, integer overflow) raises
+:class:`ExecutionError`; the front end restores what it wrote and runs
+the scalar path.
 
 Sequencing statements as whole-grid operations is loop distribution; it is
 legal here because :func:`compile_step` only accepts steps in which every
@@ -35,8 +46,10 @@ never read written grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,14 +68,20 @@ from ..core.expr import (
 )
 from ..core.libfuncs import get as get_libfunc
 from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step
-from ..errors import ExecutionError, NumericIntegrityError, ResourceLimitError
+from ..errors import (
+    CodegenError,
+    ExecutionError,
+    NumericIntegrityError,
+    ResourceLimitError,
+)
 from ..numeric import sentinel as _sentinel
 from ..robust import faults as _faults
 from .interp import Interpreter
 
 __all__ = [
-    "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",
-    "compile_step", "liftability_report",
+    "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
+    "VectorizedInterpreter", "compile_lifted", "compile_step",
+    "liftability_report",
 ]
 
 
@@ -85,24 +104,43 @@ class _ArrayAssign:
     op: str                # "" (pointwise) | "+" | "min" | "max"
     expr: Expr             # full RHS (pointwise) or the reduction term
     mask: Expr | None      # conjunction of enclosing IfStmt conditions
+    acc_first: bool = True  # the accumulator is the left operand
+    negate: bool = False    # ``acc = acc - expr``: the term is subtracted
 
 
 @dataclass(frozen=True)
 class LiftedStep:
-    """A step compiled to an executable whole-grid array program.
+    """A step that :func:`compile_step` accepted, with its classified
+    assignments in statement order.
 
-    ``snapshot_free`` lists written grids whose pre-step copy the runtime
-    provably never needs: the grid is written pointwise with no mask and
-    no step condition, and the step reads it nowhere (per the backward
-    grid-liveness pass over the step CFG).  Re-executing such a step
-    through the interpreter rewrites every cell of the written slice from
-    inputs the failed lift never touched, so a torn partial write heals
-    itself and the rollback snapshot is dead weight.
+    ``snapshot_free`` lists written grids whose pre-step copy the IR
+    executor provably never needs: the grid is written pointwise with no
+    mask and no step condition, and the step reads it nowhere (per the
+    backward grid-liveness pass over the step CFG).  Re-executing such a
+    step through the interpreter rewrites every cell of the written slice
+    from inputs the failed lift never touched, so a torn partial write
+    heals itself and the rollback snapshot is dead weight.  The proof
+    runs on first access, so a front end that never asks pays nothing.
     """
 
     assigns: tuple[_ArrayAssign, ...]
     written: tuple[str, ...]
-    snapshot_free: tuple[str, ...] = ()
+    step: Step = field(repr=False, compare=False, hash=False)
+
+    @cached_property
+    def snapshot_free(self) -> tuple[str, ...]:
+        from ..analysis.dataflow import step_live_on_entry
+
+        live_in = step_live_on_entry(self.step)
+        kinds: dict[str, set[str]] = {}
+        for a in self.assigns:
+            kinds.setdefault(a.target.grid, set()).add(
+                "masked" if a.mask is not None else a.kind)
+        return tuple(sorted(
+            g for g in self.written
+            if kinds[g] == {"pointwise"}
+            and self.step.condition is None
+            and g not in live_in))
 
 
 class _Unliftable(Exception):
@@ -133,27 +171,30 @@ def _flatten(stmts, mask: Expr | None) -> list[tuple[Assign, Expr | None]]:
     return out
 
 
-def _match_reduction(target: GridRef, expr: Expr) -> tuple[str, Expr] | None:
-    """Match ``acc = acc + t`` / ``acc = acc - t`` / ``acc = MIN|MAX(acc, t)``."""
+def _match_reduction(target: GridRef,
+                     expr: Expr) -> tuple[str, Expr, bool, bool] | None:
+    """Match ``acc = acc + t`` / ``acc = acc - t`` / ``acc = MIN|MAX(acc, t)``
+    (either operand order); returns (op, term, accumulator-is-left,
+    term-is-subtracted)."""
     if isinstance(expr, BinOp) and expr.op == "+":
         if expr.left == target:
-            return "+", expr.right
+            return "+", expr.right, True, False
         if expr.right == target:
-            return "+", expr.left
+            return "+", expr.left, False, False
     if isinstance(expr, BinOp) and expr.op == "-" and expr.left == target:
-        return "+", UnOp("neg", expr.right)
+        return "+", expr.right, True, True
     if (isinstance(expr, LibCall) and expr.name in ("MIN", "MAX")
             and len(expr.args) == 2):
         op = "min" if expr.name == "MIN" else "max"
         if expr.args[0] == target:
-            return op, expr.args[1]
+            return op, expr.args[1], True, False
         if expr.args[1] == target:
-            return op, expr.args[0]
+            return op, expr.args[0], False, False
     return None
 
 
 def compile_step(step: Step) -> LiftedStep | LiftFailure:
-    """Analyze one loop step; return an array program or the lift failure."""
+    """Analyze one loop step; return the lifted step or the lift failure."""
     if not step.is_loop:
         return LiftFailure("not a loop step")
     free = step.free_index_vars()
@@ -183,6 +224,7 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
     write_pattern: dict[str, tuple[Expr, ...]] = {}
     write_kind: dict[str, str] = {}
     write_op: dict[str, str] = {}
+    invariant: list[tuple[str, Expr]] = []
     for s, mask in flat:
         tgt = s.target
         tvars: list[str] = []
@@ -193,12 +235,15 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                         f"index variable {ie.name!r} used twice in the write "
                         f"target {tgt.grid!r}")
                 tvars.append(ie.name)
-            elif isinstance(ie, Const) and isinstance(ie.value, int):
-                continue
+            elif not index_vars_used(ie):
+                # Loop-invariant subscript (a constant, or an expression
+                # over grids the step does not write: checked below).
+                invariant.append((tgt.grid, ie))
             else:
                 return LiftFailure(
                     f"indirect or non-identity write index on grid "
                     f"{tgt.grid!r}")
+        acc_first, negate = True, False
         if set(tvars) == all_vars:
             kind, op, expr = "pointwise", "", s.expr
         else:
@@ -208,15 +253,14 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                     f"write to {tgt.grid!r} covers only loop indices "
                     f"{tvars or '[]'} and is not a recognized reduction "
                     "(loop-carried dependence)")
-            op, expr = m
+            op, expr, acc_first, negate = m
             if tgt.grid in grids_read(expr):
                 return LiftFailure(
                     f"reduction term reads its accumulator {tgt.grid!r}")
             kind = "reduce"
-            # Several reductions into one accumulator are fine when they use
-            # the same associative-commutative op (the terms never read the
-            # accumulator, so the combined result is order-independent);
-            # mixed ops (+ then MAX) are genuinely order-dependent.
+            # Several updates of one accumulator fold in loop order, then
+            # statement order, so they must share the operator: mixed ops
+            # (+ then MAX) do not fold into one sequence.
             prev_op = write_op.get(tgt.grid)
             if prev_op is not None and prev_op != op:
                 return LiftFailure(
@@ -232,9 +276,14 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                 f"grid {tgt.grid!r} mixes pointwise and reduction writes")
         write_pattern[tgt.grid] = tgt.indices
         write_kind[tgt.grid] = kind
-        assigns.append(_ArrayAssign(tgt, kind, op, expr, mask))
+        assigns.append(_ArrayAssign(tgt, kind, op, expr, mask, acc_first,
+                                    negate))
 
     written = set(write_pattern)
+    for grid, ie in invariant:
+        if grids_read(ie) & written:
+            return LiftFailure(
+                f"indirect or non-identity write index on grid {grid!r}")
     reduce_grids = {g for g, k in write_kind.items() if k == "reduce"}
     # Reads of written grids: pointwise-written grids may only be read with
     # exactly the write's index pattern (iteration-local dependence);
@@ -267,23 +316,8 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                 return LiftFailure(
                     f"loop bounds read grid(s) {sorted(overlap)} written in "
                     "the step")
-
-    # Liveness proof for snapshot elision: a grid written only pointwise,
-    # unmasked and unconditioned, that the step never reads (live-on-entry
-    # per the dataflow engine's backward pass) is self-healing under
-    # re-execution — no rollback copy needed.
-    from ..analysis.dataflow import step_live_on_entry
-
-    live_in = step_live_on_entry(step)
-    masked = {a.target.grid for a in assigns if a.mask is not None}
-    snapshot_free = tuple(sorted(
-        g for g in written
-        if write_kind[g] == "pointwise"
-        and g not in masked
-        and step.condition is None
-        and g not in live_in))
     return LiftedStep(assigns=tuple(assigns), written=tuple(sorted(written)),
-                      snapshot_free=snapshot_free)
+                      step=step)
 
 
 def liftability_report(program) -> dict[tuple[str, int], str]:
@@ -305,7 +339,849 @@ def liftability_report(program) -> dict[tuple[str, int], str]:
 
 
 # ----------------------------------------------------------------------
-# runtime
+# array semantics of the operators
+# ----------------------------------------------------------------------
+def _int_like(v: Any) -> bool:
+    if isinstance(v, bool):
+        return False
+    if isinstance(v, int):
+        return True
+    if isinstance(v, np.ndarray):
+        return np.issubdtype(v.dtype, np.integer)
+    return isinstance(v, np.generic) and np.issubdtype(type(v), np.integer)
+
+
+def _int_array(r: Any) -> bool:
+    """NumPy wraps integer *arrays* silently where scalars warn, so the
+    arithmetic below checks array results for overflow itself."""
+    return type(r) is np.ndarray and r.dtype.kind == "i"
+
+
+def _overflow() -> ExecutionError:
+    return ExecutionError("integer overflow")
+
+
+def _add(a: Any, b: Any) -> Any:
+    r = a + b
+    if _int_array(r) and (((a ^ r) & (b ^ r)) < 0).any():
+        raise _overflow()
+    return r
+
+
+def _sub(a: Any, b: Any) -> Any:
+    r = a - b
+    if _int_array(r) and (((a ^ b) & (a ^ r)) < 0).any():
+        raise _overflow()
+    return r
+
+
+def _mul(a: Any, b: Any) -> Any:
+    r = a * b
+    if _int_array(r):
+        # Conservative: a product within a factor 2 of the limit refuses.
+        limit = 2.0 ** (8 * r.dtype.itemsize - 2)
+        if (np.abs(np.multiply(a, b, dtype=np.float64)) >= limit).any():
+            raise _overflow()
+    return r
+
+
+def _neg(a: Any) -> Any:
+    r = -a
+    if _int_array(r) and (a == np.iinfo(r.dtype).min).any():
+        raise _overflow()
+    return r
+
+
+def _div(lv: Any, rv: Any) -> Any:
+    if not (_int_like(lv) and _int_like(rv)):
+        return lv / rv
+    return _floordiv(lv, rv)
+
+
+def _real_div(lv: Any, rv: Any) -> Any:
+    """``/`` where integers divide exactly on the scalar path."""
+    if _int_like(lv) and _int_like(rv):
+        raise ExecutionError("integer division does not lift")
+    return lv / rv
+
+
+def _floordiv(lv: Any, rv: Any) -> Any:
+    if np.any(np.asarray(rv) == 0):
+        raise ExecutionError("integer division by zero")
+    q = np.trunc(np.true_divide(lv, rv))  # FORTRAN integer division
+    return q.astype(np.int64) if isinstance(q, np.ndarray) else np.int64(q)
+
+
+def _mod(lv: Any, rv: Any) -> Any:
+    if np.any(np.asarray(rv) == 0):
+        raise ExecutionError("modulo by zero")
+    r = np.abs(lv) % np.abs(rv)
+    return np.where(np.asarray(lv) < 0, -r, r)  # dividend's sign
+
+
+# Arithmetic keeps Python operators, so Python scalars stay weakly typed
+# exactly as in the scalar interpreter; ``and``/``or`` evaluate both sides
+# (operands are side-effect free).
+_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": _add,
+    "-": _sub,
+    "*": _mul,
+    "/": _div,
+    "//": _floordiv,
+    "%": _mod,
+    "**": operator.pow,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "and": np.logical_and,
+    "or": np.logical_or,
+}
+#: Operators that can raise a floating-point condition.
+_ARITH = frozenset(("+", "-", "*", "/", "//", "%", "**"))
+
+_FOLD_UFUNC = {"+": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _identity(op: str, dtype: np.dtype) -> Any:
+    """The value a masked-out lane contributes: ``x op identity == x`` bit
+    for bit (``-0.0`` for ``+``, since ``-0.0 + 0.0`` is ``+0.0``)."""
+    if op == "+":
+        return dtype.type(-0.0) if dtype.kind in "fc" else dtype.type(0)
+    if dtype.kind == "f":
+        return dtype.type(np.inf if op == "min" else -np.inf)
+    if dtype.kind == "b":
+        return dtype.type(op == "min")
+    info = np.iinfo(dtype)
+    return dtype.type(info.max if op == "min" else info.min)
+
+
+# ----------------------------------------------------------------------
+# the engine: a lifted step compiled once to closures
+# ----------------------------------------------------------------------
+class _Run:
+    """One run of a :class:`LiftProgram`: resolved storage ``S`` (in
+    ``LiftProgram.names`` order), the views ``V`` and written regions ``R``
+    prepared before any write, the nest axes' index arrays ``ax``, the
+    per-run mask memo ``M``, the deferred reduction terms ``T``, and the
+    caller's ``frame`` and ``undo`` list."""
+
+    __slots__ = ("S", "V", "R", "ax", "M", "T", "geom", "frame", "undo")
+
+    def __init__(self, S: list, frame: Any = None, undo: list | None = None):
+        self.S = S
+        self.frame = frame
+        self.undo = undo
+
+
+_Eval = Callable[[_Run], Any]
+
+
+def _prod(shape: tuple) -> int:
+    n = 1
+    for k in shape:
+        n *= k
+    return n
+
+
+def _trips(start: int, end: int, stride: int) -> int:
+    return max(0, (end - start) // stride + 1) if stride else 0
+
+
+class _Geometry:
+    """The iteration space of one run: per nest axis the 1-based range
+    ``(start, stride, count)``, its 0-based slice, its lowest and highest
+    index, and (when the step needs them) its index values, shaped to
+    broadcast along that axis."""
+
+    __slots__ = ("ranges", "shape", "slices", "lo", "hi", "axes", "axes0")
+
+    def __init__(self, ranges: tuple, need_axes: bool) -> None:
+        n = len(ranges)
+        self.ranges = ranges
+        self.shape = tuple(count for _, _, count in ranges)
+        slices, lo, hi, axes, axes0 = [], [], [], [], []
+        for k, (start, stride, count) in enumerate(ranges):
+            last = start + (count - 1) * stride
+            stop = start - 1 + count * stride
+            slices.append(slice(start - 1, stop if stop >= 0 else None,
+                                stride))
+            lo.append(min(start, last))
+            hi.append(max(start, last))
+            if need_axes:
+                axes.append(np.arange(
+                    start, start + count * stride, stride,
+                    dtype=np.int64).reshape(
+                        (1,) * k + (count,) + (1,) * (n - 1 - k)))
+                axes0.append(axes[-1] - 1)
+        self.slices, self.lo, self.hi = slices, lo, hi
+        self.axes, self.axes0 = tuple(axes), tuple(axes0)
+
+
+def _cast(value: Any, dtype: np.dtype, strict: bool) -> Any:
+    """``value`` in the storage dtype; ``strict`` raises on a cast that
+    overflows or is invalid instead of warning."""
+    if getattr(value, "dtype", None) == dtype:
+        return value
+    if not strict:
+        return np.asarray(value).astype(dtype)
+    with np.errstate(all="raise"):
+        return np.asarray(value).astype(dtype)
+
+
+def _out_of_bounds(k: int, d: int, grid: str, n: int) -> ExecutionError:
+    return ExecutionError(f"index {k} out of bounds for dimension {d + 1} "
+                          f"of grid {grid!r} (extent {n})")
+
+
+def _select(store: np.ndarray, subs: tuple, run: _Run, grid: str) -> tuple:
+    """The basic-indexing selection of ``subs`` (a nest axis or an
+    invariant subscript per dimension), checked against ``store``."""
+    if store.ndim != len(subs):
+        raise ExecutionError(f"rank mismatch accessing grid {grid!r}")
+    geom = run.geom
+    sel = []
+    for d, k in enumerate(subs):
+        n = store.shape[d]
+        if type(k) is int:
+            if geom.lo[k] < 1 or geom.hi[k] > n:
+                raise _out_of_bounds(
+                    geom.lo[k] if geom.lo[k] < 1 else geom.hi[k], d, grid, n)
+            sel.append(geom.slices[k])
+        else:
+            v = k(run)
+            if not 1 <= v <= n:
+                raise _out_of_bounds(v, d, grid, n)
+            sel.append(v - 1)
+    return tuple(sel)
+
+
+def _preparer(j: int, subs: tuple, grid: str, fixed: _Geometry | None,
+              perm: tuple | None = None, expand: tuple | None = None
+              ) -> Callable[[list, _Run], np.ndarray]:
+    """The closure that builds one strided view (``perm``/``expand`` put
+    its axes in nest layout) or, without them, one written region (a view
+    even when every subscript is invariant).  Over constant ranges the
+    selection is built once and only the extents are checked per run."""
+    tail = (Ellipsis,)
+    rank = len(subs)
+
+    def post(view: np.ndarray) -> np.ndarray:
+        if perm is not None:
+            view = view.transpose(perm)
+        if expand is not None:
+            view = view[expand]
+        return view
+
+    if fixed is not None and all(type(k) is int or hasattr(k, "const")
+                                 for k in subs):
+        sel = tuple(fixed.slices[k] if type(k) is int else k.const - 1
+                    for k in subs) + tail
+        need = tuple((fixed.hi[k] if fixed.lo[k] >= 1 else 1 << 62)
+                     if type(k) is int
+                     else (k.const if k.const >= 1 else 1 << 62)
+                     for k in subs)
+
+        def prep_fixed(S: list, r: _Run) -> np.ndarray:
+            store = S[j]
+            if store.ndim != rank or not all(map(operator.ge, store.shape,
+                                                 need)):
+                _select(store, subs, r, grid)      # raises the error
+            return post(store[sel])
+        return prep_fixed
+
+    def prep(S: list, r: _Run) -> np.ndarray:
+        store = S[j]
+        return post(store[_select(store, subs, r, grid) + tail])
+    return prep
+
+
+def _check_int_sum(x: np.ndarray) -> None:
+    """An integer fold wraps silently where the scalar loop warns; refuse
+    any fold whose magnitudes could reach the limit (conservatively)."""
+    limit = 2.0 ** (8 * x.dtype.itemsize - 2)
+    if (np.abs(x.astype(np.float64)).sum(axis=-1) >= limit).any():
+        raise _overflow()
+
+
+class LiftProgram:
+    """A lifted step compiled once into closures.
+
+    ``names`` lists every grid the step names; a caller resolves them to
+    storage ``S``, in that order, on each run.  ``bounds(S)`` evaluates
+    the ranges to ``(start, stride, count)`` per nest axis (constant
+    ranges once, at compile time).  ``run(S, ranges, frame, undo)``
+    executes the nest over ranges whose counts are all positive: it checks
+    every slice and builds every view before the first write, and with
+    ``undo`` a list it appends ``(region, saved copy)`` before the first
+    write of each region that a later operation could still fail after,
+    so a caller can restore exactly what a failed run touched.
+
+    ``written`` names the written grids; ``dims`` maps each grid to its
+    subscript count (0 for scalars and whole-grid references, -1 when the
+    step uses two); ``arith`` says whether any operation can raise a
+    floating-point condition; ``fixed`` is the ranges when they are all
+    constant (``bounds`` then returns this very tuple), else ``None``.
+    """
+
+    __slots__ = ("names", "written", "dims", "arith", "fixed", "bounds",
+                 "run")
+
+
+def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
+                   where: Callable[[Any], tuple] | None = None
+                   ) -> LiftProgram:
+    """Compile a lifted step once.
+
+    ``strict`` refuses, by raising, what a scalar path with exact integer
+    arithmetic would do differently: each written value is cast to its
+    storage dtype under ``np.errstate(all="raise")``, so a cast that
+    overflows raises instead of warning, and an integer ``/`` raises
+    instead of dividing through float64.  ``where(frame)`` returns
+    ``(function, step_index, step_name)``; with it, every write is
+    screened against the active numeric sentinels, reporting the first
+    offending value in loop order at its grid cell, exactly as the scalar
+    loop would.
+    """
+    return _Compiler(lifted, strict, where).compile()
+
+
+class _Compiler:
+    """Compiles one :class:`LiftedStep` into a :class:`LiftProgram`."""
+
+    def __init__(self, lifted: LiftedStep, strict: bool,
+                 where: Callable[[Any], tuple] | None) -> None:
+        self.lifted = lifted
+        self.strict = strict
+        self.where = where
+        self.axis = {r.var: k for k, r in enumerate(lifted.step.ranges)}
+        self.names: list[str] = []
+        self.index: dict[str, int] = {}
+        self.dims: dict[str, int] = {}
+        self.views: list[tuple] = []          # view accesses, prepare order
+        self.view_of: dict[GridRef, int] = {}
+        self.masks: dict[Expr, _Eval] = {}
+        self.need_axes = False
+        self.arith = False
+
+    def _name(self, grid: str, rank: int) -> int:
+        j = self.index.get(grid)
+        if j is None:
+            j = self.index[grid] = len(self.names)
+            self.names.append(grid)
+            self.dims[grid] = rank
+        elif self.dims[grid] != rank:
+            self.dims[grid] = -1
+        return j
+
+    # -- expressions -------------------------------------------------------
+    def expr(self, e: Expr) -> _Eval:
+        if isinstance(e, Const):
+            value = e.value
+            return lambda r: value
+        if isinstance(e, IndexVar):
+            k = self.axis[e.name]
+            self.need_axes = True
+            return lambda r: r.ax[k]
+        if isinstance(e, GridRef):
+            if not e.indices:
+                j = self._name(e.grid, 0)
+
+                def scalar(r: _Run) -> Any:
+                    s = r.S[j]
+                    return s[()] if s.ndim == 0 else s
+                return scalar
+            return self._element(e)
+        if isinstance(e, BinOp):
+            fn = (_real_div if e.op == "/" and self.strict
+                  else _BINOPS.get(e.op))
+            if fn is None:
+                return _raiser(f"unknown operator {e.op!r}")
+            self.arith |= e.op in _ARITH
+            left, right = self.expr(e.left), self.expr(e.right)
+            if isinstance(e.right, Const):
+                value = e.right.value
+                return lambda r: fn(left(r), value)
+            return lambda r: fn(left(r), right(r))
+        if isinstance(e, UnOp):
+            operand = self.expr(e.operand)
+            if e.op == "not":
+                return lambda r: np.logical_not(operand(r))
+            return lambda r: _neg(operand(r))
+        if isinstance(e, LibCall):
+            try:
+                lf = get_libfunc(e.name)
+                lf.check_arity(len(e.args))
+            except CodegenError as err:
+                return _raiser(str(err), CodegenError)
+            self.arith = True
+            impl = lf.impl
+            args = tuple(self._arg(a) for a in e.args)
+            if len(args) == 1:
+                a0, = args
+                return lambda r: impl(a0(r))
+            if len(args) == 2:
+                a0, a1 = args
+                return lambda r: impl(a0(r), a1(r))
+            return lambda r: impl(*[a(r) for a in args])
+        return _raiser(f"cannot vectorize expression {type(e).__name__}")
+
+    def _arg(self, e: Expr) -> _Eval:
+        """Library-call arguments: whole-grid references pass storage."""
+        if isinstance(e, GridRef) and not e.indices:
+            j = self._name(e.grid, 0)
+            return lambda r: r.S[j]
+        return self.expr(e)
+
+    def _invariant(self, ie: Expr) -> Callable[[_Run], int]:
+        """A loop-invariant subscript as a 1-based ``int``; a constant one
+        carries its value as ``const``."""
+        if isinstance(ie, Const) and isinstance(ie.value, (int, np.integer)):
+            k = int(ie.value)
+
+            def const(r: _Run) -> int:
+                return k
+            const.const = k
+            return const
+        get = self.expr(ie)
+        return lambda r: int(get(r))
+
+    def _subscripts(self, e: GridRef) -> list | None:
+        """Per dimension, the nest axis of a plain loop variable or a
+        loop-invariant subscript; ``None`` when the access must gather."""
+        subs: list = []
+        for ie in e.indices:
+            if isinstance(ie, IndexVar) and ie.name in self.axis:
+                k = self.axis[ie.name]
+                if k in subs:
+                    return None
+                subs.append(k)
+            elif not index_vars_used(ie):
+                subs.append(self._invariant(ie))
+            else:
+                return None
+        return subs
+
+    def _element(self, e: GridRef) -> _Eval:
+        grid = e.grid
+        if not any(index_vars_used(ie) for ie in e.indices):
+            # One element: read directly (loop bounds use this too).
+            j = self._name(grid, len(e.indices))
+            subs = tuple(self._invariant(ie) for ie in e.indices)
+
+            def element(r: _Run) -> Any:
+                store = r.S[j]
+                if store.ndim != len(subs):
+                    raise ExecutionError(
+                        f"rank mismatch accessing grid {grid!r}")
+                idx = []
+                for d, sub in enumerate(subs):
+                    k, n = sub(r), store.shape[d]
+                    if not 1 <= k <= n:
+                        raise _out_of_bounds(k, d, grid, n)
+                    idx.append(k - 1)
+                return store[tuple(idx)]
+            return element
+        subs = self._subscripts(e)
+        if subs is not None:
+            m = self._view(e, subs)
+            return lambda r: r.V[m]
+        # Gather: every subscript becomes a 0-based index array in nest
+        # layout; a plain loop variable is checked from its range.
+        self.need_axes = self.arith = True
+        j = self._name(grid, len(e.indices))
+        subs = tuple(self.axis[ie.name]
+                     if isinstance(ie, IndexVar) and ie.name in self.axis
+                     else self.expr(ie) for ie in e.indices)
+
+        def gather(r: _Run) -> Any:
+            store = r.S[j]
+            if store.ndim != len(subs):
+                raise ExecutionError(f"rank mismatch accessing grid {grid!r}")
+            geom, idx = r.geom, []
+            for d, sub in enumerate(subs):
+                n = store.shape[d]
+                if type(sub) is int:
+                    lo, hi = geom.lo[sub], geom.hi[sub]
+                    ia = geom.axes0[sub]
+                else:
+                    ia = np.asarray(sub(r)).astype(np.int64, copy=False)
+                    lo, hi = ia.min(), ia.max()
+                    ia = ia - 1
+                if lo < 1 or hi > n:
+                    raise _out_of_bounds(int(lo if lo < 1 else hi), d,
+                                         grid, n)
+                idx.append(ia)
+            return store[tuple(idx)]
+        return gather
+
+    def _view(self, e: GridRef, subs: list) -> int:
+        """Register a strided view, prepared before any write; its value
+        has one axis per nest axis (size 1 where the grid has none)."""
+        m = self.view_of.get(e)
+        if m is not None:
+            return m
+        n = len(self.axis)
+        j = self._name(e.grid, len(subs))
+        vaxes = [k for k in subs if type(k) is int]
+        order = sorted(vaxes)
+        perm = (None if vaxes == order
+                else tuple(vaxes.index(k) for k in order))
+        expand = (None if len(vaxes) == n else
+                  tuple(slice(None) if k in vaxes else None
+                        for k in range(n)))
+        self.views.append((j, tuple(subs), perm, expand, e.grid))
+        m = self.view_of[e] = len(self.views) - 1
+        return m
+
+    def _mask(self, e: Expr | None) -> _Eval | None:
+        """A mask evaluated at most once per run, however many assigns
+        share it."""
+        if e is None:
+            return None
+        fn = self.masks.get(e)
+        if fn is None:
+            m, get = len(self.masks), self.expr(e)
+
+            def fn(r: _Run) -> Any:
+                v = r.M[m]
+                if v is None:
+                    v = r.M[m] = get(r)
+                return v
+            self.masks[e] = fn
+        return fn
+
+    def _bound(self, b: Expr) -> int | _Eval:
+        if isinstance(b, Const):
+            return int(b.value)
+        get = self.expr(b)
+        return lambda r: int(get(r))
+
+    # -- the program -------------------------------------------------------
+    def compile(self) -> LiftProgram:
+        lifted, step = self.lifted, self.lifted.step
+        nd = len(step.ranges)
+        bound_fns = [tuple(self._bound(b) for b in (rg.start, rg.end,
+                                                    rg.step))
+                     for rg in step.ranges]
+        regions: dict[str, int] = {}
+        targets = []
+        for a in lifted.assigns:
+            g = a.target.grid
+            if g not in regions:
+                subs = tuple(self._subscripts(a.target))
+                regions[g] = len(targets)
+                targets.append((self._name(g, len(subs)), subs, g))
+        # One operation per statement; every update of an accumulator
+        # folds at its last update, earlier ones leave their term behind.
+        last = {a.target.grid: i for i, a in enumerate(lifted.assigns)}
+        plan: list[tuple] = []
+        groups: dict[str, list] = {}
+        nterms = 0
+        for i, a in enumerate(lifted.assigns):
+            g = a.target.grid
+            mexpr = a.mask
+            if step.condition is not None:
+                mexpr = (step.condition if mexpr is None
+                         else BinOp("and", step.condition, mexpr))
+            value, mask = self.expr(a.expr), self._mask(mexpr)
+            if a.kind == "pointwise":
+                plan.append(("write", a, value, mask))
+                continue
+            group = groups.setdefault(g, [])
+            if last[g] != i:
+                group.append((value, mask, nterms, a))
+                plan.append(("defer", a, value, mask, nterms))
+                nterms += 1
+                continue
+            group.append((value, mask, None, a))
+            plan.append(("fold", a, group))
+        # A region is copied for undo before its first write, unless that
+        # write is the program's last operation (nothing can fail after).
+        ops, seen = [], set()
+        for pos, item in enumerate(plan):
+            kind, a = item[0], item[1]
+            g = a.target.grid
+            snap = False
+            if kind != "defer" and g not in seen:
+                seen.add(g)
+                snap = pos != len(plan) - 1
+            if kind == "write":
+                ops.append(self._pointwise(a, regions[g], snap, item[2],
+                                           item[3]))
+            elif kind == "defer":
+                ops.append(_defer(item[4], item[2], item[3]))
+            else:
+                ops.append(self._fold(a, regions[g], snap, item[2], nd))
+        prog = LiftProgram()
+        prog.names = tuple(self.names)
+        prog.written = tuple(regions)
+        prog.dims = dict(self.dims)
+        prog.arith = self.arith
+        prog.bounds, fixed = self._bounds(bound_fns)
+        prog.fixed = fixed
+        prog.run = self._runner(tuple(targets), tuple(ops), fixed, nterms)
+        return prog
+
+    def _bounds(self, bound_fns: list) -> tuple:
+        if all(type(v) is int for rg in bound_fns for v in rg):
+            fixed = tuple((s, by, _trips(s, e, by)) for s, e, by in bound_fns)
+            return (lambda S: fixed), fixed
+
+        def bounds(S: list) -> tuple:
+            r = _Run(S)
+            out = []
+            for rg in bound_fns:
+                s, e, by = (v if type(v) is int else v(r) for v in rg)
+                out.append((s, by, _trips(s, e, by)))
+            return tuple(out)
+        return bounds, None
+
+    def _runner(self, targets: tuple, ops: tuple, fixed: tuple | None,
+                nterms: int) -> Callable:
+        need_axes = self.need_axes
+        nmasks = len(self.masks)
+        fixed_geom = None
+        if fixed is not None and all(c > 0 for _, _, c in fixed):
+            fixed_geom = _Geometry(fixed, need_axes)
+        views = tuple(_preparer(j, subs, grid, fixed_geom, perm, expand)
+                      for j, subs, perm, expand, grid in self.views)
+        regions = tuple(_preparer(j, subs, grid, fixed_geom)
+                        for j, subs, grid in targets)
+
+        def run(S: list, ranges: tuple, frame: Any = None,
+                undo: list | None = None) -> None:
+            r = _Run(S, frame, undo)
+            geom = fixed_geom if ranges is fixed else None
+            if geom is None:
+                geom = _Geometry(ranges, need_axes)
+            r.geom, r.ax = geom, geom.axes
+            r.V = [prep(S, r) for prep in views]
+            r.R = [prep(S, r) for prep in regions]
+            r.M = [None] * nmasks
+            r.T = [None] * nterms
+            for op in ops:
+                op(r)
+        return run
+
+    # -- writes ------------------------------------------------------------
+    def _pointwise(self, a: _ArrayAssign, t: int, snap: bool, value: _Eval,
+                   mask: _Eval | None) -> Callable[[_Run], None]:
+        out_axes = [self.axis[ie.name] for ie in a.target.indices
+                    if isinstance(ie, IndexVar) and ie.name in self.axis]
+        perm = None if out_axes == sorted(out_axes) else tuple(out_axes)
+        strict, screen = self.strict, self._screen(a, None)
+
+        def write(r: _Run) -> None:
+            m = None
+            if mask is not None:
+                m = mask(r)
+                if type(m) is not np.ndarray:
+                    if not m:
+                        return                  # uniformly false guard
+                    m = None                    # uniformly true guard
+            v = value(r)
+            if screen is not None and _sentinel._ACTIVE is not None:
+                screen(r, v, m)
+            region = r.R[t]
+            if perm is not None:
+                if type(v) is np.ndarray and v.ndim:
+                    v = v.transpose(perm)
+                if m is not None and m.ndim:
+                    m = m.transpose(perm)
+            if strict:
+                v = _cast(v, region.dtype, strict)
+            if snap and r.undo is not None:
+                r.undo.append((region, region.copy()))
+            if m is None:
+                region[...] = v
+            else:
+                np.copyto(region, v, casting="unsafe", where=m)
+        return write
+
+    def _fold(self, a: _ArrayAssign, t: int, snap: bool, group: list,
+              nd: int) -> Callable[[_Run], None]:
+        """Fold every update of one accumulator into its region, in loop
+        order and, within an iteration, in statement order."""
+        self.arith = True
+        kept = [self.axis[ie.name] for ie in a.target.indices
+                if isinstance(ie, IndexVar) and ie.name in self.axis]
+        red = [k for k in range(nd) if k not in kept]
+        perm = tuple(kept + red)
+        op, ufunc = a.op, _FOLD_UFUNC[a.op]
+        # One accumulate serves when every update is acc <op> term: + is
+        # commutative bit for bit, MIN/MAX are not on signed zeros.
+        ordered = op == "+" or all(u[3].acc_first for u in group)
+        steps = tuple(np.subtract if u[3].negate
+                      else ufunc if u[3].acc_first or op == "+"
+                      else _swapped(ufunc) for u in group)
+        negate = tuple(u[3].negate for u in group)
+        strict, screen = self.strict, self._screen(a, perm)
+        updates = tuple((value, mask, u) for value, mask, u, _ in group)
+        check_int = op == "+"
+
+        def fold(r: _Run) -> None:
+            terms, masks = [], []
+            for value, mask, u in updates:
+                if u is None:
+                    terms.append(value(r))
+                    masks.append(None if mask is None else mask(r))
+                else:
+                    v, m = r.T[u]
+                    terms.append(v)
+                    masks.append(m)
+            region, shape = r.R[t], r.geom.shape
+            dtype = np.result_type(region.dtype, *terms)
+            screening = screen is not None and _sentinel._ACTIVE is not None
+            if dtype == region.dtype and ordered:
+                # x[..., 0] is the accumulator; x[..., 1:] runs over the
+                # reduction positions in nest order, then the updates.
+                kshape = region.shape
+                rshape = tuple(shape[k] for k in red)
+                x = np.empty(kshape + (1 + _prod(rshape) * len(terms),),
+                             dtype)
+                x[..., 0] = region
+                y = x[..., 1:].reshape(kshape + rshape + (len(terms),))
+                for u, (term, m, neg) in enumerate(zip(terms, masks,
+                                                       negate)):
+                    yu = y[..., u]
+                    yu[...] = (term.transpose(perm)
+                               if type(term) is np.ndarray and term.ndim
+                               else term)
+                    if neg:
+                        # a - t is a + (-t) once t has the sum's type.
+                        np.negative(yu, out=yu)
+                    if m is not None:
+                        if type(m) is np.ndarray and m.ndim:
+                            m = m.transpose(perm)
+                        np.copyto(yu, _identity(op, dtype),
+                                  where=np.logical_not(m))
+                if check_int and dtype.kind == "i":
+                    _check_int_sum(x)
+                partial = ufunc.accumulate(x, axis=-1)
+                if screening:
+                    screen(r, partial[..., 1:], masks)
+                final = partial[..., -1]
+            else:
+                final = _fold_stepwise(region, terms, masks, steps, shape,
+                                       perm, strict,
+                                       screen if screening else None, r)
+            final = _cast(final, region.dtype, strict)
+            if snap and r.undo is not None:
+                r.undo.append((region, region.copy()))
+            region[...] = final
+        return fold
+
+    # -- sentinels ---------------------------------------------------------
+    def _screen(self, a: _ArrayAssign, fold: tuple | None
+                ) -> Callable | None:
+        """Screen a write's values as the scalar loop would: the first
+        offending value in loop order trips, reported at its grid cell.
+        ``fold`` is the (kept + reduced) axis order of a reduction's
+        partial results, whose last axis runs over (reduction position,
+        update)."""
+        where = self.where
+        if where is None:
+            return None
+        grid = a.target.grid
+        parts = tuple(self.axis[ie.name]
+                      if isinstance(ie, IndexVar) and ie.name in self.axis
+                      else self._invariant(ie) for ie in a.target.indices)
+
+        def screen(r: _Run, values: Any, lanes: Any) -> None:
+            arr = np.asarray(values)
+            if not np.issubdtype(arr.dtype, np.floating):
+                return
+            shape = r.geom.shape
+            if fold is None:
+                arr = np.broadcast_to(arr, shape)
+                if lanes is not None:
+                    lanes = np.broadcast_to(lanes, shape)
+            else:
+                inv = [fold.index(k) for k in range(len(shape))]
+                arr = arr.reshape(tuple(shape[k] for k in fold) + (-1,))
+                arr = arr.transpose(inv + [len(shape)])
+                lanes = np.stack(
+                    [np.broadcast_to(np.asarray(True if m is None else m,
+                                                dtype=bool), shape)
+                     for m in lanes], axis=-1)
+            bad = _sentinel.tripped(arr, _sentinel._ACTIVE)
+            if lanes is not None:
+                bad = bad & lanes
+            if not bad.any():
+                return
+            pos = np.unravel_index(int(np.argmax(bad)), arr.shape)
+            cell = []
+            for p in parts:
+                if type(p) is int:
+                    start, stride, _ = r.geom.ranges[p]
+                    cell.append(start + int(pos[p]) * stride)
+                else:
+                    cell.append(p(r))
+            function, step_index, step_name = where(r.frame)
+            _sentinel.check_value(arr[pos], function=function,
+                                  step_index=step_index, step_name=step_name,
+                                  grid=grid,
+                                  cell=tuple(cell) if cell else None)
+        return screen
+
+
+def _defer(u: int, value: _Eval, mask: _Eval | None) -> Callable[[_Run], None]:
+    """An update of an accumulator that folds later: keep its term (a
+    copy, if it is a view a later statement may overwrite) and mask."""
+    def defer(r: _Run) -> None:
+        v = value(r)
+        if type(v) is np.ndarray and v.base is not None:
+            v = v.copy()
+        r.T[u] = (v, None if mask is None else mask(r))
+    return defer
+
+
+def _swapped(ufunc) -> Callable[[Any, Any], Any]:
+    return lambda cur, t: ufunc(t, cur)
+
+
+def _fold_stepwise(region: np.ndarray, terms: list, masks: list,
+                   steps: tuple, shape: tuple, perm: tuple, strict: bool,
+                   screen: Callable | None, r: _Run) -> Any:
+    """The fold one position at a time, ``cur = step(cur, term)`` per
+    update: for an accumulator whose type needs a cast on every store, or
+    whose operand order (``MIN(t, acc)``) an accumulate cannot follow."""
+    nred = _prod(tuple(shape[k] for k in perm[region.ndim:]))
+    cols = []
+    for term, m in zip(terms, masks):
+        if type(term) is np.ndarray:
+            term = np.broadcast_to(term, shape).transpose(perm).reshape(
+                region.shape + (nred,))
+        if m is not None:
+            m = np.broadcast_to(np.asarray(m, dtype=bool), shape).transpose(
+                perm).reshape(region.shape + (nred,))
+        cols.append((term, m))
+    cur = region.copy()
+    partials = []
+    for p in range(nred):
+        for (term, m), step in zip(cols, steps):
+            new = step(cur, term[..., p] if type(term) is np.ndarray
+                       else term)
+            if screen is not None:
+                partials.append(new)
+            new = _cast(new, region.dtype, strict)
+            cur = new if m is None else np.where(m[..., p], new, cur)
+    if screen is not None:
+        screen(r, np.moveaxis(np.asarray(partials), 0, -1), masks)
+    return cur
+
+
+def _raiser(message: str, exc: type[Exception] = ExecutionError) -> _Eval:
+    def fail(r: _Run) -> Any:
+        raise exc(message)
+    return fail
+
+
+# ----------------------------------------------------------------------
+# the GLAF IR front end
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FallbackEvent:
@@ -320,34 +1196,17 @@ class FallbackEvent:
 _DIRECT = object()   # sentinel plan: non-loop step, interpret without demoting
 
 
-def _int_like(v: Any) -> bool:
-    if isinstance(v, bool):
-        return False
-    if isinstance(v, int):
-        return True
-    if isinstance(v, np.ndarray):
-        return np.issubdtype(v.dtype, np.integer)
-    return isinstance(v, np.generic) and np.issubdtype(type(v), np.integer)
-
-
-def _identity(op: str, dtype: np.dtype):
-    """Reduction identity in the term's own dtype (masked-out lanes)."""
-    if op == "+":
-        return np.zeros((), dtype=dtype)[()]
-    if np.issubdtype(dtype, np.floating):
-        return np.inf if op == "min" else -np.inf
-    info = np.iinfo(dtype)
-    return info.max if op == "min" else info.min
+def _frame_where(frame) -> tuple:
+    return frame.fn.name, frame.current_step, frame.current_step_name
 
 
 class VectorizedInterpreter(Interpreter):
     """Interpreter subclass that executes liftable loop steps as whole-grid
     array programs and transparently interprets everything else.
 
-    Results match the reference interpreter exactly for pointwise steps and
-    to floating-point reassociation error for reductions (NumPy sums pair
-    elements in a different order than the serial loop).  Fault-injection
-    runs (:mod:`repro.robust.faults`) disable lifting entirely so injected
+    Results match the reference interpreter bit for bit: reductions fold
+    in loop order rather than reassociating.  Fault-injection runs
+    (:mod:`repro.robust.faults`) disable lifting entirely so injected
     faults hit the same per-iteration sites as the reference.
     """
 
@@ -384,22 +1243,25 @@ class VectorizedInterpreter(Interpreter):
         plan = self._plans.get(key)
         if plan is None:
             plan = _DIRECT if not step.is_loop else compile_step(step)
-            self._plans[key] = plan
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
-            elif isinstance(plan, LiftedStep) and plan.snapshot_free:
-                self._note_snapshot_elide(frame, idx, step, plan)
+            elif isinstance(plan, LiftedStep):
+                if plan.snapshot_free:
+                    self._note_snapshot_elide(frame, idx, step, plan)
+                plan = (plan, compile_lifted(plan, where=_frame_where))
+            self._plans[key] = plan
         if plan is _DIRECT or isinstance(plan, LiftFailure):
             Interpreter._exec_step(self, frame, idx, step)
             return
 
+        lifted, program = plan
         frame.current_step = idx
         frame.current_step_name = step.name
-        elided = set(plan.snapshot_free)
-        snap = {g: self._storage(frame, g).copy() for g in plan.written
+        elided = lifted.snapshot_free
+        snap = {g: self._storage(frame, g).copy() for g in lifted.written
                 if g not in elided}
         try:
-            self._exec_lifted(frame, idx, step, plan)
+            self._run_lifted(frame, idx, step, program)
         except ResourceLimitError:
             # The budget is spent for *this* run — the error stays
             # terminal — but the step's partial writes must not survive:
@@ -430,6 +1292,26 @@ class VectorizedInterpreter(Interpreter):
         m = get_metrics()
         if m.enabled:
             m.counter("exec.vectorized.steps").inc()
+
+    def _run_lifted(self, frame, idx: int, step: Step,
+                    program: LiftProgram) -> None:
+        """Run one lifted step: ranges, iteration accounting, the array
+        program."""
+        grids = frame.grids
+        S = [grids[name] for name in program.names]
+        ranges = program.bounds(S)
+        total = 1
+        for _, stride, count in ranges:
+            if stride <= 0:
+                raise ExecutionError(
+                    f"{frame.fn.name}/{step.name}: non-positive stride")
+            total *= count
+        if total == 0:
+            return
+        self.stats.note_iter(frame.fn.name, idx, total)
+        if self._budget is not None:
+            self._budget.tick(total)
+        program.run(S, ranges, frame)
 
     def _note_snapshot_elide(self, frame, idx: int, step: Step,
                              plan: LiftedStep) -> None:
@@ -462,218 +1344,3 @@ class VectorizedInterpreter(Interpreter):
         if dl.enabled:
             dl.record("executor:fallback", frame.fn.name, idx, step.name,
                       "interpreter", reasons=(reason,))
-
-    # ------------------------------------------------------------------
-    def _exec_lifted(self, frame, idx: int, step: Step,
-                     plan: LiftedStep) -> None:
-        nranges = len(step.ranges)
-        axes: dict[str, np.ndarray] = {}
-        extents: dict[str, tuple[int, int, int, int]] = {}  # start,last,stride,n
-        axis_of: dict[str, int] = {}
-        shape_l: list[int] = []
-        ranges = self._compiled(frame.fn, idx, step).ranges
-        for k, (var, lo, hi, by) in enumerate(ranges):
-            start, end, stride = lo(frame), hi(frame), by(frame)
-            if stride <= 0:
-                raise ExecutionError(
-                    f"{frame.fn.name}/{step.name}: non-positive stride")
-            vals = np.arange(start, end + 1, stride, dtype=np.int64)
-            shape_l.append(vals.size)
-            axis_of[var] = k
-            if vals.size:
-                extents[var] = (start, int(vals[-1]), stride, vals.size)
-            axes[var] = vals.reshape(
-                (1,) * k + (vals.size,) + (1,) * (nranges - 1 - k))
-        shape = tuple(shape_l)
-        total = 1
-        for n in shape:
-            total *= n
-        if total == 0:
-            return
-        self.stats.note_iter(frame.fn.name, idx, total)
-        if self._budget is not None:
-            self._budget.tick(total)
-
-        base_mask = None
-        if step.condition is not None:
-            base_mask = self._veval(frame, step.condition, axes)
-
-        for a in plan.assigns:
-            store = self._storage(frame, a.target.grid)
-            if not a.target.indices and store.ndim != 0:
-                raise ExecutionError(
-                    f"cannot assign scalar to whole array {a.target.grid!r}")
-            sel: list[Any] = []
-            out_axes: list[int] = []   # loop axis per IndexVar dim, in order
-            for k, ie in enumerate(a.target.indices):
-                if k >= store.ndim:
-                    raise ExecutionError(
-                        f"{frame.fn.name}: rank mismatch writing grid "
-                        f"{a.target.grid!r}")
-                extent = store.shape[k]
-                if isinstance(ie, IndexVar):
-                    start, last, stride, _n = extents[ie.name]
-                    if start < 1 or last > extent:
-                        bad = start if start < 1 else last
-                        raise ExecutionError(
-                            f"{frame.fn.name}: index {bad} out of bounds for "
-                            f"dimension {k + 1} of grid {a.target.grid!r} "
-                            f"(extent {extent})")
-                    sel.append(slice(start - 1, last, stride))
-                    out_axes.append(axis_of[ie.name])
-                else:
-                    c = int(ie.value)
-                    if not (1 <= c <= extent):
-                        raise ExecutionError(
-                            f"{frame.fn.name}: index {c} out of bounds for "
-                            f"dimension {k + 1} of grid {a.target.grid!r} "
-                            f"(extent {extent})")
-                    sel.append(c - 1)
-            tsel = tuple(sel)
-
-            mask = base_mask
-            if a.mask is not None:
-                mv = self._veval(frame, a.mask, axes)
-                mask = mv if mask is None else np.logical_and(mask, mv)
-            if mask is not None and np.ndim(mask) == 0:
-                if not bool(mask):
-                    continue       # uniformly false guard: no contribution
-                mask = None        # uniformly true guard
-
-            raw = np.asarray(self._veval(frame, a.expr, axes))
-            if a.kind == "pointwise":
-                value = np.broadcast_to(raw, shape)
-                if out_axes != list(range(nranges)):
-                    value = np.transpose(value, out_axes)
-                if mask is not None:
-                    mfull = np.broadcast_to(np.asarray(mask), shape)
-                    if out_axes != list(range(nranges)):
-                        mfull = np.transpose(mfull, out_axes)
-                    value = np.where(mfull, value, store[tsel])
-            else:
-                tset = {v for v in
-                        (ie.name for ie in a.target.indices
-                         if isinstance(ie, IndexVar))}
-                red_axes = tuple(k for k, r in enumerate(step.ranges)
-                                 if r.var not in tset)
-                term = np.broadcast_to(raw, shape)
-                if mask is not None:
-                    term = np.where(np.broadcast_to(np.asarray(mask), shape),
-                                    term, _identity(a.op, term.dtype))
-                if a.op == "+":
-                    contrib = term.sum(axis=red_axes)
-                elif a.op == "min":
-                    contrib = term.min(axis=red_axes)
-                else:
-                    contrib = term.max(axis=red_axes)
-                kept = [k for k in range(nranges) if k not in red_axes]
-                perm = [kept.index(ax) for ax in out_axes]
-                if perm != list(range(len(kept))):
-                    contrib = np.transpose(contrib, perm)
-                cur = store[tsel]
-                if a.op == "+":
-                    value = cur + contrib
-                elif a.op == "min":
-                    value = np.minimum(cur, contrib)
-                else:
-                    value = np.maximum(cur, contrib)
-            if _sentinel._ACTIVE is not None:
-                _sentinel.check_value(
-                    value, function=frame.fn.name, step_index=idx,
-                    step_name=step.name, grid=a.target.grid, cell=None)
-            store[tsel] = value
-
-    # ------------------------------------------------------------------
-    # whole-grid expression evaluation
-    # ------------------------------------------------------------------
-    def _veval(self, frame, e: Expr, axes: dict[str, np.ndarray]) -> Any:
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, IndexVar):
-            try:
-                return axes[e.name]
-            except KeyError:
-                raise ExecutionError(
-                    f"unbound index variable {e.name!r}") from None
-        if isinstance(e, GridRef):
-            store = self._storage(frame, e.grid)
-            if not e.indices:
-                return store[()] if store.ndim == 0 else store
-            sel = []
-            for k, ie in enumerate(e.indices):
-                ia = np.asarray(self._veval(frame, ie, axes),
-                                dtype=np.int64) - 1
-                if k >= store.ndim:
-                    raise ExecutionError(
-                        f"{frame.fn.name}: rank mismatch reading grid "
-                        f"{e.grid!r}")
-                n = store.shape[k]
-                lo, hi = int(ia.min()), int(ia.max())
-                if lo < 0 or hi >= n:
-                    bad = lo if lo < 0 else hi
-                    raise ExecutionError(
-                        f"{frame.fn.name}: index {bad + 1} out of bounds for "
-                        f"dimension {k + 1} of grid {e.grid!r} (extent {n})")
-                sel.append(ia)
-            return store[tuple(sel)]
-        if isinstance(e, BinOp):
-            return self._veval_binop(frame, e, axes)
-        if isinstance(e, UnOp):
-            v = self._veval(frame, e.operand, axes)
-            return np.logical_not(v) if e.op == "not" else np.negative(v)
-        if isinstance(e, LibCall):
-            f = get_libfunc(e.name)
-            f.check_arity(len(e.args))
-            args = [self._storage(frame, a.grid)
-                    if isinstance(a, GridRef) and not a.indices
-                    else self._veval(frame, a, axes)
-                    for a in e.args]
-            return f.impl(*args)
-        raise ExecutionError(
-            f"cannot vectorize expression {type(e).__name__}")
-
-    def _veval_binop(self, frame, e: BinOp,
-                     axes: dict[str, np.ndarray]) -> Any:
-        op = e.op
-        # No short-circuit for and/or: operands are side-effect free, and a
-        # bounds violation in an unreachable operand falls back cleanly.
-        lv = self._veval(frame, e.left, axes)
-        rv = self._veval(frame, e.right, axes)
-        if op == "and":
-            return np.logical_and(lv, rv)
-        if op == "or":
-            return np.logical_or(lv, rv)
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op in ("/", "//"):
-            if op == "/" and not (_int_like(lv) and _int_like(rv)):
-                return lv / rv
-            if np.any(np.asarray(rv) == 0):
-                raise ExecutionError("integer division by zero")
-            q = np.trunc(np.true_divide(lv, rv))  # FORTRAN integer division
-            return (q.astype(np.int64) if isinstance(q, np.ndarray)
-                    else np.int64(q))
-        if op == "%":
-            if np.any(np.asarray(rv) == 0):
-                raise ExecutionError("modulo by zero")
-            r = np.abs(lv) % np.abs(rv)
-            return np.where(np.asarray(lv) < 0, -r, r)  # dividend's sign
-        if op == "**":
-            return lv ** rv
-        if op == "==":
-            return np.equal(lv, rv)
-        if op == "!=":
-            return np.not_equal(lv, rv)
-        if op == "<":
-            return np.less(lv, rv)
-        if op == "<=":
-            return np.less_equal(lv, rv)
-        if op == ">":
-            return np.greater(lv, rv)
-        if op == ">=":
-            return np.greater_equal(lv, rv)
-        raise ExecutionError(f"unknown operator {op!r}")

@@ -33,7 +33,7 @@ from ..errors import NumericIntegrityError
 
 __all__ = [
     "SENTINEL_KINDS", "SentinelConfig", "check_value",
-    "sentinel_config", "sentinels", "set_sentinel_config",
+    "sentinel_config", "sentinels", "set_sentinel_config", "tripped",
 ]
 
 #: Every condition a sentinel can trip on, in detection-priority order.
@@ -106,10 +106,9 @@ def sentinels(config: SentinelConfig | None = None) -> Iterator[SentinelConfig]:
 # ----------------------------------------------------------------------
 # the check itself
 # ----------------------------------------------------------------------
-def _first_bad(arr: np.ndarray, cfg: SentinelConfig) -> tuple[str, tuple[int, ...]] | None:
-    """(kind, index) of the first offending element, or ``None``."""
-    # One vectorized mask per enabled kind, in priority order, so the scan
-    # is O(n) numpy work rather than a Python loop per element.
+def _kind_masks(arr: np.ndarray, cfg: SentinelConfig) -> list[tuple[str, np.ndarray]]:
+    """One elementwise mask per enabled kind, in priority order (O(n)
+    NumPy work rather than a Python loop per element)."""
     checks: list[tuple[str, np.ndarray]] = []
     if cfg.nan:
         checks.append(("nan", np.isnan(arr)))
@@ -124,11 +123,25 @@ def _first_bad(arr: np.ndarray, cfg: SentinelConfig) -> tuple[str, tuple[int, ..
         with np.errstate(invalid="ignore"):
             a = np.abs(arr)
             checks.append(("denormal", (a > 0.0) & (a < _TINY)))
-    for kind, mask in checks:
+    return checks
+
+
+def _first_bad(arr: np.ndarray, cfg: SentinelConfig) -> tuple[str, tuple[int, ...]] | None:
+    """(kind, index) of the first offending element, or ``None``."""
+    for kind, mask in _kind_masks(arr, cfg):
         if mask.any():
             flat = int(np.argmax(mask))
             return kind, tuple(int(i) for i in np.unravel_index(flat, arr.shape))
     return None
+
+
+def tripped(arr: np.ndarray, cfg: SentinelConfig) -> np.ndarray:
+    """Elementwise: does each value of the floating array ``arr`` trip
+    ``cfg`` (the vector form of :meth:`SentinelConfig.classify`)?"""
+    bad = np.zeros(arr.shape, dtype=bool)
+    for _, mask in _kind_masks(arr, cfg):
+        bad |= mask
+    return bad
 
 
 def check_value(

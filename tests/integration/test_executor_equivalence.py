@@ -381,7 +381,7 @@ class TestResourceExhaustion:
             self._storage(frame, "y")[...] = 123.0  # partial garbage
             raise ResourceLimitError("simulated mid-write budget trip")
 
-        monkeypatch.setattr(VectorizedInterpreter, "_exec_lifted", torn)
+        monkeypatch.setattr(VectorizedInterpreter, "_run_lifted", torn)
         ctx = ExecutionContext(p, sizes={"n": N})
         vec = VectorizedInterpreter(p, ctx)
         x = _x()
@@ -422,7 +422,7 @@ class TestResourceExhaustion:
             self._storage(frame, "y")[...] = 123.0  # partial garbage
             raise ResourceLimitError("simulated mid-write budget trip")
 
-        monkeypatch.setattr(VectorizedInterpreter, "_exec_lifted", torn)
+        monkeypatch.setattr(VectorizedInterpreter, "_run_lifted", torn)
         ctx = ExecutionContext(p, sizes={"n": N})
         vec = VectorizedInterpreter(p, ctx)
         x = _x()

@@ -110,6 +110,60 @@ END FUNCTION f
 """)
         assert rt.call("f", [3]) == 321
 
+    # Fortran 2018 11.1.7.4: a completed DO leaves its variable one step
+    # past the last iteration (the start value after zero trips); EXIT
+    # leaves the current value.  Each loop runs lifted as written, and
+    # on the scalar closure with the never-taken CYCLE in front.
+    DO_VARIABLES = """
+MODULE dv
+  IMPLICIT NONE
+  INTEGER :: fin(5)
+  REAL(KIND=8) :: x(20)
+CONTAINS
+  SUBROUTINE s()
+    INTEGER :: i, l, j, k, c
+    j = -7
+    DO i = 1, 10
+      {guard}
+      x(i) = 1.0D0
+    END DO
+    DO l = 1, 10, 3
+      {guard}
+      x(l) = x(l) + 2.0D0
+    END DO
+    DO j = 5, 1
+      {guard}
+      x(j) = 3.0D0
+    END DO
+    DO k = 1, 10
+      IF (k == 4) EXIT
+      x(k) = 4.0D0
+    END DO
+    DO c = 1, 10
+      IF (c > 2) CYCLE
+      x(c) = 5.0D0
+    END DO
+    fin(1) = i
+    fin(2) = l
+    fin(3) = j
+    fin(4) = k
+    fin(5) = c
+  END SUBROUTINE s
+END MODULE dv
+"""
+
+    @pytest.mark.parametrize("guard", ["", "IF (.FALSE.) CYCLE"])
+    def test_do_variable_after_the_loop(self, guard):
+        from repro import observe
+
+        rt = _rt(self.DO_VARIABLES.format(guard=guard))
+        with observe.observed() as obs:
+            rt.call("s")
+        fin = rt.modules["dv"].variables["fin"].store
+        assert fin.tolist() == [11, 13, 5, 4, 11]
+        lifted = obs.metrics.counter("exec.fortran.lifted").value
+        assert lifted == (2 if guard == "" else 0)
+
     def test_do_while(self):
         rt = _rt("""
 INTEGER FUNCTION f(n)

@@ -368,6 +368,55 @@ class TestFortranSemantics:
                                                sizes={"n": 4})
         assert exc.value.kind == "nan"
 
+    # A lifted write trips at the grid cell of its first offending value
+    # in loop order, with the interpreter's message: (x dims, z dims, the
+    # step, NaN positions in x, the cell the interpreter reports).
+    SENTINEL_CASES = {
+        "offset-range": (
+            ("n",), ("n",),
+            lambda s: (s.foreach(i=(3, "n")),
+                       s.formula(ref("z", I("i")), ref("x", I("i")) * 2.0)),
+            [(5,)], (5,)),
+        "constant-column": (
+            ("n",), ("n", "n"),
+            lambda s: (s.foreach(i=(1, "n")),
+                       s.formula(ref("z", I("i"), 2), ref("x", I("i")) * 2.0)),
+            [(3,)], (3, 2)),
+        "transposed-write": (
+            ("n", "n"), ("n", "n"),
+            lambda s: (s.foreach(i=(1, "n"), j=(1, "n")),
+                       s.formula(ref("z", I("j"), I("i")),
+                                 ref("x", I("i"), I("j")) * 2.0)),
+            [(2, 4), (3, 1)], (4, 2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SENTINEL_CASES))
+    def test_sentinel_trip_reports_the_interpreters_cell(self, case):
+        from repro.numeric import sentinels
+
+        x_dims, z_dims, build, nans, want = self.SENTINEL_CASES[case]
+        b = GlafBuilder("c")
+        f = b.module("M").function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.param("x", T_REAL8, dims=x_dims, intent="in")
+        f.param("z", T_REAL8, dims=z_dims, intent="inout")
+        build(f.step("s"))
+        p = b.build()
+        got = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            x = np.ones((5,) * len(x_dims))
+            for cell in nans:
+                x[tuple(k - 1 for k in cell)] = np.nan
+            interp = cls(p, ExecutionContext(p, sizes={"n": 5}))
+            with sentinels():
+                with pytest.raises(NumericIntegrityError) as exc:
+                    interp.call("f", [5, x, np.zeros((5,) * len(z_dims))])
+            got[cls] = (exc.value.cell, str(exc.value))
+            if cls is VectorizedInterpreter:
+                assert interp.fallbacks == []       # the step did lift
+        assert got[Interpreter][0] == want
+        assert got[VectorizedInterpreter] == got[Interpreter]
+
     def test_iteration_budget_enforced(self):
         from repro.robust import ResourceLimits
 

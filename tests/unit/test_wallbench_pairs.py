@@ -1,0 +1,58 @@
+"""The alternating-pairs summary of ``scripts/wallbench_pairs.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location(
+        "wallbench_pairs", REPO / "scripts" / "wallbench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _set(values: dict[int, tuple[float, float]]) -> dict:
+    """A synthetic set file: per seed, (ops_per_s, op_p50_ms)."""
+    runs = [{"workload": "legacy-fortran", "seed": seed, "trace": 0,
+             "result": {"metrics": {
+                 "ops_per_s": {"value": ops, "unit": "op/s"},
+                 "op_p50_ms": {"value": p50, "unit": "ms"}}}}
+            for seed, (ops, p50) in values.items()]
+    # A traced run and another workload's run must not count.
+    runs.append({"workload": "legacy-fortran", "seed": 1, "trace": 1,
+                 "result": {"metrics": {}}})
+    runs.append({"workload": "ir-executors", "seed": 1, "trace": 0,
+                 "result": {"metrics": {
+                     "ops_per_s": {"value": 1.0, "unit": "op/s"},
+                     "op_p50_ms": {"value": 1.0, "unit": "ms"}}}})
+    return {"schema": "wallbench.set/v1", "machine": {}, "runs": runs}
+
+
+def test_pair_rows_quartiles_and_wins(tmp_path):
+    pairs = _script()
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    base = _set({1: (10.0, 80.0), 2: (11.0, 70.0), 3: (12.0, 60.0),
+                 4: (13.0, 50.0), 5: (20.0, 40.0)})
+    head = _set({1: (16.0, 40.0), 2: (17.0, 45.0), 3: (18.0, 30.0),
+                 4: (19.0, 60.0), 5: (15.0, 20.0), 6: (99.0, 1.0)})
+    # Round-trip through files, as the script reads them.
+    for name, doc in (("base", base), ("head", head)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        doc.update(json.loads((tmp_path / f"{name}.json").read_text()))
+    rows = {r["metric"]: r
+            for r in pairs.pair_rows(base, head, bench, "legacy-fortran")}
+    assert set(rows) == {"ops_per_s", "op_p50_ms"}
+    ops = rows["ops_per_s"]
+    assert ops["pairs"] == 5                  # seed 6 has no base run
+    assert ops["won"] == 4                    # higher is better
+    assert ops["base"] == (10.5, 12.0, 16.5)
+    assert ops["head"][1] == 17.0
+    p50 = rows["op_p50_ms"]
+    assert p50["won"] == 4                    # lower is better: seed 4 lost
+    assert p50["head"][1] == 40.0
+    text = pairs.render(list(rows.values()))
+    assert "ops_per_s" in text and "4/5" in text
