@@ -12,7 +12,9 @@ bounds loop iterations and wall clock inside both executors), seeded
 The **differential oracle**: every kernel runs under the reference
 interpreter and the vectorized array executor on independent, identically
 seeded inputs; the inout grids and every context grid must agree under
-the profile's :mod:`repro.numeric.tolerance` policy, and the emitted
+the profile's :mod:`repro.numeric.tolerance` policy (one
+:func:`~repro.numeric.compare_grids` call per kernel, so a diverging
+kernel records one failure naming its worst grid), and the emitted
 ``!$OMP`` text must lint clean.  Divergence, lint findings, typed
 pipeline errors, and budget trips all become failure signatures.
 
@@ -40,6 +42,7 @@ from ..errors import (
 from ..numeric import (
     CheckpointStore,
     RetryPolicy,
+    compare_grids,
     content_digest,
     get_policy,
     retry_call,
@@ -162,25 +165,17 @@ def _execute_unit(program, spec: CodebaseSpec, unit,
 
     (ref_run, ref_args) = runs["interpreter"]
     (vec_run, vec_args) = runs["vectorized"]
-    failures: list[ItemFailure] = []
-    tol = get_policy(profile.policy, profile.tolerance)
-    pairs = [("y", ref_args[2], vec_args[2])]
-    ref_snap = ref_run.context.snapshot()
-    for name in sorted(ref_snap):
-        got = vec_run.context.get(name)
-        if got.size == 0 and ref_snap[name].size == 0:
-            continue
-        pairs.append((name, got, ref_snap[name]))
-    for name, got, want in pairs:
-        cmp = tol.compare(got, want)
-        if not cmp.ok:
-            failures.append(ItemFailure(
-                signature=FailureSignature("oracle", "OracleDivergence",
-                                           rule=profile.policy),
-                detail=(f"{unit.name}: grid {name!r} diverges between "
-                        f"interpreter and vectorized ({cmp.detail})"),
-                unit=unit.name))
-    return failures, len(vec_run.fallbacks)
+    cmp = compare_grids({"y": vec_args[2], **vec_run.context.globals},
+                        {"y": ref_args[2], **ref_run.context.globals},
+                        get_policy(profile.policy, profile.tolerance))
+    if cmp.ok:
+        return [], len(vec_run.fallbacks)
+    return [ItemFailure(
+        signature=FailureSignature("oracle", "OracleDivergence",
+                                   rule=profile.policy),
+        detail=(f"{unit.name}: interpreter and vectorized diverge on "
+                f"{cmp.detail}"),
+        unit=unit.name)], len(vec_run.fallbacks)
 
 
 def _static_bounds_claims(tree) -> dict[str, object]:

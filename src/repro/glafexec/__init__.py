@@ -19,8 +19,7 @@ from .guard import (
     GuardedRun,
     GuardedRunner,
     GuardEvent,
-    PythonGuardResult,
-    VectorizedGuardResult,
+    GuardResult,
     guard_mode,
     guarded,
     guarded_python_run,
@@ -49,7 +48,7 @@ __all__ = [
     "GeneratedModule", "run_generated_python", "run_interpreted",
     "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "PythonGuardResult", "VectorizedGuardResult", "guard_mode", "guarded",
+    "GuardResult", "guard_mode", "guarded",
     "guarded_python_run", "guarded_vectorized_run", "set_guard_mode",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "executor_mode",

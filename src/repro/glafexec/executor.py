@@ -14,7 +14,7 @@ Three interchangeable back ends run a program's entry point against an
 ``guarded``
     :func:`~repro.glafexec.guard.guarded_vectorized_run` — the vectorized
     path runs on a cloned context and is cross-checked against the
-    interpreter under a tolerance policy; the interpreter's result is
+    interpreter under the ``abs`` policy; the interpreter's result is
     always the one kept.
 
 Selection is either explicit (:func:`get_executor`) or through the
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..core.function import GlafProgram
 from ..errors import ExecutionError
 from ..robust import ResourceLimits
 from .context import ExecutionContext
-from .guard import DEFAULT_GUARD_TOLERANCE, VectorizedGuardResult, guarded_vectorized_run
+from .guard import DEFAULT_GUARD_TOLERANCE, GuardResult, guarded_vectorized_run
 from .interp import Interpreter
 from .vectorize import FallbackEvent, VectorizedInterpreter
 
@@ -57,7 +57,7 @@ class ExecutorRun:
     context: ExecutionContext
     executor: str
     fallbacks: tuple[FallbackEvent, ...] = ()
-    guard: VectorizedGuardResult | None = None
+    guard: GuardResult | None = None
 
 
 class Executor:
@@ -131,23 +131,22 @@ class GuardedExecutor(Executor):
     The vectorized probe runs on a clone of the context; the interpreter
     then runs on the real one, so the kept state is always the reference
     result — divergence only decides whether a ``guard:serial-fallback``
-    event is recorded (via the PR-5 tolerance policies).
+    event is recorded.
     """
 
     name = "guarded"
 
     def __init__(self, *, tolerance: float = DEFAULT_GUARD_TOLERANCE,
-                 policy: str = "abs", **kw: Any):
+                 **kw: Any):
         super().__init__(**kw)
         self.tolerance = tolerance
-        self.policy = policy
 
     def run(self, program, entry, args=(), *, sizes=None, values=None,
             context=None) -> ExecutorRun:
         ctx = self._context(program, sizes, values, context)
         res = guarded_vectorized_run(
             program, entry, args, context=ctx,
-            tolerance=self.tolerance, policy=self.policy, limits=self.limits)
+            tolerance=self.tolerance, limits=self.limits)
         return ExecutorRun(result=res.result, context=res.context,
                            executor=self.name, fallbacks=res.fallbacks,
                            guard=res)

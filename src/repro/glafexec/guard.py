@@ -17,15 +17,18 @@ deliberately re-raised rather than recovered: a step that exhausted its
 budget will not do better when re-executed.
 
 :func:`guarded_python_run` applies the same policy to the generated-Python
-path: run it against the interpreter reference and fall back to the
-interpreter's result on divergence, :class:`CodegenError`, or
-:class:`ExecutionError`.
+path, and :func:`guarded_vectorized_run` to the vectorized executor: run
+it against the interpreter reference and fall back to the interpreter's
+result on divergence, :class:`CodegenError`, or :class:`ExecutionError`.
+Every guard compares under the ``abs`` policy through
+:func:`repro.numeric.compare_grids` and reports a fallback through one
+recorder, so each one counts ``guard.serial_fallbacks``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from ..core.function import GlafProgram
 from ..core.step import Step
 from ..errors import CodegenError, ExecutionError, ResourceLimitError
-from ..numeric import snapshot_max_abs_error
+from ..numeric import AbsolutePolicy, compare_grids
 from ..optimize.plan import OptimizationPlan, make_plan
 from ..robust import ResourceLimits, inject
 from .context import ExecutionContext
@@ -41,12 +44,28 @@ from .interp import Interpreter
 from .shuffle import ShuffledInterpreter
 
 __all__ = [
-    "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "PythonGuardResult", "VectorizedGuardResult", "guarded_python_run",
-    "guarded_vectorized_run", "guard_mode", "guarded", "set_guard_mode",
+    "GuardEvent", "GuardResult", "GuardedInterpreter", "GuardedRun",
+    "GuardedRunner", "guarded_python_run", "guarded_vectorized_run",
+    "guard_mode", "guarded", "set_guard_mode",
 ]
 
 DEFAULT_GUARD_TOLERANCE = 1e-9
+
+
+def _record_fallback(function: str, step_index: int, step_name: str,
+                     reason: str, err: float | None, tolerance: float) -> None:
+    """Count one serial fallback in ``guard.serial_fallbacks`` and record
+    its ``guard:serial-fallback`` decision; every guard reports here."""
+    from ..observe import get_decisions, get_metrics
+
+    m = get_metrics()
+    if m.enabled:
+        m.counter("guard.serial_fallbacks").inc()
+    dl = get_decisions()
+    if dl.enabled:
+        dl.record("guard", function, step_index, step_name,
+                  "serial-fallback", reasons=(reason,),
+                  max_abs_error=err, tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,7 @@ class GuardedInterpreter(ShuffledInterpreter):
                  tolerance: float = DEFAULT_GUARD_TOLERANCE, **kw: Any):
         super().__init__(program, context, plan, seed=seed, **kw)
         self.tolerance = tolerance
+        self._policy = AbsolutePolicy(tolerance)
         self.events: list[GuardEvent] = []
         self.demoted: set[tuple[str, int]] = set()
         self._suspended = 0
@@ -87,12 +107,8 @@ class GuardedInterpreter(ShuffledInterpreter):
     # ------------------------------------------------------------------
     def _exec_step(self, frame, idx: int, step: Step) -> None:
         key = (frame.fn.name, idx)
-        if (
-            self._suspended
-            or key in self.demoted
-            or not (self.plan.step_is_parallel(*key) and step.is_loop)
-            or self._has_exit(step)
-        ):
+        if (self._suspended or key in self.demoted
+                or not self._shuffles(frame.fn.name, idx, step)):
             Interpreter._exec_step(self, frame, idx, step)
             return
 
@@ -125,18 +141,13 @@ class GuardedInterpreter(ShuffledInterpreter):
                          f"ExecutionError in parallel step: {probe_error}",
                          None)
             return
-        err = self._compare(after_probe, self._snapshot(frame))
-        if err > self.tolerance:
+        cmp = compare_grids(after_probe, self._snapshot(frame), self._policy)
+        if not cmp.ok:
             self._demote(
                 key, step,
-                f"shuffled-order divergence (max abs error {err:.3e} "
-                f"> tolerance {self.tolerance:.1e})", err)
-
-    @staticmethod
-    def _has_exit(step: Step) -> bool:
-        from ..core.step import ExitLoop, Return, walk_stmts
-        return any(isinstance(s, (Return, ExitLoop))
-                   for s in walk_stmts(step.stmts))
+                f"shuffled-order divergence (max abs error "
+                f"{cmp.max_error:.3e} > tolerance {self.tolerance:.1e})",
+                cmp.max_error)
 
     # ------------------------------------------------------------------
     # snapshot / restore of everything a step can reach
@@ -167,12 +178,6 @@ class GuardedInterpreter(ShuffledInterpreter):
                 # so the serial execution allocates afresh.
                 del self._save_store[key]
 
-    def _compare(self, probe: dict, serial: dict) -> float:
-        # NaN/Inf-aware: a NaN in either snapshot reports an infinite
-        # error (and demotes) where the naive max-abs yielded a NaN that
-        # compared False against the tolerance and passed silently.
-        return snapshot_max_abs_error(probe, serial)
-
     # ------------------------------------------------------------------
     def _demote(self, key: tuple[str, int], step: Step, reason: str,
                 err: float | None) -> None:
@@ -181,18 +186,8 @@ class GuardedInterpreter(ShuffledInterpreter):
             function=key[0], step_index=key[1], step_name=step.name,
             reason=reason, max_abs_error=err, tolerance=self.tolerance,
         ))
-        from ..observe import get_decisions, get_metrics
-
-        m = get_metrics()
-        if m.enabled:
-            m.counter("guard.serial_fallbacks").inc()
-        dl = get_decisions()
-        if dl.enabled:
-            dl.record(
-                "guard", key[0], key[1], step.name, "serial-fallback",
-                reasons=(reason,),
-                max_abs_error=err, tolerance=self.tolerance,
-            )
+        _record_fallback(key[0], key[1], step.name, reason, err,
+                         self.tolerance)
 
 
 @dataclass
@@ -203,7 +198,6 @@ class GuardedRun:
     context: ExecutionContext
     events: list[GuardEvent]
     demoted: frozenset[tuple[str, int]]
-    interpreter: GuardedInterpreter
     plan: OptimizationPlan
 
     @property
@@ -245,24 +239,26 @@ class GuardedRunner:
             result = interp.call(entry, list(args))
         return GuardedRun(
             result=result, context=ctx, events=list(interp.events),
-            demoted=frozenset(interp.demoted), interpreter=interp,
-            plan=self.plan,
+            demoted=frozenset(interp.demoted), plan=self.plan,
         )
 
 
 # ----------------------------------------------------------------------
-# guarded generated-Python execution
+# whole-run guards: generated Python and the vectorized executor
 # ----------------------------------------------------------------------
 @dataclass
-class PythonGuardResult:
-    """Outcome of :func:`guarded_python_run`."""
+class GuardResult:
+    """Outcome of :func:`guarded_python_run` or
+    :func:`guarded_vectorized_run`."""
 
     result: Any
     context: ExecutionContext          # authoritative (interpreter on fallback)
     fell_back: bool
     reason: str = ""
-    max_abs_error: float | None = None
+    max_error: float | None = None
     tolerance: float = DEFAULT_GUARD_TOLERANCE
+    #: per-step lift demotions recorded by the vectorized probe
+    fallbacks: tuple = ()
 
 
 def guarded_python_run(
@@ -275,7 +271,7 @@ def guarded_python_run(
     values: dict[str, Any] | None = None,
     compare: list[str] | None = None,
     tolerance: float = DEFAULT_GUARD_TOLERANCE,
-) -> PythonGuardResult:
+) -> GuardResult:
     """Run the generated-Python path against the interpreter reference.
 
     On divergence beyond ``tolerance`` over the ``compare`` grids (all
@@ -283,22 +279,17 @@ def guarded_python_run(
     :class:`ExecutionError` in the generated path, falls back to the
     interpreter's result and records a ``guard:serial-fallback`` decision.
     """
-    from ..observe import get_decisions
     from .runner import run_generated_python, run_interpreted
 
     ref_result, ref_ctx, _ = run_interpreted(
         program, entry, args, sizes=sizes, values=values)
-    ref = ref_ctx.snapshot(compare)
 
-    def fallback(reason: str, err: float | None = None) -> PythonGuardResult:
-        dl = get_decisions()
-        if dl.enabled:
-            dl.record("guard", entry, -1, "generated-python",
-                      "serial-fallback", reasons=(reason,),
-                      max_abs_error=err, tolerance=tolerance)
-        return PythonGuardResult(
+    def fallback(reason: str, err: float | None = None) -> GuardResult:
+        _record_fallback(entry, -1, "generated-python", reason, err,
+                         tolerance)
+        return GuardResult(
             result=ref_result, context=ref_ctx, fell_back=True,
-            reason=reason, max_abs_error=err, tolerance=tolerance)
+            reason=reason, max_error=err, tolerance=tolerance)
 
     try:
         py_result, py_ctx = run_generated_python(
@@ -308,34 +299,15 @@ def guarded_python_run(
     except (CodegenError, ExecutionError) as e:
         return fallback(f"{type(e).__name__} in generated Python: {e}")
 
-    # NaN/Inf-aware comparison: a NaN on both sides is divergence (inf
-    # error), never silent agreement.
-    worst = snapshot_max_abs_error(py_ctx.snapshot(compare), ref)
-    if worst > tolerance:
+    cmp = compare_grids(py_ctx.snapshot(compare), ref_ctx.snapshot(compare),
+                        AbsolutePolicy(tolerance))
+    if not cmp.ok:
         return fallback(
-            f"generated-Python divergence (max abs error {worst:.3e} "
-            f"> tolerance {tolerance:.1e})", worst)
-    return PythonGuardResult(
+            f"generated-Python divergence (max abs error {cmp.max_error:.3e} "
+            f"> tolerance {tolerance:.1e})", cmp.max_error)
+    return GuardResult(
         result=py_result, context=py_ctx, fell_back=False,
-        max_abs_error=worst, tolerance=tolerance)
-
-
-# ----------------------------------------------------------------------
-# guarded vectorized execution (the "guarded" executor)
-# ----------------------------------------------------------------------
-@dataclass
-class VectorizedGuardResult:
-    """Outcome of :func:`guarded_vectorized_run`."""
-
-    result: Any
-    context: ExecutionContext          # authoritative (always the interpreter's)
-    fell_back: bool
-    reason: str = ""
-    max_error: float | None = None
-    tolerance: float = DEFAULT_GUARD_TOLERANCE
-    policy: str = "abs"
-    #: per-step lift demotions recorded by the vectorized probe
-    fallbacks: tuple = ()
+        max_error=cmp.max_error, tolerance=tolerance)
 
 
 def guarded_vectorized_run(
@@ -348,29 +320,26 @@ def guarded_vectorized_run(
     context: ExecutionContext | None = None,
     compare: list[str] | None = None,
     tolerance: float = DEFAULT_GUARD_TOLERANCE,
-    policy: str = "abs",
     limits: ResourceLimits | None = None,
-) -> VectorizedGuardResult:
+) -> GuardResult:
     """Run the vectorized executor against the interpreter reference.
 
-    The vectorized path executes on a **clone** of the context; the
-    interpreter then executes on the real one, so the kept state is always
-    the reference result (same contract as :class:`GuardedRunner`).  The
-    two final global states are compared grid by grid under a named
-    tolerance policy (:func:`repro.numeric.get_policy`); divergence — or an
-    :class:`ExecutionError` in the vectorized probe — records a
+    The vectorized path executes on a **clone** of the context and on
+    copies of the array arguments; the interpreter then executes on the
+    real ones, so the kept state is always the reference result (same
+    contract as :class:`GuardedRunner`).  The final globals (the
+    ``compare`` grids, all by default) and the array arguments, by
+    parameter name, are compared under the ``abs`` policy; divergence — or
+    an :class:`ExecutionError` in the vectorized probe — records a
     ``guard:serial-fallback`` decision naming the vectorized executor.
     """
-    from ..numeric import get_policy
-    from ..observe import get_decisions, get_metrics, get_tracer
+    from ..observe import get_tracer
     from .vectorize import VectorizedInterpreter
 
     ctx = context if context is not None else ExecutionContext(
         program, sizes=sizes, values=values)
     probe_ctx = ctx.clone()
-    vec_error: str | None = None
-    vec_snap: dict[str, np.ndarray] | None = None
-    fallbacks: tuple = ()
+    reason: str | None = None
     with get_tracer().span("exec.run.guarded-vectorized", entry=entry,
                            program=program.name):
         vec = VectorizedInterpreter(program, probe_ctx, limits=limits)
@@ -382,46 +351,35 @@ def guarded_vectorized_run(
                       for a in args]
         try:
             vec.call(entry, probe_args)
-            vec_snap = probe_ctx.snapshot(compare)
         except ResourceLimitError:
             raise                        # budget exhausted: never retry
         except ExecutionError as e:
-            vec_error = f"{type(e).__name__} in vectorized execution: {e}"
-        fallbacks = tuple(vec.fallbacks)
+            reason = f"{type(e).__name__} in vectorized execution: {e}"
         ref_result = Interpreter(program, ctx, limits=limits).call(
             entry, list(args))
 
-    def fell_back(reason: str, err: float | None = None) -> VectorizedGuardResult:
-        m = get_metrics()
-        if m.enabled:
-            m.counter("guard.serial_fallbacks").inc()
-        dl = get_decisions()
-        if dl.enabled:
-            dl.record("guard", entry, -1, "vectorized-executor",
-                      "serial-fallback", reasons=(reason,),
-                      max_abs_error=err, tolerance=tolerance)
-        return VectorizedGuardResult(
-            result=ref_result, context=ctx, fell_back=True, reason=reason,
-            max_error=err, tolerance=tolerance, policy=policy,
-            fallbacks=fallbacks)
+    fallbacks = tuple(vec.fallbacks)
+    err: float | None = None
+    if reason is None:
+        params = program.find_function(entry).params
 
-    if vec_error is not None:
-        return fell_back(vec_error)
-    pol = get_policy(policy, tolerance)
-    ref_snap = ctx.snapshot(compare)
-    worst = 0.0
-    for name in ref_snap:
-        if ref_snap[name].size == 0:
-            continue
-        res = pol.compare(vec_snap[name], ref_snap[name])
-        if not res.ok:
-            return fell_back(
-                f"vectorized divergence on grid {name!r}: {res.detail}",
-                res.max_error)
-        worst = max(worst, res.max_error)
-    return VectorizedGuardResult(
-        result=ref_result, context=ctx, fell_back=False, max_error=worst,
-        tolerance=tolerance, policy=policy, fallbacks=fallbacks)
+        def grids(c: ExecutionContext, a: list[Any] | tuple) -> dict:
+            return {**c.snapshot(compare),
+                    **{p: v for p, v in zip(params, a)
+                       if isinstance(v, np.ndarray)}}
+
+        cmp = compare_grids(grids(probe_ctx, probe_args), grids(ctx, args),
+                            AbsolutePolicy(tolerance))
+        err = cmp.max_error
+        if cmp.ok:
+            return GuardResult(
+                result=ref_result, context=ctx, fell_back=False,
+                max_error=err, tolerance=tolerance, fallbacks=fallbacks)
+        reason = f"vectorized divergence on {cmp.detail}"
+    _record_fallback(entry, -1, "vectorized-executor", reason, err, tolerance)
+    return GuardResult(
+        result=ref_result, context=ctx, fell_back=True, reason=reason,
+        max_error=err, tolerance=tolerance, fallbacks=fallbacks)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from ..core.function import GlafProgram
 from ..core.step import ExitLoop, Return, Step, walk_stmts
 from ..errors import ExecutionError
+from ..numeric import AbsolutePolicy, compare_grids
 from ..optimize.plan import OptimizationPlan
 from ..robust import faults as _faults
 from .context import ExecutionContext
@@ -42,14 +43,20 @@ class ShuffledInterpreter(Interpreter):
         self.rng = np.random.default_rng(seed)
         self.shuffled_steps: list[tuple[str, int]] = []
 
+    def _shuffles(self, fn_name: str, idx: int, step: Step) -> bool:
+        """Whether a step runs in shuffled order (and so is probed by the
+        guard): a plan-parallel loop with no ``RETURN``/``EXIT``.
+
+        Early-exit loops keep their order even when parallel (the CRITICAL
+        protocol preserves a deterministic winner only with extra
+        machinery; GLAF serializes the decision).
+        """
+        return (self.plan.step_is_parallel(fn_name, idx) and step.is_loop
+                and not any(isinstance(s, (Return, ExitLoop))
+                            for s in walk_stmts(step.stmts)))
+
     def _exec_step(self, frame, idx: int, step: Step) -> None:
-        parallel = self.plan.step_is_parallel(frame.fn.name, idx) and step.is_loop
-        has_exit = any(isinstance(s, (Return, ExitLoop))
-                       for s in walk_stmts(step.stmts))
-        if not parallel or has_exit:
-            # Early-exit loops keep their order even when parallel (the
-            # CRITICAL protocol preserves a deterministic winner only with
-            # extra machinery; GLAF serializes the decision).
+        if not self._shuffles(frame.fn.name, idx, step):
             super()._exec_step(frame, idx, step)
             return
 
@@ -105,13 +112,11 @@ class ParallelValidation:
 
     entry: str
     shuffled_steps: list[tuple[str, int]]
+    ok: bool
     max_abs_error: float
     tolerance: float
     compared_grids: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_abs_error <= self.tolerance
+    detail: str = ""                 # the worst (seed, grid), named
 
 
 def validate_parallel_semantics(
@@ -142,21 +147,26 @@ def validate_parallel_semantics(
     Interpreter(program, ctx_ref).call(entry, make_args())
     ref = ctx_ref.snapshot(compare)
 
-    worst = 0.0
+    # One comparison over every (seed, grid) pair, so the verdict and the
+    # worst error come from the same oracle as the guards.
+    got: dict[tuple[int, str], np.ndarray] = {}
     shuffled_steps: list[tuple[str, int]] = []
     for seed in seeds:
         ctx = fresh_context()
         interp = ShuffledInterpreter(program, ctx, plan, seed=seed)
         interp.call(entry, make_args())
         shuffled_steps = interp.shuffled_steps
-        for name, arr in ctx.snapshot(compare).items():
-            err = float(np.max(np.abs(np.asarray(arr, dtype=np.float64)
-                                      - np.asarray(ref[name], dtype=np.float64))))
-            worst = max(worst, err)
+        got.update({(seed, name): arr
+                    for name, arr in ctx.snapshot(compare).items()})
+    cmp = compare_grids(
+        got, {(seed, name): arr for seed in seeds for name, arr in ref.items()},
+        AbsolutePolicy(tolerance))
     return ParallelValidation(
         entry=entry,
         shuffled_steps=sorted(set(shuffled_steps)),
-        max_abs_error=worst,
+        ok=cmp.ok,
+        max_abs_error=cmp.max_error,
         tolerance=tolerance,
         compared_grids=sorted(ref),
+        detail=cmp.detail,
     )

@@ -15,7 +15,9 @@ comparisons (see ``docs/NUMERICS.md``):
   (``abs`` / ``rel`` / ``ulp`` / ``rms``) with explicit NaN/Inf semantics
   that replaces the pipeline's ad-hoc comparisons: NaN never compares
   equal, mismatched infinities fail loudly, and empty arrays raise
-  instead of vacuously passing;
+  instead of vacuously passing.  ``compare_grids`` applies a policy
+  grid by grid and is the one oracle every run-versus-reference check
+  calls;
 * :mod:`repro.numeric.integrity` — atomic ``os.replace`` writes and
   canonical-JSON sha256 content digests for every persisted artifact;
 * :mod:`repro.numeric.checkpoint` — the :class:`CheckpointStore` behind
@@ -55,10 +57,8 @@ from .tolerance import (
     RmsPolicy,
     TolerancePolicy,
     UlpPolicy,
-    compare_arrays,
+    compare_grids,
     get_policy,
-    max_abs_error,
-    snapshot_max_abs_error,
     ulp_distance,
 )
 
@@ -68,8 +68,8 @@ __all__ = [
     "sentinel_config", "sentinels", "set_sentinel_config",
     # tolerance policies
     "POLICIES", "TolerancePolicy", "AbsolutePolicy", "RelativePolicy",
-    "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_arrays",
-    "get_policy", "max_abs_error", "snapshot_max_abs_error", "ulp_distance",
+    "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_grids",
+    "get_policy", "ulp_distance",
     # integrity
     "atomic_write_json", "atomic_write_text", "canonical_json",
     "content_digest",

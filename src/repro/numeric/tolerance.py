@@ -29,7 +29,7 @@ Shared semantics, applied before any policy math:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -38,8 +38,8 @@ from ..errors import NumericIntegrityError
 
 __all__ = [
     "POLICIES", "TolerancePolicy", "AbsolutePolicy", "RelativePolicy",
-    "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_arrays",
-    "get_policy", "max_abs_error", "snapshot_max_abs_error", "ulp_distance",
+    "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_grids",
+    "get_policy", "ulp_distance",
 ]
 
 
@@ -136,16 +136,17 @@ class TolerancePolicy:
                         finite: np.ndarray) -> ComparisonResult:
         err = np.zeros(got.shape, dtype=np.float64)
         err[finite] = self._metric(got[finite], ref[finite])
-        worst_idx = _first_index(err == err.max(), err.shape) if err.size else None
-        worst = float(err.max()) if err.size else 0.0
-        ok = worst <= self.tolerance
+        worst = float(err.max())
+        if worst <= self.tolerance:
+            return ComparisonResult(ok=True, policy=self.name,
+                                    tolerance=self.tolerance, max_error=worst)
+        worst_idx = _first_index(err == worst, err.shape)
         return ComparisonResult(
-            ok=ok, policy=self.name, tolerance=self.tolerance,
+            ok=False, policy=self.name, tolerance=self.tolerance,
             max_error=worst,
-            detail="" if ok else (
-                f"max {self.name} error {worst:.6g} > tolerance "
-                f"{self.tolerance:.6g} at index {worst_idx}"),
-            first_bad=None if ok else worst_idx)
+            detail=f"max {self.name} error {worst:.6g} > tolerance "
+                   f"{self.tolerance:.6g} at index {worst_idx}",
+            first_bad=worst_idx)
 
     def _metric(self, got: np.ndarray, ref: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -259,50 +260,41 @@ def get_policy(name: str, tolerance: float) -> TolerancePolicy:
     return cls(tolerance)
 
 
-def compare_arrays(got: object, ref: object,
-                   policy: TolerancePolicy) -> ComparisonResult:
-    """Compare two arrays under ``policy`` (function-call convenience)."""
-    return policy.compare(got, ref)
+def compare_grids(got: Mapping[object, object], ref: Mapping[object, object],
+                  policy: TolerancePolicy) -> ComparisonResult:
+    """Compare a run's grids with a reference's, one grid at a time.
 
+    The one differential oracle: the divergence guards, shuffled-order
+    validation, the fuzz oracle, the SARB output gate and faultcheck all
+    call it.  It walks ``ref`` in order and compares each grid with
+    ``policy.compare``, so NaN/Inf, empty-array and shape semantics stay
+    the policy's own.  A zero-size reference grid is skipped (legitimately
+    empty storage, not a vacuous comparison), and a grid missing from
+    ``got`` fails with an infinite error.
 
-def max_abs_error(got: object, ref: object) -> float:
-    """NaN/Inf-aware worst absolute error between two arrays.
-
-    Returns ``inf`` when a special value sinks the comparison (so
-    ``max_abs_error(...) > tol`` fails loudly where the naive
-    ``np.max(np.abs(a - b))`` would yield a NaN that fails *open*);
-    raises on empty arrays or shape mismatches.
+    Returns the *worst* grid's result, with the grid named in the detail:
+    the largest ``max_error``; at equal error a failure outranks a pass;
+    otherwise the first grid wins.  With nothing to compare the result is
+    ``ok`` with error ``0.0`` — a caller that must never pass vacuously
+    checks for an empty reference itself.
     """
-    g = _as_f64(got, "got")
-    r = _as_f64(ref, "ref")
-    _check_shapes(g, r)
-    finite, failure = _special_values(g, r)
-    if failure is not None:
-        return float("inf")
-    if not finite.any():
-        return 0.0          # every position was a matching infinity
-    return float(np.max(np.abs(g[finite] - r[finite])))
-
-
-def snapshot_max_abs_error(
-    got: Mapping[str, object], ref: Mapping[str, object]
-) -> float:
-    """Worst :func:`max_abs_error` across a context snapshot.
-
-    The divergence guard and faultcheck compare dictionaries of grids;
-    zero-size grids are skipped here (legitimately empty storage, not a
-    vacuous comparison — single-array callers still get the raise), and a
-    grid present in ``ref`` but missing from ``got`` counts as an
-    infinite error.
-    """
-    worst = 0.0
-    for name, ref_arr in ref.items():
-        r = np.asarray(ref_arr)
-        if r.size == 0:
+    worst: ComparisonResult | None = None
+    worst_name: object = None
+    for name, want in ref.items():
+        if np.size(want) == 0:
             continue
-        if name not in got:
-            return float("inf")
-        worst = max(worst, max_abs_error(got[name], r))
-        if worst == float("inf"):
-            return worst
-    return worst
+        if name in got:
+            res = policy.compare(got[name], want)
+        else:
+            res = ComparisonResult(
+                ok=False, policy=policy.name, tolerance=policy.tolerance,
+                max_error=float("inf"), detail="missing")
+        if worst is None or ((res.max_error, not res.ok)
+                             > (worst.max_error, not worst.ok)):
+            worst, worst_name = res, name
+    if worst is None:
+        return ComparisonResult(ok=True, policy=policy.name,
+                                tolerance=policy.tolerance, max_error=0.0)
+    detail = f"grid {worst_name!r}" + (f": {worst.detail}" if worst.detail
+                                       else "")
+    return replace(worst, detail=detail)

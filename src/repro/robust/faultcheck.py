@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import (
     DiagnosticBundle,
     ExecutionError,
@@ -30,7 +28,7 @@ from ..errors import (
     NumericIntegrityError,
     ResourceLimitError,
 )
-from ..numeric import snapshot_max_abs_error
+from ..numeric import AbsolutePolicy, compare_grids
 from .faults import SITES, FaultPlan, FaultSpec, fault_injection
 from .watchdog import ResourceLimits
 
@@ -109,12 +107,6 @@ class FaultCheckReport:
         return "\n".join(lines)
 
 
-def _max_abs_err(got: dict[str, np.ndarray], ref: dict[str, np.ndarray]) -> float:
-    # NaN/Inf-aware (returns inf on a special-value mismatch): a silently
-    # NaN-corrupted run must never compare equal to the reference.
-    return snapshot_max_abs_error(got, ref)
-
-
 def _check_lexer(seed: int) -> SiteResult:
     from ..fortranlib.parser import parse_source
 
@@ -164,16 +156,19 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
                           "fault fired but the guard recorded no fallback",
                           len(plan.fired), 0)
     _, _, _, _, compare = scenario.setup()
-    err = _max_abs_err(run.context.snapshot(list(compare)), ref)
-    if err > _TOLERANCE:
+    cmp = compare_grids(run.context.snapshot(list(compare)), ref,
+                        AbsolutePolicy(_TOLERANCE))
+    if not cmp.ok:
         return SiteResult(site, kind, "failed",
-                          f"fallback taken but outputs diverge ({err:.3e})",
+                          f"fallback taken but outputs diverge "
+                          f"({cmp.max_error:.3e})",
                           len(plan.fired), len(run.events))
     demoted = ", ".join(f"{f}/{i}" for f, i in sorted(run.demoted))
     return SiteResult(
         site, kind, "recovered",
         f"serial fallback on {demoted}; outputs match reference "
-        f"(max abs err {err:.1e})", len(plan.fired), len(run.events))
+        f"(max abs err {cmp.max_error:.1e})", len(plan.fired),
+        len(run.events))
 
 
 def _check_codegen(seed: int) -> SiteResult:
@@ -198,11 +193,12 @@ def _check_codegen(seed: int) -> SiteResult:
         return SiteResult(site, kind, "failed",
                           "perturbed generated Python was not detected",
                           len(plan.fired), 0)
-    err = _max_abs_err(result.context.snapshot(list(compare)), ref)
-    if err > _TOLERANCE:
+    cmp = compare_grids(result.context.snapshot(list(compare)), ref,
+                        AbsolutePolicy(_TOLERANCE))
+    if not cmp.ok:
         return SiteResult(site, kind, "failed",
-                          f"fallback taken but outputs diverge ({err:.3e})",
-                          len(plan.fired), 1)
+                          f"fallback taken but outputs diverge "
+                          f"({cmp.max_error:.3e})", len(plan.fired), 1)
     return SiteResult(site, kind, "recovered",
                       f"fell back to interpreter: {result.reason}",
                       len(plan.fired), 1)

@@ -32,7 +32,7 @@ from ..glafexec import (
 )
 from ..errors import NumericIntegrityError
 from ..integration import LegacyCodebase, check_program, splice_into_codebase
-from ..numeric import ComparisonResult, get_policy
+from ..numeric import AbsolutePolicy, ComparisonResult, compare_grids
 from ..optimize.plan import OptimizationPlan, make_plan
 from .atmosphere import DEFAULT_DIMS, AtmosphereInputs, SarbDimensions, make_inputs
 from .fuliou import SarbState, fresh_state, ref_entropy_interface
@@ -53,37 +53,20 @@ SARB_COMPARE_TOLERANCE = 1e-9
 
 def compare_outputs(
     got: dict[str, np.ndarray], ref: dict[str, np.ndarray],
-    *, policy: str = "abs", tolerance: float = SARB_COMPARE_TOLERANCE,
+    *, tolerance: float = SARB_COMPARE_TOLERANCE,
 ) -> ComparisonResult:
-    """Compare two output sets under a named tolerance policy.
+    """Compare two SARB output sets under the ``abs`` policy.
 
-    Replaces the ad-hoc ``np.max(np.abs(a - b))`` comparisons: a NaN on
-    either side fails loudly (the naive form passes silently when both
-    sides carry NaN at the same position), missing outputs fail, and the
-    worst-offending output is named in the result detail.
+    A NaN on either side fails loudly, a missing output fails, and the
+    worst output is named in the result detail
+    (:func:`repro.numeric.compare_grids`).  An empty reference raises
+    instead: the paper gate must never pass vacuously.
     """
-    pol = get_policy(policy, tolerance)
-    worst: ComparisonResult | None = None
-    for name in OUTPUT_NAMES:
-        if name not in ref:
-            continue
-        if name not in got:
-            return ComparisonResult(
-                ok=False, policy=pol.name, tolerance=tolerance,
-                max_error=float("inf"), detail=f"output {name!r} missing")
-        res = pol.compare(got[name], ref[name])
-        if not res.ok:
-            return ComparisonResult(
-                ok=False, policy=res.policy, tolerance=res.tolerance,
-                max_error=res.max_error,
-                detail=f"output {name!r}: {res.detail}",
-                first_bad=res.first_bad)
-        if worst is None or res.max_error > worst.max_error:
-            worst = res
-    if worst is None:
+    outputs = {n: ref[n] for n in OUTPUT_NAMES if n in ref}
+    if not outputs:
         raise NumericIntegrityError(
             "compare_outputs: no outputs to compare (empty reference)")
-    return worst
+    return compare_grids(got, outputs, AbsolutePolicy(tolerance))
 
 
 def build_legacy_codebase(dims: SarbDimensions = DEFAULT_DIMS) -> LegacyCodebase:

@@ -110,3 +110,27 @@ class TestNegativeControl:
         ctx2 = ExecutionContext(program, sizes={"n": 16})
         ShuffledInterpreter(program, ctx2, plan, seed=5).call("prefix", [16, a_shuf])
         assert not np.allclose(a_seq, a_shuf)
+
+    def test_nan_divergence_is_caught(self):
+        """A shuffled run that leaves NaN must fail, not compare as 0.0."""
+        b = GlafBuilder("nan")
+        b.global_grid("g", T_REAL8, dims=("n",), module_scope=True)
+        m = b.module("M")
+        f = m.function("carry", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        s = f.step("carried")
+        s.foreach(i=(2, "n"))
+        s.formula(ref("g", I("i")), ref("g", I("i") - 1) + 1.0)
+        program = b.build()
+        plan = make_plan(program, "GLAF-parallel v0", threads=4,
+                         force_parallel=frozenset({("carry", 0)}))
+        plan.parallel_plan.steps[("carry", 0)].parallel = True
+        g0 = np.r_[0.0, np.full(15, np.nan)]
+        v = validate_parallel_semantics(
+            program, plan, "carry", lambda: [16],
+            sizes={"n": 16}, values={"g": g0}, tolerance=1e-9,
+        )
+        assert v.shuffled_steps == [("carry", 0)]
+        assert not v.ok
+        assert v.max_abs_error == float("inf")
+        assert "NaN in got" in v.detail

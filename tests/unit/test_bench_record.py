@@ -31,8 +31,15 @@ def fake_clock(step_s: float = 0.001):
 @pytest.fixture(scope="module")
 def doc():
     # T1/T2 are the two cheapest experiments; the injected clock makes
-    # every wall/stage/cell statistic exactly reproducible.
-    return record_benchmark(ids=["T1", "T2"], repeats=3, clock=fake_clock())
+    # every wall/stage/cell statistic exactly reproducible.  The stubbed
+    # git probe pins the tree state, so the artifact (its ``meta`` too) is
+    # the same in a git checkout and in an exported tree without ``.git``.
+    from repro.bench import record as rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rec, "_git_sha", lambda: ("0" * 40, ""))
+        return record_benchmark(ids=["T1", "T2"], repeats=3,
+                                clock=fake_clock())
 
 
 class TestRepeatStats:

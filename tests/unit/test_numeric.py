@@ -27,14 +27,13 @@ from repro.numeric import (
     atomic_write_text,
     canonical_json,
     check_value,
+    compare_grids,
     content_digest,
     get_policy,
-    max_abs_error,
     retry_call,
     sentinel_config,
     sentinels,
     set_sentinel_config,
-    snapshot_max_abs_error,
     ulp_distance,
 )
 
@@ -329,42 +328,89 @@ class TestSpecialValueMatrix:
             AbsolutePolicy(1.0).compare([1.0, 2.0], [1.0])
 
 
+def _abs_error(got, ref) -> float:
+    """Worst absolute error of one grid, through the differential oracle."""
+    return compare_grids({"a": got}, {"a": ref}, AbsolutePolicy(0.0)).max_error
+
+
 class TestMaxAbsError:
+    """The worst absolute error of a single grid under ``compare_grids``."""
+
     def test_plain_worst_error(self):
-        assert max_abs_error([1.0, 2.0], [1.0, 2.5]) == pytest.approx(0.5)
+        assert _abs_error([1.0, 2.0], [1.0, 2.5]) == pytest.approx(0.5)
 
     def test_special_mismatch_is_inf_not_nan(self):
-        # The silent-pass bug this exists to fix: naive max(|a-b|) is NaN
-        # here, and `nan > tol` is False.
-        assert max_abs_error([NAN], [NAN]) == INF
-        assert max_abs_error([INF], [1.0]) == INF
+        # The silent-pass bug the oracle exists to fix: naive max(|a-b|) is
+        # NaN here, and `nan > tol` is False.
+        assert _abs_error([NAN], [NAN]) == INF
+        assert _abs_error([INF], [1.0]) == INF
 
     def test_all_matching_infinities_is_zero(self):
-        assert max_abs_error([INF, -INF], [INF, -INF]) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(NumericIntegrityError):
-            max_abs_error([], [])
+        assert _abs_error([INF, -INF], [INF, -INF]) == 0.0
 
 
 class TestSnapshotMaxAbsError:
+    """``compare_grids`` across a snapshot of several grids."""
+
     def test_worst_across_grids(self):
         got = {"a": np.array([1.0]), "b": np.array([2.0])}
         ref = {"a": np.array([1.1]), "b": np.array([2.0])}
-        assert snapshot_max_abs_error(got, ref) == pytest.approx(0.1)
+        res = compare_grids(got, ref, AbsolutePolicy(1.0))
+        assert res and res.max_error == pytest.approx(0.1)
 
     def test_missing_grid_is_infinite(self):
-        assert snapshot_max_abs_error({}, {"a": np.ones(2)}) == INF
+        res = compare_grids({}, {"a": np.ones(2)}, AbsolutePolicy(1.0))
+        assert not res and res.max_error == INF
+        assert res.detail == "grid 'a': missing"
 
     def test_zero_size_grids_skipped(self):
         ref = {"empty": np.zeros(0), "a": np.ones(1)}
         got = {"a": np.ones(1)}
-        assert snapshot_max_abs_error(got, ref) == 0.0
+        res = compare_grids(got, ref, AbsolutePolicy(0.0))
+        assert res and res.max_error == 0.0
 
     def test_nan_in_snapshot_is_infinite(self):
         got = {"a": np.array([NAN])}
         ref = {"a": np.array([NAN])}
-        assert snapshot_max_abs_error(got, ref) == INF
+        res = compare_grids(got, ref, AbsolutePolicy(1e30))
+        assert not res and res.max_error == INF
+
+
+class TestCompareGrids:
+    def test_worst_grid_is_named(self):
+        got = {"a": np.array([1.5]), "b": np.array([2.0]), "c": [3.0]}
+        ref = {"a": np.array([1.0]), "b": np.array([4.0]), "c": [3.0]}
+        res = compare_grids(got, ref, AbsolutePolicy(0.1))
+        assert not res and res.max_error == pytest.approx(2.0)
+        assert res.detail.startswith("grid 'b': max abs error 2")
+        assert res.first_bad == (0,)
+
+    def test_failure_outranks_pass_at_equal_error(self):
+        # Below zero tolerance even identical grids fail with error 0.0:
+        # the result is the first such failure, never a vacuous pass.
+        grids = {"a": [1.0], "b": [2.0]}
+        res = compare_grids(grids, grids, AbsolutePolicy(-1.0))
+        assert not res and res.max_error == 0.0
+        assert res.detail.startswith("grid 'a'")
+        # Under an infinite tolerance an overflowing difference passes with
+        # error inf; a NaN later in the walk fails with the same error and
+        # outranks it.
+        with np.errstate(over="ignore"):
+            res = compare_grids({"a": [1e308], "b": [NAN]},
+                                {"a": [-1e308], "b": [1.0]},
+                                AbsolutePolicy(INF))
+        assert not res and res.max_error == INF
+        assert res.detail.startswith("grid 'b': NaN in got")
+
+    def test_nothing_to_compare_passes_with_zero(self):
+        for ref in ({}, {"empty": np.zeros(0)}):
+            res = compare_grids({}, ref, RmsPolicy(1e-7))
+            assert res and res.max_error == 0.0 and res.policy == "rms"
+
+    def test_policy_semantics_apply_per_grid(self):
+        with pytest.raises(NumericIntegrityError, match="shapes"):
+            compare_grids({"a": [1.0, 2.0]}, {"a": [1.0]},
+                          AbsolutePolicy(1.0))
 
 
 # ----------------------------------------------------------------------

@@ -274,6 +274,7 @@ class TestGuardedPythonRun:
                                compare=["v"])
         guard = obs.decisions.for_stage("guard")
         assert guard and guard[0].verdict == "serial-fallback"
+        assert obs.metrics.snapshot()["counters"]["guard.serial_fallbacks"] == 1
 
     def test_uncompilable_module_surfaces_as_codegen_error(self, monkeypatch):
         from repro.glafexec import runner as runner_mod

@@ -532,3 +532,32 @@ class TestGuardedExecutor:
         guard = obs.decisions.for_stage("guard")
         assert any(d.step_name == "vectorized-executor" and
                    d.verdict == "serial-fallback" for d in guard)
+
+    def test_array_arguments_are_compared(self, monkeypatch):
+        # The inout argument y is this kernel's only result: the guard must
+        # check it like a global grid.
+        from repro.glafexec import vectorize
+
+        def body(f):
+            s = f.step("pw")
+            s.foreach(i=(1, "n"))
+            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
+
+        p = _build(body)
+        assert not guarded_vectorized_run(
+            p, "f", [4, np.ones(4), np.zeros(4)], sizes={"n": 4}).fell_back
+        real_call = vectorize.VectorizedInterpreter.call
+
+        def off_by_one(self, entry, args):
+            out = real_call(self, entry, args)
+            args[2][0] += 1.0               # the probe's copy of y diverges
+            return out
+
+        monkeypatch.setattr(vectorize.VectorizedInterpreter, "call",
+                            off_by_one)
+        y = np.zeros(4)
+        res = guarded_vectorized_run(p, "f", [4, np.ones(4), y],
+                                     sizes={"n": 4})
+        assert res.fell_back and res.max_error == 1.0
+        assert res.reason.startswith("vectorized divergence on grid 'y'")
+        assert np.array_equal(y, [2.0, 2.0, 2.0, 2.0])   # interpreter's
