@@ -43,11 +43,13 @@ from ..numeric import (
     retry_call,
 )
 from ..observe.bench import BENCH_SCHEMA, stage_seconds, summarize_repeats
+from ..runconfig import current
 from .harness import ExperimentResult, run_timed
 
 __all__ = [
     "BENCH_SCHEMA",
     "environment_fingerprint",
+    "host_fingerprint",
     "record_benchmark",
     "stamp_digest",
     "write_benchmark",
@@ -92,18 +94,14 @@ def _git_sha() -> tuple[str, str]:
     return "unknown", f"git probe failed: {detail}"
 
 
-def environment_fingerprint() -> dict[str, object]:
-    """Everything a reader needs to judge whether two artifacts are
-    comparable: interpreter, libraries, host, tree state, and the flags
-    that change what the experiments execute (guard mode, fault plans,
-    simulated-machine constants).  When a probe could not establish a
-    field, ``degraded`` lists the reasons, so ``unknown`` values carry
-    their cause into the artifact."""
+def host_fingerprint() -> dict[str, object]:
+    """The host half of the fingerprint: interpreter, libraries, host,
+    tree state and simulated-machine constants.  When a probe could not
+    establish a field, ``degraded`` lists the reasons, so ``unknown``
+    values carry their cause into the artifact."""
     import numpy as np
 
-    from ..glafexec import executor_mode, guard_mode
     from ..perf import machine_fingerprint
-    from ..robust import get_fault_plan
 
     sha, sha_degraded = _git_sha()
     fp: dict[str, object] = {
@@ -112,17 +110,18 @@ def environment_fingerprint() -> dict[str, object]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "git_sha": sha,
-        "guard_mode": guard_mode(),
-        "executor": executor_mode(),
-        "fault_plan_active": get_fault_plan() is not None,
         "machines": machine_fingerprint(),
     }
-    degraded = []
     if sha_degraded:
-        degraded.append({"field": "git_sha", "reason": sha_degraded})
-    if degraded:
-        fp["degraded"] = degraded
+        fp["degraded"] = [{"field": "git_sha", "reason": sha_degraded}]
     return fp
+
+
+def environment_fingerprint() -> dict[str, object]:
+    """Everything a reader needs to judge whether two artifacts are
+    comparable: the host probes, plus the active run configuration's
+    fields, which change what the experiments execute."""
+    return {**host_fingerprint(), **current().run_fields()}
 
 
 # ---------------------------------------------------------------------------

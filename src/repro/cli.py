@@ -72,7 +72,10 @@ from its per-case checkpoints.  ``experiments``, ``profile``, and
 ``bench record`` accept ``--executor {interpreter,vectorized,guarded}``
 to choose the IR execution engine (``docs/EXECUTORS.md``): the reference
 interpreter, the vectorized whole-grid array executor, or the guarded
-executor that cross-checks the two with serial fallback.
+executor that cross-checks the two with serial fallback.  :func:`main`
+builds one :class:`repro.runconfig.RunConfig` from these flags (and
+``profile --fault``), runs the command under it, and states it in the
+run record.
 
 Every pipeline entry point (``experiments``, ``generate``, ``profile``,
 ``faultcheck``, ``lint``, ``fuzz``, ``bench record``) also records
@@ -480,12 +483,9 @@ def _load_program(path: str):
 
 
 def _cmd_experiments(args) -> int:
-    from contextlib import ExitStack
-
     from .bench import EXPERIMENTS, run_and_format
     from .bench.harness import ExperimentResult, format_table
-    from .glafexec import guarded, using_executor
-    from .numeric import CheckpointStore, sentinels
+    from .numeric import CheckpointStore
 
     ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -500,26 +500,19 @@ def _cmd_experiments(args) -> int:
         store.clear()          # stale checkpoints must not skip fresh work
     results = []
     resumed = 0
-    with ExitStack() as stack:
-        stack.enter_context(
-            guarded(enabled=bool(getattr(args, "guarded", False))))
-        if getattr(args, "executor", None):
-            stack.enter_context(using_executor(args.executor))
-        if getattr(args, "sentinels", False):
-            stack.enter_context(sentinels())
-        for exp_id in ids:
-            done = (store.load(f"exp-{exp_id}", discard_corrupt=True)
-                    if resume else None)
-            if done is not None:
-                result = ExperimentResult.from_json(done["result"])
-                resumed += 1
-                print(format_table(result))
-            else:
-                result, text = run_and_format(EXPERIMENTS[exp_id])
-                store.save(f"exp-{exp_id}", {"result": result.to_json()})
-                print(text)
-            results.append(result)
-            print()
+    for exp_id in ids:
+        done = (store.load(f"exp-{exp_id}", discard_corrupt=True)
+                if resume else None)
+        if done is not None:
+            result = ExperimentResult.from_json(done["result"])
+            resumed += 1
+            print(format_table(result))
+        else:
+            result, text = run_and_format(EXPERIMENTS[exp_id])
+            store.save(f"exp-{exp_id}", {"result": result.to_json()})
+            print(text)
+        results.append(result)
+        print()
     if resumed:
         print(f"resumed {resumed} experiment(s) from checkpoint",
               file=sys.stderr)
@@ -640,21 +633,9 @@ def _cmd_profile(args) -> int:
     from .fortranlib.parser import parse_source
     from .optimize import make_plan
 
-    from contextlib import ExitStack
-
-    from .robust import FaultPlan, FaultSpec, fault_injection
-
-    specs = [FaultSpec.parse(text) for text in args.fault]
     targets = (["fortran", "c", "opencl", "python"]
                if args.target == "all" else [args.target])
-    with observe.observing() as obs, ExitStack() as stack:
-        if specs:
-            stack.enter_context(
-                fault_injection(FaultPlan(specs, seed=args.fault_seed)))
-        if getattr(args, "sentinels", False):
-            from .numeric import sentinels
-
-            stack.enter_context(sentinels())
+    with observe.observing() as obs:
         with observe.get_tracer().span("pipeline", project=args.project,
                                        variant=args.variant):
             program = _load_program(args.project)
@@ -705,9 +686,6 @@ def _cmd_bench(args) -> int:
     from .bench import record
 
     if args.bench_command == "record":
-        from contextlib import ExitStack
-
-        from .glafexec import using_executor
         from .numeric import CheckpointStore, RetryPolicy
 
         out = args.out or record.next_bench_path()
@@ -716,12 +694,9 @@ def _cmd_bench(args) -> int:
             store.clear()      # fresh recording: stale checkpoints are void
         retry = (RetryPolicy(retries=args.retries)
                  if args.retries > 0 else None)
-        with ExitStack() as stack:
-            if getattr(args, "executor", None):
-                stack.enter_context(using_executor(args.executor))
-            doc = record.record_benchmark(ids=args.ids or None,
-                                          repeats=args.repeats,
-                                          checkpoints=store, retry=retry)
+        doc = record.record_benchmark(ids=args.ids or None,
+                                      repeats=args.repeats,
+                                      checkpoints=store, retry=retry)
         path = record.write_benchmark(doc, out)
         store.clear()          # artifact written: checkpoints are spent
         n_exp = len(doc["experiments"])
@@ -978,12 +953,16 @@ def _cmd_runs(args) -> int:
 def _runs_selftest() -> int:
     """End-to-end ledger smoke test in a scratch directory: append three
     observed runs, reconcile a stale index, quarantine a corrupt record,
-    and push every exporter through its own validator."""
+    push every exporter through its own validator, and check that a
+    record states the run configuration it was built under."""
     import tempfile
     from pathlib import Path
 
     from . import observe
     from .errors import GlafError
+    from .numeric import SentinelConfig
+    from .robust import FaultPlan
+    from .runconfig import RunConfig, configured
 
     def check(name: str, ok: bool) -> None:
         print(f"  {name:<28s} {'ok' if ok else 'FAIL'}")
@@ -1034,6 +1013,19 @@ def _runs_selftest() -> int:
         check("html dashboard", "<svg" in html and "run-000003" in html)
         check("gc keeps newest", ledger.gc(1) == ["run-000001", "run-000002"]
               and ledger.latest_id() == "run-000003")
+
+        # A default record, then one under a config that changes every
+        # run field: show and diff must state what each ran under.
+        tuned = RunConfig("vectorized", True, SentinelConfig(), FaultPlan())
+        for config in (RunConfig(), tuned):
+            with configured(config):
+                ledger.append(observe.build_record(command="selftest"))
+        latest = ledger.resolve("latest")
+        check("show states the executor",
+              "executor vectorized" in observe.render_run(latest))
+        diff = observe.diff_runs(ledger.load("run-000004"), latest)
+        check("diff lists run fields",
+              all(f"  {k}: " in diff for k in tuned.run_fields()))
     print("runs selftest: ok")
     return 0
 
@@ -1078,16 +1070,41 @@ def _checkpoint_linkage(args) -> dict | None:
             "resume": bool(args.resume)}
 
 
+def _run_changes(args) -> dict:
+    """The run-configuration fields this invocation's flags set.  Only
+    ``profile --fault`` is a whole-run plan: ``fuzz --fault`` configures a
+    fresh seeded plan per item, which keeps shrinking reproducible."""
+    from .numeric import SentinelConfig
+    from .robust import FaultPlan, FaultSpec
+
+    changes: dict = {}
+    if getattr(args, "executor", None):
+        changes["executor"] = args.executor
+    if getattr(args, "guarded", False):
+        changes["guarded"] = True
+    if getattr(args, "sentinels", False):
+        changes["sentinels"] = SentinelConfig()
+    if args.command == "profile" and args.fault:
+        changes["faults"] = FaultPlan(
+            [FaultSpec.parse(text) for text in args.fault],
+            seed=args.fault_seed)
+    return changes
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     from . import observe
     from .errors import DiagnosticBundle, GlafError
+    from .runconfig import configured
 
     args = build_parser().parse_args(argv)
     cmd = _COMMANDS[args.command]
+    config = None      # what the command ran under, once it resolved
 
     def run() -> int:
+        nonlocal config
         try:
-            return cmd(args)
+            with configured(**_run_changes(args)) as config:
+                return cmd(args)
         except FileNotFoundError as e:
             print(f"error: no such file: {e.filename or e}", file=sys.stderr)
             return 2
@@ -1164,8 +1181,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 observation=obs,
                 samples=sampler.series() if sampler is not None else None,
                 checkpoint=_checkpoint_linkage(args),
-                started=started,
-                executor=getattr(args, "executor", None))
+                environment=observe.run_environment(config),
+                started=started)
             stamped = observe.RunLedger(ledger_dir).append(record)
             print(f"run ledger: appended {stamped['id']} to {ledger_dir}",
                   file=sys.stderr)

@@ -59,6 +59,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..errors import FortranRuntimeError
 from ..numeric import sentinel as _sentinel
 from .ast import (
@@ -862,7 +863,7 @@ class _UnitCompiler:
                 store = get(f)
                 idx = tuple(sub(f) for sub in subs)
                 _check_bounds(store, idx)
-                if _sentinel._ACTIVE is not None:
+                if _rc._active.sentinels is not None:
                     _sentinel.check_value(v, function=site, grid=grid,
                                           cell=tuple(k + 1 for k in idx))
                 store[idx] = v
@@ -881,7 +882,7 @@ class _UnitCompiler:
                         f"TYPE {base.type_name} has no component {fname!r}"
                     )
                 scalar = store.ndim == 0
-                if _sentinel._ACTIVE is not None:
+                if _rc._active.sentinels is not None:
                     _sentinel.check_value(v, function=site, grid=grid,
                                           cell=() if scalar else None)
                 if scalar:
@@ -915,7 +916,7 @@ class _UnitCompiler:
             store = slot.store
             if store is None:
                 raise FortranRuntimeError(alloc_msg)
-            if _sentinel._ACTIVE is not None:
+            if _rc._active.sentinels is not None:
                 _sentinel.check_value(v, function=site, grid=name)
             if store.ndim == 0:
                 store[()] = v
@@ -933,7 +934,7 @@ class _UnitCompiler:
                     raise FortranRuntimeError(alloc_msg)
                 idx = tuple(sub(f) for sub in subs)
             _check_bounds(store, idx)
-            if _sentinel._ACTIVE is not None:
+            if _rc._active.sentinels is not None:
                 _sentinel.check_value(v, function=site, grid=grid,
                                       cell=tuple(k + 1 for k in idx))
             store[idx] = v
@@ -949,7 +950,7 @@ class _UnitCompiler:
                 k = s0(f)
                 if store.ndim != 1 or not 0 <= k < len(store):
                     return slow(f, v, store, (k,))
-                if _sentinel._ACTIVE is not None:
+                if _rc._active.sentinels is not None:
                     _sentinel.check_value(v, function=site, grid=grid, cell=(k + 1,))
                 store[k] = v
             return assign1
@@ -967,7 +968,7 @@ class _UnitCompiler:
                 n0, n1 = store.shape
                 if not (0 <= k0 < n0 and 0 <= k1 < n1):
                     return slow(f, v, store, (k0, k1))
-                if _sentinel._ACTIVE is not None:
+                if _rc._active.sentinels is not None:
                     _sentinel.check_value(v, function=site, grid=grid,
                                           cell=(k0 + 1, k1 + 1))
                 store[k0, k1] = v

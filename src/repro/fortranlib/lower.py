@@ -45,12 +45,12 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..core.expr import BinOp, Const, Expr, GridRef, IndexVar, LibCall, UnOp
 from ..core.libfuncs import REGISTRY
 from ..core.step import Assign, IfStmt, Range, Step, Stmt
 from ..errors import ValidationError
 from ..glafexec.vectorize import LiftFailure, compile_lifted, compile_step
-from ..numeric import sentinel as _sentinel
 from ..observe import get_decisions, get_metrics
 from .ast import (
     FAssign,
@@ -356,7 +356,7 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
     program, getters, dovars, pairs, labels = nest
     bounds, run, arith, fixed = (program.bounds, program.run, program.arith,
                                  program.fixed)
-    ndarray, sentinel = np.ndarray, _sentinel
+    ndarray = np.ndarray
     noted = False
 
     def refuse(f, reason: str) -> None:
@@ -368,7 +368,7 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
         scalar(f)
 
     def lifted(f) -> None:
-        if sentinel._ACTIVE is not None:
+        if _rc._active.sentinels is not None:
             return refuse(f, "numeric sentinels are on")
         slots = f.slots
         S = []

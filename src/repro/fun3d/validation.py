@@ -13,15 +13,7 @@ import numpy as np
 
 from ..codegen.fortran import FortranGenerator
 from ..fortranlib import FortranRuntime
-from ..glafexec import (
-    ExecutionContext,
-    GeneratedModule,
-    GuardedRunner,
-    Interpreter,
-    executor_mode,
-    get_executor,
-    guard_mode,
-)
+from ..glafexec import ExecutionContext, GeneratedModule, run_configured
 from ..integration import LegacyCodebase, splice_into_codebase
 from ..numeric import RmsPolicy
 from ..optimize.plan import Tweaks, make_plan
@@ -63,22 +55,13 @@ def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
     explicit ``guarded=True``) execution goes through :class:`GuardedRunner`
     with per-step divergence probes and serial fallback.  Otherwise the
     selected executor runs the program (``executor=None`` honors the
-    process-wide ``--executor`` mode)."""
+    configured ``--executor``)."""
     program = build_fun3d_program()
     ctx = ExecutionContext(program, sizes=mesh_sizes(mesh),
                            values=context_values(mesh))
-    args = [mesh.ncell, mesh.nnz]
-    if guard_mode() if guarded is None else guarded:
-        GuardedRunner(program).run("edgejp", args, context=ctx)
-    else:
-        mode = executor_mode() if executor is None else executor
-        if mode == "interpreter":
-            interp = Interpreter(program, ctx,
-                                 save_inner_arrays=save_inner_arrays)
-            interp.call("edgejp", args)
-        else:
-            get_executor(mode, save_inner_arrays=save_inner_arrays).run(
-                program, "edgejp", args, context=ctx)
+    run_configured(program, "edgejp", [mesh.ncell, mesh.nnz], context=ctx,
+                   guarded=guarded, executor=executor,
+                   save_inner_arrays=save_inner_arrays)
     return ctx.get("jac").copy()
 
 

@@ -27,7 +27,6 @@ metrics for profiled runs (docs/FUZZING.md).
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +41,15 @@ from ..errors import (
 from ..numeric import (
     CheckpointStore,
     RetryPolicy,
+    SentinelConfig,
     compare_grids,
     content_digest,
     get_policy,
     retry_call,
-    sentinels,
 )
-from ..robust import FaultPlan, FaultSpec, fault_injection
+from ..robust import FaultPlan, FaultSpec
 from ..robust.watchdog import ResourceLimits
+from ..runconfig import configured
 from .generate import CodebaseSpec, build_program, generate_spec, item_rng
 from .profile import FuzzProfile, get_profile
 from .shrink import shrink_spec
@@ -201,8 +201,10 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
     Typed :class:`GlafError`\\ s, lint findings, oracle divergence, and
     budget/sentinel trips become :class:`ItemFailure`\\ s; only raw
     non-framework exceptions (genuine harness bugs) still propagate.
-    ``faults`` enters a fresh seeded fault-injection plan for just this
-    item, so one-shot faults fire identically on every reproduction.
+    The item runs with sentinels on.  ``faults`` configures a fresh seeded
+    fault-injection plan for just this item, so one-shot faults fire
+    identically on every reproduction; without it an outer plan stays
+    active.
     With ``crosscheck``, the static bounds checker's proven-in-bounds
     claims are compared against runtime out-of-bounds trips — the fuzzer
     acting as a soundness oracle for the analyzer.
@@ -210,11 +212,10 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
     prof = get_profile(profile) if isinstance(profile, str) else profile
     res = ItemResult(index=spec.index, spec=spec)
 
-    with ExitStack() as stack:
-        if faults:
-            stack.enter_context(
-                fault_injection(FaultPlan(list(faults), seed=fault_seed)))
-        stack.enter_context(sentinels())
+    changes = {"sentinels": SentinelConfig()}
+    if faults:
+        changes["faults"] = FaultPlan(list(faults), seed=fault_seed)
+    with configured(**changes):
 
         try:
             program = build_program(spec)

@@ -9,10 +9,8 @@ from .executor import (
     GuardedExecutor,
     InterpreterExecutor,
     VectorizedExecutor,
-    executor_mode,
     get_executor,
-    set_executor_mode,
-    using_executor,
+    run_configured,
 )
 from .guard import (
     GuardedInterpreter,
@@ -20,11 +18,8 @@ from .guard import (
     GuardedRunner,
     GuardEvent,
     GuardResult,
-    guard_mode,
-    guarded,
     guarded_python_run,
     guarded_vectorized_run,
-    set_guard_mode,
 )
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python, run_interpreted
@@ -48,11 +43,10 @@ __all__ = [
     "GeneratedModule", "run_generated_python", "run_interpreted",
     "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "GuardResult", "guard_mode", "guarded",
-    "guarded_python_run", "guarded_vectorized_run", "set_guard_mode",
+    "GuardResult", "guarded_python_run", "guarded_vectorized_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
-    "InterpreterExecutor", "VectorizedExecutor", "executor_mode",
-    "get_executor", "set_executor_mode", "using_executor",
+    "InterpreterExecutor", "VectorizedExecutor", "get_executor",
+    "run_configured",
     "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",
     "compile_step", "liftability_report",
 ]

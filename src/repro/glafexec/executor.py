@@ -18,35 +18,31 @@ Three interchangeable back ends run a program's entry point against an
     always the one kept.
 
 Selection is either explicit (:func:`get_executor`) or through the
-process-wide executor mode (the CLI's ``--executor`` flag, or the
-``REPRO_EXECUTOR`` environment variable for whole-process runs such as the
-CI vectorized leg), mirroring the guard-mode trio in
-:mod:`repro.glafexec.guard`.
+active :class:`~repro.runconfig.RunConfig` (the CLI's ``--executor`` flag,
+or the ``REPRO_EXECUTOR`` environment variable for whole-process runs such
+as the CI vectorized leg).  :func:`run_configured` is the one place that
+chooses between the divergence guard and the configured executor.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from ..core.function import GlafProgram
-from ..errors import ExecutionError
 from ..robust import ResourceLimits
+from ..runconfig import EXECUTOR_NAMES, RunConfig, current
 from .context import ExecutionContext
-from .guard import DEFAULT_GUARD_TOLERANCE, GuardResult, guarded_vectorized_run
+from .guard import (DEFAULT_GUARD_TOLERANCE, GuardedRunner, GuardResult,
+                    guarded_vectorized_run)
 from .interp import Interpreter
 from .vectorize import FallbackEvent, VectorizedInterpreter
 
 __all__ = [
     "EXECUTOR_NAMES", "Executor", "ExecutorRun",
     "GuardedExecutor", "InterpreterExecutor", "VectorizedExecutor",
-    "executor_mode", "get_executor", "set_executor_mode", "using_executor",
+    "get_executor", "run_configured",
 ]
-
-#: Valid executor names, in guard-strictness order.
-EXECUTOR_NAMES = ("interpreter", "vectorized", "guarded")
 
 
 @dataclass
@@ -160,51 +156,22 @@ _EXECUTORS: dict[str, type[Executor]] = {
 
 
 def get_executor(name: str | None = None, **kw: Any) -> Executor:
-    """Instantiate an executor by name (current mode when ``None``)."""
-    if name is None:
-        name = executor_mode()
-    try:
-        cls = _EXECUTORS[name]
-    except KeyError:
-        raise ExecutionError(
-            f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}"
-        ) from None
-    return cls(**kw)
+    """Instantiate an executor by name (the configured one when ``None``);
+    :class:`RunConfig` rejects an unknown name with ``ExecutionError``."""
+    config = current() if name is None else RunConfig(executor=name)
+    return _EXECUTORS[config.executor](**kw)
 
 
-# ----------------------------------------------------------------------
-# process-wide executor mode (the CLI's --executor flag)
-# ----------------------------------------------------------------------
-def _initial_mode() -> str:
-    env = os.environ.get("REPRO_EXECUTOR", "interpreter")
-    return env if env in EXECUTOR_NAMES else "interpreter"
-
-
-_EXECUTOR_MODE = _initial_mode()
-
-
-def executor_mode() -> str:
-    """The currently-selected executor name (default ``interpreter``)."""
-    return _EXECUTOR_MODE
-
-
-def set_executor_mode(name: str) -> str:
-    """Select the process-wide executor; returns the previous name."""
-    global _EXECUTOR_MODE
-    if name not in EXECUTOR_NAMES:
-        raise ExecutionError(
-            f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}")
-    prev = _EXECUTOR_MODE
-    _EXECUTOR_MODE = name
-    return prev
-
-
-@contextmanager
-def using_executor(name: str) -> Iterator[None]:
-    """Select an executor for the block (validation paths that honor the
-    mode route execution through :func:`get_executor`)."""
-    prev = set_executor_mode(name)
-    try:
-        yield
-    finally:
-        set_executor_mode(prev)
+def run_configured(program: GlafProgram, entry: str, args: list[Any], *,
+                   context: ExecutionContext, guarded: bool | None = None,
+                   executor: str | None = None, **kw: Any) -> None:
+    """Run ``entry`` on ``context`` the way the active configuration says:
+    through :class:`GuardedRunner` (per-step divergence probes, serial
+    fallback) when guarded, else on the configured executor.  ``guarded``
+    and ``executor`` override the configuration; ``kw`` goes to the
+    executor."""
+    if current().guarded if guarded is None else guarded:
+        GuardedRunner(program).run(entry, args, context=context)
+    else:
+        get_executor(executor, **kw).run(program, entry, args,
+                                         context=context)

@@ -27,9 +27,8 @@ recorder, so each one counts ``guard.serial_fallbacks``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .shuffle import ShuffledInterpreter
 __all__ = [
     "GuardEvent", "GuardResult", "GuardedInterpreter", "GuardedRun",
     "GuardedRunner", "guarded_python_run", "guarded_vectorized_run",
-    "guard_mode", "guarded", "set_guard_mode",
 ]
 
 DEFAULT_GUARD_TOLERANCE = 1e-9
@@ -381,32 +379,3 @@ def guarded_vectorized_run(
         result=ref_result, context=ctx, fell_back=True, reason=reason,
         max_error=err, tolerance=tolerance, fallbacks=fallbacks)
 
-
-# ----------------------------------------------------------------------
-# process-wide guard mode (the CLI's --guarded flag)
-# ----------------------------------------------------------------------
-_GUARD_MODE = False
-
-
-def guard_mode() -> bool:
-    """True while guarded execution is requested (``--guarded``)."""
-    return _GUARD_MODE
-
-
-def set_guard_mode(enabled: bool) -> bool:
-    """Set the process-wide guard flag; returns the previous value."""
-    global _GUARD_MODE
-    prev = _GUARD_MODE
-    _GUARD_MODE = bool(enabled)
-    return prev
-
-
-@contextmanager
-def guarded(enabled: bool = True) -> Iterator[None]:
-    """Enable guard mode for the block (validation paths that support it
-    route execution through :class:`GuardedRunner`)."""
-    prev = set_guard_mode(enabled)
-    try:
-        yield
-    finally:
-        set_guard_mode(prev)

@@ -44,6 +44,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..core.expr import (
     BinOp,
     Const,
@@ -271,7 +272,7 @@ class Interpreter:
     def _exec_step(self, frame: _Frame, idx: int, step: Step) -> None:
         frame.current_step = idx
         frame.current_step_name = step.name
-        if _faults._ACTIVE is not None:
+        if _rc._active.faults is not None:
             _faults.inject("exec.interp.step", function=frame.fn.name,
                            step=idx, parallel=False)
         self._compiled(frame.fn, idx, step).run(frame)
@@ -354,14 +355,14 @@ def _checked_read(fname: str, gname: str, store: np.ndarray, idx: tuple) -> Any:
 def _screen(f: _Frame, gname: str, store: np.ndarray, value: Any,
             idx: tuple | None) -> Any:
     """A write's ``numeric.sentinel`` fault site, then its sentinel check."""
-    if (_faults._ACTIVE is not None
+    if (_rc._active.faults is not None
             and np.issubdtype(store.dtype, np.floating)):
         poisoned = _faults.inject(
             "numeric.sentinel", value, function=f.fn.name,
             step=f.current_step, grid=gname)
         if poisoned is not None:
             value = poisoned
-    if _sentinel._ACTIVE is not None:
+    if _rc._active.sentinels is not None:
         _sentinel.check_value(
             value, function=f.fn.name, step_index=f.current_step,
             step_name=f.current_step_name, grid=gname,
@@ -463,7 +464,7 @@ class _StepCompiler:
                     note_iter(fname, idx)
                     if budget is not None:
                         budget.tick()
-                    if _faults._ACTIVE is not None:
+                    if _rc._active.faults is not None:
                         _faults.inject("exec.interp.iter", function=fname,
                                        step=idx)
                     if cond is None or cond(f):
@@ -536,7 +537,7 @@ class _StepCompiler:
                 v = value(f)
                 if store.ndim != 0:
                     raise ExecutionError(whole)
-                if _faults._ACTIVE is not None or _sentinel._ACTIVE is not None:
+                if _rc._active.hooked:
                     v = _screen(f, name, store, v, None)
                 store[()] = v
             return assign0
@@ -549,7 +550,7 @@ class _StepCompiler:
                 k = s0(f)
                 if store.ndim != 1 or not 0 <= k < store.shape[0]:
                     _check_bounds(fname, name, store, (k,))
-                if _faults._ACTIVE is not None or _sentinel._ACTIVE is not None:
+                if _rc._active.hooked:
                     v = _screen(f, name, store, v, (k,))
                 store[k] = v
             return assign1
@@ -566,7 +567,7 @@ class _StepCompiler:
                     n0, n1 = store.shape
                     if not (0 <= k0 < n0 and 0 <= k1 < n1):
                         _check_bounds(fname, name, store, (k0, k1))
-                if _faults._ACTIVE is not None or _sentinel._ACTIVE is not None:
+                if _rc._active.hooked:
                     v = _screen(f, name, store, v, (k0, k1))
                 store[k0, k1] = v
             return assign2
@@ -576,7 +577,7 @@ class _StepCompiler:
             v = value(f)
             idx = tuple(sub(f) for sub in subs)
             _check_bounds(fname, name, store, idx)
-            if _faults._ACTIVE is not None or _sentinel._ACTIVE is not None:
+            if _rc._active.hooked:
                 v = _screen(f, name, store, v, idx)
             store[idx] = v
         return assign

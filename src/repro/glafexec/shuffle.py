@@ -21,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..core.function import GlafProgram
 from ..core.step import ExitLoop, Return, Step, walk_stmts
 from ..errors import ExecutionError
@@ -70,7 +71,7 @@ class ShuffledInterpreter(Interpreter):
         for k in order:
             if self._budget is not None:
                 self._budget.tick()
-            if _faults._ACTIVE is not None:
+            if _rc._active.faults is not None:
                 _faults.inject("exec.interp.iter", function=frame.fn.name,
                                step=idx)
             for var, value in zip(names, tuples[k]):

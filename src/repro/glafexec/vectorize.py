@@ -53,6 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..core.expr import (
     BinOp,
     Const,
@@ -75,7 +76,6 @@ from ..errors import (
     ResourceLimitError,
 )
 from ..numeric import sentinel as _sentinel
-from ..robust import faults as _faults
 from .interp import Interpreter
 
 __all__ = [
@@ -983,7 +983,7 @@ class _Compiler:
                         return                  # uniformly false guard
                     m = None                    # uniformly true guard
             v = value(r)
-            if screen is not None and _sentinel._ACTIVE is not None:
+            if screen is not None and _rc._active.sentinels is not None:
                 screen(r, v, m)
             region = r.R[t]
             if perm is not None:
@@ -1034,7 +1034,8 @@ class _Compiler:
                     masks.append(m)
             region, shape = r.R[t], r.geom.shape
             dtype = np.result_type(region.dtype, *terms)
-            screening = screen is not None and _sentinel._ACTIVE is not None
+            screening = (screen is not None
+                         and _rc._active.sentinels is not None)
             if dtype == region.dtype and ordered:
                 # x[..., 0] is the accumulator; x[..., 1:] runs over the
                 # reduction positions in nest order, then the updates.
@@ -1107,7 +1108,7 @@ class _Compiler:
                     [np.broadcast_to(np.asarray(True if m is None else m,
                                                 dtype=bool), shape)
                      for m in lanes], axis=-1)
-            bad = _sentinel.tripped(arr, _sentinel._ACTIVE)
+            bad = _sentinel.tripped(arr, _rc._active.sentinels)
             if lanes is not None:
                 bad = bad & lanes
             if not bad.any():
@@ -1231,7 +1232,7 @@ class VectorizedInterpreter(Interpreter):
 
     # ------------------------------------------------------------------
     def _exec_step(self, frame, idx: int, step: Step) -> None:
-        if _faults._ACTIVE is not None:
+        if _rc._active.faults is not None:
             # Keep injection sites (exec.interp.step/iter, numeric.sentinel)
             # hitting per iteration, exactly as the reference does.
             Interpreter._exec_step(self, frame, idx, step)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..robust.faults import FaultPlan, FaultSpec, fault_injection
+from ..robust.faults import FaultPlan, FaultSpec
+from ..runconfig import configured
 from .findings import LintReport
 
 __all__ = ["Mutant", "MutantResult", "MUTANTS", "run_mutation_selftest"]
@@ -137,7 +138,8 @@ def run_mutant(mutant: Mutant, *, seed: int = 0
 
         program = build_fun3d_program()
     plan = make_plan(program, mutant.variant)
-    with fault_injection(FaultPlan([mutant.spec()], seed=seed)) as fp:
+    fp = FaultPlan([mutant.spec()], seed=seed)
+    with configured(faults=fp):
         source = FortranGenerator(plan).generate_module()
     fired = bool(fp.fired)
     report = lint_text(source, plan=plan,

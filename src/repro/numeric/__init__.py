@@ -7,8 +7,8 @@ subroutines, FUN3D by RMS agreement at 1e-7 on the reference dataset
 comparisons (see ``docs/NUMERICS.md``):
 
 * :mod:`repro.numeric.sentinel` — configurable NaN/Inf/overflow/denormal
-  **sentinels** hooked into both interpreters via the same cheap
-  module-global pattern the fault-injection hooks use; a trip raises the
+  **sentinels** hooked into both interpreters through the active run
+  configuration, as the fault-injection hooks are; a trip raises the
   typed :class:`repro.errors.NumericIntegrityError` naming the offending
   step/cell and records a ``numeric:<kind>`` DecisionLog event;
 * :mod:`repro.numeric.tolerance` — the **tolerance-policy engine**
@@ -41,14 +41,7 @@ from .integrity import (
     content_digest,
 )
 from .retry import RetryPolicy, retry_call
-from .sentinel import (
-    SENTINEL_KINDS,
-    SentinelConfig,
-    check_value,
-    sentinel_config,
-    sentinels,
-    set_sentinel_config,
-)
+from .sentinel import SENTINEL_KINDS, SentinelConfig, check_value
 from .tolerance import (
     POLICIES,
     AbsolutePolicy,
@@ -65,7 +58,6 @@ from .tolerance import (
 __all__ = [
     # sentinels
     "SENTINEL_KINDS", "SentinelConfig", "check_value",
-    "sentinel_config", "sentinels", "set_sentinel_config",
     # tolerance policies
     "POLICIES", "TolerancePolicy", "AbsolutePolicy", "RelativePolicy",
     "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_grids",

@@ -3,37 +3,37 @@
 The differential validation gates can be silently satisfied by broken
 numerics — ``nan > tol`` is ``False``, so a NaN that appears on *both*
 sides of a comparison looks like agreement.  Sentinels close that hole at
-the source: while a :class:`SentinelConfig` is active (the ``--sentinels``
-CLI flag, or the :func:`sentinels` context manager), every value assigned
-in the GLAF IR interpreter and the FORTRAN-subset runtime is screened,
-and the first non-finite / out-of-range value raises a typed
+the source: while the active run configuration carries a
+:class:`SentinelConfig` (the ``--sentinels`` CLI flag, or
+``repro.runconfig.configured(sentinels=SentinelConfig())``), every value
+assigned in the GLAF IR interpreter and the FORTRAN-subset runtime is
+screened, and the first non-finite / out-of-range value raises a typed
 :class:`repro.errors.NumericIntegrityError` naming the offending
 function, step, grid, and cell — plus a ``numeric:<kind>`` DecisionLog
 event so a profiled run shows the trip in context.
 
 The hook follows the same pattern as :mod:`repro.robust.faults`: the
-interpreters test the module-global ``_ACTIVE`` (one attribute load per
+interpreters test the run configuration (one attribute load per
 assignment when sentinels are off) and only call :func:`check_value` when
 a config is installed, so un-sentineled runs pay nothing measurable.
 
-This module must stay dependency-light (errors + numpy only):
-:mod:`repro.observe` is imported lazily at trip time.
+This module must stay dependency-light (errors, runconfig and numpy
+only): :mod:`repro.observe` is imported lazily at trip time.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..errors import NumericIntegrityError
 
 __all__ = [
-    "SENTINEL_KINDS", "SentinelConfig", "check_value",
-    "sentinel_config", "sentinels", "set_sentinel_config", "tripped",
+    "SENTINEL_KINDS", "SentinelConfig", "check_value", "tripped",
 ]
 
 #: Every condition a sentinel can trip on, in detection-priority order.
@@ -71,36 +71,6 @@ class SentinelConfig:
         if self.denormal and 0.0 < a < _TINY:
             return "denormal"
         return None
-
-
-# ----------------------------------------------------------------------
-# the process-wide hook (mirrors repro.robust.faults._ACTIVE)
-# ----------------------------------------------------------------------
-_ACTIVE: SentinelConfig | None = None
-
-
-def sentinel_config() -> SentinelConfig | None:
-    """The currently-installed config (``None`` almost always)."""
-    return _ACTIVE
-
-
-def set_sentinel_config(config: SentinelConfig | None) -> SentinelConfig | None:
-    """Install ``config`` (``None`` disables); returns the previous one."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = config
-    return prev
-
-
-@contextmanager
-def sentinels(config: SentinelConfig | None = None) -> Iterator[SentinelConfig]:
-    """Enable sentinels for the block (default config when none given)."""
-    cfg = config if config is not None else SentinelConfig()
-    prev = set_sentinel_config(cfg)
-    try:
-        yield cfg
-    finally:
-        set_sentinel_config(prev)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +132,7 @@ def check_value(
     Raises :class:`NumericIntegrityError` and records a
     ``numeric:<kind>`` DecisionLog event on the first trip.
     """
-    cfg = config if config is not None else _ACTIVE
+    cfg = config if config is not None else _rc._active.sentinels
     if cfg is None:
         return
     arr = np.asarray(value)

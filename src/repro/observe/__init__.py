@@ -102,7 +102,7 @@ __all__ = [
     "Observation", "observed", "observing", "is_observing",
     # run ledger + exporters + sampling
     "RUN_SCHEMA", "INDEX_SCHEMA", "DEFAULT_LEDGER_DIR", "LEDGER_ENV",
-    "RunLedger", "build_record", "ledger_dir_from_env",
+    "RunLedger", "build_record", "ledger_dir_from_env", "run_environment",
     "to_prometheus", "parse_prometheus", "record_to_chrome",
     "render_runs_html", "render_runs_table", "render_run", "diff_runs",
     "render_runs_trend",
@@ -193,5 +193,6 @@ from .ledger import (  # noqa: E402
     RunLedger,
     build_record,
     ledger_dir_from_env,
+    run_environment,
 )
 from .sample import ResourceSampler, read_rss_bytes  # noqa: E402

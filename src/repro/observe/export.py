@@ -362,7 +362,7 @@ def diff_runs(a: dict, b: dict) -> str:
             lines.append(f"  {name:<40s} {ca.get(name, 0):>8} -> "
                          f"{cb.get(name, 0):>8}")
     env_keys = ("python", "numpy", "platform", "git_sha", "executor",
-                "guard_mode")
+                "guard_mode", "fault_plan_active", "sentinels")
     env_diffs = [(k, a.get("environment", {}).get(k),
                   b.get("environment", {}).get(k))
                  for k in env_keys

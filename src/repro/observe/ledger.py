@@ -8,9 +8,9 @@ appends one digest-stamped record to a directory ledger:
 * :func:`build_record` distills one finished run — command, argv,
   outcome/exit status, wall seconds, per-stage seconds, the metrics
   snapshot, the decision events, an aggregated flame tree, the resource
-  sampler's time series, checkpoint/resume linkage, and the
-  :func:`repro.bench.record.environment_fingerprint` — into one
-  ``repro.run/v1`` document;
+  sampler's time series, checkpoint/resume linkage, and the environment
+  (:func:`run_environment`: the bench recorder's host probes plus the
+  run configuration's fields) — into one ``repro.run/v1`` document;
 * :class:`RunLedger` appends records as ``run-<n>.json`` files (atomic
   write + sha256 content digest, the :mod:`repro.numeric.integrity`
   machinery) and maintains an atomic ``index.json``.  The record file is
@@ -37,6 +37,7 @@ from pathlib import Path
 
 from ..errors import RunLedgerError
 from ..numeric.integrity import atomic_write_json, content_digest
+from ..runconfig import RunConfig, current
 from .report import aggregate_children, stage_totals
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "RunLedger",
     "build_record",
     "ledger_dir_from_env",
+    "run_environment",
 ]
 
 RUN_SCHEMA = "repro.run/v1"
@@ -82,19 +84,20 @@ def ledger_dir_from_env(explicit: str | None = None) -> str | None:
     return env
 
 
-_ENV_CACHE: dict[str, object] | None = None
+_HOST: dict[str, object] | None = None
 
 
-def _default_environment() -> dict[str, object]:
-    """The bench recorder's fingerprint, computed once per process — it
-    shells out to git, which would dominate sub-millisecond ledger
-    appends.  (Lazy import too: bench.record imports observe at load.)"""
-    global _ENV_CACHE
-    if _ENV_CACHE is None:
-        from ..bench.record import environment_fingerprint
+def run_environment(config: RunConfig | None) -> dict[str, object]:
+    """The bench recorder's host probes, computed once per process (git
+    would dominate sub-millisecond appends), plus ``config``'s run fields;
+    ``None`` (the configuration never resolved) states none.  (Lazy
+    import: bench.record imports observe at load.)"""
+    global _HOST
+    if _HOST is None:
+        from ..bench.record import host_fingerprint
 
-        _ENV_CACHE = environment_fingerprint()
-    return dict(_ENV_CACHE)
+        _HOST = host_fingerprint()
+    return {**_HOST, **(config.run_fields() if config is not None else {})}
 
 
 def _flame_tree(spans) -> list[dict[str, object]]:
@@ -131,11 +134,11 @@ def build_record(
     ``observation`` is a :class:`repro.observe.Observation`; its tracer
     yields the per-stage seconds and the flame tree, its metrics registry
     the snapshot, its decision log the events.  ``environment`` defaults
-    to the bench recorder's fingerprint so run records and bench
-    artifacts stay comparable.
+    to :func:`run_environment` of the active run configuration, so run
+    records and bench artifacts stay comparable.
     """
     if environment is None:
-        environment = _default_environment()
+        environment = run_environment(current())
     stages: list[dict] = []
     flame: list[dict] = []
     metrics: dict = {"counters": {}, "gauges": {}, "histograms": {}}

@@ -35,15 +35,12 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     InjectionSite,
-    fault_injection,
-    get_fault_plan,
     inject,
 )
 from .watchdog import (Budget, ResourceLimits, apply_memory_limit,
                        wall_clock_guard)
 
 __all__ = [
-    "SITES", "FaultEvent", "FaultPlan", "FaultSpec", "InjectionSite",
-    "fault_injection", "get_fault_plan", "inject",
+    "SITES", "FaultEvent", "FaultPlan", "FaultSpec", "InjectionSite", "inject",
     "Budget", "ResourceLimits", "apply_memory_limit", "wall_clock_guard",
 ]

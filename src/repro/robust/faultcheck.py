@@ -29,7 +29,8 @@ from ..errors import (
     ResourceLimitError,
 )
 from ..numeric import AbsolutePolicy, compare_grids
-from .faults import SITES, FaultPlan, FaultSpec, fault_injection
+from ..runconfig import configured
+from .faults import SITES, FaultPlan, FaultSpec
 from .watchdog import ResourceLimits
 
 __all__ = ["SiteResult", "FaultCheckReport", "run_faultcheck"]
@@ -113,7 +114,7 @@ def _check_lexer(seed: int) -> SiteResult:
     site, kind = "fortran.lex.tokens", "corrupt-token"
     plan = FaultPlan([FaultSpec(site, kind)], seed=seed)
     try:
-        with fault_injection(plan):
+        with configured(faults=plan):
             parse_source(_LEX_CHECK_SOURCE, recover=True)
         # The recovering parser skipped the corruption entirely — only
         # acceptable if the fault genuinely fired and produced no error
@@ -147,7 +148,7 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
     scenario = scenario_for("sarb")
     ref = scenario.reference()
     plan = FaultPlan([spec], seed=seed)
-    with observed(), fault_injection(plan):
+    with observed(), configured(faults=plan):
         run = scenario.run_guarded(tolerance=_TOLERANCE)
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
@@ -183,7 +184,7 @@ def _check_codegen(seed: int) -> SiteResult:
     plan = FaultPlan(
         [FaultSpec(site, kind, match={"function": "shortwave_entropy_model"})],
         seed=seed)
-    with observed(), fault_injection(plan):
+    with observed(), configured(faults=plan):
         result = guarded_python_run(
             program, scenario.entry, args, sizes=sizes, values=values,
             compare=list(compare), tolerance=_TOLERANCE)
@@ -215,7 +216,7 @@ def _check_watchdog(seed: int) -> SiteResult:
         [FaultSpec(site, kind, param=0.25, max_fires=10**6)], seed=seed)
     limits = ResourceLimits(max_wall_seconds=0.05)
     try:
-        with fault_injection(plan):
+        with configured(faults=plan):
             run_interpreted(program, scenario.entry, args,
                             sizes=sizes, values=values, limits=limits)
         return SiteResult(site, kind, "failed",
@@ -267,7 +268,7 @@ def _check_sentinel(seed: int) -> SiteResult:
     from ..bench.harness import Experiment, ExperimentResult
     from ..bench.record import record_benchmark
     from ..glafexec import run_interpreted
-    from ..numeric import CheckpointStore, content_digest, sentinels
+    from ..numeric import CheckpointStore, SentinelConfig, content_digest
     from ..observe import observed
     from .scenarios import scenario_for
 
@@ -278,7 +279,8 @@ def _check_sentinel(seed: int) -> SiteResult:
     program, args, sizes, values, _ = scenario.setup()
     plan = FaultPlan([FaultSpec(site, kind)], seed=seed)
     trip: NumericIntegrityError | None = None
-    with observed() as obs, fault_injection(plan), sentinels():
+    with observed() as obs, configured(faults=plan,
+                                       sentinels=SentinelConfig()):
         try:
             run_interpreted(program, scenario.entry, args,
                             sizes=sizes, values=values)

@@ -2,10 +2,11 @@
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` entries, each
 naming a registered :data:`SITES` entry.  Pipeline modules call the
-module-level :func:`inject` hook at their site; when no plan is active the
-hook is a cheap no-op, and under :func:`fault_injection` the active plan
-decides — deterministically — whether and how to corrupt the payload,
-raise an artificial :class:`repro.errors.ExecutionError`, or stall.
+module-level :func:`inject` hook at their site; when no plan is configured
+the hook is a cheap no-op, and while one is the active run configuration's
+``faults`` (:func:`repro.runconfig.configured`) the plan decides —
+deterministically — whether and how to corrupt the payload, raise an
+artificial :class:`repro.errors.ExecutionError`, or stall.
 
 The hooks are intentionally tiny (one call per site) so the injection
 surface is auditable: grep for ``inject(`` and compare against
@@ -13,26 +14,25 @@ surface is auditable: grep for ``inject(`` and compare against
 reports whether each fault was *recovered* or *surfaced* — see
 :mod:`repro.robust.faultcheck` and ``docs/ROBUSTNESS.md``.
 
-This module must stay dependency-light (errors + numpy only): the
-instrumented packages (``fortranlib``, ``analysis``, ``codegen``,
-``glafexec``) import it at module load.
+This module must stay dependency-light (errors, runconfig and numpy
+only): the instrumented packages (``fortranlib``, ``analysis``,
+``codegen``, ``glafexec``) import it at module load.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
+from .. import runconfig as _rc
 from ..errors import ExecutionError, ValidationError
 
 __all__ = [
-    "InjectionSite", "SITES", "FaultSpec", "FaultEvent", "FaultPlan",
-    "inject", "fault_injection", "get_fault_plan",
+    "InjectionSite", "SITES", "FaultSpec", "FaultEvent", "FaultPlan", "inject",
 ]
 
 
@@ -465,35 +465,12 @@ _TRANSFORMS = {
 }
 
 
-# ----------------------------------------------------------------------
-# the process-wide hook
-# ----------------------------------------------------------------------
-_ACTIVE: FaultPlan | None = None
-
-
-def get_fault_plan() -> FaultPlan | None:
-    """The currently-installed plan (``None`` almost always)."""
-    return _ACTIVE
-
-
 def inject(site: str, payload: Any = None, **meta: object) -> Any:
-    """Fault-injection hook.  No-op unless a :func:`fault_injection` plan
-    is active; otherwise returns a replacement payload or ``None``."""
-    if _ACTIVE is None:
+    """Fault-injection hook.  No-op unless the active run configuration
+    has a fault plan; otherwise returns a replacement payload or ``None``."""
+    plan = _rc._active.faults
+    if plan is None:
         return None
     if site not in SITES:       # keep hooks honest even in tests
         raise ValidationError(f"inject() called with unregistered site {site!r}")
-    return _ACTIVE.visit(site, payload, meta)
-
-
-@contextmanager
-def fault_injection(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the duration of the block (plans nest; the
-    innermost wins)."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE = prev
+    return plan.visit(site, payload, meta)

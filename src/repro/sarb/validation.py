@@ -21,15 +21,7 @@ import numpy as np
 
 from ..codegen.fortran import FortranGenerator
 from ..fortranlib import FortranRuntime
-from ..glafexec import (
-    ExecutionContext,
-    GeneratedModule,
-    GuardedRunner,
-    Interpreter,
-    executor_mode,
-    get_executor,
-    guard_mode,
-)
+from ..glafexec import ExecutionContext, GeneratedModule, run_configured
 from ..errors import NumericIntegrityError
 from ..integration import LegacyCodebase, check_program, splice_into_codebase
 from ..numeric import AbsolutePolicy, ComparisonResult, compare_grids
@@ -124,23 +116,16 @@ def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool | None = None,
     through :class:`GuardedRunner`, which probes every plan-parallel step
     and falls back to serial on divergence (results are bit-identical
     either way — the serial result is kept).  Otherwise the selected
-    executor runs the program: ``executor=None`` honors the process-wide
-    mode (the CLI's ``--executor`` flag), ``"interpreter"`` is the
+    executor runs the program: ``executor=None`` honors the configured
+    one (the CLI's ``--executor`` flag), ``"interpreter"`` is the
     reference path, ``"vectorized"`` lifts loop steps to whole-grid array
     programs, ``"guarded"`` cross-checks the vectorized path against the
     interpreter."""
     program = build_sarb_program(inp.dims)
     ctx = ExecutionContext(program, values=_context_values(inp))
-    args = [inp.dims.nv, inp.dims.nblw, inp.dims.nbsw]
-    if guard_mode() if guarded is None else guarded:
-        GuardedRunner(program).run("entropy_interface", args, context=ctx)
-    else:
-        mode = executor_mode() if executor is None else executor
-        if mode == "interpreter":
-            Interpreter(program, ctx).call("entropy_interface", args)
-        else:
-            get_executor(mode).run(program, "entropy_interface", args,
-                                   context=ctx)
+    run_configured(program, "entropy_interface",
+                   [inp.dims.nv, inp.dims.nblw, inp.dims.nbsw], context=ctx,
+                   guarded=guarded, executor=executor)
     return {n: ctx.get(n).copy() for n in OUTPUT_NAMES}
 
 

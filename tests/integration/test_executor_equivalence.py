@@ -31,7 +31,9 @@ from repro.core.builder import StepBuilder as SB
 from repro.errors import NumericIntegrityError
 from repro.fun3d import make_mesh
 from repro.fun3d import validation as f3v
-from repro.glafexec import get_executor, using_executor
+from repro.glafexec import get_executor
+from repro.numeric import SentinelConfig
+from repro.runconfig import configured
 from repro.sarb import make_inputs
 from repro.sarb import validation as sv
 from repro.sarb.validation import SARB_COMPARE_TOLERANCE, compare_outputs
@@ -73,7 +75,7 @@ class TestSarbEquivalence:
 
     def test_mode_selection_equals_explicit_executor(self, inputs):
         explicit = sv.run_ir_interpreter(inputs, executor="vectorized")
-        with using_executor("vectorized"):
+        with configured(executor="vectorized"):
             via_mode = sv.run_ir_interpreter(inputs)
         for name in explicit:
             assert np.array_equal(explicit[name], via_mode[name])
@@ -120,7 +122,7 @@ def test_example_passes_under_vectorized_executor(name, capsys):
         name, EXAMPLES / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    with using_executor("vectorized"):
+    with configured(executor="vectorized"):
         mod.main()
     assert len(capsys.readouterr().out) > 200
 
@@ -473,12 +475,10 @@ class TestSentinelParity:
 
     @pytest.mark.parametrize("executor", ["interpreter", "vectorized"])
     def test_nan_trips_identically(self, executor):
-        from repro.numeric import sentinels
-
         p = self._program()
         x = np.ones(5)
         x[3] = np.nan
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as exc:
                 get_executor(executor).run(p, "f", [5, x, np.zeros(5)],
                                            sizes={"n": 5})

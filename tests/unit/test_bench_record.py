@@ -20,6 +20,7 @@ from repro.bench import (
 )
 from repro.errors import BenchArtifactError
 from repro.observe.bench import RepeatStats, summarize_repeats
+from repro.runconfig import configured
 
 
 def fake_clock(step_s: float = 0.001):
@@ -323,15 +324,20 @@ class TestRunTimed:
 
 class TestEnvironmentFingerprint:
     def test_guard_mode_is_reflected(self):
-        from repro.glafexec import guarded
-
-        with guarded():
+        with configured(guarded=True):
             assert environment_fingerprint()["guard_mode"] is True
         assert environment_fingerprint()["guard_mode"] is False
 
     def test_fault_plan_is_reflected(self):
-        from repro.robust import FaultPlan, fault_injection
+        from repro.robust import FaultPlan
 
-        with fault_injection(FaultPlan()):
+        with configured(faults=FaultPlan()):
             assert environment_fingerprint()["fault_plan_active"] is True
         assert environment_fingerprint()["fault_plan_active"] is False
+
+    def test_sentinels_are_reflected(self):
+        from repro.numeric import SentinelConfig
+
+        with configured(sentinels=SentinelConfig()):
+            assert environment_fingerprint()["sentinels"] is True
+        assert environment_fingerprint()["sentinels"] is False

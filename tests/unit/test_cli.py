@@ -35,10 +35,10 @@ class TestCli:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_experiments_sentinels_flag(self, capsys):
-        from repro.numeric import sentinel_config
+        from repro.runconfig import current
 
         assert main(["experiments", "T2", "--sentinels"]) == 0
-        assert sentinel_config() is None     # restored after the run
+        assert current().sentinels is None   # restored after the run
         capsys.readouterr()
 
     def test_experiments_resume_from_checkpoint(self, tmp_path, capsys):
@@ -231,10 +231,10 @@ class TestRobustnessCli:
         assert "Traceback" not in err
 
     def test_guard_mode_resets_after_experiments(self, capsys):
-        from repro.glafexec import guard_mode
+        from repro.runconfig import current
 
         assert main(["experiments", "C1", "--guarded"]) == 0
-        assert not guard_mode()
+        assert not current().guarded
         capsys.readouterr()
 
 
@@ -658,3 +658,67 @@ class TestRunLedgerCli:
         out = capsys.readouterr().out
         assert "runs selftest: ok" in out
         assert "FAIL" not in out
+
+
+class TestRunConfigCli:
+    """The CLI builds one run configuration from its flags, runs the
+    command under it, and the run record states it."""
+
+    FIELDS = ("executor", "guard_mode", "fault_plan_active", "sentinels")
+
+    def test_record_states_the_configuration_it_ran_under(
+            self, project_file, tmp_path, capsys):
+        from repro.runconfig import current
+
+        ledger = tmp_path / "runs"
+        for argv in (
+                ["experiments", "T2", "--sentinels", "--executor",
+                 "vectorized"],
+                ["experiments", "C1", "--guarded"],
+                ["profile", project_file, "--target", "c", "--fault",
+                 "analysis.parallelize.verdict:misparallelize:adjust2"]):
+            assert main(argv + ["--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        store = observe.RunLedger(ledger)
+        records = [store.load(e["id"]) for e in store.entries()]
+        default = current().executor
+        assert [tuple(r["environment"][k] for k in self.FIELDS)
+                for r in records] == [
+            ("vectorized", False, False, True),
+            (default, True, False, False),
+            (default, False, True, False),
+        ]
+        assert all("executor" not in r["meta"] for r in records)
+        assert main(["runs", "show", "run-000001",
+                     "--dir", str(ledger)]) == 0
+        assert "executor vectorized" in capsys.readouterr().out
+        assert main(["runs", "diff", "run-000001", "run-000002",
+                     "--dir", str(ledger)]) == 0
+        diff = capsys.readouterr().out
+        assert "  guard_mode: False -> True" in diff
+        assert "  sentinels: True -> False" in diff
+
+    def test_misspelled_executor_env_is_a_friendly_error(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        res = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments", "T2",
+             "--ledger", str(tmp_path / "runs")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "REPRO_EXECUTOR": "vectorised"})
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        assert [line for line in res.stderr.splitlines()
+                if line.startswith("error:")] == [
+            "error: unknown executor 'vectorised'; choose from "
+            "('interpreter', 'vectorized', 'guarded')"]
+        # Ledgered as failed; it never ran under a configuration, so the
+        # record states none.
+        record = observe.RunLedger(tmp_path / "runs").resolve("latest")
+        assert record["outcome"] == {"status": "failed", "exit_code": 2}
+        assert not set(self.FIELDS) & set(record["environment"])

@@ -358,11 +358,12 @@ class TestGuards:
             2.0 * k for k in range(1, 9)]
 
     def test_sentinels(self):
-        from repro.numeric import sentinels
+        from repro.numeric import SentinelConfig
+        from repro.runconfig import configured
 
         def poison(rt):
             rt.modules["gm"].variables["x"].store[4] = np.nan
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             error, _, reasons, lifted = _both("double", poison)
         assert error[0] == "NumericIntegrityError" and "cell (5,)" in error[1]
         assert (reasons, lifted) == (["numeric sentinels are on"], 0)

@@ -31,11 +31,9 @@ from repro.numeric import (
     content_digest,
     get_policy,
     retry_call,
-    sentinel_config,
-    sentinels,
-    set_sentinel_config,
     ulp_distance,
 )
+from repro.runconfig import configured, current
 
 NAN = float("nan")
 INF = float("inf")
@@ -70,7 +68,7 @@ class TestSentinelConfig:
 
 class TestCheckValue:
     def test_noop_without_active_config(self):
-        assert sentinel_config() is None
+        assert current().sentinels is None
         check_value(NAN)                     # no raise: sentinels are off
 
     def test_scalar_trip_carries_location(self):
@@ -111,32 +109,28 @@ class TestCheckValue:
 
 class TestSentinelsContext:
     def test_install_and_restore(self):
-        assert sentinel_config() is None
-        with sentinels() as cfg:
-            assert sentinel_config() is cfg
+        assert current().sentinels is None
+        cfg = SentinelConfig()
+        with configured(sentinels=cfg):
+            assert current().sentinels is cfg
             with pytest.raises(NumericIntegrityError):
                 check_value(NAN)
-        assert sentinel_config() is None
+        assert current().sentinels is None
 
     def test_nesting_inner_wins(self):
         outer = SentinelConfig(nan=False)
         inner = SentinelConfig()
-        with sentinels(outer):
+        with configured(sentinels=outer):
             check_value(NAN)                 # outer config ignores NaN
-            with sentinels(inner):
+            with configured(sentinels=inner):
                 with pytest.raises(NumericIntegrityError):
                     check_value(NAN)
-            assert sentinel_config() is outer
-
-    def test_set_returns_previous(self):
-        cfg = SentinelConfig()
-        assert set_sentinel_config(cfg) is None
-        assert set_sentinel_config(None) is cfg
+            assert current().sentinels is outer
 
     def test_trip_records_decision_and_metric(self):
         from repro.observe import observed
 
-        with observed() as obs, sentinels():
+        with observed() as obs, configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError):
                 check_value(NAN, function="f", step_index=1, grid="g")
         events = obs.decisions.for_stage("numeric:nan")
@@ -168,7 +162,7 @@ class TestInterpreterSentinels:
 
         a = np.ones(5)
         a[3] = NAN
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as ei:
                 run_interpreted(self._program(), "scale", [5, a])
         e = ei.value
@@ -179,7 +173,7 @@ class TestInterpreterSentinels:
         from repro.glafexec import run_interpreted
 
         a = np.ones(5)
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             run_interpreted(self._program(), "scale", [5, a])
         assert np.all(a == 2.0)
 
@@ -200,7 +194,7 @@ class TestInterpreterSentinels:
         a = np.ones(4)
         a[2] = NAN
         b = np.zeros(4)
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as ei:
                 rt.call("copyvec", [4, a, b])
         e = ei.value

@@ -23,8 +23,6 @@ from repro.fortranlib.parser import parse_source
 from repro.glafexec import (
     ExecutionContext,
     GuardedRunner,
-    guard_mode,
-    guarded,
     guarded_python_run,
     run_interpreted,
 )
@@ -35,11 +33,10 @@ from repro.robust import (
     FaultPlan,
     FaultSpec,
     ResourceLimits,
-    fault_injection,
-    get_fault_plan,
     inject,
     wall_clock_guard,
 )
+from repro.runconfig import configured, current
 
 
 def _program():
@@ -105,22 +102,22 @@ class TestFaultSpec:
 
 class TestFaultPlan:
     def test_inject_is_noop_without_plan(self):
-        assert get_fault_plan() is None
+        assert current().faults is None
         assert inject("exec.interp.step", function="f") is None
 
     def test_unregistered_site_caught_under_active_plan(self):
-        with fault_injection(FaultPlan()):
+        with configured(faults=FaultPlan()):
             with pytest.raises(ValidationError, match="unregistered site"):
                 inject("typo.site")
 
     def test_plans_nest_and_uninstall(self):
         outer, inner = FaultPlan(), FaultPlan()
-        with fault_injection(outer):
-            assert get_fault_plan() is outer
-            with fault_injection(inner):
-                assert get_fault_plan() is inner
-            assert get_fault_plan() is outer
-        assert get_fault_plan() is None
+        with configured(faults=outer):
+            assert current().faults is outer
+            with configured(faults=inner):
+                assert current().faults is inner
+            assert current().faults is outer
+        assert current().faults is None
 
     def test_raise_kind_fires_once_by_default(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise")])
@@ -172,7 +169,7 @@ class TestFaultPlan:
 
     def test_fired_fault_lands_in_decision_log(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise")])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, configured(faults=plan):
             with pytest.raises(ExecutionError):
                 inject("exec.interp.step", function="f", step=3)
         entries = obs.decisions.for_stage("fault")
@@ -194,7 +191,7 @@ class TestGuardedRunner:
         plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
                                     "misparallelize",
                                     match={"function": "work"})])
-        with fault_injection(plan):
+        with configured(faults=plan):
             run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         assert plan.fired, "fault must actually fire"
         assert run.fell_back
@@ -206,7 +203,7 @@ class TestGuardedRunner:
     def test_probe_execution_error_demotes_and_recovers(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with fault_injection(plan):
+        with configured(faults=plan):
             run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         assert run.fell_back and ("work", 0) in run.demoted
         assert "ExecutionError" in run.events[0].reason
@@ -215,7 +212,7 @@ class TestGuardedRunner:
     def test_demotion_recorded_in_decision_log_and_metrics(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, configured(faults=plan):
             GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         guard = obs.decisions.for_stage("guard")
         assert len(guard) == 1 and guard[0].verdict == "serial-fallback"
@@ -225,7 +222,7 @@ class TestGuardedRunner:
         program = _program()
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with fault_injection(plan):
+        with configured(faults=plan):
             run = GuardedRunner(program).run("work", [N], sizes={"n": N})
         demoted = run.demoted_plan()
         for key in run.demoted:
@@ -239,13 +236,13 @@ class TestGuardedRunner:
             runner.run("work", [N], sizes={"n": N})
 
     def test_guard_mode_context_manager(self):
-        assert not guard_mode()
-        with guarded():
-            assert guard_mode()
-            with guarded(enabled=False):
-                assert not guard_mode()
-            assert guard_mode()
-        assert not guard_mode()
+        assert not current().guarded
+        with configured(guarded=True):
+            assert current().guarded
+            with configured(guarded=False):
+                assert not current().guarded
+            assert current().guarded
+        assert not current().guarded
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +257,7 @@ class TestGuardedPythonRun:
 
     def test_perturbed_module_falls_back_to_interpreter(self):
         plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with fault_injection(plan):
+        with configured(faults=plan):
             res = guarded_python_run(_program(), "work", [N], sizes={"n": N},
                                      compare=["v"])
         assert plan.fired
@@ -269,7 +266,7 @@ class TestGuardedPythonRun:
 
     def test_fallback_recorded_in_decision_log(self):
         plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, configured(faults=plan):
             guarded_python_run(_program(), "work", [N], sizes={"n": N},
                                compare=["v"])
         guard = obs.decisions.for_stage("guard")
@@ -331,7 +328,7 @@ class TestWatchdog:
     def test_interpreter_wall_clock_with_injected_stall(self):
         plan = FaultPlan([FaultSpec("exec.interp.iter", "delay",
                                     param=0.2, max_fires=10)])
-        with fault_injection(plan):
+        with configured(faults=plan):
             with pytest.raises(ResourceLimitError, match="wall-clock"):
                 run_interpreted(_program(), "work", [N], sizes={"n": N},
                                 limits=ResourceLimits(max_wall_seconds=0.02))

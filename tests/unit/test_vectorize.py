@@ -25,14 +25,13 @@ from repro.glafexec import (
     LiftedStep,
     VectorizedInterpreter,
     compile_step,
-    executor_mode,
     get_executor,
     guarded_vectorized_run,
     liftability_report,
-    set_executor_mode,
-    using_executor,
 )
-from repro.glafexec.executor import _initial_mode
+from repro.numeric import SentinelConfig
+from repro.robust import FaultPlan
+from repro.runconfig import RunConfig, configured, current
 
 
 def _step(program, fn_name, idx=0):
@@ -257,37 +256,45 @@ class TestExecutorSelection:
         with pytest.raises(ExecutionError, match="unknown executor"):
             get_executor("turbo")
         with pytest.raises(ExecutionError, match="unknown executor"):
-            set_executor_mode("turbo")
+            with configured(executor="turbo"):
+                pass
 
-    def test_mode_trio_and_restore(self):
-        # The initial mode depends on REPRO_EXECUTOR (the CI vectorized
+    def test_configured_executor_and_restore(self):
+        # The initial executor depends on REPRO_EXECUTOR (the CI vectorized
         # leg sets it), so assert the transitions, not the starting point.
-        initial = executor_mode()
+        initial = current().executor
         assert initial in EXECUTOR_NAMES
         target = "vectorized" if initial != "vectorized" else "interpreter"
-        prev = set_executor_mode(target)
-        assert prev == initial
-        try:
-            assert executor_mode() == target
-            with using_executor("guarded"):
-                assert executor_mode() == "guarded"
-            assert executor_mode() == target
-        finally:
-            set_executor_mode(prev)
-        assert executor_mode() == initial
+        with configured(executor=target) as config:
+            assert current() is config and config.executor == target
+            with configured(executor="guarded"):
+                assert current().executor == "guarded"
+            assert current().executor == target
+        assert current().executor == initial
 
     def test_env_var_sets_initial_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "vectorized")
-        assert _initial_mode() == "vectorized"
+        assert RunConfig.from_env().executor == "vectorized"
         monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        assert _initial_mode() == "interpreter"
+        with pytest.raises(ExecutionError,
+                           match=r"'bogus'.*'interpreter', 'vectorized'"):
+            RunConfig.from_env()
         monkeypatch.delenv("REPRO_EXECUTOR")
-        assert _initial_mode() == "interpreter"
+        assert RunConfig.from_env() == RunConfig()
+
+    def test_misspelled_env_fails_on_every_use(self, monkeypatch):
+        import repro.runconfig as rc
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "vectorised")
+        monkeypatch.setattr(rc, "_env_applied", False)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="'vectorised'"):
+                get_executor()
 
     def test_get_executor_defaults_to_mode(self):
         from repro.glafexec.executor import VectorizedExecutor
 
-        with using_executor("vectorized"):
+        with configured(executor="vectorized"):
             assert isinstance(get_executor(), VectorizedExecutor)
 
 
@@ -352,8 +359,6 @@ class TestFortranSemantics:
         assert np.array_equal(written[0], written[1])
 
     def test_sentinel_trip_raises_through_lifted_step(self):
-        from repro.numeric import sentinels
-
         def body(f):
             s = f.step("pw")
             s.foreach(i=(1, "n"))
@@ -362,7 +367,7 @@ class TestFortranSemantics:
         p = _build(body)
         x = np.ones(4)
         x[2] = np.nan
-        with sentinels():
+        with configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as exc:
                 get_executor("vectorized").run(p, "f", [4, x, np.zeros(4)],
                                                sizes={"n": 4})
@@ -392,8 +397,6 @@ class TestFortranSemantics:
 
     @pytest.mark.parametrize("case", sorted(SENTINEL_CASES))
     def test_sentinel_trip_reports_the_interpreters_cell(self, case):
-        from repro.numeric import sentinels
-
         x_dims, z_dims, build, nans, want = self.SENTINEL_CASES[case]
         b = GlafBuilder("c")
         f = b.module("M").function("f", return_type=T_VOID)
@@ -408,7 +411,7 @@ class TestFortranSemantics:
             for cell in nans:
                 x[tuple(k - 1 for k in cell)] = np.nan
             interp = cls(p, ExecutionContext(p, sizes={"n": 5}))
-            with sentinels():
+            with configured(sentinels=SentinelConfig()):
                 with pytest.raises(NumericIntegrityError) as exc:
                     interp.call("f", [5, x, np.zeros((5,) * len(z_dims))])
             got[cls] = (exc.value.cell, str(exc.value))
@@ -475,7 +478,6 @@ class TestFallback:
 
     def test_faults_active_disables_lifting(self):
         from repro import observe
-        from repro.robust import FaultPlan, fault_injection
 
         def body(f):
             s = f.step("pw")
@@ -485,7 +487,7 @@ class TestFallback:
         p = _build(body)
         y = np.zeros(3)
         with observe.observed() as obs:
-            with fault_injection(FaultPlan([], seed=0)):
+            with configured(faults=FaultPlan([], seed=0)):
                 get_executor("vectorized").run(p, "f", [3, np.ones(3), y],
                                                sizes={"n": 3})
         assert np.array_equal(y, [2.0, 2.0, 2.0])
