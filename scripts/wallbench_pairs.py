@@ -12,7 +12,10 @@ kept in ``--out`` (a new temporary directory by default).
 
 At the end the script prints ``python -m wallbench compare BASE HEAD``
 and, per end-to-end metric of ``BENCHMARK.json``, both sides' median and
-quartiles and in how many pairs HEAD was better.
+quartiles, in how many pairs HEAD was better, and the gain verdict: HEAD
+gains on a metric when it wins at least nine in ten pairs (ties count for
+neither side) and its median is better than BASE's by more than BASE's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -64,10 +67,26 @@ def _by_seed(doc: dict, workload: str) -> dict[int, dict[str, float]]:
             if run["workload"] == workload and not run["trace"]}
 
 
+#: A gain needs HEAD to win at least this share of the pairs.
+GAIN_WIN_SHARE = 0.9
+
+
+def gain(row: dict, lower: bool) -> bool:
+    """Did HEAD gain on ``row``'s metric?  It must win at least
+    :data:`GAIN_WIN_SHARE` of the pairs, and its median must be better
+    than BASE's by more than BASE's interquartile range."""
+    (q1, base_med, q3), head_med = row["base"], row["head"][1]
+    better = base_med - head_med if lower else head_med - base_med
+    return (row["pairs"] > 0
+            and row["won"] >= GAIN_WIN_SHARE * row["pairs"]
+            and better > q3 - q1)
+
+
 def pair_rows(base: dict, head: dict, bench: dict, workload: str
               ) -> list[dict]:
-    """Per end-to-end metric: each side's quartiles over its runs, and
-    how many of the pairs (runs sharing a seed) HEAD won."""
+    """Per end-to-end metric: each side's quartiles over its runs, how
+    many of the pairs (runs sharing a seed) HEAD won, and whether that
+    is a gain (:func:`gain`)."""
     a, b = _by_seed(base, workload), _by_seed(head, workload)
     seeds = sorted(set(a) & set(b))
     rows = []
@@ -79,20 +98,24 @@ def pair_rows(base: dict, head: dict, bench: dict, workload: str
         xs = [a[s][name] for s in seeds]
         ys = [b[s][name] for s in seeds]
         won = sum((y < x) if lower else (y > x) for x, y in zip(xs, ys))
-        rows.append({"metric": name, "unit": m["unit"],
-                     "base": _quartiles(xs), "head": _quartiles(ys),
-                     "won": won, "pairs": len(seeds)})
+        row = {"metric": name, "unit": m["unit"],
+               "base": _quartiles(xs), "head": _quartiles(ys),
+               "won": won, "pairs": len(seeds)}
+        row["gain"] = gain(row, lower)
+        rows.append(row)
     return rows
 
 
 def render(rows: list[dict]) -> str:
     lines = [f"{'metric':14s} {'base q1':>9s} {'median':>9s} {'q3':>9s}"
-             f"   {'head q1':>9s} {'median':>9s} {'q3':>9s}  head won"]
+             f"   {'head q1':>9s} {'median':>9s} {'q3':>9s}  head won"
+             "  gain"]
     for r in rows:
         (a1, am, a3), (b1, bm, b3) = r["base"], r["head"]
+        won = f"{r['won']}/{r['pairs']}"
         lines.append(f"{r['metric']:14s} {a1:9.4g} {am:9.4g} {a3:9.4g}   "
-                     f"{b1:9.4g} {bm:9.4g} {b3:9.4g}  "
-                     f"{r['won']}/{r['pairs']}")
+                     f"{b1:9.4g} {bm:9.4g} {b3:9.4g}  {won:>8s}  "
+                     f"{'yes' if r['gain'] else 'no'}")
     return "\n".join(lines)
 
 

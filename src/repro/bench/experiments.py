@@ -35,6 +35,7 @@ __all__ = ["EXPERIMENTS", "get_experiment", "run_table1", "run_table2",
            "run_figure5", "run_figure6", "run_figure7",
            "run_sarb_correctness", "run_fun3d_correctness",
            "run_executor_speedup", "EXECUTOR_SPEEDUP_GATE",
+           "FUN3D_EXECUTOR_SPEEDUP_GATE",
            "run_warm_cache", "WARM_CACHE_HIT_GATE",
            "WARM_CACHE_SPEEDUP_GATE"]
 
@@ -185,6 +186,9 @@ def run_fun3d_correctness() -> ExperimentResult:
 #: ~23-38x against the step-compiling interpreter, so this gate survives
 #: noisy CI hosts.
 EXECUTOR_SPEEDUP_GATE = 10.0
+#: ... and on FUN3D, where the cell sweep lifts through inlined calls,
+#: by at least this factor (measured warm headroom is several times it).
+FUN3D_EXECUTOR_SPEEDUP_GATE = 3.0
 
 
 def _warm_times(run) -> tuple[float, Any, float, Any]:
@@ -210,19 +214,22 @@ def _warm_times(run) -> tuple[float, Any, float, Any]:
 def run_executor_speedup() -> ExperimentResult:
     """Measured interpreter-vs-vectorized wall time (docs/EXECUTORS.md).
 
-    Both case studies run under both executors with identical inputs;
-    outputs must agree at the case study's own tolerance, and the scaled
-    SARB workload must clear :data:`EXECUTOR_SPEEDUP_GATE`.  FUN3D is
-    reported but not speed-gated: its hot loop calls a subprogram per
-    cell, which the vectorizer correctly demotes to the interpreter
-    (``executor:fallback``), so only the pointwise steps are lifted.
+    Both case studies run under both executors with identical inputs.
+    SARB's outputs must agree at the case study's own tolerance and the
+    scaled SARB workload must clear :data:`EXECUTOR_SPEEDUP_GATE`.
+    FUN3D's Jacobian must be bit-for-bit the interpreter's and clear
+    :data:`FUN3D_EXECUTOR_SPEEDUP_GATE`: its cell sweep calls four
+    subprograms per cell, which the vectorizer inlines into whole-mesh
+    array operations.
 
     Each executor is timed as the median of three calls after one untimed
     warm-up call of every executor, so set-up a process pays once (lazy
     imports such as the dataflow engine behind lift analysis) lands on
     neither side.
     """
-    from ..fun3d import make_mesh, rms_check
+    import numpy as np
+
+    from ..fun3d import make_mesh
     from ..fun3d import run_ir_interpreter as fun3d_run
     from ..sarb import make_inputs
     from ..sarb import run_ir_interpreter as sarb_run
@@ -244,13 +251,14 @@ def run_executor_speedup() -> ExperimentResult:
                  "PASS" if agree and speedup >= EXECUTOR_SPEEDUP_GATE
                  else "FAIL"])
 
-    # FUN3D: correctness-gated only (see docstring).
     mesh = make_mesh(27)
     t_interp, jac_ref, t_vec, jac_vec = _warm_times(
         lambda how: fun3d_run(mesh, executor=how))
+    speedup = t_interp / t_vec
     rows.append(["FUN3D mesh 27", round(t_interp, 2), round(t_vec, 2),
-                 round(t_interp / t_vec, 1),
-                 "PASS" if rms_check(jac_vec, jac_ref) else "FAIL"])
+                 round(speedup, 1),
+                 "PASS" if np.array_equal(jac_vec, jac_ref)
+                 and speedup >= FUN3D_EXECUTOR_SPEEDUP_GATE else "FAIL"])
 
     return ExperimentResult(
         experiment_id="X1",
@@ -260,10 +268,11 @@ def run_executor_speedup() -> ExperimentResult:
                  "verdict"],
         rows=rows,
         notes=(f"gate: SARB speedup >= {EXECUTOR_SPEEDUP_GATE:g}x with "
-               "outputs agreeing at each case study's tolerance; FUN3D is "
-               "correctness-gated only (per-cell subprogram call demotes "
-               "its hot loop to the interpreter); times are the median of "
-               "three calls after one warm-up call of each executor."),
+               "outputs agreeing at the case study's tolerance; FUN3D "
+               f"speedup >= {FUN3D_EXECUTOR_SPEEDUP_GATE:g}x with a "
+               "bit-for-bit equal Jacobian (its per-cell calls are "
+               "inlined into the lifted cell sweep); times are the median "
+               "of three calls after one warm-up call of each executor."),
     )
 
 

@@ -22,7 +22,10 @@ Lowering rules:
   only where the name resolves to no variable, special form or
   subprogram first (the scalar path's order);
 * ``/`` lowers only when an operand is provably REAL: the runtime divides
-  integers exactly, the engine does not above 2**53.
+  integers exactly, the engine does not above 2**53;
+* the engine's per-iteration scalar temporaries and indirect
+  accumulators (``acc(idx(i)) = acc(idx(i)) + t``) do not lower: a nest
+  that needs either stays on its scalar closure.
 
 Contract: a lifted nest leaves every array, scalar, DO variable,
 ``omp_log`` entry and ``allocation_count`` byte-identical to the scalar
@@ -50,7 +53,12 @@ from ..core.expr import BinOp, Const, Expr, GridRef, IndexVar, LibCall, UnOp
 from ..core.libfuncs import REGISTRY
 from ..core.step import Assign, IfStmt, Range, Step, Stmt
 from ..errors import ValidationError
-from ..glafexec.vectorize import LiftFailure, compile_lifted, compile_step
+from ..glafexec.vectorize import (
+    LiftedSweep,
+    LiftFailure,
+    compile_lifted,
+    compile_step,
+)
 from ..observe import get_decisions, get_metrics
 from .ast import (
     FAssign,
@@ -142,6 +150,14 @@ class _Lowering:
         lifted = compile_step(step)
         if isinstance(lifted, LiftFailure):
             raise _NoLower(lifted.reason)
+        if isinstance(lifted, LiftedSweep):
+            raise _NoLower(
+                "scalar temporary "
+                + ", ".join(repr(g) for g in lifted.split.expanded)
+                + " needs a copy per iteration")
+        for a in lifted.assigns:
+            if a.kind == "scatter":
+                raise _NoLower(f"indirect accumulator {a.target.grid!r}")
         program = compile_lifted(lifted, strict=True)
         written = set(program.written)
         getters, bases = [], []

@@ -33,7 +33,7 @@ STEP_KINDS = (
     "triangular",           # j-bound depends on i              (fallback)
     "early-exit",           # EXIT inside the nest              (fallback)
     "early-return",         # RETURN inside the nest            (fallback)
-    "call-helper",          # y(i) = helper(x(i))               (fallback)
+    "call-helper",          # y(i) = helper(x(i))               (inlined)
 )
 
 #: Storage/structure kinds a generated codebase may mix in: where grids

@@ -99,8 +99,8 @@ class ExecStats:
         key = (fn, step_idx)
         self.loop_iterations[key] = self.loop_iterations.get(key, 0) + n
 
-    def note_call(self, fn: str) -> None:
-        self.calls[fn] = self.calls.get(fn, 0) + 1
+    def note_call(self, fn: str, n: int = 1) -> None:
+        self.calls[fn] = self.calls.get(fn, 0) + n
 
 
 class _Grids(dict):

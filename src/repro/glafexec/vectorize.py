@@ -14,8 +14,14 @@ pass, restricted to the patterns GLAF steps actually produce:
   ``acc = MIN/MAX(acc, term)``) fold their terms into the accumulator in
   loop order;
 * **conditionals** (``IfStmt`` bodies and step conditions) become boolean
-  masks applied with ``np.where`` (pointwise) or reduction identities
-  (masked reductions).
+  masks.  A masked write's value, and a masked reduction's term, is
+  evaluated on the active lanes only, and ``.AND.``/``.OR.`` evaluate
+  their right operand only where the left one does not decide, as the
+  scalar loop does: a gather is bounds-checked, and a floating-point
+  condition raised, only where the scalar loop would evaluate it;
+* **indirect accumulators** (``acc(idx(i)) = acc(idx(i)) + t``) fold
+  with ``np.add.at``, which applies duplicate indices in index order,
+  so the updates land in loop order.
 
 It is one engine with two front ends.  :func:`compile_step` decides
 legality on the IR :class:`~repro.core.step.Step` form and
@@ -28,14 +34,21 @@ strided views, reductions fold with ``np.add.accumulate`` (or the
 ``minimum``/``maximum`` ufunc) in nest order, and every update of one
 accumulator interleaves in statement order.
 
-Everything else — loop-carried dependences, indirect/scatter writes,
-subroutine calls or early exits in the body, triangular bounds — is *not*
-lifted: the step runs on its front end's scalar path, and the demotion is
-recorded as an ``executor:fallback`` decision, so a lifted run is never
-wrong, only selectively slower.  A lift that fails at run time
-(out-of-bounds gather, zero integer divisor, integer overflow) raises
-:class:`ExecutionError`; the front end restores what it wrote and runs
-the scalar path.
+Given the program, :func:`compile_step` also lifts a loop step whose body
+calls leaf subprograms (FUN3D's cell sweep) or keeps a per-iteration
+scalar temporary: :mod:`repro.glafexec.inline` inlines the callees and
+splits the body into nests with per-iteration scratch, and the result is
+a :class:`LiftedSweep` that the IR executor runs nest by nest under one
+rollback snapshot.
+
+Everything else — loop-carried dependences, plain indirect stores,
+calls the inliner refuses, early exits in the body, triangular bounds —
+is *not* lifted: the step runs on its front end's scalar path, and the
+demotion is recorded as an ``executor:fallback`` decision, so a lifted
+run is never wrong, only selectively slower.  A lift that fails at run
+time (out-of-bounds gather, zero integer divisor, integer overflow)
+raises :class:`ExecutionError`; the front end restores what it wrote and
+runs the scalar path.
 
 Sequencing statements as whole-grid operations is loop distribution; it is
 legal here because :func:`compile_step` only accepts steps in which every
@@ -68,7 +81,7 @@ from ..core.expr import (
     walk,
 )
 from ..core.libfuncs import get as get_libfunc
-from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step
+from ..core.step import Step
 from ..errors import (
     CodegenError,
     ExecutionError,
@@ -76,12 +89,23 @@ from ..errors import (
     ResourceLimitError,
 )
 from ..numeric import sentinel as _sentinel
+from .context import as_storage
+from .inline import (
+    Cast,
+    Inlined,
+    Search,
+    Split,
+    Unliftable,
+    flatten,
+    search_vars,
+    split_step,
+)
 from .interp import Interpreter
 
 __all__ = [
     "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
-    "VectorizedInterpreter", "compile_lifted", "compile_step",
-    "liftability_report",
+    "LiftedSweep", "VectorizedInterpreter", "compile_lifted",
+    "compile_step", "liftability_report",
 ]
 
 
@@ -100,7 +124,7 @@ class _ArrayAssign:
     """One flattened, classified assignment of a lifted step."""
 
     target: GridRef
-    kind: str              # "pointwise" | "reduce"
+    kind: str              # "pointwise" | "reduce" | "scatter"
     op: str                # "" (pointwise) | "+" | "min" | "max"
     expr: Expr             # full RHS (pointwise) or the reduction term
     mask: Expr | None      # conjunction of enclosing IfStmt conditions
@@ -121,11 +145,26 @@ class LiftedStep:
     from inputs the failed lift never touched, so a torn partial write
     heals itself and the rollback snapshot is dead weight.  The proof
     runs on first access, so a front end that never asks pays nothing.
+
+    ``keep`` pairs an expanded scalar temporary with the grid that holds
+    its last lane's value after the nest; ``inlined`` names the functions
+    inlined into the step, ``depth`` their deepest nesting.
     """
 
     assigns: tuple[_ArrayAssign, ...]
     written: tuple[str, ...]
     step: Step = field(repr=False, compare=False, hash=False)
+    keep: tuple[tuple[str, str], ...] = ()
+    inlined: tuple[str, ...] = ()
+    depth: int = 0
+
+    @property
+    def extended(self) -> bool:
+        """Does the step use a form the scalar path's fault and sentinel
+        hooks cannot see through (an inlined call, a scratch copy, an
+        indirect accumulator)?"""
+        return bool(self.inlined or self.keep) or any(
+            a.kind == "scatter" for a in self.assigns)
 
     @cached_property
     def snapshot_free(self) -> tuple[str, ...]:
@@ -138,37 +177,36 @@ class LiftedStep:
                 "masked" if a.mask is not None else a.kind)
         return tuple(sorted(
             g for g in self.written
-            if kinds[g] == {"pointwise"}
+            if kinds.get(g) == {"pointwise"}
             and self.step.condition is None
             and g not in live_in))
 
 
-class _Unliftable(Exception):
-    pass
+@dataclass(frozen=True)
+class LiftedSweep:
+    """A loop step lifted as split nests (:mod:`repro.glafexec.inline`):
+    its leaf calls inlined, its per-iteration scratch expanded.
 
+    ``written`` names the storage outside the scratch that the nests and
+    the final keeps write; the front end snapshots it before the first
+    nest.
+    """
 
-def _conj(mask: Expr | None, cond: Expr) -> Expr:
-    return cond if mask is None else BinOp("and", mask, cond)
+    nests: tuple[LiftedStep, ...]
+    split: Split = field(repr=False)
+    written: tuple[str, ...]
+    step: Step = field(repr=False, compare=False, hash=False)
 
+    extended = True
+    snapshot_free = ()
 
-def _flatten(stmts, mask: Expr | None) -> list[tuple[Assign, Expr | None]]:
-    """Flatten a loop body into (assignment, guard-mask) pairs."""
-    out: list[tuple[Assign, Expr | None]] = []
-    for s in stmts:
-        if isinstance(s, Assign):
-            out.append((s, mask))
-        elif isinstance(s, IfStmt):
-            out.extend(_flatten(s.then, _conj(mask, s.cond)))
-            out.extend(_flatten(s.orelse, _conj(mask, UnOp("not", s.cond))))
-        elif isinstance(s, CallStmt):
-            raise _Unliftable(f"subroutine call {s.name!r} inside the loop body")
-        elif isinstance(s, Return):
-            raise _Unliftable("early return inside the loop body")
-        elif isinstance(s, ExitLoop):
-            raise _Unliftable("early loop exit (EXIT) inside the loop body")
-        else:
-            raise _Unliftable(f"unsupported statement {type(s).__name__}")
-    return out
+    @property
+    def inlined(self) -> tuple[str, ...]:
+        return self.split.inlined
+
+    @property
+    def depth(self) -> int:
+        return self.split.depth
 
 
 def _match_reduction(target: GridRef,
@@ -193,11 +231,68 @@ def _match_reduction(target: GridRef,
     return None
 
 
-def compile_step(step: Step) -> LiftedStep | LiftFailure:
-    """Analyze one loop step; return the lifted step or the lift failure."""
+def compile_step(step: Step, program=None, fn=None, *,
+                 save_inner_arrays: bool = False
+                 ) -> LiftedStep | LiftedSweep | LiftFailure:
+    """Analyze one loop step; return the lifted step or the lift failure.
+
+    These are the lift rules, in one place:
+
+    * a body of assignments and IFs is one nest (:func:`_lift_nest`);
+    * given ``program`` and ``fn`` (the function holding ``step``), calls
+      inline and the body splits into nests with per-iteration scratch
+      (:func:`~repro.glafexec.inline.split_step`, whose docstring states
+      the rules for callees, arguments and scratch); each split nest must
+      then pass the one-nest rules;
+    * without them, a scalar temporary (written before it is read in
+      every iteration) still expands, into a :class:`LiftedSweep` of one
+      nest.
+
+    ``save_inner_arrays`` is the interpreter's setting: it makes a
+    callee's allocatable locals SAVE'd.
+    """
     if not step.is_loop:
         return LiftFailure("not a loop step")
+    direct = None
+    if not step.called_functions():
+        direct = _lift_nest(step)
+        if isinstance(direct, LiftedStep):
+            return direct
+    elif program is None or fn is None:
+        return _lift_nest(step)
+    try:
+        split = split_step(step, program, fn,
+                           save_inner_arrays=save_inner_arrays)
+    except Unliftable as u:
+        return direct or LiftFailure(str(u))
+    nests = []
+    for nest in split.nests:
+        lifted = _lift_nest(nest.step, keep=nest.keep)
+        if isinstance(lifted, LiftFailure):
+            if direct is not None:
+                return direct
+            if len(split.nests) == 1:
+                return lifted
+            return LiftFailure(f"split nest {nest.step.name!r}: "
+                               f"{lifted.reason}")
+        nests.append(lifted)
+    if len(nests) == 1 and not split.scratch and not split.notes:
+        one = nests[0]
+        return LiftedStep(one.assigns, one.written, one.step,
+                          inlined=split.inlined, depth=split.depth)
+    scratch = {s.name for s in split.scratch}
+    written = {g for n in nests for g in n.written if g not in scratch}
+    written |= {s.target[1] for s in split.scratch
+                if s.target is not None and s.target[0] == "grid"}
+    return LiftedSweep(tuple(nests), split, tuple(sorted(written)), step)
+
+
+def _lift_nest(step: Step, keep: tuple = ()) -> LiftedStep | LiftFailure:
+    """The one-nest rules: classify every assignment of a loop step whose
+    body holds only assignments and IFs."""
     free = step.free_index_vars()
+    if free:
+        free -= {v for e in step.all_exprs() for v in search_vars(e)}
     if free:
         return LiftFailure(f"unbound index variable(s) {sorted(free)}")
     for e in step.all_exprs():
@@ -212,8 +307,8 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                     f"loop bounds of {r.var!r} depend on another loop index "
                     "(triangular iteration space)")
     try:
-        flat = _flatten(step.stmts, None)
-    except _Unliftable as u:
+        flat = flatten(step.stmts)
+    except Unliftable as u:
         return LiftFailure(str(u))
     if not flat:
         return LiftFailure("empty loop body")
@@ -228,6 +323,7 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
     for s, mask in flat:
         tgt = s.target
         tvars: list[str] = []
+        indirect = False
         for ie in tgt.indices:
             if isinstance(ie, IndexVar) and ie.name in all_vars:
                 if ie.name in tvars:
@@ -235,16 +331,27 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                         f"index variable {ie.name!r} used twice in the write "
                         f"target {tgt.grid!r}")
                 tvars.append(ie.name)
-            elif not index_vars_used(ie):
-                # Loop-invariant subscript (a constant, or an expression
-                # over grids the step does not write: checked below).
-                invariant.append((tgt.grid, ie))
             else:
+                # Loop-invariant (a constant, or an expression over grids
+                # the step does not write: checked below) or gathered.
+                invariant.append((tgt.grid, ie))
+                indirect |= bool(index_vars_used(ie))
+        acc_first, negate = True, False
+        if indirect:
+            # An indirect accumulator folds with np.add.at in loop order;
+            # any other indirect store has no defined winner.
+            m = _match_reduction(tgt, s.expr)
+            if m is None or m[0] != "+":
                 return LiftFailure(
                     f"indirect or non-identity write index on grid "
                     f"{tgt.grid!r}")
-        acc_first, negate = True, False
-        if set(tvars) == all_vars:
+            op, expr, acc_first, negate = m
+            if tgt.grid in grids_read(expr):
+                return LiftFailure(
+                    f"reduction term reads its accumulator {tgt.grid!r}")
+            kind = "scatter"
+            write_op[tgt.grid] = op
+        elif set(tvars) == all_vars:
             kind, op, expr = "pointwise", "", s.expr
         else:
             m = _match_reduction(tgt, s.expr)
@@ -284,7 +391,8 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
         if grids_read(ie) & written:
             return LiftFailure(
                 f"indirect or non-identity write index on grid {grid!r}")
-    reduce_grids = {g for g, k in write_kind.items() if k == "reduce"}
+    reduce_grids = {g for g, k in write_kind.items()
+                    if k in ("reduce", "scatter")}
     # Reads of written grids: pointwise-written grids may only be read with
     # exactly the write's index pattern (iteration-local dependence);
     # reduction accumulators may not be read at all outside their update.
@@ -316,8 +424,13 @@ def compile_step(step: Step) -> LiftedStep | LiftFailure:
                 return LiftFailure(
                     f"loop bounds read grid(s) {sorted(overlap)} written in "
                     "the step")
+    for scratch, grid in keep:
+        if write_kind.get(scratch) != "pointwise":
+            return LiftFailure(f"scalar temporary {grid!r} is not written "
+                               "on every lane")
+        written.add(grid)
     return LiftedStep(assigns=tuple(assigns), written=tuple(sorted(written)),
-                      step=step)
+                      step=step, keep=keep)
 
 
 def liftability_report(program) -> dict[tuple[str, int], str]:
@@ -332,7 +445,7 @@ def liftability_report(program) -> dict[tuple[str, int], str]:
         for idx, step in enumerate(fn.steps):
             if not step.is_loop:
                 continue
-            plan = compile_step(step)
+            plan = compile_step(step, program, fn)
             out[(fn.name, idx)] = (
                 plan.reason if isinstance(plan, LiftFailure) else "")
     return out
@@ -466,17 +579,136 @@ class _Run:
     ``LiftProgram.names`` order), the views ``V`` and written regions ``R``
     prepared before any write, the nest axes' index arrays ``ax``, the
     per-run mask memo ``M``, the deferred reduction terms ``T``, and the
-    caller's ``frame`` and ``undo`` list."""
+    caller's ``frame`` and ``undo`` list.
 
-    __slots__ = ("S", "V", "R", "ax", "M", "T", "geom", "frame", "undo")
+    A *lane-restricted* run (:func:`_restrict`) evaluates expressions on
+    some lanes of the nest only: ``sel`` holds their positions along each
+    nest axis, in nest order, every value is 1-D over them, and ``ax``
+    may carry the per-lane values of search variables after the nest
+    axes.  ``sel`` is ``None`` for the full nest."""
+
+    __slots__ = ("S", "V", "R", "ax", "M", "T", "geom", "frame", "undo",
+                 "sel")
 
     def __init__(self, S: list, frame: Any = None, undo: list | None = None):
         self.S = S
         self.frame = frame
         self.undo = undo
+        self.sel = None
 
 
 _Eval = Callable[[_Run], Any]
+
+
+class _Lanes:
+    """The geometry of a lane-restricted run: ``shape`` is ``(lanes,)``,
+    ``base`` the full nest's :class:`_Geometry`."""
+
+    __slots__ = ("base", "shape")
+
+    def __init__(self, base: "_Geometry", n: int) -> None:
+        self.base = base
+        self.shape = (n,)
+
+
+class _Views:
+    """A restricted run's views: the full nest's views, gathered at its
+    lanes on first use."""
+
+    __slots__ = ("full", "sel", "memo")
+
+    def __init__(self, full: list, sel: tuple) -> None:
+        self.full = full
+        self.sel = sel
+        self.memo: dict[int, Any] = {}
+
+    def __getitem__(self, m: int) -> Any:
+        v = self.memo.get(m)
+        if v is None:
+            view = self.full[m]
+            v = self.memo[m] = view[tuple(
+                s if n != 1 else 0 for s, n in zip(self.sel, view.shape))]
+        return v
+
+
+def _restrict(r: _Run, m: Any) -> tuple[_Run, Any]:
+    """The lanes of ``r`` where ``m`` holds, as a run of their own, and
+    their positions among ``r``'s lanes (per nest axis for a full run)."""
+    if r.sel is not None:
+        where = np.flatnonzero(np.broadcast_to(m, r.geom.shape))
+        return _take(r, where), where
+    base = r.geom
+    where = np.nonzero(np.broadcast_to(m, base.shape))
+    sub = _Run(r.S, r.frame, r.undo)
+    sub.sel = where
+    sub.ax = tuple(start + w * stride
+                   for (start, stride, _), w in zip(base.ranges, where))
+    sub.V = _Views(r.V, where)
+    sub.geom = _Lanes(base, len(where[0]))
+    sub.M = [None] * len(r.M)
+    return sub, where
+
+
+def _take(r: _Run, where: np.ndarray) -> _Run:
+    """The restricted run over the lanes ``where`` of restricted run
+    ``r``."""
+    sub = _Run(r.S, r.frame, r.undo)
+    sub.sel = tuple(a[where] for a in r.sel)
+    sub.ax = tuple(a[where] for a in r.ax)
+    sub.V = _Views(r.V.full, sub.sel)
+    sub.geom = _Lanes(r.geom.base, len(where))
+    sub.M = [None] * len(r.M)
+    return sub
+
+
+def _lanes(r: _Run) -> int:
+    return _prod(r.geom.shape)
+
+
+def _on_lanes(value: _Eval, mask: _Eval | None, r: _Run) -> tuple:
+    """``(value, mask)`` of a masked update, the value evaluated on the
+    active lanes only and spread over the nest (masked-out lanes hold
+    zeros); ``mask`` is ``None`` when every lane is active."""
+    if mask is None:
+        return value(r), None
+    m = mask(r)
+    if type(m) is not np.ndarray:
+        return (value(r), None) if m else (0, False)
+    if m.all():
+        return value(r), None
+    if not m.any():
+        return 0, False
+    sub, where = _restrict(r, m)
+    v = value(sub)
+    if type(v) is np.ndarray and v.ndim:
+        full = np.zeros(r.geom.shape, v.dtype)
+        full[where] = v
+        v = full
+    return v, m
+
+
+def _logic(is_and: bool, left: _Eval, right: _Eval) -> _Eval:
+    """``.AND.``/``.OR.``: the right operand is evaluated only on the
+    lanes the left one does not decide, as the scalar loop does."""
+    combine = np.logical_and if is_and else np.logical_or
+
+    def logic(r: _Run) -> Any:
+        lv = left(r)
+        if type(lv) is not np.ndarray or not lv.ndim:
+            if bool(lv) is not is_and:
+                return np.bool_(not is_and)
+            return combine(is_and, right(r))
+        lv = lv.astype(bool, copy=False)
+        need = lv if is_and else ~lv
+        if need.all():
+            return combine(lv, right(r))
+        if not need.any():
+            return lv
+        sub, where = _restrict(r, need)
+        out = np.array(np.broadcast_to(lv, r.geom.shape))
+        out[where] = right(sub)
+        return out
+    return logic
 
 
 def _prod(shape: tuple) -> int:
@@ -529,6 +761,20 @@ def _cast(value: Any, dtype: np.dtype, strict: bool) -> Any:
         return np.asarray(value).astype(dtype)
     with np.errstate(all="raise"):
         return np.asarray(value).astype(dtype)
+
+
+def _cast_to(dtype: np.dtype) -> Callable[[Any], Any]:
+    """A value converted as a scalar binding of that dtype converts it."""
+    def cast(v: Any) -> Any:
+        if type(v) is np.ndarray:
+            return v if v.dtype == dtype else v.astype(dtype)
+        return dtype.type(v)
+    return cast
+
+
+def _bound_array(v: Any, n: int) -> np.ndarray:
+    """Per-lane loop bounds, as ``int()`` takes them on the scalar path."""
+    return np.broadcast_to(np.asarray(v).astype(np.int64), (n,))
 
 
 def _out_of_bounds(k: int, d: int, grid: str, n: int) -> ExecutionError:
@@ -631,7 +877,8 @@ class LiftProgram:
 
 
 def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
-                   where: Callable[[Any], tuple] | None = None
+                   where: Callable[[Any], tuple] | None = None,
+                   count: Callable[[Any, str, Any, int], None] | None = None
                    ) -> LiftProgram:
     """Compile a lifted step once.
 
@@ -643,20 +890,26 @@ def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
     ``(function, step_index, step_name)``; with it, every write is
     screened against the active numeric sentinels, reporting the first
     offending value in loop order at its grid cell, exactly as the scalar
-    loop would.
+    loop would.  ``count(frame, kind, key, n)`` accounts what an inlined
+    function does on the scalar path: ``n`` calls of function ``key``
+    (kind ``"call"``), or ``n`` iterations of its step ``key`` =
+    (function, index) (kind ``"iter"``).
     """
-    return _Compiler(lifted, strict, where).compile()
+    return _Compiler(lifted, strict, where, count).compile()
 
 
 class _Compiler:
     """Compiles one :class:`LiftedStep` into a :class:`LiftProgram`."""
 
     def __init__(self, lifted: LiftedStep, strict: bool,
-                 where: Callable[[Any], tuple] | None) -> None:
+                 where: Callable[[Any], tuple] | None,
+                 count: Callable | None = None) -> None:
         self.lifted = lifted
         self.strict = strict
         self.where = where
+        self.count = count
         self.axis = {r.var: k for k, r in enumerate(lifted.step.ranges)}
+        self.bound: dict[str, int] = {}       # search variable -> ax slot
         self.names: list[str] = []
         self.index: dict[str, int] = {}
         self.dims: dict[str, int] = {}
@@ -682,7 +935,9 @@ class _Compiler:
             value = e.value
             return lambda r: value
         if isinstance(e, IndexVar):
-            k = self.axis[e.name]
+            k = self.axis.get(e.name)
+            if k is None:
+                k = self.bound[e.name]
             self.need_axes = True
             return lambda r: r.ax[k]
         if isinstance(e, GridRef):
@@ -701,6 +956,8 @@ class _Compiler:
                 return _raiser(f"unknown operator {e.op!r}")
             self.arith |= e.op in _ARITH
             left, right = self.expr(e.left), self.expr(e.right)
+            if e.op in ("and", "or"):
+                return _logic(e.op == "and", left, right)
             if isinstance(e.right, Const):
                 value = e.right.value
                 return lambda r: fn(left(r), value)
@@ -726,7 +983,79 @@ class _Compiler:
                 a0, a1 = args
                 return lambda r: impl(a0(r), a1(r))
             return lambda r: impl(*[a(r) for a in args])
+        if isinstance(e, Cast):
+            cast, get = _cast_to(np.dtype(e.dtype)), self.expr(e.operand)
+            return lambda r: cast(get(r))
+        if isinstance(e, Inlined):
+            return self._inlined(e)
+        if isinstance(e, Search):
+            return self._search(e)
         return _raiser(f"cannot vectorize expression {type(e).__name__}")
+
+    def _note(self, r: _Run, kind: str, key: Any, n: int) -> None:
+        if n and self.count is not None:
+            self.count(r.frame, kind, key, n)
+
+    def _inlined(self, e: Inlined) -> _Eval:
+        """An expression function: one call per lane, its value in the
+        return dtype."""
+        cast, body, name = _cast_to(np.dtype(e.dtype)), self.expr(e.body), \
+            e.name
+        note = self._note
+
+        def inlined(r: _Run) -> Any:
+            v = cast(body(r))
+            note(r, "call", name, _lanes(r))
+            return v
+        return inlined
+
+    def _search(self, e: Search) -> _Eval:
+        """A first-match search, in waves: wave ``j`` evaluates the
+        condition at the ``j``-th position of every lane still searching,
+        so no lane evaluates a position past its match, as on the scalar
+        path."""
+        start, end = self.expr(e.start), self.expr(e.end)
+        default = self.expr(e.default)
+        # The search variable sits after the nest axes and the variables
+        # of the searches this one is nested in.
+        slot = len(self.axis) + len(self.bound)
+        self.bound[e.var] = slot
+        cond, value = self.expr(e.cond), self.expr(e.value)
+        del self.bound[e.var]
+        dtype, stride, name = np.dtype(e.dtype), e.stride, e.name
+        key, note = (e.name, e.step), self._note
+
+        def search(r: _Run) -> Any:
+            sub = r if r.sel is not None else _restrict(r, True)[0]
+            n = _lanes(sub)
+            s = _bound_array(start(sub), n)
+            last = _bound_array(end(sub), n)
+            trips = np.maximum((last - s) // stride + 1, 0)
+            out = np.empty(n, dtype)
+            iters = trips.copy()
+            found = np.zeros(n, dtype=bool)
+            idx = np.flatnonzero(trips)
+            j = 0
+            while idx.size:
+                wave = _take(sub, idx)
+                wave.ax = wave.ax[:slot] + (s[idx] + j * stride,)
+                hit = np.broadcast_to(np.asarray(cond(wave), dtype=bool),
+                                      idx.shape)
+                if hit.any():
+                    lanes = idx[hit]
+                    out[lanes] = value(_take(wave, np.flatnonzero(hit)))
+                    iters[lanes] = j + 1
+                    found[lanes] = True
+                    idx = idx[~hit]
+                j += 1
+                idx = idx[trips[idx] > j]
+            if not found.all():
+                miss = np.flatnonzero(~found)
+                out[miss] = default(_take(sub, miss))
+            note(r, "call", name, n)
+            note(r, "iter", key, int(iters.sum()))
+            return out if r.sel is not None else out.reshape(r.geom.shape)
+        return search
 
     def _arg(self, e: Expr) -> _Eval:
         """Library-call arguments: whole-grid references pass storage."""
@@ -803,9 +1132,12 @@ class _Compiler:
             geom, idx = r.geom, []
             for d, sub in enumerate(subs):
                 n = store.shape[d]
-                if type(sub) is int:
+                if type(sub) is int and r.sel is None:
                     lo, hi = geom.lo[sub], geom.hi[sub]
                     ia = geom.axes0[sub]
+                elif type(sub) is int:
+                    ia = r.ax[sub] - 1
+                    lo, hi = ia.min() + 1, ia.max() + 1
                 else:
                     ia = np.asarray(sub(r)).astype(np.int64, copy=False)
                     lo, hi = ia.min(), ia.max()
@@ -843,7 +1175,16 @@ class _Compiler:
             return None
         fn = self.masks.get(e)
         if fn is None:
-            m, get = len(self.masks), self.expr(e)
+            if isinstance(e, BinOp) and e.op == "and":
+                # A shared guard (the step condition, an outer IF) is
+                # evaluated once, however many conjunctions hold it.
+                get = _logic(True, self._mask(e.left), self._mask(e.right))
+            elif isinstance(e, UnOp) and e.op == "not":
+                inner = self._mask(e.operand)     # an ELSE branch's IF
+                get = lambda r: np.logical_not(inner(r))   # noqa: E731
+            else:
+                get = self.expr(e)
+            m = len(self.masks)
 
             def fn(r: _Run) -> Any:
                 v = r.M[m]
@@ -868,9 +1209,12 @@ class _Compiler:
                      for rg in step.ranges]
         regions: dict[str, int] = {}
         targets = []
+        scattered: dict[str, int] = {}
         for a in lifted.assigns:
             g = a.target.grid
-            if g not in regions:
+            if a.kind == "scatter":
+                scattered.setdefault(g, self._name(g, len(a.target.indices)))
+            elif g not in regions:
                 subs = tuple(self._subscripts(a.target))
                 regions[g] = len(targets)
                 targets.append((self._name(g, len(subs)), subs, g))
@@ -887,6 +1231,9 @@ class _Compiler:
                 mexpr = (step.condition if mexpr is None
                          else BinOp("and", step.condition, mexpr))
             value, mask = self.expr(a.expr), self._mask(mexpr)
+            if a.kind == "scatter":
+                value = self._scatter_part(a, value, mask)
+                mask = None
             if a.kind == "pointwise":
                 plan.append(("write", a, value, mask))
                 continue
@@ -907,17 +1254,27 @@ class _Compiler:
             snap = False
             if kind != "defer" and g not in seen:
                 seen.add(g)
-                snap = pos != len(plan) - 1
+                snap = pos != len(plan) - 1 or bool(lifted.keep)
             if kind == "write":
                 ops.append(self._pointwise(a, regions[g], snap, item[2],
                                            item[3]))
+            elif kind == "defer" and a.kind == "scatter":
+                ops.append(_defer_part(item[4], item[2]))
             elif kind == "defer":
                 ops.append(_defer(item[4], item[2], item[3]))
+            elif a.kind == "scatter":
+                ops.append(_scatter(a.target.grid, scattered[g], snap,
+                                    item[2]))
             else:
                 ops.append(self._fold(a, regions[g], snap, item[2], nd))
+        cond = self._mask(step.condition) if lifted.keep else None
+        for scratch, grid in lifted.keep:
+            ops.append(_keep(regions[scratch], self._name(grid, 0), grid,
+                             cond))
         prog = LiftProgram()
         prog.names = tuple(self.names)
-        prog.written = tuple(regions)
+        prog.written = tuple(regions) + tuple(scattered) + tuple(
+            grid for _, grid in lifted.keep)
         prog.dims = dict(self.dims)
         prog.arith = self.arith
         prog.bounds, fixed = self._bounds(bound_fns)
@@ -982,24 +1339,72 @@ class _Compiler:
                     if not m:
                         return                  # uniformly false guard
                     m = None                    # uniformly true guard
-            v = value(r)
-            if screen is not None and _rc._active.sentinels is not None:
-                screen(r, v, m)
+                elif m.all():
+                    m = None
+                elif not m.any():
+                    return
             region = r.R[t]
-            if perm is not None:
-                if type(v) is np.ndarray and v.ndim:
+            if m is None:
+                v = value(r)
+                if screen is not None and _rc._active.sentinels is not None:
+                    screen(r, v, None)
+                if perm is not None and type(v) is np.ndarray and v.ndim:
                     v = v.transpose(perm)
-                if m is not None and m.ndim:
-                    m = m.transpose(perm)
+                if strict:
+                    v = _cast(v, region.dtype, strict)
+                if snap and r.undo is not None:
+                    r.undo.append((region, region.copy()))
+                region[...] = v
+                return
+            # The value on the active lanes only, written lane by lane.
+            sub, where = _restrict(r, m)
+            v = value(sub)
+            if screen is not None and _rc._active.sentinels is not None:
+                full = np.zeros(r.geom.shape, np.asarray(v).dtype)
+                full[where] = v
+                screen(r, full, m)
             if strict:
                 v = _cast(v, region.dtype, strict)
             if snap and r.undo is not None:
                 r.undo.append((region, region.copy()))
-            if m is None:
-                region[...] = v
-            else:
-                np.copyto(region, v, casting="unsafe", where=m)
+            region[tuple(where[k] for k in out_axes)] = v
         return write
+
+    def _scatter_part(self, a: _ArrayAssign, value: _Eval,
+                      mask: _Eval | None) -> _Eval:
+        """One update of an indirect accumulator on its active lanes:
+        their positions in the nest, the terms and the 1-based target
+        subscripts, each flat in loop order (``None``: no active lane)."""
+        self.need_axes = True
+        subs = tuple(self.axis[ie.name]
+                     if isinstance(ie, IndexVar) and ie.name in self.axis
+                     else self.expr(ie) for ie in a.target.indices)
+        negate = a.negate
+
+        def part(r: _Run) -> tuple | None:
+            run, where = r, None
+            if mask is not None:
+                m = mask(r)
+                if type(m) is not np.ndarray:
+                    if not m:
+                        return None
+                elif not m.all():
+                    if not m.any():
+                        return None
+                    run, where = _restrict(r, m)
+            shape = run.geom.shape
+            t = value(run)
+            if negate:
+                t = _neg(t)
+            idx = [np.broadcast_to(np.asarray(
+                run.ax[k] if type(k) is int else k(run)).astype(
+                    np.int64, copy=False), shape).ravel() for k in subs]
+            if type(t) is np.ndarray:
+                t = np.broadcast_to(t, shape).ravel()
+            pos = (np.arange(_prod(shape)) if where is None
+                   else np.ravel_multi_index(where, r.geom.shape))
+            return pos, t, idx
+        return part
 
     def _fold(self, a: _ArrayAssign, t: int, snap: bool, group: list,
               nd: int) -> Callable[[_Run], None]:
@@ -1026,8 +1431,9 @@ class _Compiler:
             terms, masks = [], []
             for value, mask, u in updates:
                 if u is None:
-                    terms.append(value(r))
-                    masks.append(None if mask is None else mask(r))
+                    v, m = _on_lanes(value, mask, r)
+                    terms.append(v)
+                    masks.append(m)
                 else:
                     v, m = r.T[u]
                     terms.append(v)
@@ -1133,11 +1539,101 @@ def _defer(u: int, value: _Eval, mask: _Eval | None) -> Callable[[_Run], None]:
     """An update of an accumulator that folds later: keep its term (a
     copy, if it is a view a later statement may overwrite) and mask."""
     def defer(r: _Run) -> None:
-        v = value(r)
+        v, m = _on_lanes(value, mask, r)
         if type(v) is np.ndarray and v.base is not None:
             v = v.copy()
-        r.T[u] = (v, None if mask is None else mask(r))
+        r.T[u] = (v, m)
     return defer
+
+
+def _defer_part(u: int, part: _Eval) -> Callable[[_Run], None]:
+    """An update of an indirect accumulator that folds later."""
+    def defer(r: _Run) -> None:
+        p = part(r)
+        if p is not None and type(p[1]) is np.ndarray:
+            p = (p[0], p[1].copy(), p[2])
+        r.T[u] = p
+    return defer
+
+
+def _scatter(grid: str, j: int, snap: bool, group: list
+             ) -> Callable[[_Run], None]:
+    """Fold every update of an indirect accumulator with ``np.add.at``:
+    in loop order and, within an iteration, in statement order, which is
+    the order ``np.add.at`` applies duplicate indices in."""
+    updates = tuple((part, u) for part, _, u, _ in group)
+
+    def scatter(r: _Run) -> None:
+        store = r.S[j]
+        parts = []
+        for k, (part, u) in enumerate(updates):
+            p = part(r) if u is None else r.T[u]
+            if p is not None:
+                parts.append((k,) + p)
+        if not parts:
+            return
+        if store.ndim != len(parts[0][3]):
+            raise ExecutionError(f"rank mismatch accessing grid {grid!r}")
+        terms = []
+        for _, pos, t, _ in parts:
+            if type(t) is not np.ndarray:
+                # A uniform term keeps the scalar path's weak promotion.
+                if np.result_type(store.dtype, t) != store.dtype:
+                    raise ExecutionError(
+                        f"indirect accumulator {grid!r} would change dtype")
+                t = np.full(pos.shape, t, store.dtype)
+            elif np.result_type(store.dtype, t.dtype) != store.dtype:
+                raise ExecutionError(
+                    f"indirect accumulator {grid!r} would change dtype")
+            terms.append(t)
+        if len(parts) == 1:
+            t, idx = terms[0], parts[0][3]
+        else:
+            order = np.lexsort((
+                np.concatenate([np.full(p[1].shape, p[0]) for p in parts]),
+                np.concatenate([p[1] for p in parts])))
+            t = np.concatenate(terms)[order]
+            idx = [np.concatenate(d)[order]
+                   for d in zip(*(p[3] for p in parts))]
+        for d, ia in enumerate(idx):
+            n = store.shape[d]
+            lo, hi = ia.min(), ia.max()
+            if lo < 1 or hi > n:
+                raise _out_of_bounds(int(lo if lo < 1 else hi), d, grid, n)
+        if store.dtype.kind == "i":
+            limit = 2.0 ** (8 * store.dtype.itemsize - 2)
+            if (np.abs(store).max(initial=0) + np.abs(
+                    t.astype(np.float64)).sum()) >= limit:
+                raise _overflow()
+        if snap and r.undo is not None:
+            r.undo.append((store, store.copy()))
+        np.add.at(store, tuple(ia - 1 for ia in idx), t)
+    return scatter
+
+
+def _keep(t: int, j: int, grid: str, cond: _Eval | None
+          ) -> Callable[[_Run], None]:
+    """Keep a scalar temporary's value from the last lane that wrote it
+    (where the step condition held) in the grid it stands for."""
+    def keep(r: _Run) -> None:
+        region, shape = r.R[t], r.geom.shape
+        last = tuple(n - 1 for n in shape)
+        if cond is not None:
+            m = cond(r)
+            if type(m) is np.ndarray:
+                flat = np.flatnonzero(np.broadcast_to(m, shape))
+                if not flat.size:
+                    return
+                last = np.unravel_index(flat[-1], shape)
+            elif not m:
+                return
+        store = r.S[j]
+        if store.ndim:
+            raise ExecutionError(f"rank mismatch accessing grid {grid!r}")
+        if r.undo is not None:
+            r.undo.append((store, store.copy()))
+        store[()] = region[last]
+    return keep
 
 
 def _swapped(ufunc) -> Callable[[Any, Any], Any]:
@@ -1201,14 +1697,56 @@ def _frame_where(frame) -> tuple:
     return frame.fn.name, frame.current_step, frame.current_step_name
 
 
+def _frame_count(frame, kind: str, key: Any, n: int) -> None:
+    """What an inlined function does to the scalar path's accounting."""
+    interp = frame.interp
+    if kind == "call":
+        interp.stats.note_call(key, n)
+        return
+    interp.stats.note_iter(key[0], key[1], n)
+    if interp._budget is not None:
+        interp._budget.tick(n)
+
+
+class _SweepProgram:
+    """A :class:`LiftedSweep` compiled once: one program per nest."""
+
+    __slots__ = ("sweep", "programs", "specs", "notes")
+
+    def __init__(self, sweep: LiftedSweep) -> None:
+        self.sweep = sweep
+        self.programs = tuple(
+            compile_lifted(n, where=_frame_where, count=_frame_count)
+            for n in sweep.nests)
+        self.specs = {s.name: s for s in sweep.split.scratch}
+        notes: dict[int, list] = {}
+        for k, note in sweep.split.notes:
+            notes.setdefault(k, []).append(note)
+        self.notes = notes
+
+
+def _slices(lead: tuple, var_ranges: dict) -> tuple:
+    """The lanes of ``lead`` in a grid indexed by their values."""
+    out = []
+    for v in lead:
+        start, stride, count = var_ranges[v]
+        out.append(slice(start - 1, start - 1 + count * stride, stride))
+    return tuple(out)
+
+
 class VectorizedInterpreter(Interpreter):
     """Interpreter subclass that executes liftable loop steps as whole-grid
     array programs and transparently interprets everything else.
 
     Results match the reference interpreter bit for bit: reductions fold
-    in loop order rather than reassociating.  Fault-injection runs
+    in loop order rather than reassociating, and a step whose body calls
+    leaf subprograms runs as split nests with the scalar path's
+    :class:`ExecStats` accounting.  Fault-injection runs
     (:mod:`repro.robust.faults`) disable lifting entirely so injected
-    faults hit the same per-iteration sites as the reference.
+    faults hit the same per-iteration sites as the reference; under
+    sentinels, a step lifted through inlining, scratch or an indirect
+    accumulator runs on the scalar path, so trips report the scalar
+    path's function, step and cell.
     """
 
     def __init__(self, *args: Any, **kw: Any):
@@ -1231,6 +1769,28 @@ class VectorizedInterpreter(Interpreter):
         return self._call(name, args)
 
     # ------------------------------------------------------------------
+    def _plan(self, frame, idx: int, step: Step) -> Any:
+        key = (frame.fn.name, idx)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = (_DIRECT if not step.is_loop else compile_step(
+                step, self.program, frame.fn,
+                save_inner_arrays=self.save_inner_arrays))
+            if isinstance(plan, LiftFailure):
+                self._note_fallback(frame, idx, step, plan.reason)
+            elif isinstance(plan, LiftedSweep):
+                self._note_inline(frame, idx, step, plan)
+                plan = (plan, _SweepProgram(plan))
+            elif isinstance(plan, LiftedStep):
+                if plan.snapshot_free:
+                    self._note_snapshot_elide(frame, idx, step, plan)
+                if plan.inlined:
+                    self._note_inline(frame, idx, step, plan)
+                plan = (plan, compile_lifted(plan, where=_frame_where,
+                                             count=_frame_count))
+            self._plans[key] = plan
+        return plan
+
     def _exec_step(self, frame, idx: int, step: Step) -> None:
         if _rc._active.faults is not None:
             # Keep injection sites (exec.interp.step/iter, numeric.sentinel)
@@ -1241,26 +1801,30 @@ class VectorizedInterpreter(Interpreter):
         if key in self._demoted:
             Interpreter._exec_step(self, frame, idx, step)
             return
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _DIRECT if not step.is_loop else compile_step(step)
-            if isinstance(plan, LiftFailure):
-                self._note_fallback(frame, idx, step, plan.reason)
-            elif isinstance(plan, LiftedStep):
-                if plan.snapshot_free:
-                    self._note_snapshot_elide(frame, idx, step, plan)
-                plan = (plan, compile_lifted(plan, where=_frame_where))
-            self._plans[key] = plan
+        plan = self._plan(frame, idx, step)
         if plan is _DIRECT or isinstance(plan, LiftFailure):
             Interpreter._exec_step(self, frame, idx, step)
             return
 
         lifted, program = plan
+        if _rc._active.sentinels is not None and lifted.extended:
+            # Sentinel reports must name the scalar path's function, step
+            # and cell: call the callee per iteration, as without the lift.
+            Interpreter._exec_step(self, frame, idx, step)
+            return
+        if self._depth + lifted.depth > self.max_call_depth:
+            self._demoted.add(key)
+            self._note_fallback(frame, idx, step,
+                                "inlined call nesting would pass "
+                                "max_call_depth")
+            Interpreter._exec_step(self, frame, idx, step)
+            return
         frame.current_step = idx
         frame.current_step_name = step.name
         elided = lifted.snapshot_free
         snap = {g: self._storage(frame, g).copy() for g in lifted.written
                 if g not in elided}
+        state = self._sweep_state(lifted)
         try:
             self._run_lifted(frame, idx, step, program)
         except ResourceLimitError:
@@ -1272,6 +1836,7 @@ class VectorizedInterpreter(Interpreter):
             # re-tripping the lift.
             for g, saved in snap.items():
                 self._storage(frame, g)[...] = saved
+            self._restore_sweep_state(state, stats=False)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,
                                 "resource budget exhausted mid-lift")
@@ -1283,6 +1848,7 @@ class VectorizedInterpreter(Interpreter):
             # produce the authoritative result (or the canonical error).
             for g, saved in snap.items():
                 self._storage(frame, g)[...] = saved
+            self._restore_sweep_state(state, stats=True)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,
                                 f"runtime lift failure: {e}")
@@ -1294,10 +1860,46 @@ class VectorizedInterpreter(Interpreter):
         if m.enabled:
             m.counter("exec.vectorized.steps").inc()
 
+    def _sweep_state(self, lifted: Any) -> tuple:
+        """What a lifted step changes beyond its written grids: the stats
+        and the budget and, for a sweep, the save store."""
+        saves, store = {}, None
+        if isinstance(lifted, LiftedSweep):
+            store = dict(self._save_store)
+            for s in lifted.split.scratch:
+                if s.target is not None and s.target[0] == "save":
+                    saved = self._save_store.get(s.target[1:])
+                    if saved is not None:
+                        saves[s.target[1:]] = saved.copy()
+        stats = self.stats
+        budget = self._budget
+        return (store, saves, dict(stats.loop_iterations),
+                dict(stats.calls), stats.allocations,
+                None if budget is None else budget.iterations)
+
+    def _restore_sweep_state(self, state: tuple, stats: bool) -> None:
+        """Undo :meth:`_sweep_state`'s changes; ``stats`` too when the
+        scalar path is about to count the step again."""
+        store, saves, loops, calls, allocations, ticks = state
+        if store is not None:
+            self._save_store.clear()
+            self._save_store.update(store)
+            for k, saved in saves.items():
+                store[k][...] = saved
+        if stats:
+            self.stats.loop_iterations = loops
+            self.stats.calls = calls
+            self.stats.allocations = allocations
+            if ticks is not None:
+                self._budget.iterations = ticks
+
     def _run_lifted(self, frame, idx: int, step: Step,
-                    program: LiftProgram) -> None:
+                    program: LiftProgram | _SweepProgram) -> None:
         """Run one lifted step: ranges, iteration accounting, the array
-        program."""
+        program (or, for a sweep, its nests)."""
+        if isinstance(program, _SweepProgram):
+            self._run_sweep(frame, idx, step, program)
+            return
         grids = frame.grids
         S = [grids[name] for name in program.names]
         ranges = program.bounds(S)
@@ -1313,6 +1915,145 @@ class VectorizedInterpreter(Interpreter):
         if self._budget is not None:
             self._budget.tick(total)
         program.run(S, ranges, frame)
+
+    def _run_sweep(self, frame, idx: int, step: Step,
+                   prog: _SweepProgram) -> None:
+        """Run a sweep's nests in order over shared scratch, with the
+        scalar path's accounting, then keep what outlives the sweep."""
+        var_ranges: dict[str, tuple] = {}
+        total = 1
+        for var, lo, hi, by in self._compiled(frame.fn, idx, step).ranges:
+            start, end, stride = lo(frame), hi(frame), by(frame)
+            if stride <= 0:
+                raise ExecutionError(
+                    f"{frame.fn.name}/{step.name}: non-positive stride")
+            var_ranges[var] = (start, stride, _trips(start, end, stride))
+            total *= var_ranges[var][2]
+        if total == 0:
+            return
+        self.stats.note_iter(frame.fn.name, idx, total)
+        if self._budget is not None:
+            self._budget.tick(total)
+        scratch: dict[str, np.ndarray] = {}
+        specs, grids = prog.specs, frame.grids
+        for k, (nest, program) in enumerate(zip(prog.sweep.nests,
+                                                prog.programs)):
+            S = [scratch.get(n) if n in specs else grids[n]
+                 for n in program.names]
+            ranges = program.bounds(S)
+            run = True
+            for rg, (start, stride, count) in zip(nest.step.ranges, ranges):
+                if stride <= 0:
+                    raise ExecutionError(
+                        f"{frame.fn.name}/{step.name}: non-positive stride")
+                var_ranges[rg.var] = (start, stride, count)
+                run = run and count > 0
+            for note in prog.notes.get(k, ()):
+                self._apply_note(note, scratch, var_ranges)
+            if not run:
+                continue
+            for j, n in enumerate(program.names):
+                if n in specs and S[j] is None:
+                    S[j] = scratch[n] = self._allocate_scratch(
+                        specs[n], var_ranges, grids)
+            program.run(S, ranges, frame)
+        for note in prog.notes.get(len(prog.programs), ()):
+            self._apply_note(note, scratch, var_ranges)
+        for spec in prog.specs.values():
+            if spec.target is not None and not spec.in_nest:
+                self._keep_last(spec, scratch, var_ranges, grids)
+
+    def _allocate_scratch(self, spec, var_ranges: dict, grids) -> np.ndarray:
+        lead = []
+        for v in spec.lead:
+            if v not in var_ranges:
+                raise ExecutionError(f"scratch {spec.name!r}: range of "
+                                     f"{v!r} unknown")
+            start, stride, count = var_ranges[v]
+            lead.append(max(start, start + (count - 1) * stride, 0))
+        try:
+            dims = tuple(d if isinstance(d, int)
+                         else int(self.context.sizes[d]) for d in spec.dims)
+        except KeyError as e:
+            raise ExecutionError(f"scratch {spec.name!r}: size {e} "
+                                 "unresolved") from None
+        dtype = (np.dtype(spec.dtype) if spec.dtype is not None
+                 else grids[spec.target[1]].dtype)
+        out = np.zeros(tuple(lead) + dims, dtype)
+        if spec.init is not None and spec.init.init_data is not None:
+            out[...] = as_storage(spec.init, sizes=self.context.sizes)
+        return out
+
+    def _active_lanes(self, lead: tuple, active: str | None, scratch: dict,
+                      var_ranges: dict) -> np.ndarray | None:
+        """The activity of ``lead``'s lanes (``None``: all active)."""
+        if active is None:
+            return None
+        act = scratch.get(active)
+        if act is None:
+            return np.zeros(tuple(var_ranges[v][2] for v in lead), bool)
+        return act[_slices(lead, var_ranges)]
+
+    def _apply_note(self, note, scratch: dict, var_ranges: dict) -> None:
+        if any(v not in var_ranges for v in note.lead + note.own):
+            raise ExecutionError(f"inlined {note.key!r}: range unknown")
+        act = self._active_lanes(note.lead, note.active, scratch, var_ranges)
+        n = (_prod(tuple(var_ranges[v][2] for v in note.lead))
+             if act is None else int(np.count_nonzero(act)))
+        if not n:
+            return
+        stats = self.stats
+        if note.kind == "iter":
+            n *= _prod(tuple(var_ranges[v][2] for v in note.own))
+            if n:
+                stats.note_iter(note.key[0], note.key[1], n)
+                if self._budget is not None:
+                    self._budget.tick(n)
+            return
+        stats.note_call(note.key, n)
+        stats.allocations += note.plain * n
+        for fn, local, g in note.saved:
+            if (fn, local) not in self._save_store:
+                stats.allocations += 1
+                self._save_store[(fn, local)] = as_storage(
+                    g, sizes=self.context.sizes)
+
+    def _keep_last(self, spec, scratch: dict, var_ranges: dict,
+                   grids) -> None:
+        """Keep the value of the last active lane of an expanded grid in
+        the grid (or SAVE'd local) it stands for."""
+        arr = scratch.get(spec.name)
+        if arr is None:
+            return
+        shape = tuple(var_ranges[v][2] for v in spec.lead)
+        act = self._active_lanes(spec.lead, spec.active, scratch, var_ranges)
+        if act is None:
+            pos = tuple(n - 1 for n in shape)
+        else:
+            flat = np.flatnonzero(act)
+            if not flat.size:
+                return
+            pos = np.unravel_index(flat[-1], shape)
+        at = tuple(var_ranges[v][0] - 1 + int(p) * var_ranges[v][1]
+                   for v, p in zip(spec.lead, pos))
+        if spec.target[0] == "grid":
+            grids[spec.target[1]][...] = arr[at]
+        else:
+            self._save_store[spec.target[1:]][...] = arr[at]
+
+    def _note_inline(self, frame, idx: int, step: Step, plan: Any) -> None:
+        """Record the inlined callees and the expanded grids (once per
+        compiled step)."""
+        from ..observe import get_decisions
+
+        dl = get_decisions()
+        if dl.enabled:
+            expanded = (plan.split.expanded
+                        if isinstance(plan, LiftedSweep) else ())
+            dl.record("executor:inline", frame.fn.name, idx, step.name,
+                      "inlined", reasons=(
+                          "callees: " + (", ".join(plan.inlined) or "none"),
+                          "expanded: " + (", ".join(expanded) or "none")))
 
     def _note_snapshot_elide(self, frame, idx: int, step: Step,
                              plan: LiftedStep) -> None:

@@ -19,6 +19,7 @@ Stages and their verdict vocabularies:
 ``numeric:<kind>``       ``detected``
 ``retry``                ``retried`` | ``gave-up``
 ``executor:fallback``    ``interpreter``
+``executor:inline``      ``inlined``
 ``fuzz:item``            ``clean`` | ``failed``
 ``fuzz:signature``       ``new`` | ``duplicate``
 ``fuzz:shrink``          ``minimized``

@@ -279,6 +279,35 @@ class TestSyntheticKernels:
         assert len(run.fallbacks) == 1
 
     def test_function_call_in_loop_falls_back_and_matches(self):
+        # A callee that takes an array argument does not inline.
+        b = GlafBuilder("k")
+        m = b.module("M")
+        g = m.function("twice", return_type=T_REAL8)
+        g.param("n", T_INT, intent="in")
+        g.param("v", T_REAL8, dims=("n",), intent="in")
+        g.param("j", T_INT, intent="in")
+        g.returns(ref("v", ref("j")) * 2.0)
+        f = m.function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.param("x", T_REAL8, dims=("n",), intent="in")
+        f.param("y", T_REAL8, dims=("n",), intent="inout")
+        from repro.core.expr import FuncCall
+        s = f.step("apply")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", I("i")),
+                  FuncCall("twice", (ref("n"), ref("x"), I("i"))))
+        p = b.build()
+
+        x = _x()
+        (_, _, y_ref), (_, _, y_vec), run = [
+            *_run_both(p, "f", lambda: [N, x.copy(), np.zeros(N)],
+                       {"n": N})]
+        assert np.array_equal(y_ref, y_vec)
+        assert len(run.fallbacks) == 1
+        assert "call" in run.fallbacks[0].reason.lower()
+        assert "array argument 'v'" in run.fallbacks[0].reason
+
+    def test_expression_function_in_loop_lifts_bitwise(self):
         b = GlafBuilder("k")
         m = b.module("M")
         g = m.function("twice", return_type=T_REAL8)
@@ -295,12 +324,16 @@ class TestSyntheticKernels:
         p = b.build()
 
         x = _x()
-        (_, _, y_ref), (_, _, y_vec), run = [
-            *_run_both(p, "f", lambda: [N, x.copy(), np.zeros(N)],
-                       {"n": N})]
+        with observe.observed() as obs:
+            (_, _, y_ref), (_, _, y_vec), run = [
+                *_run_both(p, "f", lambda: [N, x.copy(), np.zeros(N)],
+                           {"n": N})]
         assert np.array_equal(y_ref, y_vec)
-        assert len(run.fallbacks) == 1
-        assert "call" in run.fallbacks[0].reason.lower()
+        assert run.fallbacks == ()
+        inline = obs.decisions.for_stage("executor:inline")
+        assert [(d.function, d.verdict) for d in inline] == [
+            ("f", "inlined")]
+        assert "callees: twice" in inline[0].reasons
 
 
 # ----------------------------------------------------------------------

@@ -271,6 +271,8 @@ MODULE gm
   INTEGER :: num(8)
   INTEGER :: den(8)
   INTEGER :: res(8)
+  INTEGER :: ix(8)
+  REAL(KIND=8) :: t
   REAL(KIND=8), ALLOCATABLE :: z(:)
 CONTAINS
   SUBROUTINE double()
@@ -303,6 +305,21 @@ CONTAINS
       p = p + num(i)
     END DO
   END SUBROUTINE frozen
+  SUBROUTINE temp()
+    INTEGER :: i
+    DO i = 1, 8
+      {guard}
+      t = x(i) * 2.0D0
+      y(i) = t + 1.0D0
+    END DO
+  END SUBROUTINE temp
+  SUBROUTINE scatter()
+    INTEGER :: i
+    DO i = 1, 8
+      {guard}
+      y(ix(i)) = y(ix(i)) + x(i)
+    END DO
+  END SUBROUTINE scatter
   SUBROUTINE ratio()
     INTEGER :: i
     DO i = 1, 8
@@ -389,6 +406,26 @@ class TestGuards:
         error, _, reasons, lifted = _both("fill")
         assert error == ("FortranRuntimeError", "'z' used before ALLOCATE")
         assert lifted == 0 and "unallocated" in reasons[0]
+
+    def test_scalar_temporary_stays_scalar(self):
+        # The IR executor expands a scalar written before it is read;
+        # a FORTRAN nest keeps it on the scalar closure, so t ends with
+        # the last iteration's value as the scalar loop leaves it.
+        error, state, reasons, lifted = _both("temp")
+        assert (error, lifted) == (None, 0)
+        assert reasons == ["scalar temporary 't' needs a copy per "
+                           "iteration"]
+        assert np.frombuffer(state["t"]).tolist() == [16.0]
+
+    def test_indirect_accumulator_stays_scalar(self):
+        def prepare(rt):
+            rt.modules["gm"].variables["ix"].store[...] = [
+                1, 2, 2, 3, 1, 8, 8, 4]
+        error, state, reasons, lifted = _both("scatter", prepare)
+        assert (error, lifted) == (None, 0)
+        assert reasons == ["indirect accumulator 'y'"]
+        assert np.frombuffer(state["y"]).tolist() == [
+            6.0, 5.0, 4.0, 8.0, 0.0, 0.0, 0.0, 13.0]
 
     @pytest.mark.parametrize("action", ["error", "ignore"])
     def test_integer_zero_divisor_mid_nest(self, action):

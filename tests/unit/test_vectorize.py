@@ -12,6 +12,8 @@ import pytest
 
 from repro.core import GlafBuilder, I, T_INT, T_REAL8, T_VOID, lib, ref
 from repro.core.builder import StepBuilder as SB
+from repro.core.expr import FuncCall
+from repro.core.step import CallStmt
 from repro.errors import (
     ExecutionError,
     NumericIntegrityError,
@@ -563,3 +565,413 @@ class TestGuardedExecutor:
         assert res.fell_back and res.max_error == 1.0
         assert res.reason.startswith("vectorized divergence on grid 'y'")
         assert np.array_equal(y, [2.0, 2.0, 2.0, 2.0])   # interpreter's
+
+
+# ----------------------------------------------------------------------
+# masked lanes: a masked value is evaluated on the active lanes only
+# ----------------------------------------------------------------------
+def _masked_program(build, extra=()):
+    b = GlafBuilder("mk")
+    f = b.module("M").function("f", return_type=T_VOID)
+    f.param("n", T_INT, intent="in")
+    f.param("x", T_REAL8, dims=("n",), intent="in")
+    f.param("y", T_REAL8, dims=("n",), intent="inout")
+    for name, ty in extra:
+        f.param(name, ty, dims=("n",), intent="in")
+    s = f.step("s")
+    s.foreach(i=(1, "n"))
+    build(s)
+    return b.build()
+
+
+MASKED_X = np.array([2.0, 0.0, -1.5, 0.5, 0.0, 3.0])
+MASKED_IDX = np.array([3, 0, 1, 0, 6, 2])
+i_ = I("i")
+MASKED_CASES = {
+    # The interpreter never reads x(0).
+    "guarded-gather": (
+        lambda s: s.if_(ref("idx", i_).ge(1),
+                        [SB.assign(ref("y", i_), ref("x", ref("idx", i_)))]),
+        [("idx", T_INT)]),
+    # .AND. evaluates its right operand only where the left one holds.
+    "short-circuit-and": (
+        lambda s: s.if_(ref("idx", i_).ge(1).and_(
+            ref("x", ref("idx", i_)).gt(0.0)),
+            [SB.assign(ref("y", i_), 1.0)]),
+        [("idx", T_INT)]),
+    # No divide-by-zero condition on the masked-out lanes.
+    "guarded-reciprocal": (
+        lambda s: s.if_(ref("x", i_).ne(0.0),
+                        [SB.assign(ref("y", i_), 1.0 / ref("x", i_))]),
+        []),
+    # No log-of-zero or log-of-negative condition either.
+    "guarded-log": (
+        lambda s: s.if_(ref("x", i_).gt(0.0),
+                        [SB.assign(ref("y", i_),
+                                   lib("LOG", ref("x", i_)) / ref("x", i_))]),
+        []),
+    # A masked reduction's term, likewise.
+    "guarded-sum": (
+        lambda s: s.if_(ref("x", i_).gt(0.0),
+                        [SB.assign(ref("y", 1), ref("y", 1)
+                                   + lib("LOG", ref("x", i_)))]),
+        []),
+}
+
+
+class TestMaskedLanes:
+    @pytest.mark.parametrize("case", sorted(MASKED_CASES))
+    def test_lifts_without_fallback_or_warning(self, case):
+        import warnings
+
+        build, extra = MASKED_CASES[case]
+        p = _masked_program(build, extra)
+        got = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            args = [6, MASKED_X.copy(), np.zeros(6)]
+            if extra:
+                args.append(MASKED_IDX.copy())
+            interp = cls(p, ExecutionContext(p, sizes={"n": 6}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                interp.call("f", args)
+            got[cls] = args[2]
+            if cls is VectorizedInterpreter:
+                assert interp.fallbacks == []
+        assert got[VectorizedInterpreter].tobytes() == \
+            got[Interpreter].tobytes()
+
+
+# ----------------------------------------------------------------------
+# lifting a step whose body calls leaf subprograms
+# ----------------------------------------------------------------------
+def _run_pair(p, entry, make_args, sizes, **kw):
+    """Both executors on fresh arguments: per executor the interpreter
+    object, the arguments and the context."""
+    out = {}
+    for cls in (Interpreter, VectorizedInterpreter):
+        args = make_args()
+        ctx = ExecutionContext(p, sizes=sizes)
+        interp = cls(p, ctx, **kw)
+        interp.call(entry, args)
+        out[cls] = (interp, args, ctx)
+    return out
+
+
+def _assert_same(out, names):
+    (ri, ra, rc), (vi, va, vc) = out[Interpreter], out[VectorizedInterpreter]
+    for a, b in zip(ra, va):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+    for name in names:
+        assert rc.get(name).tobytes() == vc.get(name).tobytes(), name
+    assert vi.stats.calls == ri.stats.calls
+    assert vi.stats.loop_iterations == ri.stats.loop_iterations
+    assert vi.stats.allocations == ri.stats.allocations
+
+
+def _sweep_program(put_first_reads=False):
+    """``f`` calls ``put(i)`` where ``xs(i) > 0``; ``put`` writes the
+    module grid ``g`` in full, then ``out(i)`` from it."""
+    b = GlafBuilder("sw")
+    b.global_grid("xs", T_REAL8, dims=("n",), module_scope=True)
+    b.global_grid("g", T_REAL8, dims=(2,), module_scope=True)
+    b.global_grid("out", T_REAL8, dims=("n",), module_scope=True)
+    m = b.module("M")
+    put = m.function("put", return_type=T_VOID)
+    put.param("i", T_INT, intent="in")
+    if put_first_reads:
+        s = put.step("use_old")
+        s.formula(ref("out", ref("i")), ref("g", 2))
+    s = put.step("fill")
+    s.foreach(k=(1, 2))
+    s.formula(ref("g", I("k")), ref("xs", ref("i")) * I("k"))
+    s = put.step("use")
+    s.formula(ref("out", ref("i")), ref("out", ref("i"))
+              + ref("g", 1) + ref("g", 2))
+    f = m.function("f", return_type=T_VOID)
+    f.param("n", T_INT, intent="in")
+    s = f.step("sweep")
+    s.foreach(i=(1, "n"))
+    s.if_(ref("xs", I("i")).gt(0.0), [CallStmt("put", (I("i"),))])
+    return b.build()
+
+
+class TestSweep:
+    def test_fun3d_steps_lift(self):
+        from repro.fun3d import build_fun3d_program
+
+        rep = liftability_report(build_fun3d_program())
+        assert rep[("edgejp", 2)] == ""
+        assert rep[("edge_loop", 6)] == ""
+        assert rep[("edge_loop", 7)] == ""
+        refused = {k for k, v in rep.items() if v}
+        # Searches lift where they are called, not as steps of their own.
+        assert refused == {("angle_check", 0), ("ioff_search", 0)}
+
+    def test_fun3d_inline_decision(self):
+        from repro import observe
+        from repro.fun3d import make_mesh
+        from repro.fun3d import validation as f3v
+
+        with observe.observed() as obs:
+            f3v.run_ir_interpreter(make_mesh(27, 3), guarded=False,
+                                   executor="vectorized")
+        assert obs.decisions.for_stage("executor:fallback") == []
+        inline = obs.decisions.for_stage("executor:inline")
+        assert [(d.function, d.step_index) for d in inline] == [
+            ("edgejp", 2)]
+        callees, expanded = inline[0].reasons
+        assert callees == ("callees: cell_loop, angle_check, edge_loop, "
+                           "ioff_search")
+        for grid in ("grad", "cell_loop.qa", "edge_loop.tmp06",
+                     "edge_loop.n1v"):
+            assert grid in expanded
+
+    def _set(self, ctx, xs):
+        ctx.get("xs")[...] = xs
+        ctx.get("g")[...] = [7.0, 9.0]
+
+    def _pair(self, p, xs):
+        out = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            ctx = ExecutionContext(p, sizes={"n": len(xs)})
+            self._set(ctx, xs)
+            interp = cls(p, ctx)
+            interp.call("f", [len(xs)])
+            out[cls] = (interp, [], ctx)
+        return out
+
+    def test_conditional_call_keeps_last_active_iteration(self):
+        p = _sweep_program()
+        xs = np.array([1.5, -2.0, 0.25, 3.0, -1.0])
+        out = self._pair(p, xs)
+        _assert_same(out, ("g", "out", "xs"))
+        vec, _, ctx = out[VectorizedInterpreter]
+        assert vec.fallbacks == []
+        # The last cell with xs > 0 is 4: g = (3, 6), not cell 5's.
+        assert ctx.get("g").tolist() == [3.0, 6.0]
+        assert vec.stats.calls["put"] == 3
+
+    def test_no_active_iteration_leaves_module_grid(self):
+        p = _sweep_program()
+        out = self._pair(p, np.array([-1.0, -2.0, 0.0]))
+        _assert_same(out, ("g", "out"))
+        vec, _, ctx = out[VectorizedInterpreter]
+        assert vec.fallbacks == [] and "put" not in vec.stats.calls
+        assert ctx.get("g").tolist() == [7.0, 9.0]
+
+    def test_module_state_carried_between_iterations_is_refused(self):
+        p = _sweep_program(put_first_reads=True)
+        out = self._pair(p, np.array([1.5, -2.0, 0.25, 3.0, -1.0]))
+        _assert_same(out, ("g", "out"))
+        vec = out[VectorizedInterpreter][0]
+        assert [e.step_name for e in vec.fallbacks] == ["sweep"]
+        assert "carries state between iterations" in vec.fallbacks[0].reason
+
+    def _search_program(self, lo, hi):
+        b = GlafBuilder("se")
+        b.global_grid("keys", T_INT, dims=("n",), module_scope=True)
+        b.global_grid("want", T_INT, dims=("n",), module_scope=True)
+        b.global_grid("at", T_INT, dims=("n",), module_scope=True)
+        m = b.module("M")
+        g = m.function("find", return_type=T_INT)
+        g.param("lo", T_INT, intent="in")
+        g.param("hi", T_INT, intent="in")
+        g.param("v", T_INT, intent="in")
+        s = g.step("scan")
+        s.foreach(p=(ref("lo"), ref("hi")))
+        s.if_(ref("keys", I("p")).eq(ref("v")), [SB.ret(I("p") * 10)])
+        g.returns(-1)
+        f = m.function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        s = f.step("lookup")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("at", I("i")), FuncCall("find", (lo, hi,
+                                                       ref("want", I("i")))))
+        return b.build()
+
+    def _search_pair(self, p, keys, want):
+        out, errors = {}, {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            ctx = ExecutionContext(p, sizes={"n": len(keys)})
+            ctx.get("keys")[...] = keys
+            ctx.get("want")[...] = want
+            interp = cls(p, ctx)
+            try:
+                interp.call("f", [len(keys)])
+                errors[cls] = None
+            except ExecutionError as e:
+                errors[cls] = str(e)
+            out[cls] = (interp, [], ctx)
+        return out, errors
+
+    def test_search_that_finds_nothing_returns_its_default(self):
+        p = self._search_program(1, ref("n"))
+        keys = np.array([4, 2, 2, 9, 4, 1])
+        want = np.array([2, 7, 4, 1, 3, 9])
+        out, errors = self._search_pair(p, keys, want)
+        assert errors == {Interpreter: None, VectorizedInterpreter: None}
+        _assert_same(out, ("at",))
+        vec, _, ctx = out[VectorizedInterpreter]
+        assert vec.fallbacks == []
+        assert ctx.get("at").tolist() == [20, -1, 10, 60, -1, 40]
+        # Each lane scans up to its match: 2+6+1+6+6+4 positions.
+        assert vec.stats.loop_iterations[("find", 0)] == 25
+        assert vec.stats.calls["find"] == 6
+
+    def test_search_lane_out_of_bounds_rolls_back_with_canonical_error(self):
+        # Lane 3 looks past the end of keys before any match; lane 1
+        # matches first, lane 2 ends inside the grid.
+        p = self._search_program(I("i"), I("i") + 3)
+        keys = np.array([5, 5, 8, 8])
+        want = np.array([5, 1, 1, 8])
+        out, errors = self._search_pair(p, keys, want)
+        assert errors[VectorizedInterpreter] == errors[Interpreter]
+        assert "out of bounds" in errors[Interpreter]
+        _assert_same(out, ("at",))
+        # The scalar path then runs find's own loop step, which does not
+        # lift on its own.
+        vec = out[VectorizedInterpreter][0]
+        assert [(e.step_name, e.reason.split(":")[0])
+                for e in vec.fallbacks] == [
+            ("lookup", "runtime lift failure"),
+            ("scan", "early return inside the loop body")]
+
+    def test_duplicate_index_updates_fold_in_loop_order(self):
+        b = GlafBuilder("sc")
+        f = b.module("M").function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.param("x", T_REAL8, dims=("n",), intent="in")
+        f.param("y", T_REAL8, dims=(3,), intent="inout")
+        f.param("idx", T_INT, dims=("n",), intent="in")
+        s = f.step("scatter")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", ref("idx", I("i"))),
+                  ref("y", ref("idx", I("i"))) + ref("x", I("i")))
+        s.if_(ref("x", I("i")).gt(0.0),
+              [SB.assign(ref("y", ref("idx", I("i"))),
+                         ref("y", ref("idx", I("i"))) - ref("x", I("i"))
+                         * 0.3)])
+        p = b.build()
+        lifted = compile_step(_step(p, "f"))
+        assert [a.kind for a in lifted.assigns] == ["scatter", "scatter"]
+        rng = np.random.default_rng(11)
+        n = 64
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        idx = rng.integers(1, 4, n)
+        out = _run_pair(p, "f", lambda: [n, x.copy(), np.full(3, 0.1),
+                                         idx.copy()], {"n": n})
+        _assert_same(out, ())
+        assert out[VectorizedInterpreter][0].fallbacks == []
+
+    def test_plain_indirect_store_is_refused(self):
+        b = GlafBuilder("st")
+        f = b.module("M").function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.param("y", T_REAL8, dims=("n",), intent="inout")
+        f.param("idx", T_INT, dims=("n",), intent="in")
+        s = f.step("store")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", ref("idx", I("i"))), ref("y", ref("idx", I("i")))
+                  * 2.0)
+        failure = compile_step(_step(b.build(), "f"))
+        assert "indirect or non-identity write index" in failure.reason
+
+    def test_budget_trip_mid_sweep_leaves_no_torn_writes(self):
+        from repro.fun3d import (build_fun3d_program, context_values,
+                                 make_mesh, mesh_sizes)
+        from repro.robust import ResourceLimits
+
+        mesh = make_mesh(27, 3)
+        p = build_fun3d_program()
+        # Enough for init_jac and the sweep's own ticks, not its callees.
+        cap = mesh.nnz * 5 + mesh.ncell + 100
+        ctx = ExecutionContext(p, sizes=mesh_sizes(mesh),
+                               values=context_values(mesh))
+        vec = VectorizedInterpreter(
+            p, ctx, limits=ResourceLimits(max_loop_iterations=cap))
+        ctx.get("jac")[...] = 5.0
+        with pytest.raises(ResourceLimitError):
+            vec.call("edgejp", [mesh.ncell, mesh.nnz])
+        assert not ctx.get("jac").any()         # init_jac's zeros, intact
+        assert not ctx.get("grad").any()
+        assert [e.reason for e in vec.fallbacks] == [
+            "resource budget exhausted mid-lift"]
+
+    def _fun3d_trip(self, cls, configure):
+        from repro.fun3d import (build_fun3d_program, context_values,
+                                 make_mesh, mesh_sizes)
+
+        mesh = make_mesh(27, 3)
+        values = context_values(mesh)
+        values["q"] = values["q"].copy()
+        values["q"][mesh.cell_nodes[4, 2] - 1, 3] = np.nan
+        p = build_fun3d_program()
+        ctx = ExecutionContext(p, sizes=mesh_sizes(mesh), values=values)
+        interp = cls(p, ctx)
+        with configure:
+            with pytest.raises(ExecutionError) as exc:
+                interp.call("edgejp", [mesh.ncell, mesh.nnz])
+        return exc.value, interp, ctx
+
+    def test_sentinel_trip_inside_a_callee_reports_as_scalar_path(self):
+        got = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            err, interp, ctx = self._fun3d_trip(
+                cls, configured(sentinels=SentinelConfig()))
+            assert isinstance(err, NumericIntegrityError)
+            got[cls] = (str(err), err.function, err.step_index, err.cell,
+                        ctx.get("jac").tobytes(), ctx.get("grad").tobytes(),
+                        interp.stats.calls)
+        assert got[VectorizedInterpreter] == got[Interpreter]
+        assert got[Interpreter][1:3] == ("cell_loop", 2)
+
+    def test_fault_inside_a_callee_hits_as_on_scalar_path(self):
+        from repro.robust import FaultSpec
+
+        got = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            plan = FaultPlan([FaultSpec(
+                "exec.interp.step", "raise", at=40,
+                match={"function": "edge_loop"})], seed=0)
+            err, interp, ctx = self._fun3d_trip(cls, configured(faults=plan))
+            got[cls] = (str(err), [e.detail for e in plan.fired],
+                        ctx.get("jac").tobytes(), interp.stats.calls)
+        assert got[VectorizedInterpreter] == got[Interpreter]
+        assert "edge_loop" in got[Interpreter][0]
+
+    def test_refused_callee_forms(self):
+        def program(callee_build, call_args):
+            b = GlafBuilder("rf")
+            b.global_grid("out", T_REAL8, dims=("n",), module_scope=True)
+            m = b.module("M")
+            g = m.function("g", return_type=T_VOID)
+            callee_build(g)
+            f = m.function("f", return_type=T_VOID)
+            f.param("n", T_INT, intent="in")
+            s = f.step("sweep")
+            s.foreach(i=(1, "n"))
+            s.call("g", call_args)
+            return b.build()
+
+        def array_arg(g):
+            g.param("n", T_INT, intent="in")
+            g.param("v", T_REAL8, dims=("n",), intent="in")
+
+        def out_scalar(g):
+            g.param("i", T_INT, intent="out")
+
+        def recursive(g):
+            g.param("i", T_INT, intent="in")
+            g.step("again").call("g", [ref("i")])
+
+        cases = [(array_arg, [ref("n"), ref("out")], "array argument 'v'"),
+                 (out_scalar, [I("i")], "intent(out) scalar argument 'i'"),
+                 (recursive, [I("i")], "recursive call to 'g'")]
+        for build, args, why in cases:
+            p = program(build, args)
+            fn = p.find_function("f")
+            failure = compile_step(fn.steps[0], p, fn)
+            assert isinstance(failure, LiftFailure)
+            assert why in failure.reason, failure.reason

@@ -54,5 +54,41 @@ def test_pair_rows_quartiles_and_wins(tmp_path):
     p50 = rows["op_p50_ms"]
     assert p50["won"] == 4                    # lower is better: seed 4 lost
     assert p50["head"][1] == 40.0
+    # 4 of 5 wins is short of nine in ten: no gain on either metric.
+    assert not ops["gain"] and not p50["gain"]
     text = pairs.render(list(rows.values()))
-    assert "ops_per_s" in text and "4/5" in text
+    assert "ops_per_s" in text and "4/5" in text and "  no" in text
+
+
+def _row(base, head, won, pairs=10):
+    return {"base": base, "head": (0.0, head, 0.0), "won": won,
+            "pairs": pairs}
+
+
+def test_gain_needs_nine_in_ten_wins_and_a_median_gap_beyond_the_iqr():
+    gain = _script().gain
+    # base quartiles 10 / 11 / 12: the IQR is 2.
+    assert gain(_row((10.0, 11.0, 12.0), 13.5, 9), lower=False)
+    assert not gain(_row((10.0, 11.0, 12.0), 13.5, 8), lower=False)
+    assert not gain(_row((10.0, 11.0, 12.0), 13.0, 10), lower=False)
+    assert not gain(_row((10.0, 11.0, 12.0), 8.5, 10), lower=False)
+    # Lower is better: the gap is measured downwards.
+    assert gain(_row((10.0, 11.0, 12.0), 8.5, 10), lower=True)
+    assert not gain(_row((10.0, 11.0, 12.0), 13.5, 10), lower=True)
+    # 18 of 20 is nine in ten; no pairs is no gain.
+    assert gain(_row((10.0, 11.0, 12.0), 14.0, 18, 20), lower=False)
+    assert not gain(_row((10.0, 11.0, 12.0), 14.0, 0, 0), lower=False)
+
+
+def test_render_states_the_verdict(tmp_path):
+    pairs = _script()
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    base = _set({s: (10.0 + 0.1 * s, 80.0) for s in range(1, 11)})
+    head = _set({s: (20.0 + 0.1 * s, 80.0) for s in range(1, 11)})
+    rows = {r["metric"]: r
+            for r in pairs.pair_rows(base, head, bench, "legacy-fortran")}
+    assert rows["ops_per_s"]["gain"] and not rows["op_p50_ms"]["gain"]
+    lines = pairs.render(list(rows.values())).splitlines()
+    assert lines[0].split()[-1] == "gain"
+    verdicts = {line.split()[0]: line.split()[-1] for line in lines[1:]}
+    assert verdicts == {"ops_per_s": "yes", "op_p50_ms": "no"}
