@@ -77,9 +77,13 @@ def main():
     with observe.observed() as obs:
         plan = make_plan(program, "GLAF-parallel v2", threads=4)
         generate_fortran_module(plan)
-    print(observe.render_stage_summary(obs.tracer))
-    pruned = [d for d in obs.decisions.for_stage("pruning")
-              if d.verdict == "pruned"]
+    record = observe.build_record(command="example", observation=obs)
+    for row in record["stages"]:
+        print(f"{row['stage']:<12s} {row['calls']:>6d} calls "
+              f"{row['cumulative_s'] * 1e3:>10.3f}ms cumulative "
+              f"{row['self_s'] * 1e3:>10.3f}ms self")
+    pruned = [d for d in record["decisions"] if d["stage"] == "pruning"
+              and d["verdict"] == "pruned"]
     print(f"v2 pruned {len(pruned)} directive(s); "
           f"run 'python -m repro profile' for the full decision log")
 

@@ -13,9 +13,10 @@
 * ``sloc PROJECT.json`` — per-subprogram SLOC of the generated FORTRAN.
 * ``variants`` — list the Table-2 pruning variants.
 * ``profile PROJECT.json`` — run the whole pipeline under the
-  :mod:`repro.observe` tracer and print the per-stage timing tree, the
-  metrics, and the parallelization decision log (``--json FILE`` exports
-  the trace document; see ``docs/OBSERVABILITY.md``).  With ``--guarded``
+  :mod:`repro.observe` tracer and print its run record: the timing tree,
+  the per-stage summary, the metrics, and the decision log (``--json
+  FILE`` writes the record itself, ``--chrome FILE`` its Chrome trace;
+  see ``docs/OBSERVABILITY.md``).  With ``--guarded``
   the project's case-study workload is also executed under the
   :class:`repro.glafexec.GuardedRunner`, so guard demotions show up in the
   decision log; ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects
@@ -61,8 +62,8 @@
   ``BENCH_*.json`` trajectory as one table.
 
 ``experiments`` and ``generate`` also accept ``--profile [FILE]``: with no
-argument the observability report is printed to stderr after the normal
-output; with a file argument the JSON trace is written there instead.
+argument the run record's text view is printed to stderr after the normal
+output; with a file argument the run record is written there instead.
 ``experiments --guarded`` routes the case-study interpreter runs through
 guarded execution with serial fallback, ``experiments --json FILE``
 writes the machine-readable tables (``ExperimentResult.to_json``),
@@ -113,8 +114,8 @@ def _add_profile_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--profile", nargs="?", const=_PROFILE_REPORT, default=None,
         metavar="FILE",
-        help="trace the run; print a report to stderr, or write a JSON "
-             "trace to FILE when given",
+        help="trace the run; print its record to stderr, or write the "
+             "record (JSON) to FILE when given",
     )
 
 
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="fortran",
                       help="back-end(s) to run through codegen")
     prof.add_argument("--json", dest="json_path", metavar="FILE",
-                      help="also write the JSON trace document to FILE")
+                      help="also write the run record (JSON) to FILE")
     prof.add_argument("--chrome", dest="chrome_path", metavar="FILE",
                       help="also write the trace in Chrome trace-event "
                            "format (open in chrome://tracing or Perfetto)")
@@ -623,6 +624,8 @@ def _cmd_variants(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    """Run the whole pipeline under one ``pipeline`` span; :func:`main`
+    observes the run and prints, and writes, its record."""
     from . import observe
     from .codegen import (
         generate_c_source,
@@ -635,50 +638,35 @@ def _cmd_profile(args) -> int:
 
     targets = (["fortran", "c", "opencl", "python"]
                if args.target == "all" else [args.target])
-    with observe.observing() as obs:
-        with observe.get_tracer().span("pipeline", project=args.project,
-                                       variant=args.variant):
-            program = _load_program(args.project)
-            if args.guarded:
-                # Execute the case-study workload under the divergence
-                # guard first, so an injected mis-parallelization is both
-                # caused and recovered inside this one profiled run.
-                from .robust.scenarios import scenario_for
+    with observe.get_tracer().span("pipeline", project=args.project,
+                                   variant=args.variant):
+        program = _load_program(args.project)
+        if args.guarded:
+            # Execute the case-study workload under the divergence
+            # guard first, so an injected mis-parallelization is both
+            # caused and recovered inside this one profiled run.
+            from .robust.scenarios import scenario_for
 
-                scenario_for(program.name).run_guarded()
-            if getattr(args, "executor", None):
-                # Run the case-study workload under the chosen executor so
-                # exec.run.* spans and executor:fallback decisions land in
-                # this profile (docs/EXECUTORS.md).
-                from .robust.scenarios import scenario_for
+            scenario_for(program.name).run_guarded()
+        if getattr(args, "executor", None):
+            # Run the case-study workload under the chosen executor so
+            # exec.run.* spans and executor:fallback decisions land in
+            # this profile (docs/EXECUTORS.md).
+            from .robust.scenarios import scenario_for
 
-                scenario_for(program.name).run_executor(args.executor)
-            plan = make_plan(program, args.variant, threads=args.threads)
-            for target in targets:
-                if target == "fortran":
-                    # Round-trip the generated module through the FORTRAN
-                    # front end so the lexer/parser stages show up too.
-                    parse_source(generate_fortran_module(plan))
-                elif target == "c":
-                    generate_c_source(plan)
-                elif target == "python":
-                    generate_python_source(plan)
-                else:
-                    generate_opencl(plan)
-    print(obs.report(title=f"repro profile: {args.project} "
-                           f"(variant {args.variant!r})"))
-    if args.json_path:
-        _write_json(args.json_path,
-                    obs.to_json(project=args.project, variant=args.variant,
-                                targets=targets))
-        print(f"\ntrace written to {args.json_path}", file=sys.stderr)
-    if args.chrome_path:
-        _write_json(args.chrome_path,
-                    obs.to_chrome_trace(project=args.project,
-                                        variant=args.variant))
-        print(f"chrome trace written to {args.chrome_path} "
-              f"(open in chrome://tracing or https://ui.perfetto.dev)",
-              file=sys.stderr)
+            scenario_for(program.name).run_executor(args.executor)
+        plan = make_plan(program, args.variant, threads=args.threads)
+        for target in targets:
+            if target == "fortran":
+                # Round-trip the generated module through the FORTRAN
+                # front end so the lexer/parser stages show up too.
+                parse_source(generate_fortran_module(plan))
+            elif target == "c":
+                generate_c_source(plan)
+            elif target == "python":
+                generate_python_source(plan)
+            else:
+                generate_opencl(plan)
     return 0
 
 
@@ -953,9 +941,12 @@ def _cmd_runs(args) -> int:
 def _runs_selftest() -> int:
     """End-to-end ledger smoke test in a scratch directory: append three
     observed runs, reconcile a stale index, quarantine a corrupt record,
-    push every exporter through its own validator, and check that a
-    record states the run configuration it was built under."""
+    push every exporter through its own validator (the Chrome one also
+    with two threads and with a flame-only record from before records
+    stored spans), and check that a record states the run configuration
+    it was built under."""
     import tempfile
+    import threading
     from pathlib import Path
 
     from . import observe
@@ -1008,6 +999,29 @@ def _runs_selftest() -> int:
         phases = {e["ph"] for e in doc["traceEvents"]}
         check("chrome spans+counters+instants",
               {"X", "C", "i"} <= phases)
+
+        def worker() -> None:
+            with observe.get_tracer().span("selftest.worker"):
+                pass
+
+        with observe.observed() as obs:
+            with obs.tracer.span("selftest.main"):
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join()
+        doc = observe.record_to_chrome(
+            observe.build_record(command="selftest", observation=obs))
+        check("chrome tid per thread",
+              sorted(e["tid"] for e in doc["traceEvents"]
+                     if e["ph"] == "X") == [0, 1])
+        # A record written before records stored spans has a flame only.
+        flame = [{"name": "selftest.stage", "calls": 2, "total_s": 0.002,
+                  "children": []}]
+        doc = observe.record_to_chrome({"schema": observe.RUN_SCHEMA,
+                                        "flame": flame})
+        check("chrome of flame-only record",
+              [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
+              == ["selftest.stage"])
         html = observe.render_runs_html(
             [ledger.load(e["id"]) for e in ledger.entries()])
         check("html dashboard", "<svg" in html and "run-000003" in html)
@@ -1132,12 +1146,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         ledger_dir = observe.ledger_dir_from_env(
             getattr(args, "ledger_dir", None))
     sample_interval = getattr(args, "sample", None)
-    if profile is None and ledger_dir is None and not sample_interval:
+    if (args.command != "profile" and profile is None and ledger_dir is None
+            and not sample_interval):
         return run()
 
-    # One observation covers the whole invocation: the profile report,
-    # the resource sampler, and the persisted run record all read from
-    # it (commands that observe themselves join it via observing()).
+    # One observation covers the whole invocation and becomes one run
+    # record: the ledger append, the profile report, and every file
+    # --json/--chrome/--profile FILE writes all come from it.
     import time
 
     started = time.time()
@@ -1165,34 +1180,52 @@ def main(argv: Sequence[str] | None = None) -> int:
                 sampler.stop()
     wall_s = time.perf_counter() - t0
 
-    if profile is _PROFILE_REPORT:
-        print(obs.report(title=f"profile: repro {args.command}"),
-              file=sys.stderr)
-    elif profile is not None:
-        _write_json(profile, obs.to_json(command=args.command))
-        print(f"trace written to {profile}", file=sys.stderr)
-
+    record = observe.build_record(
+        command=ledger_command,
+        argv=list(argv) if argv is not None else sys.argv[1:],
+        exit_code=rc, status=status, wall_s=wall_s,
+        observation=obs,
+        samples=sampler.series() if sampler is not None else None,
+        checkpoint=_checkpoint_linkage(args),
+        environment=observe.run_environment(config),
+        started=started)
     if ledger_dir is not None:
         try:
-            record = observe.build_record(
-                command=ledger_command,
-                argv=list(argv) if argv is not None else sys.argv[1:],
-                exit_code=rc, status=status, wall_s=wall_s,
-                observation=obs,
-                samples=sampler.series() if sampler is not None else None,
-                checkpoint=_checkpoint_linkage(args),
-                environment=observe.run_environment(config),
-                started=started)
-            stamped = observe.RunLedger(ledger_dir).append(record)
-            print(f"run ledger: appended {stamped['id']} to {ledger_dir}",
+            record = observe.RunLedger(ledger_dir).append(record)
+            print(f"run ledger: appended {record['id']} to {ledger_dir}",
                   file=sys.stderr)
         except OSError as e:
             # A read-only or full filesystem must not fail the run.
             print(f"run ledger: could not append to {ledger_dir} ({e})",
                   file=sys.stderr)
+
+    if args.command == "profile":
+        if status == "ok":
+            _write_outputs(record, args.json_path, args.chrome_path)
+            print(observe.render_run(record))
+    elif profile is _PROFILE_REPORT:
+        print(observe.render_run(record), file=sys.stderr)
+    elif profile is not None:
+        _write_outputs(record, profile, None)
     if failure is not None:
         raise failure
     return rc
+
+
+def _write_outputs(record: dict, record_path: str | None,
+                   chrome_path: str | None) -> None:
+    """Write a run record, and its Chrome trace, to the files asked for."""
+    from . import observe
+    from .numeric import atomic_write_text
+
+    if record_path:
+        atomic_write_text(record_path, observe.record_json(record))
+        print(f"run record written to {record_path}", file=sys.stderr)
+    if chrome_path:
+        _write_json(chrome_path, observe.record_to_chrome(record))
+        print(f"chrome trace written to {chrome_path} (open in "
+              f"chrome://tracing or https://ui.perfetto.dev)",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,27 +13,32 @@ un-instrumented runs cost nothing (see ``docs/OBSERVABILITY.md``):
   and the model-guided advisor.
 
 The usual entry point is :func:`observed`, which installs all three for
-the duration of a ``with`` block and hands back the bundle::
+the duration of a ``with`` block and hands back the bundle;
+:func:`build_record` distills it into one ``repro.run/v1`` run record,
+and every view renders from that record::
 
     from repro import observe
 
     with observe.observed() as obs:
         plan = make_plan(program, "GLAF-parallel v2")
         src = generate_fortran_module(plan)
-    print(observe.render_report(obs.tracer, obs.metrics, obs.decisions))
+    record = observe.build_record(command="example", observation=obs)
+    print(observe.render_run(record))
 
 ``repro profile PROJECT.json`` and the ``--profile`` flag on
 ``experiments`` / ``generate`` are the CLI front doors to the same
-machinery; :mod:`repro.observe.report` renders the flame-style tree, the
-per-stage summary, and the JSON export (schema ``repro.observe.trace/v1``).
+machinery: the CLI builds one record per observed run, prints
+:func:`render_run` of it, and writes the record itself or its
+:func:`record_to_chrome` trace to files.
 
 On top of the in-process trio sit the durable pieces (PR 8):
 
-* :mod:`repro.observe.ledger` — the persistent ``.repro/runs/`` run
-  ledger (``repro.run/v1`` records, atomic index, quarantine);
-* :mod:`repro.observe.export` — Prometheus text exposition, the
-  Chrome/Perfetto trace synthesized from a record, and the static HTML
-  dashboard behind ``repro runs``;
+* :mod:`repro.observe.ledger` — the ``repro.run/v1`` record
+  (:func:`build_record`) and the persistent ``.repro/runs/`` run ledger
+  (atomic index, quarantine);
+* :mod:`repro.observe.export` — the text view of a record, Prometheus
+  text exposition, the Chrome/Perfetto trace of a record, and the static
+  HTML dashboard behind ``repro runs``;
 * :mod:`repro.observe.sample` — the opt-in background
   :class:`ResourceSampler` (RSS / CPU / GC time series).
 """
@@ -63,17 +68,6 @@ from .metrics import (
     set_metrics,
 )
 from .bench import BENCH_SCHEMA, RepeatStats, stage_seconds, summarize_repeats
-from .report import (
-    TRACE_SCHEMA,
-    render_decisions,
-    render_metrics,
-    render_report,
-    render_stage_summary,
-    render_tree,
-    stage_totals,
-    to_chrome_trace,
-    trace_to_json,
-)
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -92,17 +86,14 @@ __all__ = [
     # decisions
     "Decision", "DecisionLog", "NullDecisionLog", "NULL_DECISIONS",
     "get_decisions", "set_decisions",
-    # reporting
-    "TRACE_SCHEMA", "render_tree", "render_stage_summary", "render_metrics",
-    "render_decisions", "render_report", "stage_totals", "trace_to_json",
-    "to_chrome_trace",
     # bench statistics
     "BENCH_SCHEMA", "RepeatStats", "summarize_repeats", "stage_seconds",
     # session
-    "Observation", "observed", "observing", "is_observing",
-    # run ledger + exporters + sampling
+    "Observation", "observed", "is_observing",
+    # run record + ledger + exporters + sampling
     "RUN_SCHEMA", "INDEX_SCHEMA", "DEFAULT_LEDGER_DIR", "LEDGER_ENV",
-    "RunLedger", "build_record", "ledger_dir_from_env", "run_environment",
+    "RunLedger", "build_record", "ledger_dir_from_env", "record_json",
+    "run_environment", "stage_totals",
     "to_prometheus", "parse_prometheus", "record_to_chrome",
     "render_runs_html", "render_runs_table", "render_run", "diff_runs",
     "render_runs_trend",
@@ -117,17 +108,6 @@ class Observation:
     tracer: Tracer
     metrics: MetricsRegistry
     decisions: DecisionLog
-
-    def to_json(self, **meta: object) -> dict[str, object]:
-        return trace_to_json(self.tracer, self.metrics, self.decisions, **meta)
-
-    def to_chrome_trace(self, *, samples=None, **meta: object) -> dict[str, object]:
-        return to_chrome_trace(self.tracer, self.metrics, self.decisions,
-                               samples=samples, **meta)
-
-    def report(self, title: str = "pipeline profile") -> str:
-        return render_report(self.tracer, self.metrics, self.decisions,
-                             title=title)
 
 
 def is_observing() -> bool:
@@ -157,23 +137,6 @@ def observed(clock=None) -> Iterator[Observation]:
         set_decisions(prev_d)
 
 
-@contextmanager
-def observing(clock=None) -> Iterator[Observation]:
-    """The active observation if one is installed, else a fresh one.
-
-    ``repro profile`` and the run ledger both want "the observation for
-    this process": when ``main()`` has already installed one (because the
-    ledger is on), nesting a second would hide the outer one's spans from
-    the persisted record.  This joins the active trio instead; only when
-    nothing is installed does it behave like :func:`observed`.
-    """
-    if is_observing():
-        yield Observation(get_tracer(), get_metrics(), get_decisions())
-    else:
-        with observed(clock) as obs:
-            yield obs
-
-
 # Durable layer last: ledger/export/sample import the modules above.
 from .export import (  # noqa: E402
     diff_runs,
@@ -193,6 +156,8 @@ from .ledger import (  # noqa: E402
     RunLedger,
     build_record,
     ledger_dir_from_env,
+    record_json,
     run_environment,
+    stage_totals,
 )
 from .sample import ResourceSampler, read_rss_bytes  # noqa: E402

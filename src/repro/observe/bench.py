@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .report import stage_totals
+from .ledger import span_dicts, stage_totals
 from .trace import NullTracer, Tracer
 
 __all__ = ["BENCH_SCHEMA", "RepeatStats", "summarize_repeats", "stage_seconds"]
@@ -86,4 +86,4 @@ def summarize_repeats(values: list[float] | tuple[float, ...]) -> RepeatStats:
 def stage_seconds(tracer: Tracer | NullTracer) -> dict[str, float]:
     """Cumulative seconds per pipeline stage for one recorded trace."""
     return {str(r["stage"]): float(r["cumulative_s"])
-            for r in stage_totals(tracer)}
+            for r in stage_totals(span_dicts(tracer))}

@@ -9,30 +9,31 @@ keep that one?") can be answered from a single ``repro profile`` run.
 
 Stages and their verdict vocabularies:
 
-=======================  ============================================
-``parallelize``          ``parallel`` | ``serial``
-``pruning``              ``kept`` | ``pruned`` | ``not-parallel``
-``advisor``              ``omp`` | ``simd`` | ``none``
-``guard``                ``serial-fallback``
-``fault``                ``injected``
-``lint:<rule>``          ``violation``
-``numeric:<kind>``       ``detected``
-``retry``                ``retried`` | ``gave-up``
-``executor:fallback``    ``interpreter``
-``executor:inline``      ``inlined``
-``fuzz:item``            ``clean`` | ``failed``
-``fuzz:signature``       ``new`` | ``duplicate``
-``fuzz:shrink``          ``minimized``
-``fuzz:quarantine``      ``written``
-``fuzz:campaign``        ``clean`` | ``failed``
-``run:record``           ``opened``
-``sample:resource``      ``started`` | ``stopped``
-``batch:item``           ``ok`` | ``failed`` | ``quarantined``
-``batch:quarantine``     ``written`` | ``sticky``
-``batch:degraded``       ``serial``
-``batch:campaign``       ``completed`` | ``failed``
-``cache:corrupt-entry``  ``discarded``
-=======================  ============================================
+===========================  ========================================
+``parallelize``              ``parallel`` | ``serial``
+``pruning``                  ``kept`` | ``pruned`` | ``not-parallel``
+``advisor``                  ``omp`` | ``simd`` | ``none``
+``guard``                    ``serial-fallback``
+``fault``                    ``injected``
+``lint:<rule>``              ``violation``
+``numeric:<kind>``           ``detected``
+``retry``                    ``retried`` | ``gave-up``
+``executor:fallback``        ``interpreter`` | ``scalar``
+``executor:inline``          ``inlined``
+``executor:snapshot-elide``  ``no-rollback-copy``
+``fuzz:item``                ``clean`` | ``failed``
+``fuzz:signature``           ``new`` | ``duplicate``
+``fuzz:shrink``              ``minimized``
+``fuzz:quarantine``          ``written``
+``fuzz:campaign``            ``clean`` | ``failed``
+``run:record``               ``opened``
+``sample:resource``          ``started`` | ``stopped``
+``batch:item``               ``ok`` | ``failed`` | ``quarantined``
+``batch:quarantine``         ``written`` | ``sticky``
+``batch:degraded``           ``serial``
+``batch:campaign``           ``completed`` | ``failed``
+``cache:corrupt-entry``      ``discarded``
+===========================  ========================================
 
 The ``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner`
 when a divergence guard demotes a parallel step to serial; the ``fault``
@@ -50,15 +51,19 @@ by the numeric sentinels on every trip, and ``retry`` by
 :class:`repro.glafexec.VectorizedInterpreter` whenever a step it cannot
 lift to a whole-grid array program is demoted to the reference
 interpreter (verdict ``interpreter``, with the reason the lift was
-refused) — see ``docs/EXECUTORS.md``.  The ``fuzz:*`` stages narrate a
-``repro fuzz`` campaign — one ``fuzz:item`` per generated project
-(reasons = failure signature keys), ``fuzz:signature`` when triage sees
-a signature (``new`` opens a bucket), ``fuzz:shrink`` /
+refused), ``executor:inline`` for every lifted step that inlines calls or
+expands per-iteration scratch, and ``executor:snapshot-elide`` for every
+lifted step whose rollback snapshot liveness proved unnecessary; the
+FORTRAN runtime emits ``executor:fallback`` (verdict ``scalar``) for a DO
+nest it keeps on its scalar closure — see ``docs/EXECUTORS.md``.  The
+``fuzz:*`` stages narrate a ``repro fuzz`` campaign — one ``fuzz:item``
+per generated project (reasons = failure signature keys),
+``fuzz:signature`` when triage sees a signature (``new`` opens a
+bucket), ``fuzz:shrink`` /
 ``fuzz:quarantine`` as a new bucket's exemplar is minimized and its
 reproducer bundle written, and one closing ``fuzz:campaign`` — see
 ``docs/FUZZING.md``.  The ``run:record`` stage is emitted by the CLI when
-a ledgered run opens (attrs carry the ledger directory and the previous
-run id, so consecutive records link into a chain), and
+a ledgered run opens (attrs carry the ledger directory), and
 ``sample:resource`` by the background
 :class:`repro.observe.sample.ResourceSampler` when it starts and stops —
 see ``docs/RUN_LEDGER.md``.  The ``batch:*`` stages narrate a

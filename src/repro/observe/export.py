@@ -1,25 +1,32 @@
-"""Telemetry exporters over the run ledger (``docs/RUN_LEDGER.md``).
+"""Views and telemetry exporters over run records (``docs/RUN_LEDGER.md``).
 
-Three export surfaces plus the human-readable renderers behind the
-``repro runs`` CLI family:
+A ``repro.run/v1`` record is the one document an observed run becomes;
+everything here renders from it, so a view of a live run and of a
+ledgered one are the same text:
 
-* :func:`to_prometheus` — the metrics snapshot of a run record in the
+* :func:`render_run` — the one text view: run header, span tree,
+  per-stage summary, metrics, decisions and event counts.  ``repro
+  profile``, bare ``--profile`` and ``repro runs show`` all print it;
+* :func:`record_to_chrome` — the Chrome/Perfetto trace of a record: one
+  phase-``"X"`` event per span, phase-``"C"`` counter tracks from the
+  metrics snapshot and the resource-sampler series, and phase-``"i"``
+  instants for every decision event;
+* :func:`to_prometheus` — the metrics snapshot of a record in the
   Prometheus text exposition format (counters as ``*_total``, gauges,
   histogram summaries), with :func:`parse_prometheus` as the built-in
   grammar check so tests and ``repro runs selftest`` can verify every
   emitted page actually parses;
-* :func:`record_to_chrome` — a Chrome/Perfetto trace synthesized from a
-  persisted record: phase-``"X"`` span events re-laid from the stored
-  flame tree, phase-``"C"`` counter tracks from the metrics snapshot and
-  the resource-sampler series, and phase-``"i"`` instants for every
-  decision event;
 * :func:`render_runs_html` — a fully self-contained static HTML
   dashboard (inline CSS + SVG, zero external dependencies) showing the
   run trajectory, per-stage flame summaries, and the
   guard/fallback/sentinel event timeline;
-* :func:`render_runs_table` / :func:`render_run` / :func:`diff_runs` /
+* :func:`render_runs_table` / :func:`diff_runs` /
   :func:`render_runs_trend` — the text views for ``repro runs
-  list|show|diff|trend``.
+  list|diff|trend``.
+
+A record written before records stored their spans carries only a
+name-aggregated ``flame`` tree; :func:`record_spans` lays it out as spans
+so such records still render and export.
 """
 
 from __future__ import annotations
@@ -28,9 +35,12 @@ import html as _html
 import re
 import time
 
+from .ledger import aggregate_children
+
 __all__ = [
     "to_prometheus",
     "parse_prometheus",
+    "record_spans",
     "record_to_chrome",
     "render_runs_html",
     "render_runs_table",
@@ -163,39 +173,87 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
 
 
 # ---------------------------------------------------------------------------
-# Chrome trace from a persisted record
+# Chrome trace of a record
 # ---------------------------------------------------------------------------
+
+def record_spans(record: dict) -> list[dict]:
+    """The record's span tree (``name``, ``start_s``, ``duration_s``,
+    ``thread``, ``attrs``, ``children``).
+
+    A record written before records stored their spans has only the
+    name-aggregated ``flame`` tree: its nodes are laid out one after
+    another inside their parent, with the call count as the one attr —
+    per-name totals and nesting are exact, interleaving is not.
+    """
+    if "spans" in record:
+        return record["spans"]
+
+    def lay(nodes: list[dict], cursor: float) -> list[dict]:
+        out = []
+        for node in nodes:
+            dur = float(node.get("total_s", 0.0))
+            out.append({"name": node.get("name", "?"), "start_s": cursor,
+                        "duration_s": dur, "thread": "",
+                        "attrs": {"calls": node.get("calls", 1)},
+                        "children": lay(node.get("children", []), cursor)})
+            cursor += dur
+        return out
+
+    return lay(record.get("flame", []), 0.0)
+
 
 def record_to_chrome(record: dict) -> dict[str, object]:
     """A Chrome/Perfetto trace document for one ``repro.run/v1`` record.
 
-    The ledger stores the name-aggregated flame tree, not individual
-    spans, so sibling aggregates are re-laid sequentially inside their
-    parent — per-name totals and nesting are exact, interleaving is not.
-    Counters, sampler ticks, and decision instants are exact.
+    The result loads directly into ``chrome://tracing`` or Perfetto
+    (https://ui.perfetto.dev).  Every span becomes a complete event
+    (``"ph": "X"``) with microsecond ``ts``/``dur`` relative to the trace
+    epoch and its attributes as ``args``; its pipeline stage (the first
+    dotted name component) becomes the event category, so the UI can
+    filter by stage.  Threads map to stable integer ``tid`` values with
+    metadata events carrying the real names.
+
+    Every counter becomes a counter track (a zero point at the epoch and
+    the final value at the end of the run), every gauge its last-written
+    value, every sampler tick one point on the ``sample.rss_mb`` /
+    ``sample.cpu_s`` / ``sample.gc_gen0`` tracks, and every decision an
+    instant event (``"ph": "i"``) at the moment it was recorded,
+    categorized by stage.  The record's ``meta`` rides in ``otherData``.
     """
-    events: list[dict[str, object]] = [
-        {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0,
-         "args": {"name": "main"}},
-    ]
+    tids: dict[str, int] = {}
+    events: list[dict[str, object]] = []
 
-    def emit(nodes: list[dict], cursor: float) -> None:
-        for node in nodes:
-            dur = float(node.get("total_s", 0.0)) * 1e6
+    def tid_of(thread: str) -> int:
+        if thread not in tids:
+            tids[thread] = len(tids)
             events.append({
-                "name": node.get("name", "?"),
-                "cat": str(node.get("name", "?")).split(".", 1)[0],
-                "ph": "X", "ts": round(cursor, 3), "dur": round(dur, 3),
-                "pid": 0, "tid": 0,
-                "args": {"calls": node.get("calls", 1)},
+                "name": "thread_name", "ph": "M", "pid": 0,
+                "tid": tids[thread], "args": {"name": thread or "main"},
             })
-            emit(node.get("children", []), cursor)
-            cursor += dur
+        return tids[thread]
 
-    emit(record.get("flame", []), 0.0)
     end = float(record.get("wall_s", 0.0)) * 1e6
+
+    def emit(span: dict) -> None:
+        nonlocal end
+        start = span["start_s"] * 1e6
+        dur = span["duration_s"] * 1e6
+        end = max(end, start + dur)
+        events.append({
+            "name": span["name"],
+            "cat": span["name"].split(".", 1)[0],
+            "ph": "X", "ts": round(start, 3), "dur": round(dur, 3),
+            "pid": 0, "tid": tid_of(span["thread"]), "args": span["attrs"],
+        })
+        for c in span["children"]:
+            emit(c)
+
+    for root in record_spans(record):
+        emit(root)
     metrics = record.get("metrics", {})
     for name, value in metrics.get("counters", {}).items():
+        # Two points per counter: the zero at the epoch gives the UI a
+        # track to draw even for a single-valued counter.
         events.append({"name": name, "cat": "metric", "ph": "C", "ts": 0.0,
                        "pid": 0, "args": {"value": 0}})
         events.append({"name": name, "cat": "metric", "ph": "C",
@@ -227,14 +285,15 @@ def record_to_chrome(record: dict) -> dict[str, object]:
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"run": str(record.get("id", "?")),
+        "otherData": {**record.get("meta", {}),
+                      "run": str(record.get("id", "?")),
                       "command": str(record.get("command", "?")),
                       "schema": str(record.get("schema", ""))},
     }
 
 
 # ---------------------------------------------------------------------------
-# text renderers (repro runs list/show/diff/trend)
+# text renderers (repro profile, repro runs list/show/diff/trend)
 # ---------------------------------------------------------------------------
 
 def _when(ts: object) -> str:
@@ -284,13 +343,91 @@ def _event_counts(record: dict) -> dict[str, int]:
     return counts
 
 
-def render_run(record: dict) -> str:
-    """The ``repro runs show`` view of one record."""
+def _fmt_attrs(attrs: dict) -> str:
+    if not attrs:
+        return ""
+    inner = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+    return f"  [{inner}]"
+
+
+def _tree_lines(spans: list[dict], max_depth: int) -> list[str]:
+    """Flame-style text tree: siblings merged by name (``xN``), each line
+    the total milliseconds and the name indented by depth."""
+    lines: list[str] = []
+
+    def emit(nodes: list[dict], depth: int) -> None:
+        if depth >= max_depth:
+            return
+        for a in aggregate_children(nodes):
+            calls = f" x{a['calls']}" if a["calls"] > 1 else ""
+            lines.append(f"{a['total_s'] * 1e3:8.3f}ms  {'  ' * depth}"
+                         f"{a['name']}{calls}{_fmt_attrs(a['attrs'])}")
+            emit(a["children"], depth + 1)
+
+    emit(spans, 0)
+    return lines or ["(no spans recorded)"]
+
+
+def _stage_lines(stages: list[dict]) -> list[str]:
+    if not stages:
+        return ["(no stages recorded)"]
+    lines = [f"{'stage':<12s} {'calls':>6s} {'cumulative':>12s} {'self':>12s}",
+             f"{'-' * 12} {'-' * 6} {'-' * 12} {'-' * 12}"]
+    for r in stages:
+        lines.append(f"{r['stage']:<12s} {r['calls']:>6d} "
+                     f"{r['cumulative_s'] * 1e3:>10.3f}ms "
+                     f"{r['self_s'] * 1e3:>10.3f}ms")
+    return lines
+
+
+def _metric_lines(metrics: dict) -> list[str]:
+    lines = [f"{name:<40s} {v:>10}"
+             for name, v in metrics.get("counters", {}).items()]
+    lines += [f"{name:<40s} {v:>10g}"
+              for name, v in metrics.get("gauges", {}).items()]
+    lines += [f"{name:<40s} n={h['count']} mean={h['mean']:.4g} "
+              f"min={h['min']:.4g} max={h['max']:.4g}"
+              for name, h in metrics.get("histograms", {}).items()]
+    return lines or ["(no metrics recorded)"]
+
+
+def _decision_line(d: dict) -> str:
+    cls = f" class={d['loop_class']}" if d["loop_class"] else ""
+    why = f" — {d['reasons'][0]}" if d["reasons"] else ""
+    extra = {k: v for k, v in d["attrs"].items()
+             if v not in ("", None) and k != "variant"}
+    return (f"    step {d['step_index']} {d['step_name']:<24s} "
+            f"[{d['stage']}:{d['verdict']}]{cls}{why}{_fmt_attrs(extra)}")
+
+
+def _decision_lines(decisions: list[dict]) -> list[str]:
+    """Decision events grouped per subroutine/function."""
+    grouped: dict[str, list[dict]] = {}
+    for d in decisions:
+        grouped.setdefault(d["function"], []).append(d)
+    lines: list[str] = []
+    for fname, events in grouped.items():
+        lines.append(f"  {fname}")
+        lines += [_decision_line(d) for d in events]
+    return lines or ["(no decisions recorded)"]
+
+
+def render_run(record: dict, *, max_depth: int = 12) -> str:
+    """The one text view of a record: ``repro profile``, bare
+    ``--profile`` and ``repro runs show`` all print it.
+
+    A header (id, command, argv, outcome, wall, environment), then the
+    span tree (siblings merged by name, attrs shown for unmerged spans,
+    ``max_depth`` levels deep), the per-stage summary, the metrics, the
+    decisions per function, the event counts and the sampler summary.
+    """
     outcome = record.get("outcome", {})
     env = record.get("environment", {})
     ck = record.get("checkpoint") or {}
+    command = f"repro {record.get('command', '?')}"
     lines = [
-        f"== {record.get('id', '?')}: repro {record.get('command', '?')} ==",
+        f"== {record['id']}: {command} ==" if "id" in record
+        else f"== {command} ==",
         f"argv:      {' '.join(record.get('argv', [])) or '(none)'}",
         f"outcome:   {outcome.get('status', '?')} "
         f"(exit {outcome.get('exit_code', '?')})",
@@ -303,29 +440,23 @@ def render_run(record: dict) -> str:
     if ck:
         lines.append(f"checkpoint: dir={ck.get('dir', '?')} "
                      f"resume={ck.get('resume', False)}")
-    stages = record.get("stages", [])
-    if stages:
-        lines.append("-- per-stage seconds --")
-        for row in stages:
-            lines.append(f"  {row.get('stage', '?'):<12s} "
-                         f"calls {int(row.get('calls', 0)):>6d} "
-                         f"cumulative {float(row.get('cumulative_s', 0)) * 1e3:>10.3f}ms "
-                         f"self {float(row.get('self_s', 0)) * 1e3:>10.3f}ms")
-    metrics = record.get("metrics", {})
-    counters = metrics.get("counters", {})
-    if counters:
-        lines.append("-- counters --")
-        for name in sorted(counters):
-            lines.append(f"  {name:<40s} {counters[name]:>10}")
+    lines.append("\n-- span tree --")
+    lines += _tree_lines(record_spans(record), max_depth)
+    lines.append("\n-- per-stage summary --")
+    lines += _stage_lines(record.get("stages", []))
+    lines.append("\n-- metrics --")
+    lines += _metric_lines(record.get("metrics", {}))
+    lines.append("\n-- decisions --")
+    lines += _decision_lines(record.get("decisions", []))
     events = _event_counts(record)
     if events:
-        lines.append("-- events --")
+        lines.append("\n-- events --")
         for label in sorted(events):
             lines.append(f"  {label:<20s} {events[label]:>6d}")
     samples = record.get("samples", [])
     if samples:
         rss = [s.get("rss_mb", 0.0) for s in samples]
-        lines.append(f"-- resource samples: {len(samples)} tick(s), "
+        lines.append(f"\n-- resource samples: {len(samples)} tick(s), "
                      f"rss {min(rss):.1f}..{max(rss):.1f} MB --")
     return "\n".join(lines)
 

@@ -3,31 +3,36 @@
 PR 1 made single runs observable; this module makes the observations
 *durable*.  Every ledgered CLI invocation (``experiments``, ``bench
 record``, ``fuzz``, ``lint``, ``faultcheck``, ``profile``, ``generate``)
-appends one digest-stamped record to a directory ledger:
+appends one digest-stamped record to a directory ledger, and every
+observed invocation — the ledger on, ``profile``, ``--profile`` or
+``--sample`` — renders all its output from that one record:
 
 * :func:`build_record` distills one finished run — command, argv,
-  outcome/exit status, wall seconds, per-stage seconds, the metrics
-  snapshot, the decision events, an aggregated flame tree, the resource
-  sampler's time series, checkpoint/resume linkage, and the environment
+  outcome/exit status, wall seconds, per-stage seconds
+  (:func:`stage_totals`), the metrics snapshot, the decision events, the
+  tracer's exact span tree, the resource sampler's time series,
+  checkpoint/resume linkage, and the environment
   (:func:`run_environment`: the bench recorder's host probes plus the
   run configuration's fields) — into one ``repro.run/v1`` document;
-* :class:`RunLedger` appends records as ``run-<n>.json`` files (atomic
-  write + sha256 content digest, the :mod:`repro.numeric.integrity`
-  machinery) and maintains an atomic ``index.json``.  The record file is
-  written *before* the index, so a crash between the two leaves a
-  loadable index that is merely stale; :meth:`RunLedger.entries`
-  reconciles it against the directory and rebuilds when they disagree.
-  A record that fails validation (truncated write on a non-atomic
-  filesystem, hand-editing) is never ingested: it is moved to
-  ``quarantine/`` and dropped from the index.
+* :class:`RunLedger` appends records as compact ``run-<n>.json`` files
+  (atomic write + sha256 content digest, the
+  :mod:`repro.numeric.integrity` machinery) and maintains an atomic
+  ``index.json``.  The record file is written *before* the index, so a
+  crash between the two leaves a loadable index that is merely stale;
+  :meth:`RunLedger.entries` reconciles it against the directory and
+  rebuilds when they disagree.  A record that fails validation
+  (truncated write on a non-atomic filesystem, hand-editing) is never
+  ingested: it is moved to ``quarantine/`` and dropped from the index.
 
 ``repro runs list|show|diff|trend|gc|export|html|selftest`` is the CLI
-over the ledger; :mod:`repro.observe.export` renders the exporters.
-The whole machinery is documented in ``docs/RUN_LEDGER.md``.
+over the ledger; :mod:`repro.observe.export` renders the text view and
+the exporters.  The whole machinery is documented in
+``docs/RUN_LEDGER.md``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import threading
@@ -38,7 +43,7 @@ from pathlib import Path
 from ..errors import RunLedgerError
 from ..numeric.integrity import atomic_write_json, content_digest
 from ..runconfig import RunConfig, current
-from .report import aggregate_children, stage_totals
+from .trace import NullTracer, Span, Tracer
 
 __all__ = [
     "RUN_SCHEMA",
@@ -46,9 +51,13 @@ __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_ENV",
     "RunLedger",
+    "aggregate_children",
     "build_record",
     "ledger_dir_from_env",
+    "record_json",
     "run_environment",
+    "span_dicts",
+    "stage_totals",
 ]
 
 RUN_SCHEMA = "repro.run/v1"
@@ -100,18 +109,94 @@ def run_environment(config: RunConfig | None) -> dict[str, object]:
     return {**_HOST, **(config.run_fields() if config is not None else {})}
 
 
-def _flame_tree(spans) -> list[dict[str, object]]:
-    """Recursive name-aggregated view of the span tree — compact enough
-    to persist per run, rich enough for the dashboard's flame summaries."""
-    out = []
-    for a in aggregate_children(list(spans)):
-        out.append({
-            "name": a.name,
-            "calls": a.count,
-            "total_s": round(a.total, 9),
-            "children": _flame_tree(a.children),
-        })
-    return out
+def _json_value(value: object) -> object:
+    """A span attribute as the record stores it: JSON primitives as they
+    are, anything else as its ``str`` (what the text view and the Chrome
+    ``args`` show), so a record renders the same after a JSON round trip."""
+    if isinstance(value, (bool, int, float, str)) or value is None:
+        return value
+    return str(value)
+
+
+def _span_dict(span: Span, epoch: float) -> dict[str, object]:
+    return {
+        "name": span.name,
+        "start_s": span.start - epoch,
+        "duration_s": span.duration,
+        "thread": span.thread,
+        "attrs": {k: _json_value(v) for k, v in span.attrs.items()},
+        "children": [_span_dict(c, epoch) for c in span.children],
+    }
+
+
+def span_dicts(tracer: Tracer | NullTracer) -> list[dict[str, object]]:
+    """The tracer's span tree as dicts, with exact seconds since the
+    tracer epoch (:func:`build_record` rounds them to the nanosecond)."""
+    epoch = getattr(tracer, "epoch", 0.0)
+    return [_span_dict(r, epoch) for r in tracer.roots]
+
+
+def _round_times(spans: list[dict]) -> None:
+    for s in spans:
+        s["start_s"] = round(s["start_s"], 9)
+        s["duration_s"] = round(s["duration_s"], 9)
+        _round_times(s["children"])
+
+
+def stage_totals(spans: list[dict]) -> list[dict[str, object]]:
+    """Cumulative/self time and call count per pipeline stage.
+
+    The stage is the first dotted component of the span name.  *Cumulative*
+    counts a stage's time only at its outermost spans (nested same-stage
+    spans are not double counted); *self* excludes time spent in child
+    spans of any stage.
+    """
+    rows: dict[str, dict[str, object]] = {}
+
+    def visit(span: dict, enclosing: str | None) -> None:
+        stage = span["name"].split(".", 1)[0]
+        r = rows.setdefault(stage, {"stage": stage, "calls": 0,
+                                    "cumulative_s": 0.0, "self_s": 0.0})
+        r["calls"] += 1
+        if stage != enclosing:
+            r["cumulative_s"] += span["duration_s"]
+        child_time = sum(c["duration_s"] for c in span["children"])
+        r["self_s"] += max(0.0, span["duration_s"] - child_time)
+        for c in span["children"]:
+            visit(c, stage)
+
+    for root in spans:
+        visit(root, None)
+    return sorted(rows.values(), key=lambda r: -r["cumulative_s"])
+
+
+def aggregate_children(spans: list[dict]) -> list[dict[str, object]]:
+    """Merge sibling span dicts by name, preserving first-seen order.
+
+    A merged node carries the call count, the summed seconds and the
+    children of every span it merged; attrs are kept only for a name
+    seen once.
+    """
+    out: dict[str, dict[str, object]] = {}
+    for s in spans:
+        a = out.get(s["name"])
+        if a is None:
+            out[s["name"]] = {"name": s["name"], "calls": 1,
+                              "total_s": s["duration_s"],
+                              "attrs": s["attrs"],
+                              "children": list(s["children"])}
+        else:
+            a["calls"] += 1
+            a["total_s"] += s["duration_s"]
+            a["attrs"] = {}
+            a["children"].extend(s["children"])
+    return list(out.values())
+
+
+def record_json(record: dict) -> str:
+    """A record file's text: one compact line.  The digest is computed
+    over canonical JSON, so the layout on disk is free to change."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def build_record(
@@ -132,7 +217,7 @@ def build_record(
     assigns the id and the content digest).
 
     ``observation`` is a :class:`repro.observe.Observation`; its tracer
-    yields the per-stage seconds and the flame tree, its metrics registry
+    yields the span tree and the per-stage seconds, its metrics registry
     the snapshot, its decision log the events.  ``environment`` defaults
     to :func:`run_environment` of the active run configuration, so run
     records and bench artifacts stay comparable.
@@ -140,12 +225,14 @@ def build_record(
     if environment is None:
         environment = run_environment(current())
     stages: list[dict] = []
-    flame: list[dict] = []
+    spans: list[dict] = []
     metrics: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     decisions: list[dict] = []
     if observation is not None:
-        stages = stage_totals(observation.tracer)
-        flame = _flame_tree(observation.tracer.roots)
+        # Stages sum the exact durations; the stored spans are rounded.
+        spans = span_dicts(observation.tracer)
+        stages = stage_totals(spans)
+        _round_times(spans)
         metrics = observation.metrics.snapshot()
         # Decision stamps are absolute perf_counter values; the persisted
         # record carries seconds since the tracer epoch so the Chrome
@@ -164,7 +251,7 @@ def build_record(
         "outcome": {"status": status, "exit_code": int(exit_code)},
         "wall_s": round(float(wall_s), 9),
         "stages": stages,
-        "flame": flame,
+        "spans": spans,
         "metrics": metrics,
         "decisions": decisions,
         "samples": list(samples or ()),
@@ -272,8 +359,6 @@ class RunLedger:
         EEXIST instead of clobbering, so a concurrent writer that won the
         same id costs us a re-draw, never a lost record.
         """
-        import json
-
         while True:
             record["id"] = self.next_id()
             record.pop("sha256", None)
@@ -282,8 +367,7 @@ class RunLedger:
             tmp = path.parent / (f".{path.name}.tmp.{os.getpid()}"
                                  f".{threading.get_ident()}")
             with open(tmp, "w") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
+                fh.write(record_json(record))
                 fh.flush()
                 os.fsync(fh.fileno())
             try:
@@ -317,8 +401,6 @@ class RunLedger:
     def _index_entries_tolerant(self) -> list[dict]:
         """Best-effort read of the current index (empty on any problem —
         the caller is about to rewrite it from authoritative data)."""
-        import json
-
         try:
             doc = json.loads(self.index_path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -370,8 +452,6 @@ class RunLedger:
         return entries
 
     def _validate(self, path: Path) -> dict:
-        import json
-
         try:
             record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as e:

@@ -4,8 +4,9 @@ A :class:`Tracer` records a tree of :class:`Span` objects per thread.  Each
 span captures a wall-clock duration (``time.perf_counter``), arbitrary
 key/value attributes, and its children, so the whole pipeline run —
 parse → access analysis → dependence → parallelization → pruning →
-codegen → execution — renders as one flame-style tree
-(:func:`repro.observe.report.render_tree`).
+codegen → execution — is kept, span for span, in the run record
+(:func:`repro.observe.build_record`) and renders as one flame-style tree
+(:func:`repro.observe.render_run`).
 
 The module-level default is :data:`NULL_TRACER`, a no-op whose ``span``
 call returns a shared singleton context manager; instrumented code that

@@ -7,7 +7,7 @@ import pytest
 from repro import observe
 from repro.cli import main
 from repro.core.project import save_project
-from repro.observe import TRACE_SCHEMA
+from repro.observe import RUN_SCHEMA
 from repro.sarb import build_sarb_program
 
 
@@ -140,7 +140,7 @@ class TestProfileCommand:
         # lexer/parser stages appear in the same tree.
         assert "fortran.parse" in out
         assert "-- per-stage summary --" in out
-        assert "-- parallelization decisions --" in out
+        assert "-- decisions --" in out
         assert "[parallelize:parallel]" in out
         assert "[pruning:" in out
 
@@ -161,9 +161,10 @@ class TestProfileCommand:
         trace = tmp_path / "trace.json"
         assert main(["profile", project_file, "--json", str(trace)]) == 0
         doc = json.loads(trace.read_text())
-        assert doc["schema"] == TRACE_SCHEMA
-        assert doc["meta"]["project"] == project_file
+        assert doc["schema"] == RUN_SCHEMA
+        assert doc["command"] == "profile"
         assert doc["spans"][0]["name"] == "pipeline"
+        assert doc["spans"][0]["attrs"]["project"] == project_file
         assert doc["metrics"]["counters"]["analysis.steps"] == 26
         assert any(d["stage"] == "parallelize" for d in doc["decisions"])
 
@@ -250,8 +251,8 @@ class TestProfileFlag:
         trace = tmp_path / "gen.json"
         assert main(["generate", project_file, "--profile", str(trace)]) == 0
         doc = json.loads(trace.read_text())
-        assert doc["schema"] == TRACE_SCHEMA
-        assert doc["meta"] == {"command": "generate"}
+        assert doc["schema"] == RUN_SCHEMA
+        assert doc["command"] == "generate"
         names = {s["name"] for s in doc["spans"]}
         assert "codegen.fortran" in names and "optimize.plan" in names
 
@@ -259,9 +260,23 @@ class TestProfileFlag:
         trace = tmp_path / "exp.json"
         assert main(["experiments", "T2", "--profile", str(trace)]) == 0
         doc = json.loads(trace.read_text())
-        assert doc["schema"] == TRACE_SCHEMA
+        assert doc["schema"] == RUN_SCHEMA
+        assert doc["command"] == "experiments"
         names = {s["name"] for s in doc["spans"]}
         assert "bench.experiment" in names
+
+    def test_profile_leaves_experiment_rows_unchanged(self, capsys,
+                                                      tmp_path):
+        plain, profiled = tmp_path / "plain.json", tmp_path / "prof.json"
+        assert main(["experiments", "T2", "--json", str(plain),
+                     "--no-ledger"]) == 0
+        assert main(["experiments", "T2", "--json", str(profiled),
+                     "--profile", str(tmp_path / "run.json"),
+                     "--no-ledger"]) == 0
+        capsys.readouterr()
+        rows = [json.loads(p.read_text())["experiments"][0]["rows"]
+                for p in (plain, profiled)]
+        assert rows[0] == rows[1]
 
     def test_no_profile_records_nothing(self, project_file, capsys):
         assert main(["generate", project_file]) == 0
@@ -388,9 +403,10 @@ class TestBenchCli:
         chrome = tmp_path / "chrome.json"
         assert main(["profile", project_file, "--chrome", str(chrome)]) == 0
         doc = json.loads(chrome.read_text())
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert "pipeline" in names and "codegen.fortran" in names
-        assert doc["otherData"]["project"] == project_file
+        spans = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert "pipeline" in spans and "codegen.fortran" in spans
+        assert spans["pipeline"]["args"]["project"] == project_file
+        assert doc["otherData"]["command"] == "profile"
         capsys.readouterr()
 
 
@@ -527,10 +543,26 @@ class TestRunLedgerCli:
         capsys.readouterr()
         assert [e["command"] for e in self._entries(ledger)] == [
             "generate", "profile"]
-        # profile joins the ledger's observation instead of nesting its
-        # own, so its pipeline spans land in the persisted record.
         record = observe.RunLedger(ledger).load("run-000002")
         assert any(s["stage"] == "pipeline" for s in record["stages"])
+
+    def test_profile_outputs_are_views_of_the_appended_record(
+            self, project_file, tmp_path, capsys):
+        ledger, rec, chrome = (tmp_path / "runs", tmp_path / "p.json",
+                               tmp_path / "c.json")
+        assert main(["profile", project_file, "--ledger", str(ledger),
+                     "--json", str(rec), "--chrome", str(chrome)]) == 0
+        report = capsys.readouterr().out
+        appended = observe.RunLedger(ledger).resolve("latest")
+        assert json.loads(rec.read_text()) == appended
+        assert appended["schema"] == RUN_SCHEMA and appended["sha256"]
+        assert main(["runs", "show", "latest", "--dir", str(ledger)]) == 0
+        assert capsys.readouterr().out == report
+        exported = tmp_path / "exported.json"
+        assert main(["runs", "export", "--chrome", "--out", str(exported),
+                     "--dir", str(ledger)]) == 0
+        capsys.readouterr()
+        assert chrome.read_bytes() == exported.read_bytes()
 
     def test_fuzz_and_bench_record_append_records(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -79,9 +79,9 @@ class TestArchitectureCoversPackages:
 class TestObservabilityDoc:
     def test_exists_and_names_the_schema(self):
         doc = (REPO / "docs" / "OBSERVABILITY.md").read_text()
-        from repro.observe import TRACE_SCHEMA
+        from repro.observe import RUN_SCHEMA
 
-        assert TRACE_SCHEMA in doc
+        assert RUN_SCHEMA in doc
         assert "repro profile" in doc
         assert "sarb_integration" in doc
 

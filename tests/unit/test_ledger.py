@@ -19,7 +19,9 @@ import time
 import pytest
 
 from repro import observe
+from repro.cli import main
 from repro.errors import RunLedgerError
+from repro.numeric.integrity import content_digest
 from repro.observe.ledger import INDEX_SCHEMA, RUN_SCHEMA
 
 
@@ -45,8 +47,9 @@ class TestBuildRecord:
         assert rec["outcome"] == {"status": "ok", "exit_code": 0}
         assert rec["wall_s"] == 1.5
         assert [s["stage"] for s in rec["stages"]] == ["analysis"]
-        assert rec["flame"][0]["name"] == "analysis.plan"
-        assert rec["flame"][0]["calls"] == 1
+        assert rec["spans"][0]["name"] == "analysis.plan"
+        assert rec["spans"][0]["attrs"] == {"step": "demo"}
+        assert rec["spans"][0]["thread"] == "MainThread"
         assert rec["metrics"]["counters"]["plan.steps"] == 1
         assert rec["decisions"][0]["stage"] == "guard"
         json.dumps(rec)                           # fully serializable
@@ -162,6 +165,45 @@ class TestRunLedger:
     def test_gc_negative_is_a_typed_error(self, tmp_path):
         with pytest.raises(RunLedgerError):
             observe.RunLedger(tmp_path).gc(keep=-1)
+
+
+class TestRecordsBeforeSpans:
+    """Records written before records stored their spans carry an
+    aggregated ``flame`` tree instead, in an indented file."""
+
+    def _old_record(self):
+        rec = {k: v for k, v in _record().items() if k != "spans"}
+        rec["flame"] = [{"name": "analysis.plan", "calls": 2,
+                         "total_s": 0.004, "children": [
+                             {"name": "codegen.fortran", "calls": 1,
+                              "total_s": 0.001, "children": []}]}]
+        rec["id"] = "run-000001"
+        rec["sha256"] = content_digest(rec)
+        return rec
+
+    def test_load_show_diff_and_export(self, tmp_path, capsys):
+        old = self._old_record()
+        (tmp_path / "run-000001.json").write_text(
+            json.dumps(old, indent=2) + "\n")
+        ledger = observe.RunLedger(tmp_path)
+        ledger.append(_record())
+        assert [e["id"] for e in ledger.entries()] == [
+            "run-000001", "run-000002"]
+        assert not ledger.quarantine_dir.exists()
+        assert ledger.load("run-000001") == old
+        assert main(["runs", "show", "run-000001",
+                     "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "   4.000ms  analysis.plan  [calls=2]" in out
+        assert "   1.000ms    codegen.fortran  [calls=1]" in out
+        assert main(["runs", "diff", "run-000001", "latest",
+                     "--dir", str(tmp_path)]) == 0
+        assert "-- stages (cumulative) --" in capsys.readouterr().out
+        spans = [(e["name"], e["ts"], e["dur"], e["args"])
+                 for e in observe.record_to_chrome(old)["traceEvents"]
+                 if e["ph"] == "X"]
+        assert spans == [("analysis.plan", 0.0, 4000.0, {"calls": 2}),
+                         ("codegen.fortran", 0.0, 1000.0, {"calls": 1})]
 
 
 class TestLedgerDirFromEnv:

@@ -13,9 +13,24 @@ from repro.observe import (
     NULL_TRACER,
     DecisionLog,
     MetricsRegistry,
+    Observation,
     Tracer,
-    trace_to_json,
 )
+
+
+def _record(obs, **kw):
+    """The run record of one observation (fixed environment: no probes)."""
+    return observe.build_record(command="test", observation=obs,
+                                environment={}, **kw)
+
+
+def _traced(tracer):
+    """The record of a bare tracer, with empty metrics and decisions."""
+    return _record(Observation(tracer, MetricsRegistry(), DecisionLog()))
+
+
+def _spans(doc):
+    return [e for e in doc["traceEvents"] if e["ph"] == "X"]
 
 
 class TestSpans:
@@ -303,35 +318,53 @@ class TestReporting:
                 generate_fortran_module(plan)
         return obs
 
-    def test_render_tree(self, obs):
-        text = observe.render_tree(obs.tracer)
+    @pytest.fixture(scope="class")
+    def record(self, obs):
+        return _record(obs)
+
+    def test_span_tree(self, record):
+        text = observe.render_run(record)
         assert "pipeline" in text
         assert "optimize.plan" in text
         assert "analysis.step x26" in text       # siblings aggregate
         assert "ms" in text
 
-    def test_stage_summary(self, obs):
-        text = observe.render_stage_summary(obs.tracer)
+    def test_attrs_shown_only_for_unmerged_spans(self):
+        t = Tracer()
+        with t.span("pipeline", variant="v2"):
+            for i in range(2):
+                with t.span("analysis.step", step=i):
+                    pass
+        lines = observe.render_run(_traced(t)).splitlines()
+        assert any(line.endswith("pipeline  [variant=v2]") for line in lines)
+        assert any(line.endswith("analysis.step x2") for line in lines)
+
+    def test_stage_summary(self, record):
+        text = observe.render_run(record)
+        assert "-- per-stage summary --" in text
         for stage in ("analysis", "optimize", "codegen"):
             assert stage in text
-        rows = observe.stage_totals(obs.tracer)
-        by = {r["stage"]: r for r in rows}
+        by = {r["stage"]: r for r in record["stages"]}
         assert by["analysis"]["calls"] >= 26
         # Self time never exceeds cumulative time for a top-level stage.
         assert by["optimize"]["self_s"] <= by["optimize"]["cumulative_s"] + 1e-9
 
-    def test_render_decisions_groups_by_function(self, obs):
-        text = observe.render_decisions(obs.decisions)
-        assert "longwave_entropy_model" in text
+    def test_stages_sum_the_exact_durations(self, obs, record):
+        # The stored spans are rounded to the nanosecond; the stages are
+        # the bench recorder's numbers, summed before rounding.
+        assert {r["stage"]: r["cumulative_s"] for r in record["stages"]} \
+            == observe.stage_seconds(obs.tracer)
+
+    def test_render_decisions_groups_by_function(self, record):
+        text = observe.render_run(record)
+        assert "  longwave_entropy_model\n    step " in text
         assert "[parallelize:parallel]" in text
         assert "[pruning:" in text
 
-    def test_json_roundtrip(self, obs):
-        doc = obs.to_json(project="test")
-        blob = json.dumps(doc)
-        back = json.loads(blob)
-        assert back["schema"] == observe.TRACE_SCHEMA
-        assert back["meta"] == {"project": "test"}
+    def test_json_roundtrip(self, record):
+        back = json.loads(json.dumps(record))
+        assert back["schema"] == observe.RUN_SCHEMA
+        assert back["command"] == "test"
         assert back["spans"][0]["name"] == "pipeline"
         assert back["spans"][0]["duration_s"] > 0
         child_names = {c["name"] for c in back["spans"][0]["children"]}
@@ -340,38 +373,49 @@ class TestReporting:
         assert any(d["stage"] == "pruning" for d in back["decisions"])
         assert {r["stage"] for r in back["stages"]} >= {"analysis", "codegen"}
 
-    def test_trace_to_json_without_extras(self):
+    def test_json_round_trip_renders_identically(self, record):
+        back = json.loads(json.dumps(record))
+        assert observe.render_run(back) == observe.render_run(record)
+        assert observe.record_to_chrome(back) \
+            == observe.record_to_chrome(record)
+
+    def test_record_without_metrics_or_decisions(self):
         t = Tracer()
         with t.span("only"):
             pass
-        doc = trace_to_json(t)
-        assert "metrics" not in doc and "decisions" not in doc
-        assert doc["spans"][0]["name"] == "only"
+        record = _traced(t)
+        assert record["spans"][0]["name"] == "only"
+        text = observe.render_run(record)
+        assert "(no metrics recorded)" in text
+        assert "(no decisions recorded)" in text
 
-    def test_full_report(self, obs):
-        text = obs.report(title="unit test")
-        assert "== unit test ==" in text
+    def test_full_report(self, record):
+        text = observe.render_run(record)
+        assert text.startswith("== repro test ==")
         assert "-- span tree --" in text
         assert "-- per-stage summary --" in text
         assert "-- metrics --" in text
-        assert "-- parallelization decisions --" in text
+        assert "-- decisions --" in text
 
 
 class TestReportingEdgeCases:
     def test_empty_trace_renders_placeholders(self):
-        t = Tracer()
-        assert observe.render_tree(t) == "(no spans recorded)"
-        assert observe.render_stage_summary(t) == "(no stages recorded)"
-        assert observe.stage_totals(t) == []
+        record = _traced(Tracer())
+        text = observe.render_run(record)
+        assert "-- span tree --\n(no spans recorded)" in text
+        assert "-- per-stage summary --\n(no stages recorded)" in text
+        assert record["stages"] == []
 
-    def test_empty_trace_to_json(self):
-        doc = trace_to_json(Tracer())
-        assert doc["spans"] == [] and doc["stages"] == []
-        json.dumps(doc)
+    def test_empty_trace_record(self):
+        record = _traced(Tracer())
+        assert record["spans"] == [] and record["stages"] == []
+        json.dumps(record)
 
     def test_null_tracer_reports_empty(self):
-        assert observe.render_tree(NULL_TRACER) == "(no spans recorded)"
-        assert observe.to_chrome_trace(NULL_TRACER)["traceEvents"] == []
+        record = _record(Observation(NULL_TRACER, NULL_METRICS,
+                                     NULL_DECISIONS))
+        assert "(no spans recorded)" in observe.render_run(record)
+        assert observe.record_to_chrome(record)["traceEvents"] == []
 
     def test_deeply_nested_spans_respect_max_depth(self):
         t = Tracer()
@@ -380,11 +424,12 @@ class TestReportingEdgeCases:
         with ExitStack() as stack:
             for i in range(20):
                 stack.enter_context(t.span(f"deep.level{i}"))
-        text = observe.render_tree(t, max_depth=5)
+        record = _traced(t)
+        text = observe.render_run(record, max_depth=5)
         assert "deep.level4" in text
         assert "deep.level5" not in text
-        # But the full walk still sees every span.
-        assert sum(1 for _ in t.all_spans()) == 20
+        # But the record and the Chrome export keep every span.
+        assert len(_spans(observe.record_to_chrome(record))) == 20
 
     def test_zero_duration_spans(self):
         clock = lambda: 42.0                    # frozen: every span lasts 0s
@@ -393,80 +438,116 @@ class TestReportingEdgeCases:
             with t.span("fast.inner"):
                 pass
         assert all(s.duration == 0.0 for s in t.all_spans())
-        assert "0.000ms" in observe.render_tree(t)
-        rows = observe.stage_totals(t)
+        record = _traced(t)
+        assert "   0.000ms  fast.outer" in observe.render_run(record)
+        rows = record["stages"]
         assert rows[0]["cumulative_s"] == 0.0 and rows[0]["self_s"] == 0.0
-        events = [e for e in observe.to_chrome_trace(t)["traceEvents"]
-                  if e["ph"] == "X"]
+        events = _spans(observe.record_to_chrome(record))
         assert all(e["dur"] == 0.0 for e in events)
 
 
 class TestChromeTrace:
     @pytest.fixture()
-    def tracer(self):
+    def record(self):
         steps = iter(range(100))
         t = Tracer(clock=lambda: next(steps) * 0.001)
         with t.span("pipeline", variant="v2"):
-            with t.span("analysis.step", arrays=["a", "b"]):
+            with t.span("analysis.step", arrays=("a", "b")):
                 pass
             with t.span("codegen.fortran"):
                 pass
-        return t
+        return _traced(t)
 
-    def test_events_mirror_spans(self, tracer):
-        doc = observe.to_chrome_trace(tracer, project="x")
-        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert [e["name"] for e in events] == [
+    def test_events_mirror_spans(self, record):
+        doc = observe.record_to_chrome(dict(record, meta={"project": "x"}))
+        assert [e["name"] for e in _spans(doc)] == [
             "pipeline", "analysis.step", "codegen.fortran"]
         assert doc["displayTimeUnit"] == "ms"
-        assert doc["otherData"] == {"project": "x"}
+        assert doc["otherData"] == {"project": "x", "run": "?",
+                                    "command": "test",
+                                    "schema": observe.RUN_SCHEMA}
 
-    def test_categories_are_pipeline_stages(self, tracer):
-        doc = observe.to_chrome_trace(tracer)
-        cats = {e["name"]: e["cat"] for e in doc["traceEvents"]
-                if e["ph"] == "X"}
+    def test_categories_are_pipeline_stages(self, record):
+        cats = {e["name"]: e["cat"]
+                for e in _spans(observe.record_to_chrome(record))}
         assert cats["analysis.step"] == "analysis"
         assert cats["pipeline"] == "pipeline"
 
-    def test_children_are_contained_in_parents(self, tracer):
+    def test_children_are_contained_in_parents(self, record):
         events = {e["name"]: e
-                  for e in observe.to_chrome_trace(tracer)["traceEvents"]
-                  if e["ph"] == "X"}
+                  for e in _spans(observe.record_to_chrome(record))}
         parent, child = events["pipeline"], events["analysis.step"]
         assert parent["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"]
 
-    def test_thread_metadata_events(self, tracer):
-        doc = observe.to_chrome_trace(tracer)
+    def test_thread_metadata_events(self, record):
+        doc = observe.record_to_chrome(record)
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert len(meta) == 1
         assert meta[0]["name"] == "thread_name"
-        tids = {e["tid"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert tids == {meta[0]["tid"]}
+        assert meta[0]["args"] == {"name": "MainThread"}
+        assert {e["tid"] for e in _spans(doc)} == {meta[0]["tid"]}
 
-    def test_non_primitive_attrs_are_stringified(self, tracer):
-        doc = observe.to_chrome_trace(tracer)
-        step = [e for e in doc["traceEvents"]
-                if e["ph"] == "X" and e["name"] == "analysis.step"][0]
-        assert step["args"]["arrays"] == "['a', 'b']"
+    def test_two_threads_pin_exact_events(self):
+        # Under an injected clock every span edge is known, and one
+        # thread runs at a time, so the whole span layer is pinned.
+        steps = iter(range(100))
+
+        def work():
+            with observe.get_tracer().span("exec.worker", item=3):
+                pass
+
+        with observe.observed(clock=lambda: next(steps) * 0.001) as obs:
+            with obs.tracer.span("pipeline", variant="v2"):
+                worker = threading.Thread(target=work, name="worker")
+                worker.start()
+                worker.join(timeout=10)
+                with obs.tracer.span("codegen.fortran"):
+                    pass
+        assert not worker.is_alive()
+        events = [e for e in observe.record_to_chrome(_record(obs))
+                  ["traceEvents"] if e["ph"] in "MX"]
+        assert events == [
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0,
+             "args": {"name": "worker"}},
+            {"name": "exec.worker", "cat": "exec", "ph": "X", "ts": 2000.0,
+             "dur": 1000.0, "pid": 0, "tid": 0, "args": {"item": 3}},
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": 1,
+             "args": {"name": "MainThread"}},
+            {"name": "pipeline", "cat": "pipeline", "ph": "X", "ts": 1000.0,
+             "dur": 5000.0, "pid": 0, "tid": 1, "args": {"variant": "v2"}},
+            {"name": "codegen.fortran", "cat": "codegen", "ph": "X",
+             "ts": 4000.0, "dur": 1000.0, "pid": 0, "tid": 1, "args": {}},
+        ]
+
+    def test_non_primitive_attrs_are_stringified(self, record):
+        doc = observe.record_to_chrome(record)
+        step = [e for e in _spans(doc) if e["name"] == "analysis.step"][0]
+        assert step["args"]["arrays"] == "('a', 'b')"
+        assert "analysis.step  [arrays=('a', 'b')]" in observe.render_run(
+            record)
         json.dumps(doc)                          # fully serializable
 
-    def test_roundtrip_preserves_span_count_and_time(self, tracer):
-        blob = json.dumps(observe.to_chrome_trace(tracer))
-        back = json.loads(blob)
-        events = [e for e in back["traceEvents"] if e["ph"] == "X"]
-        assert len(events) == sum(1 for _ in tracer.all_spans())
-        for span in tracer.all_spans():
+    def test_roundtrip_preserves_span_count_and_time(self):
+        t = Tracer()
+        with t.span("pipeline"):
+            with t.span("analysis.step"):
+                pass
+        blob = json.dumps(observe.record_to_chrome(_traced(t)))
+        events = _spans(json.loads(blob))
+        assert len(events) == sum(1 for _ in t.all_spans())
+        for span in t.all_spans():
             match = [e for e in events if e["name"] == span.name]
             assert len(match) == 1
-            assert match[0]["dur"] == pytest.approx(span.duration * 1e6)
+            assert match[0]["dur"] == pytest.approx(span.duration * 1e6,
+                                                     abs=1e-3)
 
     def test_observation_exports_chrome(self):
         with observe.observed() as obs:
             with obs.tracer.span("exec.run"):
                 pass
-        doc = obs.to_chrome_trace(label="demo")
-        assert doc["otherData"] == {"label": "demo"}
+        doc = observe.record_to_chrome(_record(obs, label="demo"))
+        assert doc["otherData"]["label"] == "demo"
         assert any(e["name"] == "exec.run" for e in doc["traceEvents"])
 
     def test_counters_become_counter_events(self):
@@ -476,17 +557,19 @@ class TestChromeTrace:
             with obs.tracer.span("exec.run"):
                 obs.metrics.counter("exec.interp.calls").inc(7)
                 obs.metrics.gauge("sample.rss_mb").set(42.5)
-        doc = obs.to_chrome_trace()
+        doc = observe.record_to_chrome(_record(obs, wall_s=0.5))
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         by_name = {}
         for e in counters:
             by_name.setdefault(e["name"], []).append(e)
-        # Two points per counter (zero at the epoch, final at the end)
-        # so the UI draws a track, not an isolated dot.
-        assert [e["args"]["value"] for e in by_name["exec.interp.calls"]] \
-            == [0, 7]
+        # Two points per counter (zero at the epoch, final at the end of
+        # the run) so the UI draws a track, not an isolated dot.
+        assert [(e["ts"], e["args"]["value"])
+                for e in by_name["exec.interp.calls"]] == [(0.0, 0),
+                                                           (500000.0, 7)]
         assert all(e["cat"] == "metric" for e in counters)
-        assert by_name["sample.rss_mb"][-1]["args"]["value"] == 42.5
+        assert [(e["ts"], e["args"]["value"])
+                for e in by_name["sample.rss_mb"]] == [(500000.0, 42.5)]
         json.dumps(doc)
 
     def test_decisions_become_instant_events(self):
@@ -494,7 +577,7 @@ class TestChromeTrace:
             with obs.tracer.span("exec.run"):
                 obs.decisions.record("guard", "adjust2", 1, "sweep",
                                      "fallback", reasons=["diverged"])
-        doc = obs.to_chrome_trace()
+        doc = observe.record_to_chrome(_record(obs))
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 1
         inst = instants[0]
@@ -508,10 +591,10 @@ class TestChromeTrace:
         with observe.observed() as obs:
             with obs.tracer.span("exec.run"):
                 pass
-        doc = obs.to_chrome_trace(samples=[
+        doc = observe.record_to_chrome(_record(obs, samples=[
             {"t": 0.0, "rss_mb": 10.0, "cpu_s": 0.1, "gc_gen0": 3},
             {"t": 0.05, "rss_mb": 12.0, "cpu_s": 0.2, "gc_gen0": 5},
-        ])
+        ]))
         rss = [e for e in doc["traceEvents"]
                if e["ph"] == "C" and e["name"] == "sample.rss_mb"]
         assert [e["args"]["value"] for e in rss] == [10.0, 12.0]

@@ -98,7 +98,14 @@ class TestRecordToChrome:
         json.dumps(doc)
 
     def test_nesting_survives_the_flame_roundtrip(self):
-        doc = observe.record_to_chrome(_run_record())
+        # A record written before records stored spans has only the
+        # name-aggregated flame; its nodes are laid out inside their parent.
+        record = {k: v for k, v in _run_record().items() if k != "spans"}
+        record["flame"] = [{"name": "analysis.plan", "calls": 1,
+                            "total_s": 0.003, "children": [
+                                {"name": "codegen.fortran", "calls": 1,
+                                 "total_s": 0.001, "children": []}]}]
+        doc = observe.record_to_chrome(record)
         spans = {e["name"]: e for e in doc["traceEvents"]
                  if e["ph"] == "X"}
         parent, child = spans["analysis.plan"], spans["codegen.fortran"]
