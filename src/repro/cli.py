@@ -18,8 +18,8 @@
   FILE`` writes the record itself, ``--chrome FILE`` its Chrome trace;
   see ``docs/OBSERVABILITY.md``).  With ``--guarded``
   the project's case-study workload is also executed under the
-  :class:`repro.glafexec.GuardedRunner`, so guard demotions show up in the
-  decision log; ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects
+  :class:`repro.glafexec.GuardedRunner`, so access conflicts and guard
+  demotions show up in the decision log; ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects
   seeded faults first (see ``docs/ROBUSTNESS.md``).
 * ``faultcheck`` — sweep every registered fault-injection site and report
   whether each fault was recovered or surfaced as a typed error.
@@ -157,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiments", help="run paper experiments")
     exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     exp.add_argument("--guarded", action="store_true",
-                     help="run interpreter workloads under the divergence "
-                          "guard (serial fallback on mis-parallelization)")
+                     help="run interpreter workloads under the access-"
+                          "conflict guard (serial fallback on "
+                          "mis-parallelization)")
     exp.add_argument("--sentinels", action="store_true",
                      help="screen every interpreter assignment for NaN/Inf/"
                           "overflow; abort with a typed error on the first "
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "format (open in chrome://tracing or Perfetto)")
     prof.add_argument("--guarded", action="store_true",
                       help="also execute the project's case-study workload "
-                           "under the divergence guard")
+                           "under the access-conflict guard")
     prof.add_argument("--fault", action="append", default=[],
                       metavar="SITE:KIND[:FUNCTION]",
                       help="inject a fault before running (repeatable); "
@@ -642,7 +643,7 @@ def _cmd_profile(args) -> int:
                                    variant=args.variant):
         program = _load_program(args.project)
         if args.guarded:
-            # Execute the case-study workload under the divergence
+            # Execute the case-study workload under the access-conflict
             # guard first, so an injected mis-parallelization is both
             # caused and recovered inside this one profiled run.
             from .robust.scenarios import scenario_for

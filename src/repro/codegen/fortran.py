@@ -183,13 +183,11 @@ def directive_for_step(
     if sp is None:
         return None
     renderer = renderer or FortranExprRenderer(plan.program, fn)
-    reds = sorted(sp.reductions.items())
-    if not plan.tweaks.multi_var_reductions:
-        reds = reds[:1]
     return OmpDirective(
         private=tuple(sp.private),
         firstprivate=tuple(sp.firstprivate),
-        reductions=tuple((op, renderer.grid_spelling(g)) for g, op in reds),
+        reductions=tuple((op, renderer.grid_spelling(g))
+                         for g, op in plan.reductions_for(fn.name, idx)),
         collapse=plan.collapse_for(fn.name, idx),
     )
 
@@ -266,7 +264,7 @@ class FortranGenerator:
                     ty, _, rest = decl.partition(" :: ")
                     decl = f"{ty}, TARGET :: {rest}"
                 em.emit(decl)
-            self._emit_threadprivate(em, mods)
+            self._emit_threadprivate(em)
         em.blank()
         em.dedent()
         em.emit("CONTAINS")
@@ -291,12 +289,10 @@ class FortranGenerator:
         em.emit(f"END MODULE {self.module_name}")
         return em.text()
 
-    def _emit_threadprivate(self, em: Emitter, mods) -> None:
+    def _emit_threadprivate(self, em: Emitter) -> None:
         """§4.2.1: "Module-scope ... arrays are explicitly declared as
         private or threadprivate as appropriate"."""
-        if not self.plan.tweaks.threadprivate_module_arrays:
-            return
-        names = [g.name for g in mods if g.rank > 0]
+        names = self.plan.threadprivate_grids()
         if names:
             em.emit_raw(f"!$OMP THREADPRIVATE({', '.join(names)})")
 
@@ -518,13 +514,8 @@ class FortranGenerator:
         parallel: bool,
     ) -> None:
         if isinstance(s, Assign):
-            needs_atomic = (
-                parallel
-                and sp is not None
-                and s.target.grid in sp.atomic
-                and self.plan.tweaks.atomic_updates
-            )
-            if needs_atomic:
+            if sp is not None and self.plan.atomic_update(
+                    sp.function, sp.step_index, s.target.grid):
                 em.emit_raw("!$OMP ATOMIC")
             target = renderer.render(s.target)
             em.emit(f"{target} = {renderer.render(s.expr)}")

@@ -53,7 +53,7 @@ def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
                        executor: str | None = None) -> np.ndarray:
     """Run through the IR execution pipeline; under ``--guarded`` (or
     explicit ``guarded=True``) execution goes through :class:`GuardedRunner`
-    with per-step divergence probes and serial fallback.  Otherwise the
+    with per-step access-conflict checks and serial fallback.  Otherwise the
     selected executor runs the program (``executor=None`` honors the
     configured ``--executor``)."""
     program = build_fun3d_program()

@@ -1,6 +1,12 @@
 """Functional execution of GLAF IR (reference semantics + generated Python
 + the pluggable executor back ends)."""
 
+from .conflicts import (
+    CheckedInterpreter,
+    Conflict,
+    ParallelValidation,
+    validate_parallel_semantics,
+)
 from .context import ExecutionContext, as_storage
 from .executor import (
     EXECUTOR_NAMES,
@@ -23,11 +29,6 @@ from .guard import (
 )
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python, run_interpreted
-from .shuffle import (
-    ParallelValidation,
-    ShuffledInterpreter,
-    validate_parallel_semantics,
-)
 from .vectorize import (
     FallbackEvent,
     LiftedStep,
@@ -41,7 +42,8 @@ __all__ = [
     "ExecutionContext", "as_storage",
     "ExecStats", "Interpreter",
     "GeneratedModule", "run_generated_python", "run_interpreted",
-    "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
+    "CheckedInterpreter", "Conflict", "ParallelValidation",
+    "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
     "GuardResult", "guarded_python_run", "guarded_vectorized_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",

@@ -166,12 +166,12 @@ def run_configured(program: GlafProgram, entry: str, args: list[Any], *,
                    context: ExecutionContext, guarded: bool | None = None,
                    executor: str | None = None, **kw: Any) -> None:
     """Run ``entry`` on ``context`` the way the active configuration says:
-    through :class:`GuardedRunner` (per-step divergence probes, serial
+    through :class:`GuardedRunner` (per-step access-conflict checks, serial
     fallback) when guarded, else on the configured executor.  ``guarded``
-    and ``executor`` override the configuration; ``kw`` goes to the
-    executor."""
+    and ``executor`` override the configuration; ``kw``
+    (``save_inner_arrays``, ``limits``) goes to either."""
     if current().guarded if guarded is None else guarded:
-        GuardedRunner(program).run(entry, args, context=context)
+        GuardedRunner(program, **kw).run(entry, args, context=context)
     else:
         get_executor(executor, **kw).run(program, entry, args,
                                          context=context)

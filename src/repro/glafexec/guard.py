@@ -1,28 +1,24 @@
-"""Guarded execution: divergence-checked parallel steps with serial fallback.
+"""Guarded execution: parallel steps checked for access conflicts, with
+serial fallback.
 
-The paper validates auto-parallelized kernels offline, by side-by-side
-comparison against the legacy output (§4, Table 1).  The
-:class:`GuardedRunner` moves that check *into* the run: every step the
-optimization plan marks parallel is first *probed* in a shuffled iteration
-order (reusing :class:`ShuffledInterpreter` semantics) on a snapshot of the
-affected state, then executed serially; if the probe diverges from the
-serial result beyond tolerance — or raises an :class:`ExecutionError` —
-the step is demoted to serial for the rest of the run and a structured
-``guard:serial-fallback`` event is recorded in the PR-1 DecisionLog.
+The paper checks its OpenMP directives by hand and validates the
+parallelized kernels offline against the legacy output (§4, Table 1).
+The :class:`GuardedRunner` moves the directive check *into* the run:
+every step the optimization plan marks parallel runs once, serially,
+under the access-conflict check of :mod:`repro.glafexec.conflicts`.  A
+conflict — or an :class:`ExecutionError` at the step's
+``exec.interp.step`` fault site — demotes the step to serial and records
+a ``guard:serial-fallback`` decision naming the cause.  Nothing is
+snapshotted, probed or re-executed, so a guarded run's results and
+``ExecStats`` equal a plain interpreted run's.
 
-The serial result is **always** the one kept, so a guarded run is
-bit-identical to a plain interpreted run; the probe only decides whether
-the parallel annotation deserves trust.  :class:`ResourceLimitError` is
-deliberately re-raised rather than recovered: a step that exhausted its
-budget will not do better when re-executed.
-
-:func:`guarded_python_run` applies the same policy to the generated-Python
-path, and :func:`guarded_vectorized_run` to the vectorized executor: run
-it against the interpreter reference and fall back to the interpreter's
-result on divergence, :class:`CodegenError`, or :class:`ExecutionError`.
-Every guard compares under the ``abs`` policy through
-:func:`repro.numeric.compare_grids` and reports a fallback through one
-recorder, so each one counts ``guard.serial_fallbacks``.
+:func:`guarded_python_run` and :func:`guarded_vectorized_run` guard whole
+runs differentially: they run the generated Python or the vectorized
+executor against the interpreter, compare under the ``abs`` policy
+through :func:`repro.numeric.compare_grids`, and keep the interpreter's
+result on divergence, :class:`CodegenError` or :class:`ExecutionError`.
+Every guard reports a fallback through one recorder, so each one counts
+``guard.serial_fallbacks``; none recovers a :class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -36,11 +32,11 @@ from ..core.function import GlafProgram
 from ..core.step import Step
 from ..errors import CodegenError, ExecutionError, ResourceLimitError
 from ..numeric import AbsolutePolicy, compare_grids
-from ..optimize.plan import OptimizationPlan, make_plan
+from ..optimize.plan import OptimizationPlan, Tweaks, make_plan
 from ..robust import ResourceLimits, inject
+from .conflicts import CheckedInterpreter, Conflict
 from .context import ExecutionContext
 from .interp import Interpreter
-from .shuffle import ShuffledInterpreter
 
 __all__ = [
     "GuardEvent", "GuardResult", "GuardedInterpreter", "GuardedRun",
@@ -51,7 +47,7 @@ DEFAULT_GUARD_TOLERANCE = 1e-9
 
 
 def _record_fallback(function: str, step_index: int, step_name: str,
-                     reason: str, err: float | None, tolerance: float) -> None:
+                     reason: str, **attrs: object) -> None:
     """Count one serial fallback in ``guard.serial_fallbacks`` and record
     its ``guard:serial-fallback`` decision; every guard reports here."""
     from ..observe import get_decisions, get_metrics
@@ -62,130 +58,56 @@ def _record_fallback(function: str, step_index: int, step_name: str,
     dl = get_decisions()
     if dl.enabled:
         dl.record("guard", function, step_index, step_name,
-                  "serial-fallback", reasons=(reason,),
-                  max_abs_error=err, tolerance=tolerance)
+                  "serial-fallback", reasons=(reason,), **attrs)
 
 
 @dataclass(frozen=True)
 class GuardEvent:
-    """One serial-fallback demotion decided by the divergence guard."""
+    """One demotion of a parallel step to serial."""
 
     function: str
     step_index: int
     step_name: str
     reason: str
-    max_abs_error: float | None = None
-    tolerance: float = DEFAULT_GUARD_TOLERANCE
+    conflict: Conflict | None = None     # None: the step's boundary raised
 
 
-class GuardedInterpreter(ShuffledInterpreter):
-    """Interpreter that probes each plan-parallel step before trusting it.
-
-    For every plan-parallel loop step (without early exits): snapshot the
-    reachable state, execute the step once in a shuffled order (the probe),
-    snapshot again, roll back, execute serially, and compare.  Divergence
-    or an :class:`ExecutionError` inside the probe demotes the step —
-    stickily, so later executions of the same step skip the probe.
-
-    ``ExecStats`` iteration counts include the probe, so guarded runs
-    roughly double-count loop iterations; the *results* are those of the
-    serial execution, always.
-    """
+class GuardedInterpreter(CheckedInterpreter):
+    """The checking interpreter, demoting each plan-parallel step once —
+    on its first conflict, or on an :class:`ExecutionError` at its
+    boundary fault site (which then stops firing for it)."""
 
     def __init__(self, program: GlafProgram, context: ExecutionContext,
-                 plan: OptimizationPlan, *, seed: int = 1,
-                 tolerance: float = DEFAULT_GUARD_TOLERANCE, **kw: Any):
-        super().__init__(program, context, plan, seed=seed, **kw)
-        self.tolerance = tolerance
-        self._policy = AbsolutePolicy(tolerance)
+                 plan: OptimizationPlan, **kw: Any):
+        super().__init__(program, context, plan, **kw)
         self.events: list[GuardEvent] = []
         self.demoted: set[tuple[str, int]] = set()
-        self._suspended = 0
 
-    # ------------------------------------------------------------------
     def _exec_step(self, frame, idx: int, step: Step) -> None:
         key = (frame.fn.name, idx)
-        if (self._suspended or key in self.demoted
-                or not self._shuffles(frame.fn.name, idx, step)):
-            Interpreter._exec_step(self, frame, idx, step)
-            return
+        if key not in self.demoted and key in self._leads:
+            try:
+                inject("exec.interp.step", function=key[0], step=idx,
+                       parallel=True)
+            except ResourceLimitError:
+                raise                        # budget exhausted: never retry
+            except ExecutionError as e:
+                self._demote(key, step, f"ExecutionError in parallel step: {e}")
+        super()._exec_step(frame, idx, step)
 
-        before = self._snapshot(frame)
-        probe_error: ExecutionError | None = None
-        after_probe: dict | None = None
-        self._suspended += 1
-        try:
-            inject("exec.interp.step", function=frame.fn.name, step=idx,
-                   parallel=True)
-            super()._exec_step(frame, idx, step)   # shuffled probe
-            after_probe = self._snapshot(frame)
-        except ResourceLimitError:
-            raise                        # budget exhausted: never retry
-        except ExecutionError as e:
-            probe_error = e
-        finally:
-            self._suspended -= 1
+    def _run_checked(self, frame, idx: int, step: Step) -> list[Conflict]:
+        found = super()._run_checked(frame, idx, step)
+        key = (frame.fn.name, idx)
+        if found and key not in self.demoted:
+            self._demote(key, step, f"access conflict: {found[0]}", found[0])
+        return found
 
-        # Roll back and execute serially; the serial result is authoritative.
-        self._restore(frame, before)
-        self._suspended += 1
-        try:
-            Interpreter._exec_step(self, frame, idx, step)
-        finally:
-            self._suspended -= 1
-
-        if probe_error is not None:
-            self._demote(key, step,
-                         f"ExecutionError in parallel step: {probe_error}",
-                         None)
-            return
-        cmp = compare_grids(after_probe, self._snapshot(frame), self._policy)
-        if not cmp.ok:
-            self._demote(
-                key, step,
-                f"shuffled-order divergence (max abs error "
-                f"{cmp.max_error:.3e} > tolerance {self.tolerance:.1e})",
-                cmp.max_error)
-
-    # ------------------------------------------------------------------
-    # snapshot / restore of everything a step can reach
-    # ------------------------------------------------------------------
-    def _snapshot(self, frame) -> dict[tuple, np.ndarray]:
-        snap: dict[tuple, np.ndarray] = {}
-        for name, arr in frame.storage.items():
-            snap[("frame", name)] = arr.copy()
-        for name, arr in self.context.globals.items():
-            snap[("global", name)] = arr.copy()
-        for key, arr in self._save_store.items():
-            snap[("save",) + key] = arr.copy()
-        return snap
-
-    def _restore(self, frame, snap: dict[tuple, np.ndarray]) -> None:
-        # In-place so aliases (by-reference arguments, SAVE'd storage held
-        # elsewhere) stay associated.
-        for name, arr in frame.storage.items():
-            arr[...] = snap[("frame", name)]
-        for name, arr in self.context.globals.items():
-            arr[...] = snap[("global", name)]
-        for key in list(self._save_store):
-            skey = ("save",) + key
-            if skey in snap:
-                self._save_store[key][...] = snap[skey]
-            else:
-                # SAVE'd local first allocated inside the probe: discard it
-                # so the serial execution allocates afresh.
-                del self._save_store[key]
-
-    # ------------------------------------------------------------------
     def _demote(self, key: tuple[str, int], step: Step, reason: str,
-                err: float | None) -> None:
+                conflict: Conflict | None = None) -> None:
         self.demoted.add(key)
-        self.events.append(GuardEvent(
-            function=key[0], step_index=key[1], step_name=step.name,
-            reason=reason, max_abs_error=err, tolerance=self.tolerance,
-        ))
-        _record_fallback(key[0], key[1], step.name, reason, err,
-                         self.tolerance)
+        self.events.append(GuardEvent(key[0], key[1], step.name, reason, conflict))
+        _record_fallback(key[0], key[1], step.name, reason,
+                         **({} if conflict is None else {"grid": conflict.grid}))
 
 
 @dataclass
@@ -209,16 +131,20 @@ class GuardedRun:
 
 
 class GuardedRunner:
-    """Front door for guarded execution of a program's entry point."""
+    """Front door for guarded execution of a program's entry point.
+
+    SAVE'd storage follows the plan's tweak: a plan built here from
+    ``variant`` takes ``save_inner_arrays``, which (like ``limits``) means
+    what it does to the executors.
+    """
 
     def __init__(self, program: GlafProgram, plan: OptimizationPlan | None = None,
-                 *, variant: str = "GLAF-parallel v0", seed: int = 1,
-                 tolerance: float = DEFAULT_GUARD_TOLERANCE,
+                 *, variant: str = "GLAF-parallel v0",
+                 save_inner_arrays: bool = False,
                  limits: ResourceLimits | None = None):
         self.program = program
-        self.plan = plan if plan is not None else make_plan(program, variant)
-        self.seed = seed
-        self.tolerance = tolerance
+        self.plan = plan if plan is not None else make_plan(
+            program, variant, tweaks=Tweaks(save_inner_arrays=save_inner_arrays))
         self.limits = limits
 
     def run(self, entry: str, args: list[Any] | tuple = (), *,
@@ -229,9 +155,8 @@ class GuardedRunner:
 
         ctx = context if context is not None else ExecutionContext(
             self.program, sizes=sizes, values=values)
-        interp = GuardedInterpreter(
-            self.program, ctx, self.plan, seed=self.seed,
-            tolerance=self.tolerance, limits=self.limits)
+        interp = GuardedInterpreter(self.program, ctx, self.plan,
+                                    limits=self.limits)
         with get_tracer().span("exec.run.guarded", entry=entry,
                                program=self.program.name):
             result = interp.call(entry, list(args))
@@ -283,8 +208,8 @@ def guarded_python_run(
         program, entry, args, sizes=sizes, values=values)
 
     def fallback(reason: str, err: float | None = None) -> GuardResult:
-        _record_fallback(entry, -1, "generated-python", reason, err,
-                         tolerance)
+        _record_fallback(entry, -1, "generated-python", reason,
+                         max_abs_error=err, tolerance=tolerance)
         return GuardResult(
             result=ref_result, context=ref_ctx, fell_back=True,
             reason=reason, max_error=err, tolerance=tolerance)
@@ -374,7 +299,8 @@ def guarded_vectorized_run(
                 result=ref_result, context=ctx, fell_back=False,
                 max_error=err, tolerance=tolerance, fallbacks=fallbacks)
         reason = f"vectorized divergence on {cmp.detail}"
-    _record_fallback(entry, -1, "vectorized-executor", reason, err, tolerance)
+    _record_fallback(entry, -1, "vectorized-executor", reason,
+                     max_abs_error=err, tolerance=tolerance)
     return GuardResult(
         result=ref_result, context=ctx, fell_back=True, reason=reason,
         max_error=err, tolerance=tolerance, fallbacks=fallbacks)

@@ -12,8 +12,10 @@ Execution model:
   grids it can name (its own storage over the context's globals), so a
   grid access is a single lookup.  Compiled steps are cached per
   interpreter by (function name, step index).  ``_exec_step`` stays the
-  subclass hook, and the shuffled, guarded and vectorized interpreters run
-  the same compiled pieces (:class:`_CompiledStep`).
+  subclass hook: the vectorized interpreter runs the same compiled pieces
+  (:class:`_CompiledStep`), and the access-conflict checking interpreter
+  (:mod:`repro.glafexec.conflicts`) overrides ``_compile`` to compile
+  closures that also record every grid access.
 * Compilation never raises.  An unknown library function, a valued RETURN
   in a subroutine or an unknown node compiles to a closure that raises the
   same error only if it runs.  Every run-time check (argument count, dtype
@@ -282,8 +284,13 @@ class Interpreter:
         key = (fn.name, idx)
         compiled = self._steps.get(key)
         if compiled is None:
-            compiled = self._steps[key] = _StepCompiler(fn, idx, step).compile()
+            compiled = self._steps[key] = self._compile(fn, idx, step)
         return compiled
+
+    def _compile(self, fn: GlafFunction, idx: int, step: Step) -> "_CompiledStep":
+        """Compile one step; the checking interpreter compiles its own
+        recording closures here."""
+        return _StepCompiler(fn, idx, step).compile()
 
     def _storage(self, frame: _Frame, name: str) -> np.ndarray:
         return frame.grids[name]

@@ -264,9 +264,10 @@ def compare_grids(got: Mapping[object, object], ref: Mapping[object, object],
                   policy: TolerancePolicy) -> ComparisonResult:
     """Compare a run's grids with a reference's, one grid at a time.
 
-    The one differential oracle: the divergence guards, shuffled-order
-    validation, the fuzz oracle, the SARB output gate and faultcheck all
-    call it.  It walks ``ref`` in order and compares each grid with
+    The one differential oracle: the generated-Python and vectorized
+    guards, the fuzz oracle, the SARB output gate and faultcheck all call
+    it.  (Parallel annotations are judged by the access-conflict check of
+    :mod:`repro.glafexec.conflicts`, which compares no values.)  It walks ``ref`` in order and compares each grid with
     ``policy.compare``, so NaN/Inf, empty-array and shape semantics stay
     the policy's own.  A zero-size reference grid is skipped (legitimately
     empty storage, not a vacuous comparison), and a grid missing from

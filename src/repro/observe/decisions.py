@@ -13,6 +13,7 @@ Stages and their verdict vocabularies:
 ``parallelize``              ``parallel`` | ``serial``
 ``pruning``                  ``kept`` | ``pruned`` | ``not-parallel``
 ``advisor``                  ``omp`` | ``simd`` | ``none``
+``parallel:conflict``         ``conflict``
 ``guard``                    ``serial-fallback``
 ``fault``                    ``injected``
 ``lint:<rule>``              ``violation``
@@ -35,8 +36,13 @@ Stages and their verdict vocabularies:
 ``cache:corrupt-entry``      ``discarded``
 ===========================  ========================================
 
-The ``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner`
-when a divergence guard demotes a parallel step to serial; the ``fault``
+The ``parallel:conflict`` stage is emitted by the access-conflict check
+(:mod:`repro.glafexec.conflicts`), one per (step, grid), naming the first
+conflicting cell and the two iterations (attrs ``grid``, ``kind``).  The
+``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner` when
+a step's checked run conflicts (attr ``grid``) or its boundary raises,
+and by the two differential guards when they fall back (attrs
+``max_abs_error``, ``tolerance``); the ``fault``
 stage is emitted by :mod:`repro.robust.faults` whenever an injected fault
 fires, so a profiled fault-injection run shows cause and recovery side by
 side.  The ``lint:<rule>`` stages (one per rule id in

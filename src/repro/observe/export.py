@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import html as _html
 import re
+import shlex
 import time
 
 from .ledger import aggregate_children
@@ -428,7 +429,7 @@ def render_run(record: dict, *, max_depth: int = 12) -> str:
     lines = [
         f"== {record['id']}: {command} ==" if "id" in record
         else f"== {command} ==",
-        f"argv:      {' '.join(record.get('argv', [])) or '(none)'}",
+        f"argv:      {shlex.join(record.get('argv', [])) or '(none)'}",
         f"outcome:   {outcome.get('status', '?')} "
         f"(exit {outcome.get('exit_code', '?')})",
         f"wall:      {float(record.get('wall_s', 0.0)) * 1e3:.1f}ms",

@@ -84,6 +84,32 @@ class OptimizationPlan:
         fn = self.program.find_function(function)
         return decide_collapse(fn.steps[step_index], enable=self.enable_collapse).depth
 
+    def reductions_for(self, function: str, step_index: int) -> list[tuple[str, str]]:
+        """The ``(grid, op)`` pairs of the step's FORTRAN ``REDUCTION``
+        clause, sorted by grid; only the first one unless the
+        ``multi_var_reductions`` tweak is on."""
+        sp = self.parallel_plan.steps.get((function, step_index))
+        reds = sorted(sp.reductions.items()) if sp is not None else []
+        return reds if self.tweaks.multi_var_reductions else reds[:1]
+
+    def atomic_update(self, function: str, step_index: int, grid: str) -> bool:
+        """Whether the generators emit an assignment to ``grid`` in this step
+        as an ``ATOMIC`` update: the step is a plan-parallel loop, the
+        analysis made ``grid`` an atomic update there, and the
+        ``atomic_updates`` tweak is on."""
+        sp = self.parallel_plan.steps.get((function, step_index))
+        return (sp is not None and grid in sp.atomic
+                and self.tweaks.atomic_updates
+                and self.step_is_parallel(function, step_index)
+                and self.program.find_function(function).steps[step_index].is_loop)
+
+    def threadprivate_grids(self) -> list[str]:
+        """The module-scope arrays the FORTRAN generator declares
+        ``THREADPRIVATE`` (the ``threadprivate_module_arrays`` tweak)."""
+        if not self.tweaks.threadprivate_module_arrays:
+            return []
+        return [g.name for g in self.program.module_scope_grids() if g.rank > 0]
+
 
 def make_plan(
     program: GlafProgram,

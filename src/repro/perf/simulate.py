@@ -258,7 +258,8 @@ class Simulator:
         if parallel and sp is not None:
             n_atomic_stmts = sum(
                 1 for s in walk_stmts(step.stmts)
-                if isinstance(s, Assign) and s.target.grid in sp.atomic
+                if isinstance(s, Assign)
+                and self.plan.atomic_update(fname, idx, s.target.grid)
             )
             per_iter += n_atomic_stmts * self.omp.atomic_cycles
             if sp.critical_early_exit:

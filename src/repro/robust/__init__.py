@@ -19,7 +19,7 @@ half of that contract (see ``docs/ROBUSTNESS.md``):
 * :mod:`repro.robust.scenarios` — executable workloads for the guarded
   CLI paths (imported lazily; see below).
 
-The divergence guard itself (:class:`repro.glafexec.GuardedRunner`) lives
+The per-step guard itself (:class:`repro.glafexec.GuardedRunner`) lives
 in :mod:`repro.glafexec` next to the interpreter it wraps.
 
 This ``__init__`` imports only the dependency-light legs (``faults``,

@@ -149,7 +149,7 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
     ref = scenario.reference()
     plan = FaultPlan([spec], seed=seed)
     with observed(), configured(faults=plan):
-        run = scenario.run_guarded(tolerance=_TOLERANCE)
+        run = scenario.run_guarded()
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
     if not run.events:

@@ -41,15 +41,13 @@ class ExecScenario:
         """``(program, args, sizes, values, compare_grids)`` for one run."""
         return self._setup()
 
-    def run_guarded(self, *, seed: int = 1, tolerance: float = 1e-9,
-                    limits=None):
+    def run_guarded(self, *, limits=None):
         """Run under :class:`repro.glafexec.GuardedRunner`."""
         from ..glafexec import GuardedRunner
 
         program, args, sizes, values, _ = self.setup()
-        runner = GuardedRunner(program, seed=seed, tolerance=tolerance,
-                               limits=limits)
-        return runner.run(self.entry, args, sizes=sizes, values=values)
+        return GuardedRunner(program, limits=limits).run(
+            self.entry, args, sizes=sizes, values=values)
 
     def run_executor(self, executor: str, **kwargs):
         """Run under a named executor (``docs/EXECUTORS.md``)."""

@@ -113,14 +113,14 @@ def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool | None = None,
     """Run through the IR execution pipeline.
 
     Under ``--guarded`` (or explicit ``guarded=True``) execution goes
-    through :class:`GuardedRunner`, which probes every plan-parallel step
-    and falls back to serial on divergence (results are bit-identical
-    either way — the serial result is kept).  Otherwise the selected
-    executor runs the program: ``executor=None`` honors the configured
-    one (the CLI's ``--executor`` flag), ``"interpreter"`` is the
-    reference path, ``"vectorized"`` lifts loop steps to whole-grid array
-    programs, ``"guarded"`` cross-checks the vectorized path against the
-    interpreter."""
+    through :class:`GuardedRunner`, which checks every plan-parallel step
+    for access conflicts and falls back to serial on one (results are
+    bit-identical either way — the checked run is the serial run).
+    Otherwise the selected executor runs the program: ``executor=None``
+    honors the configured one (the CLI's ``--executor`` flag),
+    ``"interpreter"`` is the reference path, ``"vectorized"`` lifts loop
+    steps to whole-grid array programs, ``"guarded"`` cross-checks the
+    vectorized path against the interpreter."""
     program = build_sarb_program(inp.dims)
     ctx = ExecutionContext(program, values=_context_values(inp))
     run_configured(program, "entropy_interface",

@@ -103,6 +103,34 @@ class TestFun3dEquivalence:
         vec = f3v.run_ir_interpreter(mesh, executor="vectorized")
         assert np.array_equal(ref, vec)
 
+    def test_guarded_no_reallocation_run_keeps_save(self, mesh, monkeypatch):
+        # The guarded path takes the executors' keywords: a SAVE'd run
+        # allocates the temporaries once, guarded or not.
+        from repro.glafexec import executor as executor_mod
+        from repro.glafexec import guard as guard_mod
+
+        built = {}
+
+        def spy(mod, name, key):
+            cls = getattr(mod, name)
+
+            class Spy(cls):
+                def __init__(self, *args, **kw):
+                    super().__init__(*args, **kw)
+                    built[key] = self
+            monkeypatch.setattr(mod, name, Spy)
+
+        spy(executor_mod, "Interpreter", "plain")
+        spy(guard_mod, "GuardedInterpreter", "guarded")
+        plain = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
+                                       executor="interpreter")
+        guarded = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
+                                         guarded=True)
+        assert built["guarded"].save_inner_arrays
+        assert built["guarded"].stats.allocations == \
+            built["plain"].stats.allocations
+        assert np.array_equal(guarded, plain)
+
 
 # ----------------------------------------------------------------------
 # example projects

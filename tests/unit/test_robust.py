@@ -1,6 +1,6 @@
 """Unit tests for the fault-tolerance machinery (`repro.robust` +
-`repro.glafexec.guard`): fault plans, the divergence guard with serial
-fallback, watchdogs, parser error recovery, and the faultcheck sweep."""
+`repro.glafexec.guard`): fault plans, the guards with serial fallback,
+watchdogs, parser error recovery, and the faultcheck sweep."""
 
 import os
 
@@ -179,7 +179,7 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# GuardedRunner
+# GuardedRunner: the per-step access-conflict guard
 # ----------------------------------------------------------------------
 class TestGuardedRunner:
     def test_clean_run_is_bit_identical_and_quiet(self):
@@ -196,9 +196,30 @@ class TestGuardedRunner:
         assert plan.fired, "fault must actually fire"
         assert run.fell_back
         assert ("work", 1) in run.demoted           # the carried 'scan' step
-        assert "divergence" in run.events[0].reason
-        assert run.events[0].max_abs_error > run.events[0].tolerance
+        # The reason names the grid and two iterations of the carried step.
+        assert run.events[0].reason == (
+            "access conflict: write-read on v(2) in work/1, iterations 2 and 3")
+        assert run.events[0].conflict.grid == "v"
         assert np.array_equal(run.context.get("v"), _reference())
+
+    def test_guarded_results_and_stats_equal_the_plain_interpreter(self):
+        from repro.glafexec import GuardedInterpreter, Interpreter
+        from repro.robust.scenarios import scenario_for
+
+        tiny = (_program(), "work", [N], {"n": N}, None)
+        sarb = scenario_for("sarb").setup()
+        for program, entry, args, sizes, values in (
+                tiny, (sarb[0], "entropy_interface") + sarb[1:4]):
+            plain = Interpreter(program, ExecutionContext(
+                program, sizes=sizes, values=values))
+            plain.call(entry, list(args))
+            guarded = GuardedInterpreter(program, ExecutionContext(
+                program, sizes=sizes, values=values), make_plan(program))
+            guarded.call(entry, list(args))
+            assert guarded.checked_steps and not guarded.demoted
+            assert guarded.stats == plain.stats
+            for name, arr in plain.context.globals.items():
+                assert np.array_equal(guarded.context.get(name), arr), name
 
     def test_probe_execution_error_demotes_and_recovers(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",

@@ -177,6 +177,14 @@ class TestTextRenderers:
         assert "guard" in text
         assert "resource samples: 2 tick(s)" in text
 
+    def test_show_quotes_argv_so_it_pastes_back(self):
+        rec = dict(_run_record())
+        rec["argv"] = ["generate", "p.json", "--variant", "GLAF-parallel v2"]
+        argv_line, = [line for line in observe.render_run(rec).splitlines()
+                      if line.startswith("argv:")]
+        assert argv_line == \
+            "argv:      generate p.json --variant 'GLAF-parallel v2'"
+
     def test_diff_reports_wall_stage_counter_env_changes(self):
         a, b = _run_record(0), _run_record(4)
         b["environment"] = dict(b["environment"], git_sha="fff999")
