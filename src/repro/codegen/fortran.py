@@ -238,11 +238,7 @@ class FortranGenerator:
             em.emit(f"MODULE {self.globals_module}")
             em.indent()
             em.emit("IMPLICIT NONE")
-            em.emit("! Module-scope grids (paper section 3.3)")
-            for g in mods:
-                if g.comment:
-                    em.emit(f"! {g.comment}")
-                em.emit(_decl_line(g, renderer, intent=False))
+            self._emit_module_scope(em, mods, renderer)
             em.dedent()
             em.emit(f"END MODULE {self.globals_module}")
             em.blank()
@@ -251,20 +247,7 @@ class FortranGenerator:
         em.emit("IMPLICIT NONE")
         if mods and self.globals_module is None:
             em.blank()
-            em.emit("! Module-scope grids (paper section 3.3)")
-            for g in mods:
-                if g.comment:
-                    em.emit(f"! {g.comment}")
-                decl = _decl_line(g, renderer, intent=False)
-                if (self.plan.tweaks.copyprivate_pointers and g.rank > 0):
-                    # §4.2.1: "module-scope arrays are replaced with pointers
-                    # and copyprivate clauses when supporting nested
-                    # parallelism"; the TARGET attribute is the association
-                    # point for those pointers.
-                    ty, _, rest = decl.partition(" :: ")
-                    decl = f"{ty}, TARGET :: {rest}"
-                em.emit(decl)
-            self._emit_threadprivate(em)
+            self._emit_module_scope(em, mods, renderer)
         em.blank()
         em.dedent()
         em.emit("CONTAINS")
@@ -288,6 +271,25 @@ class FortranGenerator:
         em.dedent()
         em.emit(f"END MODULE {self.module_name}")
         return em.text()
+
+    def _emit_module_scope(self, em: Emitter, mods: list,
+                           renderer: FortranExprRenderer) -> None:
+        """The module-scope grids' declarations, with the attributes the
+        tweaks ask for, in whichever MODULE holds them."""
+        em.emit("! Module-scope grids (paper section 3.3)")
+        for g in mods:
+            if g.comment:
+                em.emit(f"! {g.comment}")
+            decl = _decl_line(g, renderer, intent=False)
+            if (self.plan.tweaks.copyprivate_pointers and g.rank > 0):
+                # §4.2.1: "module-scope arrays are replaced with pointers
+                # and copyprivate clauses when supporting nested
+                # parallelism"; the TARGET attribute is the association
+                # point for those pointers.
+                ty, _, rest = decl.partition(" :: ")
+                decl = f"{ty}, TARGET :: {rest}"
+            em.emit(decl)
+        self._emit_threadprivate(em)
 
     def _emit_threadprivate(self, em: Emitter) -> None:
         """§4.2.1: "Module-scope ... arrays are explicitly declared as

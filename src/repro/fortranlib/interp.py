@@ -416,10 +416,11 @@ class _UnitCompiler:
     nodes, constants and other closures.
     """
 
-    def __init__(self, rt: "FortranRuntime", sub: FSubprogram,
+    def __init__(self, modules: dict[str, ModuleEnv],
+                 bare: dict[str, FSubprogram], sub: FSubprogram,
                  env: ModuleEnv | None) -> None:
-        self.modules = rt.modules
-        self.bare = rt.bare_subprograms
+        self.modules = modules
+        self.bare = bare
         self.sub = sub
         self.env = env
         self.name = sub.name
@@ -456,8 +457,10 @@ class _UnitCompiler:
         if name in self.visible:
             return self.index[name]
         slot = self._nonlocal(name)
-        if slot is None:
-            return None
+        return None if slot is None else self._layout_index(slot)
+
+    def _layout_index(self, slot: Slot) -> int:
+        """The layout index of a module variable's slot (added once)."""
         k = self.nonlocal_index.get(id(slot))
         if k is None:
             k = self.nonlocal_index[id(slot)] = len(self.layout)
@@ -1457,7 +1460,8 @@ class FortranRuntime:
         if unit is None:
             pseudo = FSubprogram(kind="subroutine", name=prog.name, params=[],
                                  result=None, decls=prog.decls, body=prog.body)
-            unit = self._units[id(prog)] = _UnitCompiler(self, pseudo, None).compile(prog)
+            unit = self._units[id(prog)] = _UnitCompiler(
+                self.modules, self.bare_subprograms, pseudo, None).compile(prog)
         try:
             self._run(unit, [])
         except StopSignal:
@@ -1479,7 +1483,8 @@ class FortranRuntime:
     def _invoke(self, sub: FSubprogram, env: ModuleEnv | None, args: list[Any]) -> Any:
         unit = self._units.get(id(sub))
         if unit is None:
-            unit = self._units[id(sub)] = _UnitCompiler(self, sub, env).compile(sub)
+            unit = self._units[id(sub)] = _UnitCompiler(
+                self.modules, self.bare_subprograms, sub, env).compile(sub)
         return self._run(unit, args)
 
     def _run(self, unit: _Unit, args: list[Any]) -> Any:

@@ -12,8 +12,9 @@ iteration space at once:
   caller's ranges followed by the callee step's own ranges.  Scalar
   arguments bind as the scalar interpreter binds them: an unsubscripted
   scalar grid by reference, anything else by value in the parameter's
-  dtype (:class:`Cast`).  Array arguments, ``intent(out)`` scalars and
-  recursion are refused.
+  dtype (:class:`Cast`).  Array arguments, ``intent(out)`` scalars,
+  recursion, and a by-value argument reading a grid the callee writes
+  (its substitute would see the new value) are refused.
 * **Functions.**  A function that is only ``RETURN expr`` is substituted
   (:class:`Inlined`).  A function made of one loop step whose body is
   ``IF (cond) RETURN v`` and a final ``RETURN d`` becomes a first-match
@@ -574,12 +575,24 @@ class _Splitter:
                     sname, lead, g.dims, numpy_dtype(g.ty).str, init=g)
                 cenv.locals[lname] = (sname, lead_refs)
         act = None if active is None else active.grid
-        self.notes.append((len(self.raw), Note(
+        first = len(self.raw)
+        self.notes.append((first, Note(
             "call", callee.name, lead, active=act, plain=plain,
             saved=tuple(saved))))
         for idx, cstep in enumerate(callee.steps):
             self.callee_step(callee, idx, cstep, ranges, active, scope, cenv)
         self._leave()
+        # A by-value argument is evaluated at the call; its substitute is
+        # evaluated at each use, so the callee must not change its value.
+        reads = set().union(*(grids_read(v) for v in cenv.params.values()
+                              if isinstance(v, Cast)))
+        for raw in self.raw[first:]:
+            for a, _ in flatten(raw.stmts):
+                if a.target.grid in reads:
+                    raise Unliftable(
+                        f"call to {callee.name!r}: it writes "
+                        f"{a.target.grid!r}, which a by-value argument "
+                        "reads")
 
     def callee_step(self, callee: GlafFunction, idx: int, cstep: Step,
                     ranges: list[Range], active: Expr | None, scope: tuple,

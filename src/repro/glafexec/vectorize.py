@@ -38,8 +38,8 @@ Given the program, :func:`compile_step` also lifts a loop step whose body
 calls leaf subprograms (FUN3D's cell sweep) or keeps a per-iteration
 scalar temporary: :mod:`repro.glafexec.inline` inlines the callees and
 splits the body into nests with per-iteration scratch, and the result is
-a :class:`LiftedSweep` that the IR executor runs nest by nest under one
-rollback snapshot.
+a :class:`LiftedSweep` that :class:`SweepProgram` runs nest by nest, for
+either front end.
 
 Everything else — loop-carried dependences, plain indirect stores,
 calls the inliner refuses, early exits in the body, triangular bounds —
@@ -104,8 +104,8 @@ from .interp import Interpreter
 
 __all__ = [
     "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
-    "LiftedSweep", "VectorizedInterpreter", "compile_lifted",
-    "compile_step", "liftability_report",
+    "LiftedSweep", "SweepProgram", "VectorizedInterpreter",
+    "compile_lifted", "compile_step", "liftability_report", "note_inline",
 ]
 
 
@@ -1708,21 +1708,65 @@ def _frame_count(frame, kind: str, key: Any, n: int) -> None:
         interp._budget.tick(n)
 
 
-class _SweepProgram:
-    """A :class:`LiftedSweep` compiled once: one program per nest."""
+class SweepProgram:
+    """A :class:`LiftedSweep` compiled once, one program per nest
+    (``compile_kw`` goes to :func:`compile_lifted`), and the one runner of
+    sweeps: both front ends call :meth:`run`, each with its own storage
+    and accounting."""
 
     __slots__ = ("sweep", "programs", "specs", "notes")
 
-    def __init__(self, sweep: LiftedSweep) -> None:
+    def __init__(self, sweep: LiftedSweep, **compile_kw: Any) -> None:
         self.sweep = sweep
-        self.programs = tuple(
-            compile_lifted(n, where=_frame_where, count=_frame_count)
-            for n in sweep.nests)
+        self.programs = tuple(compile_lifted(n, **compile_kw)
+                              for n in sweep.nests)
         self.specs = {s.name: s for s in sweep.split.scratch}
         notes: dict[int, list] = {}
         for k, note in sweep.split.notes:
             notes.setdefault(k, []).append(note)
         self.notes = notes
+
+    def run(self, storage: Callable[[str], np.ndarray], var_ranges: dict,
+            frame: Any, account: Callable, target: Callable,
+            sizes: dict, label: str) -> None:
+        """Run the nests in order over shared scratch, then keep what
+        outlives the sweep.
+
+        ``storage(name)`` is a grid outside the scratch; ``var_ranges``
+        holds the sweep's own ranges, ``var -> (start, stride, count)``,
+        all counts positive.  ``account(note, n)`` does a note's
+        accounting for its ``n`` active lanes (iterations, for an
+        ``iter`` note).  ``target(spec.target)`` is the storage a kept
+        scratch goes to; ``sizes`` resolves symbolic scratch extents.
+        Raises :class:`ExecutionError` where the lift cannot go on; the
+        caller restores what the sweep wrote."""
+        scratch: dict[str, np.ndarray] = {}
+        specs, notes = self.specs, self.notes
+        for k, (nest, program) in enumerate(zip(self.sweep.nests,
+                                                self.programs)):
+            S = [scratch.get(n) if n in specs else storage(n)
+                 for n in program.names]
+            ranges = program.bounds(S)
+            run = True
+            for rg, (start, stride, count) in zip(nest.step.ranges, ranges):
+                if stride <= 0:
+                    raise ExecutionError(f"{label}: non-positive stride")
+                var_ranges[rg.var] = (start, stride, count)
+                run = run and count > 0
+            for note in notes.get(k, ()):
+                _account(note, scratch, var_ranges, account)
+            if not run:
+                continue
+            for j, n in enumerate(program.names):
+                if n in specs and S[j] is None:
+                    S[j] = scratch[n] = _scratch(specs[n], var_ranges,
+                                                 storage, sizes)
+            program.run(S, ranges, frame)
+        for note in notes.get(len(self.programs), ()):
+            _account(note, scratch, var_ranges, account)
+        for spec in specs.values():
+            if spec.target is not None and not spec.in_nest:
+                _keep_last(spec, scratch, var_ranges, target)
 
 
 def _slices(lead: tuple, var_ranges: dict) -> tuple:
@@ -1732,6 +1776,91 @@ def _slices(lead: tuple, var_ranges: dict) -> tuple:
         start, stride, count = var_ranges[v]
         out.append(slice(start - 1, start - 1 + count * stride, stride))
     return tuple(out)
+
+
+def _scratch(spec, var_ranges: dict, storage: Callable, sizes: dict
+             ) -> np.ndarray:
+    """A scratch grid: one copy of its grid per lane of ``spec.lead``."""
+    lead = []
+    for v in spec.lead:
+        if v not in var_ranges:
+            raise ExecutionError(f"scratch {spec.name!r}: range of {v!r} "
+                                 "unknown")
+        start, stride, count = var_ranges[v]
+        lead.append(max(start, start + (count - 1) * stride, 0))
+    try:
+        dims = tuple(d if isinstance(d, int) else int(sizes[d])
+                     for d in spec.dims)
+    except KeyError as e:
+        raise ExecutionError(f"scratch {spec.name!r}: size {e} "
+                             "unresolved") from None
+    dtype = (np.dtype(spec.dtype) if spec.dtype is not None
+             else storage(spec.target[1]).dtype)
+    out = np.zeros(tuple(lead) + dims, dtype)
+    if spec.init is not None and spec.init.init_data is not None:
+        out[...] = as_storage(spec.init, sizes=sizes)
+    return out
+
+
+def _active_lanes(lead: tuple, active: str | None, scratch: dict,
+                  var_ranges: dict) -> np.ndarray | None:
+    """The activity of ``lead``'s lanes (``None``: all active)."""
+    if active is None:
+        return None
+    act = scratch.get(active)
+    if act is None:
+        return np.zeros(tuple(var_ranges[v][2] for v in lead), bool)
+    return act[_slices(lead, var_ranges)]
+
+
+def _account(note, scratch: dict, var_ranges: dict,
+             account: Callable) -> None:
+    """Hand a note's active lanes (times its own iterations) to
+    ``account``."""
+    if any(v not in var_ranges for v in note.lead + note.own):
+        raise ExecutionError(f"inlined {note.key!r}: range unknown")
+    act = _active_lanes(note.lead, note.active, scratch, var_ranges)
+    n = (_prod(tuple(var_ranges[v][2] for v in note.lead))
+         if act is None else int(np.count_nonzero(act)))
+    if n and note.kind == "iter":
+        n *= _prod(tuple(var_ranges[v][2] for v in note.own))
+    if n:
+        account(note, n)
+
+
+def _keep_last(spec, scratch: dict, var_ranges: dict,
+               target: Callable) -> None:
+    """Keep the value of the last active lane of an expanded grid in the
+    grid (or SAVE'd local) it stands for."""
+    arr = scratch.get(spec.name)
+    if arr is None:
+        return
+    shape = tuple(var_ranges[v][2] for v in spec.lead)
+    act = _active_lanes(spec.lead, spec.active, scratch, var_ranges)
+    if act is None:
+        pos = tuple(n - 1 for n in shape)
+    else:
+        flat = np.flatnonzero(act)
+        if not flat.size:
+            return
+        pos = np.unravel_index(flat[-1], shape)
+    at = tuple(var_ranges[v][0] - 1 + int(p) * var_ranges[v][1]
+               for v, p in zip(spec.lead, pos))
+    target(spec.target)[...] = arr[at]
+
+
+def note_inline(function: str, index: int, step: str, plan: Any) -> None:
+    """Record a lifted step's inlined callees and expanded grids (once
+    per compiled step)."""
+    from ..observe import get_decisions
+
+    dl = get_decisions()
+    if dl.enabled:
+        expanded = (plan.split.expanded
+                    if isinstance(plan, LiftedSweep) else ())
+        dl.record("executor:inline", function, index, step, "inlined",
+                  reasons=("callees: " + (", ".join(plan.inlined) or "none"),
+                           "expanded: " + (", ".join(expanded) or "none")))
 
 
 class VectorizedInterpreter(Interpreter):
@@ -1779,13 +1908,14 @@ class VectorizedInterpreter(Interpreter):
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
             elif isinstance(plan, LiftedSweep):
-                self._note_inline(frame, idx, step, plan)
-                plan = (plan, _SweepProgram(plan))
+                note_inline(frame.fn.name, idx, step.name, plan)
+                plan = (plan, SweepProgram(plan, where=_frame_where,
+                                           count=_frame_count))
             elif isinstance(plan, LiftedStep):
                 if plan.snapshot_free:
                     self._note_snapshot_elide(frame, idx, step, plan)
                 if plan.inlined:
-                    self._note_inline(frame, idx, step, plan)
+                    note_inline(frame.fn.name, idx, step.name, plan)
                 plan = (plan, compile_lifted(plan, where=_frame_where,
                                              count=_frame_count))
             self._plans[key] = plan
@@ -1894,10 +2024,10 @@ class VectorizedInterpreter(Interpreter):
                 self._budget.iterations = ticks
 
     def _run_lifted(self, frame, idx: int, step: Step,
-                    program: LiftProgram | _SweepProgram) -> None:
+                    program: LiftProgram | SweepProgram) -> None:
         """Run one lifted step: ranges, iteration accounting, the array
         program (or, for a sweep, its nests)."""
-        if isinstance(program, _SweepProgram):
+        if isinstance(program, SweepProgram):
             self._run_sweep(frame, idx, step, program)
             return
         grids = frame.grids
@@ -1917,16 +2047,16 @@ class VectorizedInterpreter(Interpreter):
         program.run(S, ranges, frame)
 
     def _run_sweep(self, frame, idx: int, step: Step,
-                   prog: _SweepProgram) -> None:
-        """Run a sweep's nests in order over shared scratch, with the
-        scalar path's accounting, then keep what outlives the sweep."""
+                   prog: SweepProgram) -> None:
+        """Run a sweep through the shared runner, with the scalar path's
+        accounting."""
         var_ranges: dict[str, tuple] = {}
         total = 1
+        label = f"{frame.fn.name}/{step.name}"
         for var, lo, hi, by in self._compiled(frame.fn, idx, step).ranges:
             start, end, stride = lo(frame), hi(frame), by(frame)
             if stride <= 0:
-                raise ExecutionError(
-                    f"{frame.fn.name}/{step.name}: non-positive stride")
+                raise ExecutionError(f"{label}: non-positive stride")
             var_ranges[var] = (start, stride, _trips(start, end, stride))
             total *= var_ranges[var][2]
         if total == 0:
@@ -1934,81 +2064,20 @@ class VectorizedInterpreter(Interpreter):
         self.stats.note_iter(frame.fn.name, idx, total)
         if self._budget is not None:
             self._budget.tick(total)
-        scratch: dict[str, np.ndarray] = {}
-        specs, grids = prog.specs, frame.grids
-        for k, (nest, program) in enumerate(zip(prog.sweep.nests,
-                                                prog.programs)):
-            S = [scratch.get(n) if n in specs else grids[n]
-                 for n in program.names]
-            ranges = program.bounds(S)
-            run = True
-            for rg, (start, stride, count) in zip(nest.step.ranges, ranges):
-                if stride <= 0:
-                    raise ExecutionError(
-                        f"{frame.fn.name}/{step.name}: non-positive stride")
-                var_ranges[rg.var] = (start, stride, count)
-                run = run and count > 0
-            for note in prog.notes.get(k, ()):
-                self._apply_note(note, scratch, var_ranges)
-            if not run:
-                continue
-            for j, n in enumerate(program.names):
-                if n in specs and S[j] is None:
-                    S[j] = scratch[n] = self._allocate_scratch(
-                        specs[n], var_ranges, grids)
-            program.run(S, ranges, frame)
-        for note in prog.notes.get(len(prog.programs), ()):
-            self._apply_note(note, scratch, var_ranges)
-        for spec in prog.specs.values():
-            if spec.target is not None and not spec.in_nest:
-                self._keep_last(spec, scratch, var_ranges, grids)
+        grids = frame.grids
+        prog.run(grids.__getitem__, var_ranges, frame, self._account,
+                 lambda t: (grids[t[1]] if t[0] == "grid"
+                            else self._save_store[t[1:]]),
+                 self.context.sizes, label)
 
-    def _allocate_scratch(self, spec, var_ranges: dict, grids) -> np.ndarray:
-        lead = []
-        for v in spec.lead:
-            if v not in var_ranges:
-                raise ExecutionError(f"scratch {spec.name!r}: range of "
-                                     f"{v!r} unknown")
-            start, stride, count = var_ranges[v]
-            lead.append(max(start, start + (count - 1) * stride, 0))
-        try:
-            dims = tuple(d if isinstance(d, int)
-                         else int(self.context.sizes[d]) for d in spec.dims)
-        except KeyError as e:
-            raise ExecutionError(f"scratch {spec.name!r}: size {e} "
-                                 "unresolved") from None
-        dtype = (np.dtype(spec.dtype) if spec.dtype is not None
-                 else grids[spec.target[1]].dtype)
-        out = np.zeros(tuple(lead) + dims, dtype)
-        if spec.init is not None and spec.init.init_data is not None:
-            out[...] = as_storage(spec.init, sizes=self.context.sizes)
-        return out
-
-    def _active_lanes(self, lead: tuple, active: str | None, scratch: dict,
-                      var_ranges: dict) -> np.ndarray | None:
-        """The activity of ``lead``'s lanes (``None``: all active)."""
-        if active is None:
-            return None
-        act = scratch.get(active)
-        if act is None:
-            return np.zeros(tuple(var_ranges[v][2] for v in lead), bool)
-        return act[_slices(lead, var_ranges)]
-
-    def _apply_note(self, note, scratch: dict, var_ranges: dict) -> None:
-        if any(v not in var_ranges for v in note.lead + note.own):
-            raise ExecutionError(f"inlined {note.key!r}: range unknown")
-        act = self._active_lanes(note.lead, note.active, scratch, var_ranges)
-        n = (_prod(tuple(var_ranges[v][2] for v in note.lead))
-             if act is None else int(np.count_nonzero(act)))
-        if not n:
-            return
+    def _account(self, note, n: int) -> None:
+        """The scalar path's accounting of ``n`` inlined calls or callee
+        iterations."""
         stats = self.stats
         if note.kind == "iter":
-            n *= _prod(tuple(var_ranges[v][2] for v in note.own))
-            if n:
-                stats.note_iter(note.key[0], note.key[1], n)
-                if self._budget is not None:
-                    self._budget.tick(n)
+            stats.note_iter(note.key[0], note.key[1], n)
+            if self._budget is not None:
+                self._budget.tick(n)
             return
         stats.note_call(note.key, n)
         stats.allocations += note.plain * n
@@ -2017,43 +2086,6 @@ class VectorizedInterpreter(Interpreter):
                 stats.allocations += 1
                 self._save_store[(fn, local)] = as_storage(
                     g, sizes=self.context.sizes)
-
-    def _keep_last(self, spec, scratch: dict, var_ranges: dict,
-                   grids) -> None:
-        """Keep the value of the last active lane of an expanded grid in
-        the grid (or SAVE'd local) it stands for."""
-        arr = scratch.get(spec.name)
-        if arr is None:
-            return
-        shape = tuple(var_ranges[v][2] for v in spec.lead)
-        act = self._active_lanes(spec.lead, spec.active, scratch, var_ranges)
-        if act is None:
-            pos = tuple(n - 1 for n in shape)
-        else:
-            flat = np.flatnonzero(act)
-            if not flat.size:
-                return
-            pos = np.unravel_index(flat[-1], shape)
-        at = tuple(var_ranges[v][0] - 1 + int(p) * var_ranges[v][1]
-                   for v, p in zip(spec.lead, pos))
-        if spec.target[0] == "grid":
-            grids[spec.target[1]][...] = arr[at]
-        else:
-            self._save_store[spec.target[1:]][...] = arr[at]
-
-    def _note_inline(self, frame, idx: int, step: Step, plan: Any) -> None:
-        """Record the inlined callees and the expanded grids (once per
-        compiled step)."""
-        from ..observe import get_decisions
-
-        dl = get_decisions()
-        if dl.enabled:
-            expanded = (plan.split.expanded
-                        if isinstance(plan, LiftedSweep) else ())
-            dl.record("executor:inline", frame.fn.name, idx, step.name,
-                      "inlined", reasons=(
-                          "callees: " + (", ".join(plan.inlined) or "none"),
-                          "expanded: " + (", ".join(expanded) or "none")))
 
     def _note_snapshot_elide(self, frame, idx: int, step: Step,
                              plan: LiftedStep) -> None:

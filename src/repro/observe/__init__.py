@@ -89,7 +89,7 @@ __all__ = [
     # bench statistics
     "BENCH_SCHEMA", "RepeatStats", "summarize_repeats", "stage_seconds",
     # session
-    "Observation", "observed", "is_observing",
+    "Observation", "observed",
     # run record + ledger + exporters + sampling
     "RUN_SCHEMA", "INDEX_SCHEMA", "DEFAULT_LEDGER_DIR", "LEDGER_ENV",
     "RunLedger", "build_record", "ledger_dir_from_env", "record_json",
@@ -108,11 +108,6 @@ class Observation:
     tracer: Tracer
     metrics: MetricsRegistry
     decisions: DecisionLog
-
-
-def is_observing() -> bool:
-    """True while a real (non-null) tracer is installed."""
-    return get_tracer().enabled
 
 
 @contextmanager

@@ -61,7 +61,10 @@ refused), ``executor:inline`` for every lifted step that inlines calls or
 expands per-iteration scratch, and ``executor:snapshot-elide`` for every
 lifted step whose rollback snapshot liveness proved unnecessary; the
 FORTRAN runtime emits ``executor:fallback`` (verdict ``scalar``) for a DO
-nest it keeps on its scalar closure — see ``docs/EXECUTORS.md``.  The
+nest it keeps on its scalar closure, and ``executor:inline`` for every DO
+statement it lifts through the inliner or with per-iteration scratch
+(the generated and spliced FUN3D ``DO c; CALL cell_loop(c)`` sweep) —
+see ``docs/EXECUTORS.md``.  The
 ``fuzz:*`` stages narrate a ``repro fuzz`` campaign — one ``fuzz:item``
 per generated project (reasons = failure signature keys),
 ``fuzz:signature`` when triage sees a signature (``new`` opens a

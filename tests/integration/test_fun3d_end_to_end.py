@@ -102,6 +102,28 @@ class TestSpliceAndRun:
             assert name in added
 
 
+class TestCellSweepLift:
+    """The generated and spliced ``edgejp`` sweep ``DO c; CALL
+    cell_loop(c)`` lifts in the FORTRAN runtime through the inliner."""
+
+    @pytest.mark.parametrize("run", [run_generated_fortran, run_spliced])
+    def test_sweep_inlines_without_fallback(self, mesh, run):
+        from repro import observe
+
+        with observe.observed() as obs:
+            run(mesh)
+        sweep = [d for d in obs.decisions.for_stage("executor:fallback")
+                 if d.function == "edgejp"]
+        assert sweep == []
+        inline = [d for d in obs.decisions.for_stage("executor:inline")
+                  if d.function == "edgejp"]
+        assert len(inline) == 1 and inline[0].step_name == "DO c"
+        assert inline[0].reasons[0] == (
+            "callees: cell_loop, angle_check, edge_loop, ioff_search")
+        assert "grad" in inline[0].reasons[1]
+        assert obs.metrics.counter("exec.fortran.lifted").value >= 1
+
+
 class TestOptionLatticeCodegen:
     def _source(self, opts: Fun3DOptions) -> str:
         program = build_fun3d_program()

@@ -161,7 +161,7 @@ class TestRecorder:
     def test_leaves_noop_observability_installed(self, doc):
         from repro import observe
 
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
 
 
 class TestArtifactFiles:

@@ -170,7 +170,7 @@ class TestProfileCommand:
 
     def test_profile_leaves_noop_installed(self, project_file, capsys):
         assert main(["profile", project_file]) == 0
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
         capsys.readouterr()
 
     def test_missing_project_is_a_friendly_error(self, capsys):
@@ -280,7 +280,7 @@ class TestProfileFlag:
 
     def test_no_profile_records_nothing(self, project_file, capsys):
         assert main(["generate", project_file]) == 0
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
         assert observe.get_metrics().snapshot()["counters"] == {}
         capsys.readouterr()
 

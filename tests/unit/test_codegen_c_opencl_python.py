@@ -75,6 +75,26 @@ class TestCGenerator:
     def test_reduction_clause_lowercase(self, csrc):
         assert "reduction(+:a)" in csrc
 
+    @pytest.mark.parametrize("multi", [True, False])
+    @pytest.mark.parametrize("variant", [f"GLAF-parallel v{k}"
+                                         for k in range(4)])
+    def test_reductions_match_the_fortran_back_end(self, variant, multi):
+        import re
+
+        from repro.codegen.fortran import FortranGenerator
+        from repro.sarb import build_sarb_program
+
+        plan = make_plan(build_sarb_program(), variant,
+                         tweaks=Tweaks(multi_var_reductions=multi))
+        fortran = [re.findall(r"REDUCTION\(([^)]*)\)", line) for line in
+                   FortranGenerator(plan).generate_module().splitlines()
+                   if line.startswith("!$OMP PARALLEL DO")]
+        c = [re.findall(r"reduction\(([^)]*)\)", line) for line in
+             generate_c_source(plan).splitlines()
+             if line.startswith("#pragma omp parallel for")]
+        assert fortran == c
+        assert (["+:scratch, slw"] in c) is multi
+
 
 class TestOpenCLGenerator:
     @pytest.fixture(scope="class")

@@ -1,11 +1,13 @@
-"""Lifting FORTRAN DO nests must be invisible.
+"""Lifting FORTRAN DO nests and CALL sweeps must be invisible.
 
-A differential over seeded random nests runs each nest as written and
-again with ``IF (.FALSE.) CYCLE`` in front of its body, which keeps it on
-the scalar closure (CYCLE does not lower), and compares every module
-variable byte for byte, the error, the RuntimeWarnings, ``omp_log``, the
-allocation count and the DO variables.  One test per guard pins the
-cases that must run on the scalar closure before touching any state.
+Two differentials, over seeded random nests and over random sweeps
+``DO i; CALL leaf(i)``, run each as written and again with
+``IF (.FALSE.) CYCLE`` in front of its body, which keeps it on the scalar
+closure (CYCLE does not lower), and compare every module variable byte
+for byte, the error, the RuntimeWarnings, ``omp_log``, the allocation
+count, the printed output and the DO variables.  One test per guard and
+per sweep refusal pins the cases that must run on the scalar closure
+before touching any state.
 """
 
 import random
@@ -29,8 +31,10 @@ MODULE m
   REAL(KIND=4) :: r1({N})
   INTEGER :: k({N}, {N})
   INTEGER :: k1({N})
+  INTEGER :: ix({N})
   REAL(KIND=8) :: s
   REAL(KIND=4) :: t
+  REAL(KIND=8) :: u
   INTEGER :: q
   INTEGER :: dv(2)
 END MODULE m
@@ -154,6 +158,19 @@ class _Nests:
             form = self.pick(["{acc} + {t}", "{acc} - {t}", "{t} + {acc}",
                               "MAX({acc}, {t})", "MIN({t}, {acc})"])
             return [f"{acc} = {form.format(acc=acc, t=term)}"]
+        if 0.8 <= roll < 0.87 and depth == 0:
+            # a scalar temporary, written before it is read
+            target = (f"b({', '.join(loops)})" if len(loops) == 2
+                      else f"c({loops[0]})")
+            return [f"u = {self.expr(loops)}",
+                    f"{target} = u * {self.expr(loops, 1)}"]
+        if 0.87 <= roll < 0.93:
+            # an indirect accumulator
+            name = self.pick(["c", "r1", "k1"])
+            is_int = ARRAYS[name][1]
+            term = self.expr(loops, want_int=is_int)
+            return [f"{name}(ix({loops[0]})) = {name}(ix({loops[0]})) + "
+                    f"{term}"]
         name = self.pick(list(SCALARS))
         term = self.expr(loops, want_int=SCALARS[name])
         form = self.pick(["{acc} + {t}", "{acc} - {t}", "MAX({acc}, {t})"])
@@ -208,21 +225,25 @@ def _data(seed):
             v = rng.normal(size=shape) * rng.choice([1.0, 4.0])
             v[rng.random(shape) < 0.1] = -0.0
             out[name] = v
-    out.update(s=rng.normal(), t=-0.0, q=int(rng.integers(-5, 5)))
+    # an index vector, sometimes out of bounds
+    out["ix"] = rng.integers(1 - (rng.random() < 0.1), N + 1, size=N)
+    out.update(s=rng.normal(), t=-0.0, u=0.0, q=int(rng.integers(-5, 5)))
     return out
 
 
-def _state(rt):
+def _state(rt, module="m"):
     return {name: (slot.store.dtype.str, slot.store.shape,
                    slot.store.tobytes())
-            for name, slot in sorted(rt.modules["m"].variables.items())}
+            for name, slot in sorted(rt.modules[module].variables.items())}
 
 
-def _run(rt, name, data):
+def _run(rt, name, data, module="m"):
     for var, value in data.items():
-        rt.modules["m"].variables[var].store[...] = value
-    rt.modules["m"].variables["dv"].store[...] = 0
+        rt.modules[module].variables[var].store[...] = value
+    rt.modules[module].variables["dv"].store[...] = 0
+    rt.output.clear()
     rt.omp_log.clear()
+    allocated = rt.allocation_count
     error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -230,13 +251,14 @@ def _run(rt, name, data):
             rt.call(name)
         except Exception as e:                  # compared, not judged
             error = (type(e).__name__, str(e))
-    return {"state": _state(rt), "error": error,
+    return {"state": _state(rt, module), "error": error,
             "warnings": [(w.category.__name__, str(w.message))
                          for w in caught],
             # The twins sit on other lines of other units: compare the rest.
             "omp": [(e.kind, e.collapse, e.reductions, e.private,
                      e.iterations) for e in rt.omp_log],
-            "allocations": rt.allocation_count}
+            "allocations": rt.allocation_count - allocated,
+            "output": rt.output[:]}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -407,23 +429,22 @@ class TestGuards:
         assert error == ("FortranRuntimeError", "'z' used before ALLOCATE")
         assert lifted == 0 and "unallocated" in reasons[0]
 
-    def test_scalar_temporary_stays_scalar(self):
-        # The IR executor expands a scalar written before it is read;
-        # a FORTRAN nest keeps it on the scalar closure, so t ends with
-        # the last iteration's value as the scalar loop leaves it.
+    def test_scalar_temporary_lifts(self):
+        # A scalar written before it is read gets a copy per iteration,
+        # as in the IR executor, and t ends with the last iteration's
+        # value as the scalar loop leaves it.
         error, state, reasons, lifted = _both("temp")
-        assert (error, lifted) == (None, 0)
-        assert reasons == ["scalar temporary 't' needs a copy per "
-                           "iteration"]
+        assert (error, lifted) == (None, 1)
+        assert reasons == []
         assert np.frombuffer(state["t"]).tolist() == [16.0]
 
-    def test_indirect_accumulator_stays_scalar(self):
+    def test_indirect_accumulator_lifts(self):
         def prepare(rt):
             rt.modules["gm"].variables["ix"].store[...] = [
                 1, 2, 2, 3, 1, 8, 8, 4]
         error, state, reasons, lifted = _both("scatter", prepare)
-        assert (error, lifted) == (None, 0)
-        assert reasons == ["indirect accumulator 'y'"]
+        assert (error, lifted) == (None, 1)
+        assert reasons == []
         assert np.frombuffer(state["y"]).tolist() == [
             6.0, 5.0, 4.0, 8.0, 0.0, 0.0, 0.0, 13.0]
 
@@ -475,3 +496,310 @@ END MODULE ov
     assert outcomes[0][0] == (["overflow encountered in scalar multiply"] * 2
                               + ["divide by zero encountered in scalar "
                                  "divide"] * 3)
+
+
+# ---------------------------------------------------------------------------
+# sweeps: DO nests that CALL subprograms
+# ---------------------------------------------------------------------------
+
+SWEEP_MODULE = f"""
+MODULE sm
+  IMPLICIT NONE
+  REAL(KIND=8) :: a({N}, {N})
+  REAL(KIND=8) :: b({N})
+  REAL(KIND=8) :: c({N})
+  REAL(KIND=8) :: d({N})
+  REAL(KIND=8) :: e({N})
+  REAL(KIND=8) :: y({N})
+  REAL(KIND=8) :: w(3)
+  INTEGER :: ix({N})
+  INTEGER :: k1({N})
+  REAL(KIND=8) :: s
+  INTEGER :: dv(1)
+END MODULE sm
+"""
+
+SWEEP_RANGES = (
+    ("1", str(N), None),
+    ("2", str(N), "2"),
+    (str(N), "1", "-1"),
+    ("5", "1", None),                   # zero trips
+    ("0", str(N), None),                # out of bounds
+)
+SWEEP_RANGE_WEIGHTS = (12, 3, 1, 1, 1)
+
+
+class _Sweeps:
+    """Seeded random sweeps ``DO i; CALL leaf(i)`` over the module above:
+    leaf subroutines with an ALLOCATE'd local, module grids written in
+    full before they are read, scalar temporaries, IF-guarded CALLs,
+    indirect accumulators, and search and expression functions."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def val(self, extra=()):
+        rng = self.rng
+        leaves = [f"a(i, {rng.randint(1, N)})", "b(i)",
+                  rng.choice(["1.5D0", "-0.5D0", "2.0D0"])] + list(extra)
+        x, z = rng.choice(leaves), rng.choice(leaves)
+        form = rng.choice(["{x}", "({x} + {z})", "({x} * {z})",
+                           "({x} - {z})", "ABS({x})", "MAX({x}, {z})"])
+        return form.format(x=x, z=z)
+
+    def sweep(self, k: int):
+        rng = self.rng
+        reads, body = [], []
+        if rng.random() < 0.6:
+            body += ["DO j = 1, 4", f"  t(j) = {self.val(['j * 1.0D0'])}",
+                     "END DO"]
+            reads.append(f"t({rng.randint(1, 4)})")
+        if rng.random() < 0.4:
+            body += ["DO j = 1, 3", f"  w(j) = {self.val()}", "END DO"]
+            reads.append(f"w({rng.randint(1, 3)})")
+        if rng.random() < 0.5:
+            body.append(f"u = {self.val()}")
+            reads.append("u")
+        uses = [
+            lambda: [f"c(i) = {self.val(reads)}"],
+            lambda: [f"IF ({self.val(reads)} > 0.0D0) THEN",
+                     f"  CALL inner{k}(i)", "END IF"],
+            lambda: [f"y(ix(i)) = y(ix(i)) + {self.val(reads)}"],
+            lambda: [f"k1(i) = find{k}(i)"],
+            lambda: [f"d(i) = half{k}({self.val(reads)})"],
+            lambda: ["s = s + a(i, 1)"],
+            lambda: ["d(i) = s", "s = b(i)"],     # carried across iterations
+        ]
+        for _ in range(rng.choice([1, 2, 3])):
+            body += rng.choices(uses, weights=(6, 4, 4, 3, 3, 1, 1))[0]()
+        lo, hi, by = rng.choices(SWEEP_RANGES, SWEEP_RANGE_WEIGHTS)[0]
+        head = f"DO i = {lo}, {hi}" + (f", {by}" if by else "")
+        pre = [f"s = {self.val()}"] if rng.random() < 0.2 else []
+        return head, pre, body, rng.random() < 0.15
+
+    @staticmethod
+    def units(k, head, pre, body, omp, guard):
+        ind = "    "
+        leaf = ([f"  SUBROUTINE leaf{k}_{guard}(i)",
+                 "    INTEGER, INTENT(IN) :: i",
+                 "    REAL(KIND=8), ALLOCATABLE :: t(:)",
+                 "    REAL(KIND=8) :: u", "    INTEGER :: j",
+                 "    ALLOCATE(t(4))"]
+                + [ind + line for line in body]
+                + ["    DEALLOCATE(t)", f"  END SUBROUTINE leaf{k}_{guard}"])
+        drive = ([f"  SUBROUTINE drive{k}_{guard}()", "    INTEGER :: i",
+                  "    i = -1"]
+                 + (["!$OMP PARALLEL DO"] if omp else [])
+                 + [ind + head]
+                 + ([ind * 2 + "IF (.FALSE.) CYCLE"] if guard else [])
+                 + [ind * 2 + line for line in pre]
+                 + [ind * 2 + f"CALL leaf{k}_{guard}(i)", ind + "END DO"]
+                 + (["!$OMP END PARALLEL DO"] if omp else [])
+                 + ["    dv(1) = i", f"  END SUBROUTINE drive{k}_{guard}"])
+        return "\n".join(leaf + drive)
+
+    @staticmethod
+    def helpers(k):
+        return f"""
+  FUNCTION find{k}(r) RESULT(res)
+    INTEGER, INTENT(IN) :: r
+    INTEGER :: j
+    INTEGER :: res
+    DO j = 1, {N}
+      IF (a(r, j) > 0.5D0) THEN
+        res = j
+        RETURN
+      END IF
+    END DO
+    res = 0
+  END FUNCTION find{k}
+  FUNCTION half{k}(x) RESULT(res)
+    REAL(KIND=8), INTENT(IN) :: x
+    REAL(KIND=8) :: res
+    res = x * 0.5D0 + 1.0D0
+  END FUNCTION half{k}
+  SUBROUTINE inner{k}(i)
+    INTEGER, INTENT(IN) :: i
+    REAL(KIND=8) :: v(2)
+    v(1) = a(i, 2) * 2.0D0
+    e(i) = v(1) - b(i)
+  END SUBROUTINE inner{k}"""
+
+
+def _sweep_data(seed):
+    rng = np.random.default_rng(seed)
+    return {"a": rng.normal(size=(N, N)), "b": rng.normal(size=N),
+            "c": rng.normal(size=N), "d": rng.normal(size=N),
+            "e": rng.normal(size=N), "y": rng.normal(size=N),
+            "w": np.zeros(3), "k1": np.zeros(N, dtype=np.int64),
+            "ix": rng.integers(1 - (rng.random() < 0.1), N + 1, size=N),
+            "s": rng.normal()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_lift_is_invisible(seed):
+    gen = _Sweeps(seed)
+    count = 60
+    sweeps = [gen.sweep(k) for k in range(count)]
+    src = "\n".join(
+        [SWEEP_MODULE, "MODULE sweeps", "  USE sm", "CONTAINS"]
+        + [_Sweeps.helpers(k) for k in range(count)]
+        + [_Sweeps.units(k, *sw, guard=g) for k, sw in enumerate(sweeps)
+           for g in (0, 1)]
+        + ["END MODULE sweeps"])
+    rt = FortranRuntime()
+    rt.load(src)
+    lifted = 0
+    for k, sw in enumerate(sweeps):
+        data = _sweep_data(seed * 1000 + k)
+        with observe.observed() as obs:
+            got = _run(rt, f"drive{k}_0", data, "sm")
+        # The sweep itself lifted: it inlined, and never fell back.
+        lifted += any(d.function == f"drive{k}_0" for d in
+                      obs.decisions.for_stage("executor:inline")) and not any(
+            d.function == f"drive{k}_0" for d in
+            obs.decisions.for_stage("executor:fallback"))
+        want = _run(rt, f"drive{k}_1", data, "sm")
+        assert got == want, "\n".join([sw[0]] + sw[1] + sw[2])
+    # Not vacuous: a fair share of the sweeps really ran lifted.
+    assert lifted >= count // 3
+
+
+REFUSALS = """
+MODULE rm
+  IMPLICIT NONE
+  REAL(KIND=8) :: x(8)
+  REAL(KIND=8) :: y(8)
+  REAL(KIND=8) :: z(8, 2)
+  REAL(KIND=8) :: s
+CONTAINS
+  SUBROUTINE omp_leaf(i)
+    INTEGER, INTENT(IN) :: i
+!$OMP CRITICAL
+    y(i) = x(i) * 2.0D0
+!$OMP END CRITICAL
+  END SUBROUTINE omp_leaf
+  SUBROUTINE print_leaf(i)
+    INTEGER, INTENT(IN) :: i
+    y(i) = x(i) * 2.0D0
+    PRINT *, 'cell', i
+  END SUBROUTINE print_leaf
+  SUBROUTINE deep_leaf(i)
+    INTEGER, INTENT(IN) :: i
+    CALL deeper(i)
+  END SUBROUTINE deep_leaf
+  SUBROUTINE deeper(i)
+    INTEGER, INTENT(IN) :: i
+    y(i) = x(i) + 1.0D0
+  END SUBROUTINE deeper
+  SUBROUTINE shift_leaf(i)
+    INTEGER, INTENT(IN) :: i
+    y(i) = x(i - 1) + 1.0D0
+  END SUBROUTINE shift_leaf
+  SUBROUTINE carry_leaf(i)
+    INTEGER, INTENT(IN) :: i
+    INTEGER :: j
+    y(i) = s
+    DO j = 1, 2
+      z(i, j) = x(i)
+    END DO
+    s = x(i)
+  END SUBROUTINE carry_leaf
+{sweeps}  SUBROUTINE alias(w)
+    REAL(KIND=8), INTENT(INOUT) :: w(8)
+    INTEGER :: i
+    DO i = 2, 8
+      {guard}
+      w(i) = 0.5D0
+      CALL shift_leaf(i)
+    END DO
+  END SUBROUTINE alias
+END MODULE rm
+"""
+
+
+SWEEP = """
+  SUBROUTINE {leaf}_sweep()
+    INTEGER :: i
+    DO i = 2, 8
+      {guard}
+      CALL {leaf}(i)
+    END DO
+  END SUBROUTINE {leaf}_sweep
+"""
+
+
+def _sweep_both(name, args=lambda rt: (), depth=100):
+    """Run ``name`` as written and on its scalar twin: the outcome (error,
+    module state, printed output, allocation count), the fallback reasons
+    of the unit and whether its sweep lifted."""
+    out = []
+    for guard in ("", "IF (.FALSE.) CYCLE"):
+        rt = FortranRuntime()
+        rt.load(REFUSALS.format(guard=guard, sweeps="".join(
+            SWEEP.format(leaf=leaf, guard=guard) for leaf in (
+                "omp_leaf", "print_leaf", "deep_leaf", "carry_leaf"))))
+        rt.modules["rm"].variables["x"].store[...] = np.arange(1.0, 9.0)
+        rt.max_call_depth = depth
+        with observe.observed() as obs:
+            try:
+                rt.call(name, list(args(rt)))
+                error = None
+            except Exception as e:
+                error = (type(e).__name__, str(e))
+        state = {n: v.store.tobytes()
+                 for n, v in rt.modules["rm"].variables.items()}
+        reasons = [d.reasons[0] for d in
+                   obs.decisions.for_stage("executor:fallback")
+                   if d.function == name]
+        inlined = [d for d in obs.decisions.for_stage("executor:inline")
+                   if d.function == name]
+        out.append(((error, state, rt.output, rt.allocation_count),
+                    reasons, int(bool(inlined) and not reasons)))
+    written, twin = out
+    assert written[0] == twin[0]            # the lift is invisible
+    assert twin[1] == ["CYCLE statement in the loop body"]
+    return written
+
+
+class TestSweepRefusals:
+    def test_openmp_directive_in_a_callee(self):
+        _, reasons, lifted = _sweep_both("omp_leaf_sweep")
+        assert (reasons, lifted) == (["OpenMP directive in 'omp_leaf'"], 0)
+
+    def test_print_in_a_callee(self):
+        (_, _, output, _), reasons, lifted = _sweep_both("print_leaf_sweep")
+        assert (reasons, lifted) == (["PRINT statement in 'print_leaf'"], 0)
+        assert len(output) == 7
+
+    def test_depth_past_max_call_depth(self):
+        (error, _, _, _), reasons, lifted = _sweep_both(
+            "deep_leaf_sweep", depth=2)
+        assert error == ("FortranRuntimeError",
+                         "call depth exceeded in deeper")
+        assert (reasons, lifted) == (
+            ["inlined call nesting would pass max_call_depth"], 0)
+        (error, _, _, _), reasons, lifted = _sweep_both(
+            "deep_leaf_sweep", depth=3)
+        assert (error, reasons, lifted) == (None, [], 1)
+
+    def test_dummy_argument_aliasing_callee_storage(self):
+        # w is x, so w(i) = 0.5 then y(i) = x(i - 1) + 1 reads the
+        # previous iteration's write.
+        (error, state, _, _), reasons, lifted = _sweep_both(
+            "alias", lambda rt: [rt.modules["rm"].variables["x"].store])
+        assert error is None and lifted == 0
+        assert "may share memory through a dummy argument" in reasons[0]
+        assert np.frombuffer(state["y"]).tolist() == [0.0, 2.0] + [1.5] * 6
+        _, reasons, lifted = _sweep_both("alias",
+                                         lambda rt: [np.zeros(8)])
+        assert (reasons, lifted) == ([], 1)
+
+    def test_module_scalar_carried_across_iterations(self):
+        (error, state, _, _), reasons, lifted = _sweep_both("carry_leaf_sweep")
+        assert error is None and lifted == 0
+        assert reasons == ["'s' carries state between iterations of the "
+                           "split nests (it is not written in full before "
+                           "it is read)"]
+        assert np.frombuffer(state["y"]).tolist() == [0.0, 0.0] + [
+            float(k) for k in range(2, 8)]

@@ -106,3 +106,85 @@ class TestTweakedCodeStillRuns:
                              copyprivate_pointers=True,
                              save_inner_arrays=True))
         assert np.array_equal(base, tweaked)
+
+
+def _run_twin(src: str, mesh, twin: bool):
+    """Run a generated module, or its twin whose cell sweep ``DO c`` starts
+    with ``IF (.FALSE.) CYCLE`` and so runs on the scalar closure: the
+    Jacobian, ``grad``, the allocation count and ``omp_log``."""
+    head = "    DO c = 1, ncells\n"
+    assert head in src
+    if twin:
+        src = src.replace(head, head + "      IF (.FALSE.) CYCLE\n")
+    rt = FortranRuntime()
+    rt.load(full_legacy_source(mesh)["fun3d_modules.f90"])
+    rt.load(src)
+    set_fun3d_inputs(rt, mesh)
+    rt.call("edgejp", [mesh.ncell, mesh.nnz])
+    return (rt.modules["fun3d_jac_mod"].variables["jac"].store.tobytes(),
+            rt.modules["glaf_fun3d_mod"].variables["grad"].store.tobytes(),
+            rt.allocation_count, rt.omp_log)
+
+
+class TestCellSweepLiftIsInvisible:
+    @pytest.mark.parametrize("variant,tweaks", [
+        ("GLAF serial", Tweaks(save_inner_arrays=False)),
+        ("GLAF serial", Tweaks(save_inner_arrays=True)),
+        ("GLAF-parallel v0", Tweaks()),
+        ("GLAF-parallel v0", Tweaks(threadprivate_module_arrays=True,
+                                    copyprivate_pointers=True,
+                                    save_inner_arrays=True)),
+    ])
+    def test_matches_the_scalar_twin(self, program, variant, tweaks):
+        mesh = make_mesh(27)
+        src = _src(program, tweaks, variant)
+        assert _run_twin(src, mesh, twin=False) == _run_twin(src, mesh,
+                                                             twin=True)
+
+
+class TestGlobalsModuleAttributes:
+    """The splice path's globals module carries the module-scope
+    attributes the tweaks ask for."""
+
+    TWEAKS = [(Tweaks(threadprivate_module_arrays=True),
+               "!$OMP THREADPRIVATE(grad)"),
+              (Tweaks(copyprivate_pointers=True),
+               "REAL(KIND=8), TARGET :: grad(5, 3)")]
+
+    def _spliced(self, program, tweaks):
+        from repro.fun3d import FUN3D_FUNCTIONS
+        from repro.fun3d.validation import build_legacy_codebase
+        from repro.integration import splice_into_codebase
+
+        mesh = make_mesh(27)
+        plan = make_plan(program, "GLAF-parallel v0", tweaks=tweaks)
+        return mesh, splice_into_codebase(plan, build_legacy_codebase(mesh),
+                                          list(FUN3D_FUNCTIONS),
+                                          add_missing=True)
+
+    @pytest.mark.parametrize("tweaks,line", TWEAKS)
+    def test_generated_and_spliced_text(self, program, tweaks, line):
+        plan = make_plan(program, "GLAF-parallel v0", tweaks=tweaks)
+        src = FortranGenerator(
+            plan, globals_module="glaf_fun3d_globals").generate_module()
+        assert line in src.split("END MODULE glaf_fun3d_globals")[0]
+        assert src.count(line) == 1
+        _, result = self._spliced(program, tweaks)
+        assert line in result.support_source
+
+    def test_untweaked_globals_carry_no_attributes(self, program):
+        _, result = self._spliced(program, Tweaks())
+        assert "THREADPRIVATE" not in result.support_source
+        assert "TARGET" not in result.support_source
+
+    def test_spliced_run_logs_threadprivate_grad(self, program):
+        mesh, result = self._spliced(
+            program, Tweaks(threadprivate_module_arrays=True))
+        rt = FortranRuntime()
+        rt.load(result.support_source)
+        for name in sorted(result.files):
+            rt.load(result.files[name])
+        set_fun3d_inputs(rt, mesh)
+        rt.run_program("fun3d_test")
+        assert any(e.kind == "threadprivate" and "grad" in e.private
+                   for e in rt.omp_log)

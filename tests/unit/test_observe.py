@@ -203,7 +203,7 @@ class TestNoopDefaults:
         assert observe.get_tracer() is NULL_TRACER
         assert observe.get_metrics() is NULL_METRICS
         assert observe.get_decisions() is NULL_DECISIONS
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
 
     def test_null_tracer_reuses_one_span_object(self):
         a = NULL_TRACER.span("x", k=1)
@@ -250,15 +250,15 @@ class TestObservedSession:
             assert observe.get_tracer() is obs.tracer
             assert observe.get_metrics() is obs.metrics
             assert observe.get_decisions() is obs.decisions
-            assert observe.is_observing()
+            assert observe.get_tracer().enabled
         assert observe.get_tracer() is before
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
 
     def test_observed_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with observe.observed():
                 raise RuntimeError()
-        assert not observe.is_observing()
+        assert not observe.get_tracer().enabled
 
     def test_observed_nests(self):
         with observe.observed() as outer:

@@ -941,6 +941,32 @@ class TestSweep:
         assert got[VectorizedInterpreter] == got[Interpreter]
         assert "edge_loop" in got[Interpreter][0]
 
+    def test_by_value_argument_the_callee_changes_is_refused(self):
+        # v binds x * 2 at the call; the callee then overwrites x, so the
+        # substituted expression would read the new x.
+        b = GlafBuilder("bv")
+        b.global_grid("x", T_REAL8, module_scope=True, init_data=5.0)
+        b.global_grid("y", T_REAL8, dims=(4,), module_scope=True)
+        m = b.module("M")
+        g = m.function("g", return_type=T_VOID)
+        g.param("v", T_REAL8, intent="in")
+        g.param("i", T_INT, intent="in")
+        s = g.step("s")
+        s.formula(ref("x"), ref("i") * 1.0)
+        s.formula(ref("y", ref("i")), ref("v"))
+        f = m.function("f", return_type=T_VOID)
+        f.step("sweep").foreach(i=(1, 4)).call("g", [ref("x") * 2.0, I("i")])
+        p = b.build()
+        out = {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            ctx = ExecutionContext(p)
+            interp = cls(p, ctx)
+            interp.call("f", [])
+            out[cls] = (ctx.get("y").tolist(), float(ctx.get("x")))
+        assert out[VectorizedInterpreter] == out[Interpreter] == (
+            [10.0, 2.0, 4.0, 6.0], 4.0)
+        assert "which a by-value argument reads" in interp.fallbacks[0].reason
+
     def test_refused_callee_forms(self):
         def program(callee_build, call_args):
             b = GlafBuilder("rf")
