@@ -2,15 +2,14 @@
 
 The runtime compiles each DO statement to a scalar closure that runs one
 iteration at a time (:meth:`repro.fortranlib.interp._UnitCompiler._do`).
-Before that, :func:`lower_nest` tries to *lower* the statement: a perfect
-DO nest whose innermost body holds assignments, IF blocks and CALLs
-becomes the GLAF IR step form (:class:`~repro.core.step.Step`) and goes
-through the lift rules the GLAF IR executor uses,
+Before that, :func:`lower_nest` tries to *lower* the statement into the
+GLAF IR step form (:class:`~repro.core.step.Step`), which goes through
+the lift rules the GLAF IR executor uses,
 :func:`~repro.glafexec.vectorize.compile_step`:
 
-* a nest without calls lifts as one array program
-  (:func:`~repro.glafexec.vectorize.compile_lifted`), or as a one-nest
-  sweep when it keeps a scalar temporary;
+* a perfect DO nest of assignments and IF blocks lifts as one array
+  program (:func:`~repro.glafexec.vectorize.compile_lifted`), or as a
+  one-nest sweep when it keeps a scalar temporary;
 * a *sweep*, a nest that CALLs subroutines or references user functions,
   has the FORTRAN text of every reachable callee translated to
   :class:`~repro.core.function.GlafFunction` s, each callee resolved as
@@ -18,7 +17,29 @@ through the lift rules the GLAF IR executor uses,
   are the variables the sweep names.  The shared inliner
   (:mod:`repro.glafexec.inline`) splits it into nests, which
   :class:`~repro.glafexec.vectorize.SweepProgram` runs: the IR executor's
-  runner.
+  runner;
+* a DO statement whose body is not a perfect nest's is *outlined* into a
+  sweep, mechanically, as GLAF splits legacy FUN3D by hand: its body
+  becomes a synthetic SUBROUTINE ``unit@line`` (a name no FORTRAN
+  subprogram has) whose by-value INTEGER dummy arguments are the
+  enclosing DO variables, CALLed once per iteration.  Each statement of
+  an outlined body is a step, as in a callee: a perfect nest a loop
+  step, an imperfect DO a loop step that CALLs its own outlined body, an
+  IF branch that holds a DO an outlined body CALLed under the branch's
+  condition.  A *search*, ``DO v = lo, hi[, s]`` holding only ``IF (c)
+  THEN; x = val; EXIT`` with a positive constant stride, becomes ``x =
+  unit@line(..., x)``: the inliner's first-match FUNCTION, built by the
+  same code as a callee's, whose last argument is its default, the value
+  of ``x`` before the loop.  An outlined part's names are the unit's,
+  but for its *private locals*: a plain local of the unit (no dummy
+  argument, result, SAVE'd, initialized, allocatable, COMMON, module or
+  PARAMETER variable) that only one outlined part references, that no
+  statement able to run after the DO statement references, and whose
+  every read in an iteration follows a write covering it (a full write
+  earlier in the part, or an unconditional one at the same subscripts
+  earlier in the same nest) is that part's local, expanded per lane.
+  Every other name stays the caller's, which the inliner expands per
+  iteration and keeps, or refuses.
 
 :func:`lifted_do` then wraps the program with this runtime's guards; the
 scalar closure stays as the fallback.  Lowering reads the text the
@@ -43,27 +64,36 @@ locals, then DO nests, assignments (``x = f(...)`` too), IF blocks and
 CALLs, then a suffix of DEALLOCATE statements.  A FUNCTION is a search, a
 DO of ``IF (c) THEN; res = v; RETURN`` and then ``res = d``, or one
 ``res = expr``.  A callee does not lower with an OpenMP directive; a
-PRINT, STOP, EXIT, CYCLE, DO WHILE or other RETURN; an array,
-``intent(out)`` or ``intent(inout)`` dummy argument, or an actual
-argument of another type than its dummy; CHARACTER or TYPE storage; or a
-SAVE'd or initialized local.
+PRINT, STOP, EXIT, CYCLE, DO WHILE, inner imperfect DO or other RETURN;
+an array, ``intent(out)`` or ``intent(inout)`` dummy argument, or an
+actual argument of another type than its dummy; CHARACTER or TYPE
+storage; or a SAVE'd or initialized local.  An outlined statement does
+not lower with an OpenMP directive anywhere in its body; a PRINT, STOP,
+CYCLE, DO WHILE, RETURN or an EXIT outside a search; or an inner or
+search DO variable that is not a plain INTEGER local dead after it.
+Outlined parts are no calls: they allocate nothing and add nothing to
+the call nesting.
 
-Contract: a lifted nest or sweep leaves every array, scalar, DO variable,
-module grid, ``omp_log`` entry and ``allocation_count`` byte-identical to
-the scalar closure, and raises the same error and the same
-``RuntimeWarning``.  ``allocation_count`` grows by the array locals each
-active call binds or ALLOCATEs.  The statement runs on the scalar
-closure, before touching any state, when numeric sentinels are on; when
-the inlined call nesting would pass ``max_call_depth``; when a store is
+Contract: what the program can still observe after a lifted statement
+is byte-identical to what the scalar closure leaves: every module
+variable, every dummy argument, every variable the unit can still read,
+the DO variables of the statement's own nest, every ``omp_log`` entry
+and ``allocation_count``; and the same error and the same
+``RuntimeWarning`` are raised.  Only a private local, or an inner DO
+variable, of an outlined statement may hold another value, and nothing
+reads it.  ``allocation_count`` grows by the array locals each active
+call binds or ALLOCATEs.  The statement runs on the scalar closure,
+before touching any state, when numeric sentinels are on; when the
+inlined call nesting would pass ``max_call_depth``; when a store is
 unallocated or has the wrong rank or shape, a written one is a
 PARAMETER, or a DO variable is not an INTEGER scalar; when a range has
 zero trips or a zero step; when a subscript or range falls outside its
 array; and when storage bound to a dummy argument may share memory with
 other storage the statement touches.  A lift that fails partway (a
 floating-point condition under ``np.errstate(all="raise")``, an integer
-zero divisor or overflow, a failed cast, a negative stride in a sweep)
-restores what it wrote, and ``allocation_count``, and runs the scalar
-closure.
+zero divisor or overflow, a failed cast) restores what it wrote, and
+``allocation_count``, and runs the scalar closure.  A sweep runs a
+negative-stride nest's lanes in loop order.
 """
 
 from __future__ import annotations
@@ -84,9 +114,7 @@ from ..errors import FortranRuntimeError, ValidationError
 from ..glafexec.vectorize import (
     LiftedSweep,
     LiftFailure,
-    SweepProgram,
-    compile_lifted,
-    compile_step,
+    compiled_plan,
     note_inline,
 )
 from ..observe import get_decisions, get_metrics
@@ -95,12 +123,14 @@ from .ast import (
     FAssign,
     FBin,
     FCall,
+    FCallExpr,
     FCommon,
     FContinue,
     FDeallocate,
     FDecl,
     FDo,
     FDoWhile,
+    FExit,
     FExpr,
     FFieldRef,
     FIf,
@@ -109,6 +139,7 @@ from .ast import (
     FNum,
     FOmpDirective,
     FOmpEnd,
+    FPrint,
     FReturn,
     FUn,
     FVar,
@@ -193,6 +224,14 @@ def _literal(uc: _UnitCompiler, e: FExpr) -> int | None:
     return int(v) if isinstance(v, np.integer) and v > 0 else None
 
 
+def _extent(uc: _UnitCompiler, lp: FDo) -> int | None:
+    """The trip count of ``DO v = 1, n`` with a literal ``n``."""
+    if _literal(uc, lp.start) == 1 and (lp.step is None
+                                        or _literal(uc, lp.step) == 1):
+        return _literal(uc, lp.end)
+    return None
+
+
 def _walk(stmts: list):
     for s in stmts:
         yield s
@@ -208,9 +247,107 @@ def _sets(s: Any, res: str) -> bool:
             and s.target.name == res)
 
 
+def _imperfect(body: list) -> bool:
+    """Does a DO body hold a DO statement, so that it is outlined rather
+    than the innermost body of a perfect nest?"""
+    return any(isinstance(s, FDo) for s in _walk(body))
+
+
+def _uses(e: FExpr | None):
+    """Each variable reference in ``e``: its name and subscripts (``None``
+    through a TYPE component)."""
+    if isinstance(e, FVar):
+        yield e.name, ()
+    elif isinstance(e, FIndexed):
+        if isinstance(e.base, FVar):
+            yield e.base.name, e.args
+        else:
+            yield from ((n, None) for n, _ in _uses(e.base))
+        for a in e.args:
+            yield from _uses(a)
+    elif isinstance(e, FFieldRef):
+        yield from ((n, None) for n, _ in _uses(e.base))
+    elif isinstance(e, FBin):
+        yield from _uses(e.left)
+        yield from _uses(e.right)
+    elif isinstance(e, FUn):
+        yield from _uses(e.operand)
+    elif isinstance(e, FCallExpr):
+        for a in e.args:
+            yield from _uses(a)
+
+
+def _names(*exprs: FExpr | None) -> set[str]:
+    """The variable names expressions reference."""
+    return {n for e in exprs for n, _ in _uses(e)}
+
+
+def _own_exprs(s: Any) -> list:
+    """The expressions of one statement, not of the statements it holds."""
+    if isinstance(s, FAssign):
+        return [s.target, s.value]
+    if isinstance(s, FIf):
+        return [c for c, _ in s.branches]
+    if isinstance(s, FDo):
+        return [FVar(s.var), s.start, s.end, s.step]
+    if isinstance(s, FDoWhile):
+        return [s.cond]
+    if isinstance(s, FAllocate):
+        return [x for t, dims in s.items for x in (t, *dims)]
+    if isinstance(s, (FCall, FPrint)):
+        return list(s.args)
+    return list(s.items) if isinstance(s, FDeallocate) else []
+
+
+def _refs(stmts: list) -> set[str]:
+    """The names statements reference (those they hold too, with
+    ``_walk``)."""
+    return _names(*(e for s in stmts for e in _own_exprs(s)))
+
+
+def _descend(do: FDo) -> tuple[list, list]:
+    """A DO statement's perfect nest: its loops, outer first, and the
+    innermost body."""
+    loops, node = [], do
+    while True:
+        loops.append(node)
+        body = [s for s in node.body if not _inert(s)]
+        if len(body) == 1 and isinstance(body[0], FDo):
+            node = body[0]
+            continue
+        return loops, body
+
+
+def _first_match(do: FDo, leave: type) -> tuple | None:
+    """``DO v; IF (cond) THEN; x = value; <leave>; END IF; END DO``:
+    ``(cond, x, value)``."""
+    loop = [s for s in do.body if not _inert(s)]
+    if not (len(loop) == 1 and isinstance(loop[0], FIf)
+            and len(loop[0].branches) == 1):
+        return None
+    cond, then = loop[0].branches[0]
+    then = [s for s in then if not _inert(s)]
+    if (cond is None or len(then) != 2 or not isinstance(then[0], FAssign)
+            or not isinstance(then[0].target, FVar)
+            or not isinstance(then[1], leave)):
+        return None
+    return cond, then[0].target.name, then[0].value
+
+
+def _synthetic(name: str, ty: GlafType, params: list, grids: dict,
+               steps: list) -> GlafFunction:
+    """An outlined body or search.  ``unit@line`` is a name no FORTRAN
+    subprogram can have; GLAF's identifier check does not admit it, so
+    the name is set after it."""
+    fn = GlafFunction("outlined", ty, params, grids, steps)
+    fn.name = name
+    return fn
+
+
 class _Scope:
     """The names of one program unit: the caller, whose unit compiler is
-    mid-compile, or (:class:`_Callee`) a subprogram it reaches."""
+    mid-compile, (:class:`_Callee`) a subprogram it reaches, or
+    (:class:`_Outlined`) a part of the caller's DO body."""
 
     where = "the loop body"
 
@@ -218,6 +355,7 @@ class _Scope:
         self.low = low
         self.uc = uc
         self.vars: list[str] = []
+        self.enclosing: list[str] = []  # DO variables passed to outlined parts
 
     def is_var(self, name: str) -> bool:
         return self.uc._slot_index(name) is not None
@@ -229,28 +367,71 @@ class _Scope:
     # -- statements ----------------------------------------------------------
     def nest(self, do: FDo) -> tuple[list, list]:
         """A perfect DO nest's loops, outer first, and innermost body."""
-        loops, node = [], do
-        while True:
+        loops, body = _descend(do)
+        for node in loops:
             if node is not do and node.omp is not None:
                 raise _NoLower("OpenMP directive on an inner DO")
             self.dovar(node.var)
-            loops.append(node)
-            body = [s for s in node.body if not _inert(s)]
-            if len(body) == 1 and isinstance(body[0], FDo):
-                node = body[0]
-                continue
-            return loops, body
+        return loops, body
 
     def step(self, name: str, loops: list, body: list) -> Step:
+        """A DO nest as a loop step; an imperfect one CALLs its outlined
+        innermost body."""
         self.vars = [lp.var for lp in loops]
         ranges = [Range(lp.var, self.expr(lp.start), self.expr(lp.end),
                         self.expr(lp.step) if lp.step is not None
                         else Const(np.int64(1)))
                   for lp in loops]
+        stmts = (self.outline(loops, body, id(loops[-1]), loops[-1].line)
+                 if _imperfect(body) else self.block(body))
         try:
-            return Step(name, ranges=ranges, stmts=self.block(body))
+            return Step(name, ranges=ranges, stmts=stmts)
         except ValidationError as e:
             raise _NoLower(str(e)) from None
+
+    def steps(self, body: list) -> list[Step]:
+        """The translator of a subprogram's or an outlined body's
+        statements: one step each."""
+        out = []
+        for k, s in enumerate(body):
+            if not isinstance(s, FDo):
+                out.append(Step(f"{k}", stmts=self.block([s])))
+                continue
+            found = self.search(s)
+            out.append(Step(f"{k}", stmts=[found]) if found is not None
+                       else self.step(f"{k}", *self.nest(s)))
+            self.vars = []
+        return out
+
+    def search(self, do: FDo) -> Stmt | None:
+        """An inline first-match search DO as an assignment, where the
+        scope has them."""
+        return None
+
+    def searched(self, do: FDo, cond: FExpr, value: FExpr,
+                 default: Expr) -> list[Step]:
+        """A first-match search FUNCTION's steps, in the inliner's form:
+        ``IF (cond) RETURN value`` over the DO's range, then ``RETURN
+        default``."""
+        stride = 1 if do.step is None else _literal(self.uc, do.step)
+        if stride is None:
+            raise _NoLower(f"search DO {do.var!r} has no positive constant "
+                           "stride")
+        start, end = self.expr(do.start), self.expr(do.end)
+        self.vars = [do.var]
+        hit = IfStmt(self.expr(cond), (Return(self.expr(value)),))
+        self.vars = []
+        return [Step("search", ranges=[Range(do.var, start, end,
+                                             Const(stride))], stmts=[hit]),
+                Step("default", stmts=[Return(default)])]
+
+    def outline(self, loops: list, body: list, key: Any, line: int
+                ) -> list[Stmt]:
+        """``body`` outlined, as its CALL: the enclosing DO variables pass
+        by value."""
+        params = self.enclosing + [lp.var for lp in loops]
+        name = self.low.outlined(params, body, key, line)
+        return [CallStmt(name, tuple(self.expr(FVar(v)) for v in params))]
 
     def block(self, stmts: list) -> list[Stmt]:
         out: list[Stmt] = []
@@ -260,23 +441,22 @@ class _Scope:
             if isinstance(s, FAssign):
                 out.append(Assign(self.target(s.target), self.expr(s.value)))
             elif isinstance(s, FIf):
-                out.extend(self.if_(s.branches))
+                out.extend(self.if_(s))
             elif isinstance(s, FCall):
                 out.append(CallStmt(*self.low.call(self, s.name, s.args)))
-            elif isinstance(s, FDo):
-                raise _NoLower("DO loop beside other statements (not a "
-                               "perfect nest)")
             else:
                 raise _NoLower(f"{type(s).__name__[1:].upper()} statement "
                                f"in {self.where}")
         return out
 
-    def if_(self, branches: list) -> list[Stmt]:
-        cond, body = branches[0]
-        then = self.block(body)
+    def if_(self, s: FIf, k: int = 0) -> list[Stmt]:
+        """Branch ``k`` on: a branch that holds a DO is outlined."""
+        cond, body = s.branches[k]
+        then = (self.outline([], body, (id(s), k), s.line)
+                if _imperfect(body) else self.block(body))
         if cond is None:
             return then
-        orelse = self.if_(branches[1:]) if len(branches) > 1 else []
+        orelse = self.if_(s, k + 1) if k + 1 < len(s.branches) else []
         return [IfStmt(self.expr(cond), tuple(then), tuple(orelse))]
 
     def target(self, t: FExpr) -> GridRef:
@@ -551,15 +731,12 @@ class _Callee(_Scope):
             grids[name] = Grid(name, _glaf_type(d.spec), shape)
         if sub.kind == "function":
             return self._function(body, grids, params), 0
-        steps = []
-        for k, s in enumerate(body):
-            if isinstance(s, FDo):
-                steps.append(self.step(f"{k}", *self.nest(s)))
-                self.vars = []
-            else:
-                steps.append(Step(f"{k}", stmts=self.block([s])))
         return GlafFunction(sub.name, GlafType.T_VOID, params, grids,
-                            steps), allocs
+                            self.steps(body)), allocs
+
+    def outline(self, loops: list, body: list, key: Any, line: int
+                ) -> list[Stmt]:
+        raise _NoLower(f"DO loop beside other statements in {self.where}")
 
     def _function(self, body: list, grids: dict, params: list
                   ) -> GlafFunction:
@@ -574,30 +751,60 @@ class _Callee(_Scope):
             steps = [Step("value", stmts=[Return(self.expr(body[0].value))])]
         elif (len(body) == 2 and isinstance(body[0], FDo)
               and _sets(body[1], res)):
-            do, last = body
-            loop = [s for s in do.body if not _inert(s)]
-            if not (len(loop) == 1 and isinstance(loop[0], FIf)
-                    and len(loop[0].branches) == 1):
+            m = _first_match(body[0], FReturn)
+            if m is None or m[1] != res:
                 raise why
-            cond, then = loop[0].branches[0]
-            then = [s for s in then if not _inert(s)]
-            stride = 1 if do.step is None else _literal(self.uc, do.step)
-            if (cond is None or stride is None or len(then) != 2
-                    or not _sets(then[0], res)
-                    or not isinstance(then[1], FReturn)):
-                raise why
-            start, end = self.expr(do.start), self.expr(do.end)
-            self.vars = [do.var]
-            hit = IfStmt(self.expr(cond), (Return(self.expr(then[0].value)),))
-            self.vars = []
-            steps = [Step("search", ranges=[Range(do.var, start, end,
-                                                  Const(stride))],
-                          stmts=[hit]),
-                     Step("default", stmts=[Return(self.expr(last.value))])]
+            steps = self.searched(body[0], m[0], m[2],
+                                  self.expr(body[1].value))
         else:
             raise why
         return GlafFunction(self.sub.name, _glaf_type(d[0].spec), params,
                             grids, steps)
+
+
+class _Outlined(_Scope):
+    """A part of the caller's DO body, outlined: a DO body or an IF
+    branch that holds a DO as a SUBROUTINE, a first-match search as a
+    FUNCTION.  Its dummy arguments are ``params``, the enclosing DO
+    variables (a search also takes the body's names it reads, and last
+    the value its target has before the loop); its locals are the private
+    locals it holds; every other name is the caller's."""
+
+    def __init__(self, low: "_Lowering", params: list, local: dict) -> None:
+        super().__init__(low, low.uc)
+        self.enclosing = list(params)
+        self.local = local
+
+    def grid(self, e: FExpr) -> str:
+        if isinstance(e, FVar):
+            if e.name in self.enclosing or e.name in self.local:
+                return e.name
+            if e.name in self.low.inner:
+                raise _NoLower(f"DO variable {e.name!r} used outside its "
+                               "loop")
+        return super().grid(e)
+
+    def target(self, t: FExpr) -> GridRef:
+        if isinstance(t, FVar) and t.name in self.enclosing:
+            raise _NoLower(f"assignment to the DO variable {t.name!r}")
+        return super().target(t)
+
+    def search(self, do: FDo) -> Stmt | None:
+        found = _first_match(do, FExit)
+        if found is None:
+            return None
+        cond, x, value = found
+        reads = _names(do.start, do.end, do.step, cond, value)
+        params = [p for p in self.enclosing + list(self.local)
+                  if p in reads and p != x] + [x]
+        grids = {p: Grid(p, _glaf_type(self.uc._spec_of(p))) for p in params}
+        scope = _Outlined(self.low, params, {})
+        name = self.low.name_at(do.line)
+        self.low.add(name, _synthetic(
+            name, grids[x].ty, params, grids,
+            scope.searched(do, cond, value, scope.expr(FVar(x)))))
+        return Assign(self.target(FVar(x)), FuncCall(
+            name, tuple(self.expr(FVar(p)) for p in params)))
 
 
 class _Lowering:
@@ -614,6 +821,9 @@ class _Lowering:
         self.allocs: dict[str, int] = {}
         self.commons = {v: d.block for d in uc.sub.decls
                         if isinstance(d, FCommon) for v in d.names}
+        self.synthetic: set[str] = set()    # outlined parts and searches
+        self.private: dict[Any, dict] = {}  # outlined part -> its locals
+        self.inner: set[str] = set()        # DO variables of outlined parts
 
     def register(self, name: str, key: tuple, where: Any, fld: str | None,
                  base: str, decl: tuple | None) -> None:
@@ -639,8 +849,15 @@ class _Lowering:
             key = ("frame", i)
         x = slot if slot is not None else uc.decls.get(name, (0, None))[1]
         rank = 0 if x is None else len(x.dims) or x.deferred_rank
+        if slot is not None:
+            shape = (slot.store.shape if not slot.allocatable
+                     and type(slot.store) is np.ndarray else None)
+        else:
+            shape = tuple(_literal(uc, d) for d in getattr(x, "dims", ()))
+            shape = None if None in shape or getattr(
+                x, "deferred_rank", 0) else shape
         self.register(name, key, i, None, name,
-                      (uc._spec_of(name), rank, None))
+                      (uc._spec_of(name), rank, shape))
 
     def call(self, scope: _Scope, name: str, args: tuple) -> tuple:
         """A CALL or function reference: the callee translated, the
@@ -670,27 +887,205 @@ class _Lowering:
         self.functions[sub.name] = (sub, fn)
         return fn
 
+    # -- outlining ----------------------------------------------------------
+    def name_at(self, line: int) -> str:
+        """A name for the outlined part at ``line`` that no FORTRAN
+        subprogram can have, reserved."""
+        name, n = f"{self.uc.name}@{line}", 1
+        while name in self.functions:
+            n += 1
+            name = f"{self.uc.name}@{line}.{n}"
+        self.functions[name] = (None, None)
+        return name
+
+    def add(self, name: str, fn: GlafFunction) -> None:
+        """An outlined part: no call, so it allocates nothing."""
+        self.functions[name] = (None, fn)
+        self.synthetic.add(name)
+        self.allocs[name] = 0
+
+    def outlined(self, params: list, body: list, key: Any, line: int) -> str:
+        """``body`` as a synthetic subroutine of the enclosing DO
+        variables; its name."""
+        name = self.name_at(line)
+        local = self.private.get(key, {})
+        grids = {p: Grid(p, GlafType.T_INT) for p in params}
+        grids.update(local)
+        self.add(name, _synthetic(name, GlafType.T_VOID, list(params), grids,
+                                  _Outlined(self, params, local).steps(body)))
+        return name
+
+    def depth(self, names: set) -> int:
+        """The deepest nesting of real calls below ``names``: an outlined
+        part is no call."""
+        return max((self.depth(self.functions[n][1].called_functions())
+                    + (n not in self.synthetic) for n in names), default=0)
+
+    def local(self, name: str) -> Grid | None:
+        """The grid of a plain local of the unit: not a dummy argument or
+        the result, not SAVE'd, initialized, in COMMON or allocatable, and
+        of a constant shape."""
+        uc, d = self.uc, self.uc.decls.get(name)
+        if (d is None or name in uc.sub.params or name in self.commons
+                or name == uc.sub.result or d[1].init is not None
+                or {"save", "parameter", "pointer", "allocatable"}
+                & set(d[0].attrs) or d[1].deferred_rank):
+            return None
+        shape = tuple(_literal(uc, x) for x in d[1].dims)
+        try:
+            return None if None in shape else Grid(name, _glaf_type(
+                d[0].spec), shape)
+        except _NoLower:
+            return None
+
+    def after(self) -> set[str]:
+        """The names referenced where control can go after the DO
+        statement: past it and, inside a loop, anywhere in that loop."""
+        seq = list(_walk(self.uc.sub.body))
+        at = next(i for i, s in enumerate(seq) if s is self.do)
+        end = at + 1 + sum(1 for _ in _walk(self.do.body))
+        start = next((i for i, s in enumerate(seq[:at])
+                      if isinstance(s, (FDo, FDoWhile))
+                      and any(t is self.do for t in _walk(s.body))), at)
+        return _refs(seq[start:at] + seq[end:])
+
+    def plan(self, loops: list, body: list) -> None:
+        """Before ``body`` is outlined: refuse an OpenMP directive or a DO
+        variable live after the statement, and give each outlined part the
+        private locals it holds (:meth:`_parts`)."""
+        if any(isinstance(s, (FOmpDirective, FOmpEnd)) or (
+                isinstance(s, FDo) and s.omp is not None)
+               for s in _walk(body)):
+            raise _NoLower("OpenMP directive in the loop body")
+        events: dict[Any, list] = {}
+        searched: set[str] = set()
+        self._parts(id(loops[-1]), [lp.var for lp in loops], body, events,
+                    searched)
+        # The nest's own loop headers run again inside an enclosing loop.
+        live = self.after() | _refs(loops)
+        for v in sorted(self.inner):
+            g = self.local(v)
+            if g is None or g.rank or g.ty is not GlafType.T_INT or v in live:
+                raise _NoLower(f"DO variable {v!r} is live after the "
+                               "statement")
+        held: dict[str, set] = {}
+        for key, evs in events.items():
+            for name, _ in evs:
+                held.setdefault(name, set()).add(key)
+        for name, keys in held.items():
+            g = self.local(name)
+            if (len(keys) > 1 or g is None or name in live
+                    or name in self.inner or (g.rank and name in searched)):
+                continue
+            key, = keys
+            if next((kind for n, kind in events[key] if n == name
+                     and kind != "ref"), "full") == "full":
+                self.private.setdefault(key, {})[name] = g
+
+    def _parts(self, key: Any, params: list, stmts: list, events: dict,
+               searched: set) -> None:
+        """The references of one outlined part, in order, as ``(name,
+        kind)``: a ``read`` not known to follow a write that covers it in
+        the same iteration, a ``full`` write, or any other ``ref``; its
+        nested parts have their own."""
+        ev = events.setdefault(key, [])
+
+        def read(names, kind="read"):
+            ev.extend((n, kind) for n in sorted(names))
+        for s in stmts:
+            if _inert(s):
+                continue
+            found = _first_match(s, FExit) if isinstance(s, FDo) else None
+            if found is not None:
+                cond, x, value = found
+                self.inner.add(s.var)
+                names = _names(s.start, s.end, s.step, cond, value) - {s.var}
+                searched |= names
+                read(names | {x})
+                read([x], "full")
+            elif isinstance(s, FDo):
+                loops, body = _descend(s)
+                vars_ = [lp.var for lp in loops]
+                self.inner.update(vars_)
+                read(_refs(loops) - set(vars_))
+                if _imperfect(body):
+                    self._parts(id(loops[-1]), params + vars_, body, events,
+                                searched)
+                else:
+                    self._nest(loops, body, set(params + vars_), ev)
+            elif isinstance(s, FIf) and _imperfect([s]):
+                for k, (cond, branch) in enumerate(s.branches):
+                    read(_names(cond))
+                    if _imperfect(branch):
+                        self._parts((id(s), k), params, branch, events,
+                                    searched)
+                    else:
+                        read(_refs(list(_walk(branch))))
+            elif isinstance(s, FAssign) and isinstance(s.target, FVar):
+                read(_names(s.value))
+                read([s.target.name], "full")
+            else:
+                read(_refs(list(_walk([s]))))
+
+    def _nest(self, loops: list, body: list, stable: set, ev: list) -> None:
+        """A perfect nest's references: a read at the subscripts an
+        unconditional statement of the innermost body wrote before it, over
+        the DO and enclosing variables only, is covered (a ``ref``); an
+        unconditional write over every loop at its declared extents is
+        ``full``, after the nest."""
+        uc, wrote = self.uc, set()
+        by = {lp.var: lp for lp in loops}
+        for s in body:
+            if not isinstance(s, FAssign):
+                ev.extend((n, "read") for n in sorted(_refs(list(_walk([s])))))
+                continue
+            t = s.target
+            subs = t.args if isinstance(t, FIndexed) else ()
+            ev.extend((n, "ref" if (n, sub) in wrote else "read")
+                      for n, sub in _uses(s.value))
+            ev.extend((n, "read") for a in subs for n, _ in _uses(a))
+            name, _ = next(_uses(t))
+            ev.append((name, "ref"))
+            plain = isinstance(t, FVar) or (isinstance(t, FIndexed)
+                                            and isinstance(t.base, FVar))
+            if plain and all(n in stable and sub == () for a in subs
+                             for n, sub in _uses(a)):
+                wrote.add((name, subs))
+        for s in body:
+            t = getattr(s, "target", None)
+            g = (self.local(t.base.name) if isinstance(t, FIndexed)
+                 and isinstance(t.base, FVar) else None)
+            if g is None or not len(t.args) == g.rank == len(loops):
+                continue
+            free = dict(by)
+            if all(isinstance(a, FVar) and a.name in free
+                   and _extent(uc, free.pop(a.name)) == d
+                   for a, d in zip(t.args, g.dims)):
+                ev.append((t.base.name, "full"))
+
     # -- the nest ----------------------------------------------------------
     def lower(self) -> Nest:
         uc, do = self.uc, self.do
         top = _Scope(self, uc)
         loops, body = top.nest(do)
+        if _imperfect(body):
+            self.plan(loops, body)
         step = top.step(f"DO {do.var}", loops, body)
         callees = {n: fn for n, (_, fn) in self.functions.items()
                    if n != uc.name}
+        program = fn = None
         if callees:
             grids = {n: _decl(n, *d) for n, d in self.decls.items()}
             program = GlafProgram("fortran", modules={"callees": GlafModule(
                 "callees", functions=callees)}, global_grids={
                     n: g for n, g in grids.items() if g is not None})
-            lifted = compile_step(step, program, GlafFunction(uc.name))
-        else:
-            lifted = compile_step(step)
-        if isinstance(lifted, LiftFailure):
-            raise _NoLower(lifted.reason)
+            fn = GlafFunction(uc.name)
+        plan = compiled_plan(step, program, fn, descending=True, strict=True)
+        if isinstance(plan, LiftFailure):
+            raise _NoLower(plan.reason)
+        lifted, prog = plan
         shapes: dict[str, tuple] = {}
         if isinstance(lifted, LiftedSweep):
-            prog = SweepProgram(lifted, strict=True)
             dims: dict[str, int] = {}
             for p in prog.programs:
                 for name in p.names:
@@ -708,7 +1103,6 @@ class _Lowering:
                      tuple((list(dims).index(g), shape)
                            for g, shape in shapes.items()))
         else:
-            prog = compile_lifted(lifted, strict=True)
             dims, sweep = prog.dims, None
         written = set(lifted.written)
         getters, bases = [], []
@@ -740,7 +1134,7 @@ class _Lowering:
         if isinstance(lifted, LiftedSweep) or lifted.inlined:
             note_inline(uc.name, do.line, f"DO {do.var}", lifted)
         return Nest(prog, tuple(getters), dovars, pairs, tuple(labels),
-                    lifted.depth, sweep)
+                    self.depth(step.called_functions()), sweep)
 
 
 def _inert(s: Any) -> bool:

@@ -59,7 +59,9 @@ never read written grids.
 
 from __future__ import annotations
 
+import hashlib
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
@@ -105,7 +107,8 @@ from .interp import Interpreter
 __all__ = [
     "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
     "LiftedSweep", "SweepProgram", "VectorizedInterpreter",
-    "compile_lifted", "compile_step", "liftability_report", "note_inline",
+    "compile_lifted", "compile_step", "compiled_plan", "liftability_report",
+    "note_inline",
 ]
 
 
@@ -1712,12 +1715,16 @@ class SweepProgram:
     """A :class:`LiftedSweep` compiled once, one program per nest
     (``compile_kw`` goes to :func:`compile_lifted`), and the one runner of
     sweeps: both front ends call :meth:`run`, each with its own storage
-    and accounting."""
+    and accounting.  ``descending`` is FORTRAN's DO semantics: a nest
+    with a negative stride runs its lanes in loop order; the IR's loops
+    raise on any non-positive stride."""
 
-    __slots__ = ("sweep", "programs", "specs", "notes")
+    __slots__ = ("sweep", "programs", "specs", "notes", "descending")
 
-    def __init__(self, sweep: LiftedSweep, **compile_kw: Any) -> None:
+    def __init__(self, sweep: LiftedSweep, *, descending: bool = False,
+                 **compile_kw: Any) -> None:
         self.sweep = sweep
+        self.descending = descending
         self.programs = tuple(compile_lifted(n, **compile_kw)
                               for n in sweep.nests)
         self.specs = {s.name: s for s in sweep.split.scratch}
@@ -1734,7 +1741,8 @@ class SweepProgram:
 
         ``storage(name)`` is a grid outside the scratch; ``var_ranges``
         holds the sweep's own ranges, ``var -> (start, stride, count)``,
-        all counts positive.  ``account(note, n)`` does a note's
+        all counts positive (a stride negative only when
+        ``descending``).  ``account(note, n)`` does a note's
         accounting for its ``n`` active lanes (iterations, for an
         ``iter`` note).  ``target(spec.target)`` is the storage a kept
         scratch goes to; ``sizes`` resolves symbolic scratch extents.
@@ -1749,7 +1757,7 @@ class SweepProgram:
             ranges = program.bounds(S)
             run = True
             for rg, (start, stride, count) in zip(nest.step.ranges, ranges):
-                if stride <= 0:
+                if stride == 0 or (stride < 0 and not self.descending):
                     raise ExecutionError(f"{label}: non-positive stride")
                 var_ranges[rg.var] = (start, stride, count)
                 run = run and count > 0
@@ -1770,11 +1778,13 @@ class SweepProgram:
 
 
 def _slices(lead: tuple, var_ranges: dict) -> tuple:
-    """The lanes of ``lead`` in a grid indexed by their values."""
+    """The lanes of ``lead`` in a grid indexed by their values, in loop
+    order."""
     out = []
     for v in lead:
         start, stride, count = var_ranges[v]
-        out.append(slice(start - 1, start - 1 + count * stride, stride))
+        stop = start - 1 + count * stride
+        out.append(slice(start - 1, stop if stop >= 0 else None, stride))
     return tuple(out)
 
 
@@ -1804,13 +1814,19 @@ def _scratch(spec, var_ranges: dict, storage: Callable, sizes: dict
 
 def _active_lanes(lead: tuple, active: str | None, scratch: dict,
                   var_ranges: dict) -> np.ndarray | None:
-    """The activity of ``lead``'s lanes (``None``: all active)."""
+    """The activity of ``lead``'s lanes (``None``: all active).  An
+    activity set by an outer call has a shorter lead, a prefix of
+    ``lead``: it holds for every lane of the extra ranges."""
     if active is None:
         return None
+    shape = tuple(var_ranges[v][2] for v in lead)
     act = scratch.get(active)
     if act is None:
-        return np.zeros(tuple(var_ranges[v][2] for v in lead), bool)
-    return act[_slices(lead, var_ranges)]
+        return np.zeros(shape, bool)
+    own = act[_slices(lead[:act.ndim], var_ranges)]
+    return np.broadcast_to(own.reshape(own.shape + (1,) * (len(lead)
+                                                           - act.ndim)),
+                           shape)
 
 
 def _account(note, scratch: dict, var_ranges: dict,
@@ -1863,6 +1879,110 @@ def note_inline(function: str, index: int, step: str, plan: Any) -> None:
                            "expanded: " + (", ".join(expanded) or "none")))
 
 
+#: Compiled plans by content digest, least recently used first.  A plan
+#: holds steps, grids and closures, never a program, context,
+#: interpreter, runtime or frame.
+_PLANS: OrderedDict[bytes, Any] = OrderedDict()
+_PLAN_ENTRIES = 256
+#: What :func:`compiled_plan` has compiled, oldest first: the hash of
+#: each step's text and the key of each content it looked up.
+_SEEN: OrderedDict[int | bytes, None] = OrderedDict()
+_SEEN_ENTRIES = 4096
+
+
+def _seen(x: int | bytes) -> bool:
+    """Was ``x`` seen before?  It is now."""
+    if x in _SEEN:
+        return True
+    _SEEN[x] = None
+    if len(_SEEN) > _SEEN_ENTRIES:
+        _SEEN.popitem(last=False)
+    return False
+
+
+def _grid_text(grids: dict) -> list:
+    """Grids as :func:`repr` gives them in full: an array's initial data
+    also as bytes (its repr elides and rounds)."""
+    out = []
+    for name, g in grids.items():
+        d = g.init_data
+        out.append((name, g) if not isinstance(d, np.ndarray) else
+                   (name, g, d.dtype.str, d.shape, d.tobytes()))
+    return out
+
+
+def _plan_key(text: str, step: Step, program, fn,
+              save_inner_arrays: bool) -> bytes:
+    """A digest of everything :func:`compile_step` reads, as text: the
+    step's (``text``, with the compile options, which name the front
+    end), the caller's name and grids, every function the step reaches,
+    the program's global grids and ``save_inner_arrays``.  ``repr``
+    writes every literal with its type and exact value, so content that
+    compiles differently never shares a key."""
+    callees: dict[str, Any] = {}
+    todo = sorted(step.called_functions()) if program is not None else []
+    while todo:
+        name = todo.pop()
+        if name in callees:
+            continue
+        try:
+            callees[name] = callee = program.find_function(name)
+        except KeyError:
+            callees[name] = None
+            continue
+        todo.extend(sorted(callee.called_functions()))
+    text += repr((
+        None if fn is None else (fn.name, _grid_text(fn.grids)),
+        None if program is None else _grid_text(program.global_grids),
+        [(n, None if f is None else (f.name, f.return_type, f.params,
+                                     _grid_text(f.grids), f.steps))
+         for n, f in sorted(callees.items())],
+        save_inner_arrays))
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+
+
+def compiled_plan(step: Step, program=None, fn=None, *,
+                  save_inner_arrays: bool = False, descending: bool = False,
+                  **compile_kw: Any) -> Any:
+    """:func:`compile_step`'s verdict and its compiled program: a
+    :class:`LiftFailure`, or ``(lifted, program)`` with a
+    :class:`LiftProgram` (``compile_kw`` goes to :func:`compile_lifted`)
+    or a :class:`SweepProgram`.  A step whose text comes back in the
+    process is looked up by content (:func:`_plan_key`), however many
+    interpreters or runtimes ask; content that comes back is kept.  So
+    what compiles once in a process (a fuzz draw) costs one ``repr`` of
+    its step, or of its content, and keeps nothing alive.  The caller
+    records the decisions a plan implies, hit or miss alike."""
+    from ..observe import get_metrics
+
+    text = repr((step, descending, sorted(
+        (k, getattr(v, "__qualname__", v)) for k, v in compile_kw.items())))
+    m, key = get_metrics(), None
+    if _seen(hash(text)):
+        key = _plan_key(text, step, program, fn, save_inner_arrays)
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            if m.enabled:
+                m.counter("exec.plan_cache.hits").inc()
+            return plan
+        if not _seen(key):
+            key = None
+    if m.enabled:
+        m.counter("exec.plan_cache.misses").inc()
+    plan = compile_step(step, program, fn,
+                        save_inner_arrays=save_inner_arrays)
+    if isinstance(plan, LiftedSweep):
+        plan = (plan, SweepProgram(plan, descending=descending, **compile_kw))
+    elif isinstance(plan, LiftedStep):
+        plan = (plan, compile_lifted(plan, **compile_kw))
+    if key is not None:
+        _PLANS[key] = plan
+        if len(_PLANS) > _PLAN_ENTRIES:
+            _PLANS.popitem(last=False)
+    return plan
+
+
 class VectorizedInterpreter(Interpreter):
     """Interpreter subclass that executes liftable loop steps as whole-grid
     array programs and transparently interprets everything else.
@@ -1902,22 +2022,18 @@ class VectorizedInterpreter(Interpreter):
         key = (frame.fn.name, idx)
         plan = self._plans.get(key)
         if plan is None:
-            plan = (_DIRECT if not step.is_loop else compile_step(
+            plan = (_DIRECT if not step.is_loop else compiled_plan(
                 step, self.program, frame.fn,
-                save_inner_arrays=self.save_inner_arrays))
+                save_inner_arrays=self.save_inner_arrays,
+                where=_frame_where, count=_frame_count))
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
-            elif isinstance(plan, LiftedSweep):
-                note_inline(frame.fn.name, idx, step.name, plan)
-                plan = (plan, SweepProgram(plan, where=_frame_where,
-                                           count=_frame_count))
-            elif isinstance(plan, LiftedStep):
-                if plan.snapshot_free:
-                    self._note_snapshot_elide(frame, idx, step, plan)
-                if plan.inlined:
-                    note_inline(frame.fn.name, idx, step.name, plan)
-                plan = (plan, compile_lifted(plan, where=_frame_where,
-                                             count=_frame_count))
+            elif plan is not _DIRECT:
+                lifted = plan[0]
+                if lifted.snapshot_free:
+                    self._note_snapshot_elide(frame, idx, step, lifted)
+                if isinstance(lifted, LiftedSweep) or lifted.inlined:
+                    note_inline(frame.fn.name, idx, step.name, lifted)
             self._plans[key] = plan
         return plan
 

@@ -104,7 +104,8 @@ class TestSpliceAndRun:
 
 class TestCellSweepLift:
     """The generated and spliced ``edgejp`` sweep ``DO c; CALL
-    cell_loop(c)`` lifts in the FORTRAN runtime through the inliner."""
+    cell_loop(c)`` lifts in the FORTRAN runtime through the inliner, and
+    so does legacy ``edgejp``'s ``DO c``, outlined."""
 
     @pytest.mark.parametrize("run", [run_generated_fortran, run_spliced])
     def test_sweep_inlines_without_fallback(self, mesh, run):
@@ -122,6 +123,47 @@ class TestCellSweepLift:
             "callees: cell_loop, angle_check, edge_loop, ioff_search")
         assert "grad" in inline[0].reasons[1]
         assert obs.metrics.counter("exec.fortran.lifted").value >= 1
+
+    def test_legacy_cell_loop_outlines_without_fallback(self, mesh):
+        # Legacy edgejp's DO c holds the inner DOs, searches and IF that
+        # GLAF splits into functions; the runtime outlines them itself.
+        from repro import observe
+
+        with observe.observed() as obs:
+            run_legacy_fortran(mesh)
+        assert obs.decisions.for_stage("executor:fallback") == []
+        inline = [d for d in obs.decisions.for_stage("executor:inline")
+                  if d.function == "edgejp"]
+        assert [d.step_name for d in inline] == ["DO c"]
+        callees, expanded = inline[0].reasons
+        # The body of DO c, the face-angle search, the IF (flagv == 0)
+        # branch, the body of DO e and the CSR offset search.
+        assert callees == ("callees: edgejp@27, edgejp@49, edgejp@55, "
+                           "edgejp@60, edgejp@64")
+        for grid in ("edgejp@27.qa", "edgejp@27.flagv", "edgejp@55.tmp1",
+                     "edgejp@60.n1v", "edgejp@60.n2v", "edgejp@60.ioffv",
+                     "grad", "tmp2"):
+            assert grid in expanded
+
+    def test_legacy_equals_its_scalar_cell_loop(self, mesh):
+        from repro.fortranlib import FortranRuntime
+        from repro.fun3d.legacy_src import full_legacy_source
+        from repro.fun3d.validation import set_fun3d_inputs
+
+        jac, rt = run_legacy_fortran(mesh)
+        src = full_legacy_source(mesh)
+        head = "  DO c = 1, ncells\n"
+        kernel = src["fun3d_edgejp.f90"]
+        assert head in kernel
+        twin = FortranRuntime()
+        for name in sorted(src):
+            twin.load(src[name] if name != "fun3d_edgejp.f90" else
+                      kernel.replace(head, head + "    IF (.FALSE.) CYCLE\n"))
+        set_fun3d_inputs(twin, mesh)
+        twin.call("edgejp", [mesh.ncell, mesh.nnz])
+        want = twin.modules["fun3d_jac_mod"].variables["jac"].store
+        assert jac.tobytes() == want.tobytes()
+        assert rt.allocation_count == twin.allocation_count
 
 
 class TestOptionLatticeCodegen:

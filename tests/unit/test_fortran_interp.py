@@ -555,6 +555,7 @@ END PROGRAM p
         assert rt.call("quad", [3, 1]) == 12
 
     def test_dropped_runtime_is_freed_without_the_cycle_collector(self):
+        from repro.fun3d import make_mesh, run_generated_fortran
         from repro.sarb import make_inputs, run_legacy_fortran
 
         gc.collect()
@@ -581,8 +582,10 @@ END MODULE m
             rt.call("fill", [4])
             with pytest.raises(FortranRuntimeError, match="bounds"):
                 rt.call("fill", [5])
-            refs = [weakref.ref(rt), weakref.ref(run_legacy_fortran(make_inputs(seed=1))[1])]
+            refs = [weakref.ref(rt), weakref.ref(run_legacy_fortran(make_inputs(seed=1))[1]),
+                    # its lifted sweep's plan stays cached, its runtime does not
+                    weakref.ref(run_generated_fortran(make_mesh(27))[1])]
             del rt
-            assert [r() for r in refs] == [None, None]
+            assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()

@@ -295,6 +295,7 @@ MODULE gm
   INTEGER :: res(8)
   INTEGER :: ix(8)
   REAL(KIND=8) :: t
+  REAL(KIND=8) :: g(2)
   REAL(KIND=8), ALLOCATABLE :: z(:)
 CONTAINS
   SUBROUTINE double()
@@ -335,6 +336,29 @@ CONTAINS
       y(i) = t + 1.0D0
     END DO
   END SUBROUTINE temp
+  SUBROUTINE descend()
+    INTEGER :: i
+    DO i = 6, 1, -1
+      {guard}
+      t = x(i) * 2.0D0
+      y(i) = t + 1.0D0
+    END DO
+  END SUBROUTINE descend
+  SUBROUTINE put(i)
+    INTEGER, INTENT(IN) :: i
+    INTEGER :: k
+    DO k = 1, 2
+      g(k) = x(i) * k
+    END DO
+    y(i) = g(1) + g(2)
+  END SUBROUTINE put
+  SUBROUTINE descend_call()
+    INTEGER :: i
+    DO i = 6, 1, -1
+      {guard}
+      IF (x(i) > 2.5D0) CALL put(i)
+    END DO
+  END SUBROUTINE descend_call
   SUBROUTINE scatter()
     INTEGER :: i
     DO i = 1, 8
@@ -437,6 +461,20 @@ class TestGuards:
         assert (error, lifted) == (None, 1)
         assert reasons == []
         assert np.frombuffer(state["t"]).tolist() == [16.0]
+
+    def test_negative_stride_sweep_lifts(self):
+        # The expanded temporary runs its lanes in loop order: t keeps
+        # the value of i = 1, the last iteration.
+        error, state, reasons, lifted = _both("descend")
+        assert (error, reasons, lifted) == (None, [], 1)
+        assert np.frombuffer(state["t"]).tolist() == [2.0]
+        assert np.frombuffer(state["y"]).tolist() == [
+            3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 0.0, 0.0]
+        # A kept grid under an activity: g keeps the last active lane in
+        # loop order, i = 3.
+        error, state, reasons, lifted = _both("descend_call")
+        assert (error, reasons, lifted) == (None, [], 1)
+        assert np.frombuffer(state["g"]).tolist() == [3.0, 6.0]
 
     def test_indirect_accumulator_lifts(self):
         def prepare(rt):
@@ -762,6 +800,55 @@ def _sweep_both(name, args=lambda rt: (), depth=100):
     return written
 
 
+NESTED_ACTIVITY = """
+MODULE na
+  IMPLICIT NONE
+  REAL(KIND=8) :: xs(5)
+  REAL(KIND=8) :: out(5, 3)
+CONTAINS
+  SUBROUTINE leaf(i, j)
+    INTEGER, INTENT(IN) :: i
+    INTEGER, INTENT(IN) :: j
+    out(i, j) = xs(i) * j
+  END SUBROUTINE leaf
+  SUBROUTINE outer(i)
+    INTEGER, INTENT(IN) :: i
+    INTEGER :: j
+    DO j = 1, 3
+      CALL leaf(i, j)
+    END DO
+  END SUBROUTINE outer
+  SUBROUTINE f()
+    INTEGER :: i
+    DO i = 1, 5
+      {guard}
+      IF (xs(i) > 0.0D0) CALL outer(i)
+    END DO
+  END SUBROUTINE f
+END MODULE na
+"""
+
+
+def test_call_under_an_outer_activity_lifts():
+    # A CALL inside a callee's loop step, under the caller's IF: the
+    # activity leads over (i), the call over (i, j).
+    out = []
+    for guard in ("", "IF (.FALSE.) CYCLE"):
+        rt = FortranRuntime()
+        rt.load(NESTED_ACTIVITY.format(guard=guard))
+        rt.modules["na"].variables["xs"].store[...] = [1.5, -2.0, 0.25, 3.0,
+                                                       -1.0]
+        with observe.observed() as obs:
+            rt.call("f")
+        out.append((rt.modules["na"].variables["out"].store.tobytes(),
+                    [d.reasons[0] for d in
+                     obs.decisions.for_stage("executor:fallback")],
+                    obs.metrics.counter("exec.fortran.lifted").value))
+    (got, reasons, lifted), (want, _, _) = out
+    assert got == want
+    assert (reasons, lifted) == ([], 1)
+
+
 class TestSweepRefusals:
     def test_openmp_directive_in_a_callee(self):
         _, reasons, lifted = _sweep_both("omp_leaf_sweep")
@@ -803,3 +890,245 @@ class TestSweepRefusals:
                            "it is read)"]
         assert np.frombuffer(state["y"]).tolist() == [0.0, 0.0] + [
             float(k) for k in range(2, 8)]
+
+
+# ---------------------------------------------------------------------------
+# imperfect nests: DO bodies that hold DO statements, outlined
+# ---------------------------------------------------------------------------
+
+IMPERFECT_MODULE = f"""
+MODULE im
+  IMPLICIT NONE
+  REAL(KIND=8) :: a({N}, {N})
+  REAL(KIND=8) :: b({N})
+  REAL(KIND=8) :: c({N})
+  REAL(KIND=8) :: y({N})
+  REAL(KIND=8) :: e2({N}, 3)
+  REAL(KIND=8) :: f3({N}, 3)
+  REAL(KIND=8) :: e3({N}, 3)
+  REAL(KIND=8) :: g2({N}, 2)
+  REAL(KIND=8) :: h({N})
+  INTEGER :: ix({N})
+  INTEGER :: k1({N})
+  REAL(KIND=8) :: s
+  INTEGER :: dv(2)
+END MODULE im
+"""
+
+
+class _Imperfect:
+    """Seeded random DO statements ``DO i`` whose bodies mix assignments,
+    inner perfect and imperfect DOs, IF branches that hold a DO, EXIT
+    searches (some with bounds that differ per lane), private locals,
+    locals read after the loop and state carried between iterations."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def val(self, extra=()):
+        rng = self.rng
+        leaves = [f"a(i, {rng.randint(1, N)})", "b(i)",
+                  rng.choice(["1.5D0", "-0.5D0", "2.0D0"])] + list(extra)
+        x, z = rng.choice(leaves), rng.choice(leaves)
+        form = rng.choice(["{x}", "({x} + {z})", "({x} * {z})",
+                           "({x} - {z})", "ABS({x})", "MAX({x}, {z})"])
+        return form.format(x=x, z=z)
+
+    def nest(self):
+        rng = self.rng
+        reads, post = [], []
+        items = {
+            "assign": lambda: [f"c(i) = {self.val(reads)}"],
+            "fill": lambda: (reads.append(f"t({rng.randint(1, 4)})") or [
+                "DO j = 1, 4", f"  t(j) = {self.val(['j * 1.0D0'])}",
+                "END DO"]),
+            "scalar": lambda: (reads.append("u") or [f"u = {self.val()}"]),
+            "inner": lambda: ["DO j = 1, 3", f"  u = a(i, j) * {self.val()}",
+                              "  e2(i, j) = u + b(i)", "END DO"],
+            "imperfect": lambda: [
+                "DO j = 1, 3", "  DO m = 1, 3",
+                f"    w2(m) = a(i, j) * m + {self.val()}", "  END DO",
+                "  f3(i, j) = w2(1) + w2(3)", "END DO"],
+            "branch": lambda: (
+                [f"IF ({self.val(reads)} > 0.0D0) THEN", "  DO j = 1, 2",
+                 f"    g2(i, j) = a(i, j) + {self.val()}", "  END DO"]
+                + (["ELSE", f"  h(i) = {self.val()}"]
+                   if rng.random() < 0.5 else []) + ["END IF"]),
+            "search": lambda: (
+                (["pos = 0"] if rng.random() < 0.8 else [])
+                + [f"DO j = {rng.choice(['1', '1', 'ix(i)'])}, {N}",
+                   f"  IF (a(i, j) > {rng.choice(['0.5D0', '-9.0D0'])}) "
+                   "THEN", "    pos = j", "    EXIT", "  END IF", "END DO",
+                   "k1(i) = pos"]),
+            "after": lambda: (post.append("s = v") or [
+                f"v = {self.val()}"]),
+            "carried": lambda: ["y(i) = v", f"v = {self.val()}"],
+            # z is read before this iteration writes it: carried too.
+            "stale": lambda: ["DO j = 1, 3", "  e3(i, j) = z(j) + b(i)",
+                              "  z(j) = a(i, j)", "END DO"],
+        }
+        # Each kind at most once: a grid two split nests write refuses.
+        names, weights = list(items), [4, 3, 2, 2, 2, 3, 3, 1, 1, 1]
+        body = []
+        for _ in range(rng.choice([2, 3, 4])):
+            k = rng.choices(range(len(names)), weights)[0]
+            weights.pop(k)
+            body += items[names.pop(k)]()
+        if not any(line.startswith("DO") or line.startswith("IF")
+                   for line in body):
+            body += items["imperfect"]()
+        if rng.random() < 0.05:
+            post.append("dv(2) = j")
+        lo, hi, by = rng.choices(SWEEP_RANGES, SWEEP_RANGE_WEIGHTS)[0]
+        head = f"DO i = {lo}, {hi}" + (f", {by}" if by else "")
+        return head, body, post, rng.random() < 0.1
+
+    @staticmethod
+    def unit(name, head, body, post, omp, guard):
+        ind = "    "
+        return "\n".join(
+            [f"  SUBROUTINE {name}()", "    USE im", "    IMPLICIT NONE",
+             "    INTEGER :: i, j, m, pos", "    REAL(KIND=8) :: t(4), u, v",
+             "    REAL(KIND=8) :: w2(3), z(3)", "    i = -1"]
+            + (["!$OMP PARALLEL DO"] if omp else []) + [ind + head]
+            + ([ind * 2 + "IF (.FALSE.) CYCLE"] if guard else [])
+            + [ind * 2 + line for line in body] + [ind + "END DO"]
+            + (["!$OMP END PARALLEL DO"] if omp else [])
+            + [ind + line for line in post]
+            + ["    dv(1) = i", f"  END SUBROUTINE {name}"])
+
+
+def _imperfect_data(seed):
+    rng = np.random.default_rng(seed)
+    return {"a": rng.normal(size=(N, N)), "b": rng.normal(size=N),
+            "c": rng.normal(size=N), "y": rng.normal(size=N),
+            "e2": rng.normal(size=(N, 3)), "f3": rng.normal(size=(N, 3)),
+            "e3": rng.normal(size=(N, 3)),
+            "g2": rng.normal(size=(N, 2)),
+            "h": rng.normal(size=N), "k1": np.zeros(N, dtype=np.int64),
+            "ix": rng.integers(1 - (rng.random() < 0.1), N + 1, size=N),
+            "s": rng.normal()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_imperfect_lift_is_invisible(seed):
+    gen = _Imperfect(seed)
+    count = 60
+    nests = [gen.nest() for _ in range(count)]
+    src = "\n".join(
+        [IMPERFECT_MODULE, "MODULE nests", "  USE im", "CONTAINS"]
+        + [_Imperfect.unit(f"p{k}_{g}", *nest, guard=g)
+           for k, nest in enumerate(nests) for g in (0, 1)]
+        + ["END MODULE nests"])
+    rt = FortranRuntime()
+    rt.load(src)
+    lifted = 0
+    for k, nest in enumerate(nests):
+        data = _imperfect_data(seed * 1000 + k)
+        with observe.observed() as obs:
+            got = _run(rt, f"p{k}_0", data, "im")
+        # The outer DO itself lifted: it inlined, and never fell back.
+        lifted += any(d.function == f"p{k}_0" for d in
+                      obs.decisions.for_stage("executor:inline")) and not any(
+            d.function == f"p{k}_0" for d in
+            obs.decisions.for_stage("executor:fallback"))
+        want = _run(rt, f"p{k}_1", data, "im")
+        assert got == want, "\n".join([nest[0]] + nest[1] + nest[2])
+    # Not vacuous: a fair share of the statements really ran lifted.
+    assert lifted >= count // 3, lifted
+
+
+OUTLINE_REFUSALS = [
+    (["c(i) = b(i)", "DO j = 1, 2", "!$OMP ATOMIC", "  y(i) = y(i) + a(i, j)",
+      "END DO"], [], "OpenMP directive in the loop body"),
+    (["DO j = 1, 2", "  e2(i, j) = a(i, j)", "END DO", "PRINT *, i"], [],
+     "PRINT statement in the loop body"),
+    (["DO j = 1, 2", "  e2(i, j) = a(i, j)", "END DO",
+      "IF (b(i) > 9.0D0) STOP"], [], "STOP statement in the loop body"),
+    (["IF (b(i) > 0.0D0) CYCLE", "DO j = 1, 2", "  e2(i, j) = a(i, j)",
+      "END DO"], [], "CYCLE statement in the loop body"),
+    (["pos = 0", "DO WHILE (pos < 2)", "  pos = pos + 1", "END DO",
+      "DO j = 1, 2", "  e2(i, j) = a(i, j) * pos", "END DO"], [],
+     "DOWHILE statement in the loop body"),
+    (["DO j = 1, 2", "  e2(i, j) = a(i, j)", "END DO",
+      "IF (b(i) > 0.5D0) RETURN"], [], "RETURN statement in the loop body"),
+    # Two statements before the EXIT: not the search form.
+    (["DO j = 1, 3", "  IF (a(i, j) > 0.0D0) THEN", "    e2(i, j) = 1.0D0",
+      "    pos = j", "    EXIT", "  END IF", "END DO", "k1(i) = pos"], [],
+     "EXIT statement in the loop body"),
+    (["c(i) = b(i)", "DO j = 1, 2", "  e2(i, j) = a(i, j)", "END DO"],
+     ["dv(2) = j"], "DO variable 'j' is live after the statement"),
+    (["pos = 0", "DO j = 1, 3", "  IF (a(i, j) > 0.0D0) THEN", "    pos = j",
+      "    EXIT", "  END IF", "END DO", "k1(i) = pos"], ["dv(2) = j"],
+     "DO variable 'j' is live after the statement"),
+    (["DO j = 1, 2", "  e2(i, j) = a(i, j)", "END DO", "c(i) = j"], [],
+     "DO variable 'j' used outside its loop"),
+]
+
+
+@pytest.mark.parametrize("body, post, reason", OUTLINE_REFUSALS,
+                         ids=[r[2].split()[0] + str(k) for k, r in
+                              enumerate(OUTLINE_REFUSALS)])
+def test_outline_refusal(body, post, reason):
+    src = "\n".join([IMPERFECT_MODULE, "MODULE nests", "  USE im", "CONTAINS"]
+                    + [_Imperfect.unit(f"p_{g}", f"DO i = 1, {N}", body, post,
+                                       False, guard=g) for g in (0, 1)]
+                    + ["END MODULE nests"])
+    rt = FortranRuntime()
+    rt.load(src)
+    data = _imperfect_data(5)
+    got, reasons = [], []
+    for g in (0, 1):
+        with observe.observed() as obs:
+            got.append(_run(rt, f"p_{g}", data, "im"))
+        reasons.append([d.reasons[0] for d in obs.decisions.for_stage(
+            "executor:fallback") if d.step_name == "DO i"])
+    assert got[0] == got[1]
+    assert reasons[0] == [reason]
+    assert reasons[1]                       # the twin stays scalar too
+
+
+HEADER = f"""
+MODULE hm
+  IMPLICIT NONE
+  REAL(KIND=8) :: a({N}, {N})
+  REAL(KIND=8) :: c({N})
+  REAL(KIND=8) :: e2({N}, 2)
+CONTAINS
+  SUBROUTINE hdr()
+    INTEGER :: k, i, j, n
+    n = 2
+    DO k = 1, 2
+      DO i = 1, n
+        {{guard}}
+        n = 4
+        DO j = 1, 2
+          e2(i, j) = a(i, j) + k
+        END DO
+        c(i) = n * 1.0D0
+      END DO
+    END DO
+  END SUBROUTINE hdr
+END MODULE hm
+"""
+
+
+def test_names_of_the_loop_header_stay_the_callers():
+    # DO i's bound n is read again on the next k: though only the body
+    # of DO i writes and reads it, n is no private local.
+    out = []
+    for guard in ("", "IF (.FALSE.) CYCLE"):
+        rt = FortranRuntime()
+        rt.load(HEADER.format(guard=guard))
+        rt.modules["hm"].variables["a"].store[...] = np.arange(N * N).reshape(
+            N, N)
+        with observe.observed() as obs:
+            rt.call("hdr")
+        out.append(({n: v.store.tobytes() for n, v in
+                     rt.modules["hm"].variables.items()},
+                    [d.reasons[0] for d in
+                     obs.decisions.for_stage("executor:fallback")]))
+    (got, reasons), (want, _) = out
+    assert got == want
+    assert np.frombuffer(got["c"]).tolist() == [4.0] * 4 + [0.0] * 2
+    assert reasons[0].startswith("'n' carries state between iterations")

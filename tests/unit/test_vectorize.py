@@ -769,6 +769,39 @@ class TestSweep:
         assert [e.step_name for e in vec.fallbacks] == ["sweep"]
         assert "carries state between iterations" in vec.fallbacks[0].reason
 
+    def test_call_nested_under_an_outer_activity(self):
+        # leaf's note leads over (i, j); the activity of IF (xs(i) > 0)
+        # leads over (i) alone and holds for every j.
+        b = GlafBuilder("na")
+        b.global_grid("xs", T_REAL8, dims=("n",), module_scope=True)
+        b.global_grid("out", T_REAL8, dims=("n", 3), module_scope=True)
+        m = b.module("M")
+        leaf = m.function("leaf", return_type=T_VOID)
+        leaf.param("i", T_INT, intent="in")
+        leaf.param("j", T_INT, intent="in")
+        leaf.step("put").formula(ref("out", ref("i"), ref("j")),
+                                 ref("xs", ref("i")) * ref("j"))
+        outer = m.function("outer", return_type=T_VOID)
+        outer.param("i", T_INT, intent="in")
+        outer.step("each").foreach(j=(1, 3)).call("leaf", [ref("i"), I("j")])
+        f = m.function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        s = f.step("sweep")
+        s.foreach(i=(1, "n"))
+        s.if_(ref("xs", I("i")).gt(0.0), [CallStmt("outer", (I("i"),))])
+        p, out = b.build(), {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            ctx = ExecutionContext(p, sizes={"n": 5})
+            ctx.get("xs")[...] = [1.5, -2.0, 0.25, 3.0, -1.0]
+            interp = cls(p, ctx)
+            interp.call("f", [5])
+            out[cls] = (interp, [], ctx)
+        _assert_same(out, ("out",))
+        vec, _, ctx = out[VectorizedInterpreter]
+        assert vec.fallbacks == []
+        assert vec.stats.calls["leaf"] == 9
+        assert ctx.get("out")[:, 2].tolist() == [4.5, 0.0, 0.75, 9.0, 0.0]
+
     def _search_program(self, lo, hi):
         b = GlafBuilder("se")
         b.global_grid("keys", T_INT, dims=("n",), module_scope=True)
