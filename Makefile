@@ -44,7 +44,8 @@ batch:
 # What .github/workflows/ci.yml runs: compile check, full suite (once on
 # the reference interpreter, once with REPRO_EXECUTOR=vectorized so the
 # array executor serves every interpreter-mode run — docs/EXECUTORS.md),
-# the wall-clock benchmark's own tests (wallbench/README.md), lint
+# the benchmark suite's paper-shape and correctness criteria
+# (benchmarks/), the wall-clock benchmark's own tests (wallbench/README.md), lint
 # gate, fault sweep (includes the numeric.sentinel scenario), the
 # fixed-seed differential fuzz campaign (docs/FUZZING.md), the
 # crash-isolated batch-compiler smoke (docs/BATCH.md), the
@@ -59,6 +60,7 @@ ci: lint batch
 	$(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
 	$(PYTHON) -m pytest wallbench/tests -q
 	PYTHONPATH=src $(PYTHON) -m repro runs selftest
 	PYTHONPATH=src $(PYTHON) -m repro faultcheck

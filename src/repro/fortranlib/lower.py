@@ -85,8 +85,10 @@ reads it.  ``allocation_count`` grows by the array locals each active
 call binds or ALLOCATEs.  The statement runs on the scalar closure,
 before touching any state, when numeric sentinels are on; when the
 inlined call nesting would pass ``max_call_depth``; when a store is
-unallocated or has the wrong rank or shape, a written one is a
-PARAMETER, or a DO variable is not an INTEGER scalar; when a range has
+unallocated or has the wrong rank or shape (a fixed module array's
+shape is the one it had at load: lowering reads declarations, never
+storage), a written one is a PARAMETER, or a DO variable is not an
+INTEGER scalar; when a range has
 zero trips or a zero step; when a subscript or range falls outside its
 array; and when storage bound to a dummy argument may share memory with
 other storage the statement touches.  A lift that fails partway (a
@@ -98,6 +100,7 @@ negative-stride nest's lanes in loop order.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -179,14 +182,16 @@ class Nest(NamedTuple):
     ``getters`` resolves the storage the program names, in order: per
     name a frame slot index (or, for a callee's COMMON variable, its
     ``(block, name, dtype)``), the TYPE component (or ``None``), the
-    expected rank, whether the program writes it, and the name.
+    expected rank, whether the program writes it, the name, and the
+    shape the compile assumed (or ``None``): a fixed module array's at
+    load, or that of a grid a sweep keeps a per-iteration copy of.
     ``dovars`` holds the DO variables' slots, outer first; ``pairs`` the
     index pairs of ``labels`` (the names, then the DO variables) that may
     alias through a dummy argument; ``depth`` the inlined call nesting.
     A sweep also has ``sweep``: per DO variable the scalar path's bounds
-    closures, the array locals each callee allocates per call, and the
-    ``(getter index, shape)`` of each grid it keeps a per-iteration copy
-    of.
+    closures, and the array locals each callee allocates per call.
+    Nothing in a nest is a runtime's: runtimes that share the unit share
+    it.
     """
 
     program: Any
@@ -649,16 +654,15 @@ class _Callee(_Scope):
                          (block, name, _dtype_of(spec)), None, name,
                          (spec, len(uc.decls[name][1].dims), None))
             return name
-        slot = uc._nonlocal(name)
-        if slot is None:
+        found = uc._nonlocal(name)
+        if found is None:
             raise _NoLower(f"unknown name {name!r} in {self.where}")
+        module, slot = found
         _glaf_type(slot.spec)
-        fixed = (not slot.allocatable and type(slot.store) is np.ndarray)
-        rank = len(slot.dims) or slot.deferred_rank
-        self.low.register(name, ("module", id(slot)),
-                          self.low.uc._layout_index(slot), None, name,
-                          (slot.spec, rank,
-                           slot.store.shape if fixed else None))
+        self.low.register(name, ("module", module, name),
+                          self.low.uc._layout_index(module, name), None, name,
+                          (slot.spec, len(slot.dims) or slot.deferred_rank,
+                           slot.shape))
         return name
 
     def translate(self) -> tuple[GlafFunction, int]:
@@ -840,18 +844,18 @@ class _Lowering:
         if name in self.grids:
             return
         uc = self.uc
-        slot = uc.layout[i]
+        held = uc.layout[i]                 # (module, name) of a module var
+        slot = None if held is None else uc.modules[held[0]].variables[name]
         if name in self.commons:
             key = ("common", self.commons[name], name)
-        elif slot is not None:
-            key = ("module", id(slot))
+        elif held is not None:
+            key = ("module", *held)
         else:
             key = ("frame", i)
         x = slot if slot is not None else uc.decls.get(name, (0, None))[1]
         rank = 0 if x is None else len(x.dims) or x.deferred_rank
         if slot is not None:
-            shape = (slot.store.shape if not slot.allocatable
-                     and type(slot.store) is np.ndarray else None)
+            shape = slot.shape
         else:
             shape = tuple(_literal(uc, d) for d in getattr(x, "dims", ()))
             shape = None if None in shape or getattr(
@@ -1084,7 +1088,9 @@ class _Lowering:
         if isinstance(plan, LiftFailure):
             raise _NoLower(plan.reason)
         lifted, prog = plan
-        shapes: dict[str, tuple] = {}
+        # A fixed module array's shape at load: its store may be swapped.
+        shapes = {n: d[2] for n, d in self.decls.items()
+                  if self.keys[n][0] == "module" and d[2]}
         if isinstance(lifted, LiftedSweep):
             dims: dict[str, int] = {}
             for p in prog.programs:
@@ -1099,9 +1105,7 @@ class _Lowering:
                     dims[s.target[1]] = len(s.dims)
             sweep = (tuple((lp.var, uc._int(lp.start), uc._int(lp.end),
                             None if lp.step is None else uc._int(lp.step))
-                           for lp in loops), self.allocs,
-                     tuple((list(dims).index(g), shape)
-                           for g, shape in shapes.items()))
+                           for lp in loops), self.allocs)
         else:
             dims, sweep = prog.dims, None
         written = set(lifted.written)
@@ -1110,7 +1114,8 @@ class _Lowering:
             if rank < 0:
                 raise _NoLower(f"{name!r} used with two different ranks")
             where, fld, base = self.grids[name]
-            getters.append((where, fld, rank, name in written, name))
+            getters.append((where, fld, rank, name in written, name,
+                            shapes.get(name)))
             bases.append(base)
         vars_ = [lp.var for lp in loops]
         dovars = tuple(uc.index[v] for v in vars_)
@@ -1132,7 +1137,8 @@ class _Lowering:
                       and (bases[a] in params or bases[b] in params)
                       and (changed[a] or changed[b]))
         if isinstance(lifted, LiftedSweep) or lifted.inlined:
-            note_inline(uc.name, do.line, f"DO {do.var}", lifted)
+            uc.notes.append(partial(note_inline, uc.name, do.line,
+                                    f"DO {do.var}", lifted))
         return Nest(prog, tuple(getters), dovars, pairs, tuple(labels),
                     self.depth(step.called_functions()), sweep)
 
@@ -1190,23 +1196,24 @@ def _common(rt: Any, where: tuple) -> Any:
 def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
               unit: str, do: FDo) -> Callable:
     """The DO statement's closure: the lifted program behind the guards,
-    the scalar closure when they refuse or the lift fails."""
+    the scalar closure when they refuse or the lift fails.  Each refusal
+    counts; the first in each runtime records the decision."""
     program, getters, dovars, pairs, labels, depth, sweep = nest
     if sweep is None:
         bounds, run, arith, fixed = (program.bounds, program.run,
                                      program.arith, program.fixed)
     else:
-        top, allocs, shapes = sweep
+        top, allocs = sweep
         names, fixed = tuple(g[4] for g in getters), None
         label = f"{unit}/DO {do.var}"
     ndarray = np.ndarray
-    noted = False
+    token = object()            # this statement, in a runtime's ``_noted``
 
     def refuse(f, reason: str) -> None:
-        nonlocal noted
         _count("exec.fortran.fallbacks")
-        if not noted:
-            noted = True
+        noted = f.rt._noted
+        if token not in noted:
+            noted.add(token)
             _note(unit, do, reason)
         scalar(f)
 
@@ -1219,7 +1226,7 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
                           "max_call_depth")
         slots = f.slots
         S = []
-        for where, fld, rank, written, name in getters:
+        for where, fld, rank, written, name, shape in getters:
             if type(where) is int:
                 slot = slots[where]
             else:
@@ -1236,6 +1243,9 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
                               "rank")
             if written and slot.parameter:
                 return refuse(f, f"{name!r} is a PARAMETER")
+            if shape is not None and store.shape != shape:
+                return refuse(f, f"{name!r} is of another shape than "
+                              "declared")
             S.append(store)
         D = []
         for i in dovars:
@@ -1289,10 +1299,6 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
                     region[...] = copy
                 return refuse(f, f"runtime lift failure: {e}")
         else:
-            for j, shape in shapes:
-                if S[j].shape != shape:
-                    return refuse(f, f"{names[j]!r} is of another shape "
-                                  "than declared")
             store = dict(zip(names, S))
             saved = [(store[g], store[g].copy())
                      for g in program.sweep.written]

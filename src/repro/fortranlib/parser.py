@@ -6,13 +6,20 @@ bare subprograms, and the statement set described in
 legacy (``REAL*8 x(n)``) declaration styles are accepted, since the
 case-study "legacy" sources deliberately use FORTRAN-77 idioms (COMMON
 blocks) alongside modern modules.
+
+:func:`parse_source` parses each text once per process once it comes
+back (:mod:`repro.recurring`): a parsed tree is shared by every caller
+that parses the same text, so trees are immutable by contract and no
+consumer may mutate one.  Under a fault plan every text is parsed afresh.
 """
 
 from __future__ import annotations
 
 import re
 
+from .. import runconfig as _rc
 from ..errors import DiagnosticBundle, FortranSyntaxError
+from ..recurring import RecurringCache, digest
 from .ast import (
     FAllocate,
     FAssign,
@@ -72,27 +79,45 @@ _BINARY = {
 }
 
 
+#: Parsed trees by text digest.  Only a clean parse returns, and a clean
+#: parse is the same in both ``recover`` modes, so one tree serves both.
+_TREES = RecurringCache(64)
+
+
 def parse_source(source: str, *, recover: bool = False) -> FSourceFile:
     """Parse ``source``; with ``recover=True`` the parser resynchronizes at
     statement and unit boundaries, collecting every syntax error into one
     :class:`DiagnosticBundle` (raised at the end, with the partial parse
-    attached) instead of stopping at the first."""
+    attached) instead of stopping at the first.  A text that came back is
+    not parsed again: the tree is shared, and must not be mutated."""
     from ..observe import get_metrics, get_tracer
 
     with get_tracer().span("fortran.parse") as _sp:
-        try:
-            f = Parser(source, recover=recover).parse_file()
-        except DiagnosticBundle:
-            raise
-        except FortranSyntaxError as e:
-            if recover:
-                # Lexer errors surface before any parsing can start; wrap
-                # them so recover-mode callers see one exception type.
-                raise DiagnosticBundle([e], partial=FSourceFile()) from e
-            raise
+        m = get_metrics()
+        key = digest(source) if _rc._active.faults is None else None
+        f = None if key is None else _TREES.get(key)
+        if f is not None:
+            _sp.set(cache="hit")
+            m.counter("fortran.parse_cache.hits").inc()
+        else:
+            if key is not None:
+                m.counter("fortran.parse_cache.misses").inc()
+            try:
+                f = Parser(source, recover=recover).parse_file()
+            except DiagnosticBundle:
+                raise
+            except FortranSyntaxError as e:
+                if recover:
+                    # Lexer errors surface before any parsing can start;
+                    # wrap them so recover-mode callers see one exception
+                    # type.
+                    raise DiagnosticBundle([e], partial=FSourceFile()) from e
+                raise
+            if key is not None:
+                _TREES.offer(key, f)
         n_units = len(f.modules) + len(f.programs) + len(f.subprograms)
         _sp.set(units=n_units)
-        get_metrics().counter("fortran.parse.units").inc(n_units)
+        m.counter("fortran.parse.units").inc(n_units)
         return f
 
 

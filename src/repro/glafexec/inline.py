@@ -30,6 +30,10 @@ iteration space at once:
   loop-carried state, and the grid keeps the value of the last active
   iteration afterwards.  A scalar written before it is read within one
   nest (``n1v`` in ``edge_loop``) gets one copy per lane of that nest.
+  So does a scalar local that a nest over the callee's own ranges writes,
+  unmasked, before that nest reads it: after the nest the local keeps,
+  per lane of its own copy, the last lane of those ranges, and a nest
+  with zero trips leaves it as it was.
 
 The split preserves the scalar order of every value: within one
 iteration the nests run in statement order, and across iterations they
@@ -148,7 +152,10 @@ class Scratch:
     invocation.  After the nest (``in_nest``) or the sweep, the value of
     the last lane where ``active`` holds (every lane when ``None``) is
     kept in ``target``: ``("grid", name)`` or ``("save", function,
-    local)``; a plain local's copy (``target`` ``None``) is dropped.
+    local)``; a plain local's copy (``target`` ``None``) is dropped.  An
+    in-nest copy of an expanded scalar local, ``("local", name)``, keeps
+    the last lane of the nest's own ranges in each lane of the local
+    where ``active`` holds.
     """
 
     name: str
@@ -182,11 +189,14 @@ class Note:
 
 @dataclass(frozen=True)
 class Nest:
-    """One split nest: a loop step of assignments, and the scratch whose
-    last lane it keeps (``(scratch, grid)``)."""
+    """One split nest: a loop step of assignments, the scratch whose
+    last lane it keeps (``(scratch, grid)``), and the in-nest copies of
+    expanded locals that keep their last own lane after it
+    (``locals``)."""
 
     step: Step
     keep: tuple[tuple[str, str], ...] = ()
+    locals: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -705,6 +715,7 @@ class _Expander:
         self.scratch = dict(sp.scratch)
         self.rename: dict[str, Callable[[GridRef], GridRef]] = {}
         self.keep: dict[int, list[tuple[str, str]]] = {}
+        self.inner: dict[int, dict[str, str]] = {}   # nest -> local -> copy
         self.expanded: list[str] = list(sp.expanded)
 
     def uses(self) -> dict[str, list[tuple[int, str, Any]]]:
@@ -746,6 +757,8 @@ class _Expander:
             if name in self.scratch:
                 if len(nests) == 1:
                     self._temporary(name, evs)
+                else:
+                    self._inner(name, evs)
                 continue
             if not writes:
                 if name in self.sp.saved:
@@ -828,21 +841,55 @@ class _Expander:
             self.expanded.append(name)
         return True
 
+    def _inner(self, name: str, evs: list) -> None:
+        """An expanded scalar local that a nest over more ranges than the
+        local's lead writes, unmasked, before the nest reads it: one copy
+        per lane of that nest, whose last lane of the extra ranges the
+        local keeps after it (:class:`Scratch`)."""
+        spec = self.scratch[name]
+        lead = tuple(IndexVar(v) for v in spec.lead)
+        first: dict[int, tuple] = {}
+        for i, kind, detail in evs:
+            first.setdefault(i, (kind, detail))
+        for i, (kind, detail) in first.items():
+            raw = self.sp.raw[i]
+            lanes = tuple(r.var for r in raw.ranges)
+            act = raw.condition
+            if (spec.dims or kind != "write" or detail[1] is not None
+                    or raw.extra or detail[0].target.indices != lead
+                    or lanes[:len(lead)] != spec.lead
+                    or len(lanes) == len(lead)):
+                continue
+            if act is not None:
+                # The activity must hold for every lane past the local's.
+                outer = self.scratch.get(getattr(act, "grid", None))
+                if outer is None or spec.lead[:len(outer.lead)] != outer.lead:
+                    continue
+            sname = f"{name}#{i}"
+            self.scratch[sname] = Scratch(
+                sname, lanes, (), spec.dtype, target=("local", name),
+                active=None if act is None else act.grid, in_nest=True)
+            self.inner.setdefault(i, {})[name] = sname
+
     def nests(self) -> tuple[Nest, ...]:
-        rename = self.rename
-
-        def f(n: Expr) -> Expr:
-            if isinstance(n, GridRef) and n.grid in rename:
-                return rename[n.grid](n)
-            return n
-
         out = []
         for i, raw in enumerate(self.sp.raw):
+            inner = self.inner.get(i, {})
+            refs = tuple(IndexVar(r.var) for r in raw.ranges)
+
+            def f(n: Expr, inner=inner, refs=refs) -> Expr:
+                if isinstance(n, GridRef):
+                    if n.grid in inner:
+                        return GridRef(inner[n.grid], refs)
+                    if n.grid in self.rename:
+                        return self.rename[n.grid](n)
+                return n
             step = Step(raw.name, ranges=list(raw.ranges),
                         condition=(None if raw.condition is None
                                    else map_expr(raw.condition, f)),
                         stmts=_map_stmts(raw.stmts, f))
-            out.append(Nest(step, tuple(self.keep.get(i, ()))))
+            out.append(Nest(step, tuple(self.keep.get(i, ())),
+                            tuple(inner.values())))
         return tuple(out)
 
 

@@ -558,10 +558,9 @@ END PROGRAM p
         from repro.fun3d import make_mesh, run_generated_fortran
         from repro.sarb import make_inputs, run_legacy_fortran
 
-        gc.collect()
-        gc.disable()
-        try:
-            rt = _rt("""
+        from repro import observe
+
+        source = """
 MODULE m
   IMPLICIT NONE
   REAL(KIND=8) :: acc(4)
@@ -578,14 +577,25 @@ CONTAINS
     END DO
   END SUBROUTINE fill
 END MODULE m
-""")
-            rt.call("fill", [4])
-            with pytest.raises(FortranRuntimeError, match="bounds"):
-                rt.call("fill", [5])
-            refs = [weakref.ref(rt), weakref.ref(run_legacy_fortran(make_inputs(seed=1))[1]),
-                    # its lifted sweep's plan stays cached, its runtime does not
-                    weakref.ref(run_generated_fortran(make_mesh(27))[1])]
-            del rt
-            assert [r() for r in refs] == [None, None, None]
+"""
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            for _ in range(4):          # the last runtimes share fill
+                rt = _rt(source)
+                with observe.observed() as obs:
+                    rt.call("fill", [4])
+                    with pytest.raises(FortranRuntimeError, match="bounds"):
+                        rt.call("fill", [5])
+                refs += [weakref.ref(rt),
+                         weakref.ref(rt.modules["m"].variables["acc"].store)]
+                del rt
+            assert obs.metrics.counter("fortran.unit_cache.hits").value > 0
+            refs += [weakref.ref(run_legacy_fortran(make_inputs(seed=1))[1]),
+                     # its lifted sweep's plan stays cached, its runtime
+                     # does not
+                     weakref.ref(run_generated_fortran(make_mesh(27))[1])]
+            assert [r() for r in refs] == [None] * 10
         finally:
             gc.enable()

@@ -802,6 +802,44 @@ class TestSweep:
         assert vec.stats.calls["leaf"] == 9
         assert ctx.get("out")[:, 2].tolist() == [4.5, 0.0, 0.75, 9.0, 0.0]
 
+    @pytest.mark.parametrize("reps", [3, 0])
+    def test_local_keeps_the_last_lane_of_a_callee_nest(self, reps):
+        # g's local u is 1 until leaf, called where xs(i) > 0, writes it
+        # on each k (by reference): u keeps the last k's value on those
+        # lanes, and 1 elsewhere or when the k loop has zero trips.
+        b = GlafBuilder("kl")
+        b.global_grid("xs", T_REAL8, dims=("n",), module_scope=True)
+        b.global_grid("out", T_REAL8, dims=("n",), module_scope=True)
+        m = b.module("M")
+        leaf = m.function("leaf", return_type=T_VOID)
+        leaf.param("i", T_INT, intent="in")
+        leaf.param("v", T_REAL8)
+        s = leaf.step("each")
+        s.foreach(k=(1, reps))
+        s.formula(ref("v"), ref("xs", ref("i")) * I("k"))
+        g = m.function("g", return_type=T_VOID)
+        g.param("i", T_INT, intent="in")
+        g.local("u", T_REAL8)
+        g.step("init").formula(ref("u"), 1.0)
+        g.step("maybe").if_(ref("xs", ref("i")).gt(0.0),
+                            [CallStmt("leaf", (ref("i"), ref("u")))])
+        g.step("use").formula(ref("out", ref("i")), ref("u"))
+        f = m.function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.step("sweep").foreach(i=(1, "n")).call("g", [I("i")])
+        p, out = b.build(), {}
+        for cls in (Interpreter, VectorizedInterpreter):
+            ctx = ExecutionContext(p, sizes={"n": 5})
+            ctx.get("xs")[...] = [1.5, -2.0, 0.25, 3.0, -1.0]
+            interp = cls(p, ctx)
+            interp.call("f", [5])
+            out[cls] = (interp, [], ctx)
+        _assert_same(out, ("out",))
+        vec, _, ctx = out[VectorizedInterpreter]
+        assert vec.fallbacks == []
+        assert ctx.get("out").tolist() == (
+            [4.5, 1.0, 0.75, 9.0, 1.0] if reps else [1.0] * 5)
+
     def _search_program(self, lo, hi):
         b = GlafBuilder("se")
         b.global_grid("keys", T_INT, dims=("n",), module_scope=True)
