@@ -53,10 +53,10 @@ batch:
 # campaign, resume both, verify digests — docs/NUMERICS.md,
 # docs/BATCH.md), the run-ledger selftest (append, stale-index
 # reconciliation, quarantine, every exporter — docs/RUN_LEDGER.md),
-# and the benchmark regression gates against the committed baseline
-# (interpreter and vectorized legs; the recorded artifacts carry the
-# X1 executor-speedup and X2 warm-cache gates).
-ci: lint batch
+# the examples, and the benchmark regression gates against the committed
+# baseline (interpreter and vectorized legs; the recorded artifacts carry
+# the X1 executor-speedup and X2 warm-cache gates).
+ci: lint batch examples
 	$(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -77,12 +77,13 @@ bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
 	PYTHONPATH=src $(PYTHON) -m repro bench record --repeats 3
 
+# Five self-contained end-to-end drives of the public entry points.
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/codegen_tour.py
-	$(PYTHON) examples/graph_kernel.py
-	$(PYTHON) examples/sarb_integration.py
-	$(PYTHON) examples/fun3d_jacobian.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/codegen_tour.py
+	PYTHONPATH=src $(PYTHON) examples/graph_kernel.py
+	PYTHONPATH=src $(PYTHON) examples/sarb_integration.py
+	PYTHONPATH=src $(PYTHON) examples/fun3d_jacobian.py
 
 figures:
 	$(PYTHON) examples/paper_figures.py

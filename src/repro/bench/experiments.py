@@ -108,25 +108,19 @@ def run_figure7(ncell: int = 1_000_000) -> ExperimentResult:
 
 
 def run_sarb_correctness() -> ExperimentResult:
-    from ..sarb import (
-        make_inputs,
-        run_generated_fortran,
-        run_generated_python,
-        run_ir_interpreter,
-        run_legacy_fortran,
-        run_reference,
-        run_spliced,
-    )
+    from ..cases import get_case
+    from ..sarb import make_inputs, run_reference
     from ..sarb.validation import SARB_COMPARE_TOLERANCE, compare_outputs
 
+    case = get_case("sarb")
     inp = make_inputs()
     ref = run_reference(inp)
     paths = {
-        "IR interpreter": run_ir_interpreter(inp),
-        "generated Python": run_generated_python(inp),
-        "legacy FORTRAN": run_legacy_fortran(inp)[0],
-        "generated FORTRAN": run_generated_fortran(inp)[0],
-        "spliced v3 run": run_spliced(inp, variant="GLAF-parallel v3")[0],
+        "IR interpreter": case.run_ir_interpreter(inp),
+        "generated Python": case.run_generated_python(inp),
+        "legacy FORTRAN": case.run_legacy_fortran(inp)[0],
+        "generated FORTRAN": case.run_generated_fortran(inp)[0],
+        "spliced v3 run": case.run_spliced(inp, "GLAF-parallel v3")[0],
     }
     rows = []
     for label, outs in paths.items():
@@ -144,26 +138,19 @@ def run_sarb_correctness() -> ExperimentResult:
 
 
 def run_fun3d_correctness() -> ExperimentResult:
-    from ..fun3d import (
-        jac_rms,
-        make_mesh,
-        rms_check,
-        run_generated_fortran,
-        run_ir_interpreter,
-        run_legacy_fortran,
-        run_reference,
-        run_spliced,
-    )
+    from ..cases import get_case
+    from ..fun3d import jac_rms, make_mesh, rms_check, run_reference
 
+    case = get_case("fun3d")
     mesh = make_mesh(27)
     ref = run_reference(mesh)
     paths = {
-        "IR interpreter": run_ir_interpreter(mesh),
-        "legacy FORTRAN": run_legacy_fortran(mesh)[0],
-        "generated FORTRAN": run_generated_fortran(mesh)[0],
-        "generated FORTRAN + SAVE": run_generated_fortran(
+        "IR interpreter": case.run_ir_interpreter(mesh),
+        "legacy FORTRAN": case.run_legacy_fortran(mesh)[0],
+        "generated FORTRAN": case.run_generated_fortran(mesh)[0],
+        "generated FORTRAN + SAVE": case.run_generated_fortran(
             mesh, save_inner_arrays=True)[0],
-        "spliced run": run_spliced(mesh)[0],
+        "spliced run": case.run_spliced(mesh)[0],
     }
     rows = []
     for label, jac in paths.items():
@@ -229,10 +216,9 @@ def run_executor_speedup() -> ExperimentResult:
     """
     import numpy as np
 
+    from ..cases import get_case
     from ..fun3d import make_mesh
-    from ..fun3d import run_ir_interpreter as fun3d_run
     from ..sarb import make_inputs
-    from ..sarb import run_ir_interpreter as sarb_run
     from ..sarb.atmosphere import SarbDimensions
     from ..sarb.validation import SARB_COMPARE_TOLERANCE, compare_outputs
 
@@ -241,9 +227,10 @@ def run_executor_speedup() -> ExperimentResult:
     # SARB at scaled dimensions: enough work per step for the array path
     # to amortize its per-step setup (the paper-default dims still show
     # >10x, the scaled run shows the asymptotic picture).
+    sarb, fun3d = get_case("sarb"), get_case("fun3d")
     inp = make_inputs(SarbDimensions(nv=600, nblw=24, nbsw=12))
     t_interp, ref, t_vec, vec = _warm_times(
-        lambda how: sarb_run(inp, executor=how))
+        lambda how: sarb.run_ir_interpreter(inp, executor=how))
     agree = compare_outputs(vec, ref, tolerance=SARB_COMPARE_TOLERANCE).ok
     speedup = t_interp / t_vec
     rows.append(["SARB nv=600", round(t_interp, 2), round(t_vec, 2),
@@ -253,7 +240,7 @@ def run_executor_speedup() -> ExperimentResult:
 
     mesh = make_mesh(27)
     t_interp, jac_ref, t_vec, jac_vec = _warm_times(
-        lambda how: fun3d_run(mesh, executor=how))
+        lambda how: fun3d.run_ir_interpreter(mesh, executor=how))
     speedup = t_interp / t_vec
     rows.append(["FUN3D mesh 27", round(t_interp, 2), round(t_vec, 2),
                  round(speedup, 1),

@@ -642,20 +642,20 @@ def _cmd_profile(args) -> int:
     with observe.get_tracer().span("pipeline", project=args.project,
                                    variant=args.variant):
         program = _load_program(args.project)
-        if args.guarded:
-            # Execute the case-study workload under the access-conflict
-            # guard first, so an injected mis-parallelization is both
-            # caused and recovered inside this one profiled run.
-            from .robust.scenarios import scenario_for
+        if args.guarded or args.executor:
+            # Run the case-study workload under the access-conflict guard,
+            # then under the chosen executor, so an injected
+            # mis-parallelization is both caused and recovered, and the
+            # exec.run.* spans and executor:fallback decisions land, in
+            # this one profiled run (docs/EXECUTORS.md).
+            from .cases import get_case
 
-            scenario_for(program.name).run_guarded()
-        if getattr(args, "executor", None):
-            # Run the case-study workload under the chosen executor so
-            # exec.run.* spans and executor:fallback decisions land in
-            # this profile (docs/EXECUTORS.md).
-            from .robust.scenarios import scenario_for
-
-            scenario_for(program.name).run_executor(args.executor)
+            case = get_case(program.name)
+            if args.guarded:
+                case.run_ir_interpreter(case.sample(), guarded=True)
+            if args.executor:
+                case.run_ir_interpreter(case.sample(), guarded=False,
+                                        executor=args.executor)
         plan = make_plan(program, args.variant, threads=args.threads)
         for target in targets:
             if target == "fortran":

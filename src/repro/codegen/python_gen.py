@@ -51,9 +51,11 @@ _save_store = {}
 
 
 def _idiv(a, b):
-    """FORTRAN integer division: truncation toward zero."""
-    q = a / b
-    return np.int64(np.trunc(q))
+    """FORTRAN integer division: truncation toward zero, exact for integers."""
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+        q = abs(int(a)) // abs(int(b))
+        return np.int64(q if (a < 0) == (b < 0) else -q)
+    return np.int64(np.trunc(a / b))
 
 
 def _fmod(a, b):

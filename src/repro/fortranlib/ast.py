@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "FNode", "FExpr", "FNum", "FString", "FLogical", "FVar", "FIndexed",
     "FFieldRef", "FBin", "FUn", "FCallExpr",
-    "FStmt", "FAssign", "FCall", "FIf", "FArithIfBranch", "FDo", "FDoWhile",
+    "FStmt", "FAssign", "FCall", "FIf", "FDo", "FDoWhile",
     "FReturn", "FExit", "FCycle", "FAllocate", "FDeallocate", "FPrint",
     "FStop", "FContinue", "FOmpClause", "FOmpDirective", "FOmpEnd",
     "FTypeSpec", "FDecl", "FDeclEntity", "FCommon", "FUse", "FImplicitNone",
@@ -118,11 +118,6 @@ class FCall(FStmt):
 class FIf(FStmt):
     branches: list[tuple[FExpr | None, list[FStmt]]]  # (cond|None for else, body)
     line: int = 0
-
-
-@dataclass
-class FArithIfBranch(FStmt):
-    """Unused placeholder kept for grammar completeness."""
 
 
 @dataclass

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..codegen.fortran import FortranGenerator
+from ..cases import Case
 from ..fortranlib import FortranRuntime
-from ..glafexec import ExecutionContext, GeneratedModule, run_configured
-from ..integration import LegacyCodebase, splice_into_codebase
+from ..integration import LegacyCodebase
 from ..numeric import RmsPolicy
-from ..optimize.plan import Tweaks, make_plan
 from .jacobian import RMS_TOLERANCE, ref_jacobian_recon
 from .kernels import FUN3D_FUNCTIONS, build_fun3d_program, context_values
 from .legacy_src import full_legacy_source
@@ -25,7 +23,7 @@ from .mesh import TetMesh, make_mesh
 __all__ = ["mesh_sizes", "run_reference", "run_ir_interpreter",
            "run_generated_python", "run_legacy_fortran",
            "run_generated_fortran", "run_spliced", "rms_check",
-           "build_legacy_codebase", "set_fun3d_inputs"]
+           "build_legacy_codebase", "set_fun3d_inputs", "CASE"]
 
 
 def mesh_sizes(mesh: TetMesh) -> dict[str, int]:
@@ -48,41 +46,6 @@ def run_reference(mesh: TetMesh) -> np.ndarray:
     return ref_jacobian_recon(mesh)
 
 
-def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
-                       guarded: bool | None = None,
-                       executor: str | None = None) -> np.ndarray:
-    """Run through the IR execution pipeline; under ``--guarded`` (or
-    explicit ``guarded=True``) execution goes through :class:`GuardedRunner`
-    with per-step access-conflict checks and serial fallback.  Otherwise the
-    selected executor runs the program (``executor=None`` honors the
-    configured ``--executor``)."""
-    program = build_fun3d_program()
-    ctx = ExecutionContext(program, sizes=mesh_sizes(mesh),
-                           values=context_values(mesh))
-    run_configured(program, "edgejp", [mesh.ncell, mesh.nnz], context=ctx,
-                   guarded=guarded, executor=executor,
-                   save_inner_arrays=save_inner_arrays)
-    return ctx.get("jac").copy()
-
-
-def run_generated_python(mesh: TetMesh, *, save_inner_arrays: bool = False) -> np.ndarray:
-    program = build_fun3d_program()
-    ctx = ExecutionContext(program, sizes=mesh_sizes(mesh),
-                           values=context_values(mesh))
-    plan = make_plan(program, "GLAF serial",
-                     tweaks=Tweaks(save_inner_arrays=save_inner_arrays))
-    mod = GeneratedModule(plan, ctx)
-    mod.call("edgejp", [mesh.ncell, mesh.nnz])
-    return ctx.get("jac").copy()
-
-
-def build_legacy_codebase(mesh: TetMesh) -> LegacyCodebase:
-    legacy = LegacyCodebase("fun3d-mini")
-    for fname, src in full_legacy_source(mesh).items():
-        legacy.add_file(fname, src)
-    return legacy
-
-
 def set_fun3d_inputs(rt: FortranRuntime, mesh: TetMesh) -> None:
     gm = rt.modules["fun3d_grids_mod"]
     gm.variables["q"].store[...] = mesh.q
@@ -95,47 +58,29 @@ def set_fun3d_inputs(rt: FortranRuntime, mesh: TetMesh) -> None:
     gm.variables["col_idx"].store[...] = mesh.col_idx
 
 
-def run_legacy_fortran(mesh: TetMesh) -> tuple[np.ndarray, FortranRuntime]:
-    rt = FortranRuntime()
-    for fname, src in sorted(full_legacy_source(mesh).items()):
-        rt.load(src)
-    set_fun3d_inputs(rt, mesh)
-    rt.call("edgejp", [mesh.ncell, mesh.nnz])
-    return rt.modules["fun3d_jac_mod"].variables["jac"].store.copy(), rt
+#: The FUN3D case: the GLAF decomposition replaces the legacy monolithic
+#: ``edgejp``, and the splice appends the four factored-out functions the
+#: legacy code lacks.
+CASE = Case(
+    name="fun3d", codebase="fun3d-mini", entry="edgejp", driver="fun3d_test",
+    units=FUN3D_FUNCTIONS, output_module="fun3d_jac_mod", outputs=("jac",),
+    support=("fun3d_modules.f90",), check_interfaces=False, add_missing=True,
+    program=lambda mesh: build_fun3d_program(),
+    sources=full_legacy_source,
+    arguments=lambda mesh: [mesh.ncell, mesh.nnz],
+    context=lambda mesh: {"sizes": mesh_sizes(mesh),
+                          "values": context_values(mesh)},
+    set_inputs=set_fun3d_inputs,
+    sample=lambda: make_mesh(n_points=40, seed=42),
+)
 
 
-def run_generated_fortran(
-    mesh: TetMesh, *, variant: str = "GLAF serial",
-    save_inner_arrays: bool = False,
-) -> tuple[np.ndarray, FortranRuntime, str]:
-    program = build_fun3d_program()
-    plan = make_plan(program, variant,
-                     tweaks=Tweaks(save_inner_arrays=save_inner_arrays))
-    source = FortranGenerator(plan).generate_module()
-    rt = FortranRuntime()
-    rt.load(full_legacy_source(mesh)["fun3d_modules.f90"])
-    rt.load(source)
-    set_fun3d_inputs(rt, mesh)
-    rt.call("edgejp", [mesh.ncell, mesh.nnz])
-    return rt.modules["fun3d_jac_mod"].variables["jac"].store.copy(), rt, source
+def build_legacy_codebase(mesh: TetMesh) -> LegacyCodebase:
+    return CASE.legacy_codebase(full_legacy_source(mesh))
 
 
-def run_spliced(
-    mesh: TetMesh, *, variant: str = "GLAF serial",
-) -> tuple[np.ndarray, FortranRuntime, list]:
-    """Replace the legacy monolithic edgejp with the GLAF decomposition
-    (the four factored-out functions are appended as new units), then run
-    the legacy driver program."""
-    program = build_fun3d_program()
-    plan = make_plan(program, variant)
-    legacy = build_legacy_codebase(mesh)
-    result = splice_into_codebase(plan, legacy, list(FUN3D_FUNCTIONS),
-                                  add_missing=True)
-    rt = FortranRuntime()
-    if result.support_source:
-        rt.load(result.support_source)
-    for fname in sorted(result.files):
-        rt.load(result.files[fname])
-    set_fun3d_inputs(rt, mesh)
-    rt.run_program("fun3d_test")
-    return rt.modules["fun3d_jac_mod"].variables["jac"].store.copy(), rt, rt.output
+run_ir_interpreter = CASE.run_ir_interpreter
+run_generated_python = CASE.run_generated_python
+run_legacy_fortran = CASE.run_legacy_fortran
+run_generated_fortran = CASE.run_generated_fortran
+run_spliced = CASE.run_spliced

@@ -308,15 +308,18 @@ def _is_int(v: Any) -> bool:
 
 def _div(lv: Any, rv: Any) -> Any:
     if _is_int(lv) and _is_int(rv):
-        if rv == 0:
-            raise ExecutionError("integer division by zero")
-        return np.int64(np.trunc(lv / rv))  # FORTRAN integer division
+        return _floordiv(lv, rv)
     return lv / rv
 
 
 def _floordiv(lv: Any, rv: Any) -> Any:
+    """FORTRAN integer division: truncation toward zero, exact for integer
+    operands of any size."""
     if rv == 0:
         raise ExecutionError("integer division by zero")
+    if _is_int(lv) and _is_int(rv):
+        q = abs(int(lv)) // abs(int(rv))
+        return np.int64(q if (lv < 0) == (rv < 0) else -q)
     return np.int64(np.trunc(lv / rv))
 
 

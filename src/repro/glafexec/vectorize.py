@@ -521,9 +521,14 @@ def _real_div(lv: Any, rv: Any) -> Any:
 
 
 def _floordiv(lv: Any, rv: Any) -> Any:
+    """FORTRAN integer division: truncation toward zero, exact for integer
+    operands (the dividend less its C remainder divides evenly)."""
     if np.any(np.asarray(rv) == 0):
         raise ExecutionError("integer division by zero")
-    q = np.trunc(np.true_divide(lv, rv))  # FORTRAN integer division
+    if _int_like(lv) and _int_like(rv):
+        q = np.floor_divide(lv - np.fmod(lv, rv), rv)
+    else:
+        q = np.trunc(np.true_divide(lv, rv))
     return q.astype(np.int64) if isinstance(q, np.ndarray) else np.int64(q)
 
 

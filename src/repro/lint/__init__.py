@@ -14,13 +14,13 @@ from .crosscheck import collect_units, crosscheck_plan
 from .findings import RULES, LintFinding, LintReport, LintRule
 from .mutation import MUTANTS, MutantResult, run_mutation_selftest
 from .races import lint_unit_body, linear_form
-from .runner import LEVELS, lint_case, lint_levels, lint_sources, lint_text
+from .runner import LEVELS, lint_case, lint_levels, lint_text
 from .symbols import UnitSymbols, build_symbols
 
 __all__ = [
     "RULES", "LintRule", "LintFinding", "LintReport",
     "UnitSymbols", "build_symbols", "lint_unit_body", "linear_form",
     "collect_units", "crosscheck_plan",
-    "LEVELS", "lint_text", "lint_sources", "lint_case", "lint_levels",
+    "LEVELS", "lint_text", "lint_case", "lint_levels",
     "MUTANTS", "MutantResult", "run_mutation_selftest",
 ]

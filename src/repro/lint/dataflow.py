@@ -237,7 +237,7 @@ def analyze_case_ranges(case: str, variant: str) -> list[UnitRanges]:
     from ..optimize.plan import make_plan
     from .runner import _build_case
 
-    program, legacy, _, _ = _build_case(case)
+    _, program, legacy = _build_case(case)
     validate_program(program, collect=True)
     plan = make_plan(program, variant)
     source = FortranGenerator(plan).generate_module()

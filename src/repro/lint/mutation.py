@@ -125,19 +125,13 @@ class MutantResult:
 def run_mutant(mutant: Mutant, *, seed: int = 0
                ) -> tuple[MutantResult, LintReport]:
     """Generate the case's module with the mutation armed, then lint it."""
+    from ..cases import get_case
     from ..codegen.fortran import FortranGenerator
     from ..optimize.plan import make_plan
     from .runner import lint_text
 
-    if mutant.case == "sarb":
-        from ..sarb.kernels import build_sarb_program
-
-        program = build_sarb_program()
-    else:
-        from ..fun3d.kernels import build_fun3d_program
-
-        program = build_fun3d_program()
-    plan = make_plan(program, mutant.variant)
+    case = get_case(mutant.case)
+    plan = make_plan(case.program(case.sample()), mutant.variant)
     fp = FaultPlan([mutant.spec()], seed=seed)
     with configured(faults=fp):
         source = FortranGenerator(plan).generate_module()

@@ -25,8 +25,8 @@ from .findings import LintReport
 from .races import lint_unit_body
 from .symbols import build_symbols
 
-__all__ = ["LEVELS", "lint_parsed", "lint_sources", "lint_text",
-           "lint_case", "lint_levels"]
+__all__ = ["LEVELS", "lint_parsed", "lint_text", "lint_case",
+           "lint_levels"]
 
 # CLI level -> pruning-variant name (Table 2).
 LEVELS: dict[str, str] = {f"v{n}": f"GLAF-parallel v{n}" for n in range(4)}
@@ -72,12 +72,6 @@ def lint_parsed(parsed: dict[str, FSourceFile], *, legacy=None,
     return report
 
 
-def lint_sources(sources: dict[str, str], *, legacy=None, label: str = "",
-                 dataflow: bool = False) -> LintReport:
-    parsed = {fname: parse_source(src) for fname, src in sorted(sources.items())}
-    return lint_parsed(parsed, legacy=legacy, label=label, dataflow=dataflow)
-
-
 def lint_text(source: str, *, plan=None, label: str = "",
               dataflow: bool = False) -> LintReport:
     """Lint one source text; with ``plan``, cross-check directives too."""
@@ -89,22 +83,13 @@ def lint_text(source: str, *, plan=None, label: str = "",
 # case studies
 # ----------------------------------------------------------------------
 
-def _build_case(case: str):
-    """(program, legacy codebase, spliced-unit names, add_missing)."""
-    if case == "sarb":
-        from ..sarb.kernels import SARB_SUBROUTINES, build_sarb_program
-        from ..sarb.validation import build_legacy_codebase
+def _build_case(name: str):
+    """(case, program, legacy codebase) on the case's sample input."""
+    from ..cases import get_case
 
-        return (build_sarb_program(), build_legacy_codebase(),
-                list(SARB_SUBROUTINES), False)
-    if case == "fun3d":
-        from ..fun3d.kernels import FUN3D_FUNCTIONS, build_fun3d_program
-        from ..fun3d.mesh import make_mesh
-        from ..fun3d.validation import build_legacy_codebase
-
-        return (build_fun3d_program(), build_legacy_codebase(make_mesh()),
-                list(FUN3D_FUNCTIONS), True)
-    raise ValueError(f"unknown lint case {case!r}; expected 'sarb' or 'fun3d'")
+    case = get_case(name)
+    inp = case.sample()
+    return case, case.program(inp), case.legacy_codebase(case.sources(inp))
 
 
 def lint_case(case: str, variant: str, *, spliced: bool = True,
@@ -127,7 +112,7 @@ def _lint_case(case: str, variant: str, *, spliced: bool,
     from ..integration.splice import splice_into_codebase
     from ..optimize.plan import make_plan
 
-    program, legacy, names, add_missing = _build_case(case)
+    study, program, legacy = _build_case(case)
     validate_program(program, collect=True)
     plan = make_plan(program, variant)
 
@@ -137,8 +122,8 @@ def _lint_case(case: str, variant: str, *, spliced: bool,
                          dataflow=dataflow, plan=plan)
 
     if spliced:
-        result = splice_into_codebase(plan, legacy, names,
-                                      add_missing=add_missing)
+        result = splice_into_codebase(plan, legacy, list(study.units),
+                                      add_missing=study.add_missing)
         sources = dict(result.files)
         if result.support_source:
             sources["glaf_support_module.f90"] = result.support_source

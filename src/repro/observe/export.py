@@ -36,7 +36,7 @@ import re
 import shlex
 import time
 
-from .ledger import aggregate_children
+from .ledger import MAIN_THREAD, aggregate_children
 
 __all__ = [
     "to_prometheus",
@@ -178,8 +178,9 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
 # ---------------------------------------------------------------------------
 
 def record_spans(record: dict) -> list[dict]:
-    """The record's span tree (``name``, ``start_s``, ``duration_s``,
-    ``thread``, ``attrs``, ``children``).
+    """The record's span tree (``name``, ``start_s``, ``duration_s``, and
+    ``thread``, ``attrs`` and ``children`` where they are not the main
+    thread or empty).
 
     A record written before records stored their spans has only the
     name-aggregated ``flame`` tree: its nodes are laid out one after
@@ -244,9 +245,10 @@ def record_to_chrome(record: dict) -> dict[str, object]:
             "name": span["name"],
             "cat": span["name"].split(".", 1)[0],
             "ph": "X", "ts": round(start, 3), "dur": round(dur, 3),
-            "pid": 0, "tid": tid_of(span["thread"]), "args": span["attrs"],
+            "pid": 0, "tid": tid_of(span.get("thread", MAIN_THREAD)),
+            "args": span.get("attrs", {}),
         })
-        for c in span["children"]:
+        for c in span.get("children", ()):
             emit(c)
 
     for root in record_spans(record):
@@ -583,11 +585,6 @@ def _fmt_ms(seconds: float) -> str:
 
 def _series_color(i: int) -> tuple[str, str]:
     return _SERIES[i % len(_SERIES)]
-
-
-def _svg_var_color(pair: tuple[str, str], idx: int) -> str:
-    # One CSS custom property per slot so dark mode swaps in one place.
-    return f"var(--s{idx})"
 
 
 def _trajectory_svg(records: list[dict]) -> str:

@@ -118,15 +118,23 @@ def _json_value(value: object) -> object:
     return str(value)
 
 
+#: The thread a span dict names when it has no ``thread`` key.
+MAIN_THREAD = "MainThread"
+
+
 def _span_dict(span: Span, epoch: float) -> dict[str, object]:
-    return {
-        "name": span.name,
-        "start_s": span.start - epoch,
-        "duration_s": span.duration,
-        "thread": span.thread,
-        "attrs": {k: _json_value(v) for k, v in span.attrs.items()},
-        "children": [_span_dict(c, epoch) for c in span.children],
-    }
+    """One span as the record stores it: ``thread`` only off the main
+    thread, ``attrs`` and ``children`` only when not empty."""
+    d: dict[str, object] = {"name": span.name,
+                            "start_s": span.start - epoch,
+                            "duration_s": span.duration}
+    if span.thread != MAIN_THREAD:
+        d["thread"] = span.thread
+    if span.attrs:
+        d["attrs"] = {k: _json_value(v) for k, v in span.attrs.items()}
+    if span.children:
+        d["children"] = [_span_dict(c, epoch) for c in span.children]
+    return d
 
 
 def span_dicts(tracer: Tracer | NullTracer) -> list[dict[str, object]]:
@@ -140,7 +148,7 @@ def _round_times(spans: list[dict]) -> None:
     for s in spans:
         s["start_s"] = round(s["start_s"], 9)
         s["duration_s"] = round(s["duration_s"], 9)
-        _round_times(s["children"])
+        _round_times(s.get("children", ()))
 
 
 def stage_totals(spans: list[dict]) -> list[dict[str, object]]:
@@ -160,9 +168,10 @@ def stage_totals(spans: list[dict]) -> list[dict[str, object]]:
         r["calls"] += 1
         if stage != enclosing:
             r["cumulative_s"] += span["duration_s"]
-        child_time = sum(c["duration_s"] for c in span["children"])
+        children = span.get("children", ())
+        child_time = sum(c["duration_s"] for c in children)
         r["self_s"] += max(0.0, span["duration_s"] - child_time)
-        for c in span["children"]:
+        for c in children:
             visit(c, stage)
 
     for root in spans:
@@ -183,13 +192,13 @@ def aggregate_children(spans: list[dict]) -> list[dict[str, object]]:
         if a is None:
             out[s["name"]] = {"name": s["name"], "calls": 1,
                               "total_s": s["duration_s"],
-                              "attrs": s["attrs"],
-                              "children": list(s["children"])}
+                              "attrs": s.get("attrs", {}),
+                              "children": list(s.get("children", ()))}
         else:
             a["calls"] += 1
             a["total_s"] += s["duration_s"]
             a["attrs"] = {}
-            a["children"].extend(s["children"])
+            a["children"].extend(s.get("children", ()))
     return list(out.values())
 
 

@@ -15,9 +15,7 @@ half of that contract (see ``docs/ROBUSTNESS.md``):
   execution, raising the typed :class:`repro.errors.ResourceLimitError`;
 * :mod:`repro.robust.faultcheck` — the ``repro faultcheck`` sweep: fire
   every registered fault and verify each one is either *recovered* (serial
-  fallback with a DecisionLog event) or *surfaced* as a typed GlafError;
-* :mod:`repro.robust.scenarios` — executable workloads for the guarded
-  CLI paths (imported lazily; see below).
+  fallback with a DecisionLog event) or *surfaced* as a typed GlafError.
 
 The per-step guard itself (:class:`repro.glafexec.GuardedRunner`) lives
 in :mod:`repro.glafexec` next to the interpreter it wraps.
@@ -25,8 +23,8 @@ in :mod:`repro.glafexec` next to the interpreter it wraps.
 This ``__init__`` imports only the dependency-light legs (``faults``,
 ``watchdog``) because the instrumented modules (``fortranlib``,
 ``analysis``, ``codegen``, ``glafexec``) import it at module load;
-``faultcheck`` and ``scenarios`` import those packages back and must be
-imported explicitly.
+``faultcheck`` imports those packages back and must be imported
+explicitly.
 """
 
 from .faults import (

@@ -140,24 +140,34 @@ def _check_lexer(seed: int) -> SiteResult:
                           f"typed {type(e).__name__}: {e}", len(plan.fired), 0)
 
 
+def _sarb():
+    """The SARB case, its sample input and one IR run's setup on it: the
+    workload of every check that executes."""
+    from ..cases import get_case
+
+    case = get_case("sarb")
+    inp = case.sample()
+    return case, inp, *case.setup(inp)
+
+
 def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResult:
     """Shared harness: SARB under GuardedRunner must demote and still match."""
+    from ..glafexec import GuardedRunner
     from ..observe import observed
-    from .scenarios import scenario_for
 
-    scenario = scenario_for("sarb")
-    ref = scenario.reference()
+    case, inp, program, args, context = _sarb()
+    ref = case.run_ir_interpreter(inp, guarded=False,
+                                 executor="interpreter")
     plan = FaultPlan([spec], seed=seed)
     with observed(), configured(faults=plan):
-        run = scenario.run_guarded()
+        run = GuardedRunner(program).run(case.entry, args, **context)
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
     if not run.events:
         return SiteResult(site, kind, "failed",
                           "fault fired but the guard recorded no fallback",
                           len(plan.fired), 0)
-    _, _, _, _, compare = scenario.setup()
-    cmp = compare_grids(run.context.snapshot(list(compare)), ref,
+    cmp = compare_grids(run.context.snapshot(list(case.outputs)), ref,
                         AbsolutePolicy(_TOLERANCE))
     if not cmp.ok:
         return SiteResult(site, kind, "failed",
@@ -175,26 +185,25 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
 def _check_codegen(seed: int) -> SiteResult:
     from ..glafexec import guarded_python_run
     from ..observe import observed
-    from .scenarios import scenario_for
 
     site, kind = "codegen.python.assign", "perturb"
-    scenario = scenario_for("sarb")
-    program, args, sizes, values, compare = scenario.setup()
-    ref = scenario.reference()
+    case, inp, program, args, context = _sarb()
+    ref = case.run_ir_interpreter(inp, guarded=False,
+                                 executor="interpreter")
     plan = FaultPlan(
         [FaultSpec(site, kind, match={"function": "shortwave_entropy_model"})],
         seed=seed)
     with observed(), configured(faults=plan):
         result = guarded_python_run(
-            program, scenario.entry, args, sizes=sizes, values=values,
-            compare=list(compare), tolerance=_TOLERANCE)
+            program, case.entry, args, compare=list(case.outputs),
+            tolerance=_TOLERANCE, **context)
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
     if not result.fell_back:
         return SiteResult(site, kind, "failed",
                           "perturbed generated Python was not detected",
                           len(plan.fired), 0)
-    cmp = compare_grids(result.context.snapshot(list(compare)), ref,
+    cmp = compare_grids(result.context.snapshot(list(case.outputs)), ref,
                         AbsolutePolicy(_TOLERANCE))
     if not cmp.ok:
         return SiteResult(site, kind, "failed",
@@ -207,18 +216,16 @@ def _check_codegen(seed: int) -> SiteResult:
 
 def _check_watchdog(seed: int) -> SiteResult:
     from ..glafexec import run_interpreted
-    from .scenarios import scenario_for
 
     site, kind = "exec.interp.iter", "delay"
-    scenario = scenario_for("sarb")
-    program, args, sizes, values, _ = scenario.setup()
+    case, _, program, args, context = _sarb()
     plan = FaultPlan(
         [FaultSpec(site, kind, param=0.25, max_fires=10**6)], seed=seed)
     limits = ResourceLimits(max_wall_seconds=0.05)
     try:
         with configured(faults=plan):
-            run_interpreted(program, scenario.entry, args,
-                            sizes=sizes, values=values, limits=limits)
+            run_interpreted(program, case.entry, args, limits=limits,
+                            **context)
         return SiteResult(site, kind, "failed",
                           "stalled run finished under its wall-clock limit",
                           len(plan.fired), 0)
@@ -270,20 +277,17 @@ def _check_sentinel(seed: int) -> SiteResult:
     from ..glafexec import run_interpreted
     from ..numeric import CheckpointStore, SentinelConfig, content_digest
     from ..observe import observed
-    from .scenarios import scenario_for
 
     site, kind = "numeric.sentinel", "nan"
 
     # -- part 1: the trip ------------------------------------------------
-    scenario = scenario_for("sarb")
-    program, args, sizes, values, _ = scenario.setup()
+    case, _, program, args, context = _sarb()
     plan = FaultPlan([FaultSpec(site, kind)], seed=seed)
     trip: NumericIntegrityError | None = None
     with observed() as obs, configured(faults=plan,
                                        sentinels=SentinelConfig()):
         try:
-            run_interpreted(program, scenario.entry, args,
-                            sizes=sizes, values=values)
+            run_interpreted(program, case.entry, args, **context)
         except NumericIntegrityError as e:
             trip = e
     if not plan.fired:

@@ -8,40 +8,35 @@ an evaluator independent of :mod:`repro.fortranlib`, so the check holds on
 any host and under every ``REPRO_EXECUTOR`` setting.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import fun3d, sarb
+from repro.cases import CASE_NAMES, get_case
 
 SEEDS = (1, 3, 7)
 
-SARB_PATHS = {
-    "legacy": lambda inp: sarb.run_legacy_fortran(inp)[0],
-    "generated": lambda inp: sarb.run_generated_fortran(inp)[0],
-    "spliced": lambda inp: sarb.run_spliced(inp)[0],
-    "spliced-v3": lambda inp: sarb.run_spliced(inp, variant="GLAF-parallel v3")[0],
-}
-
-FUN3D_PATHS = {
-    "legacy": lambda mesh: fun3d.run_legacy_fortran(mesh)[0],
-    "generated": lambda mesh: fun3d.run_generated_fortran(mesh)[0],
-    "spliced": lambda mesh: fun3d.run_spliced(mesh)[0],
-}
+#: Every case's FORTRAN paths, plus SARB spliced at the most pruned level.
+PATHS = {name: get_case(name).fortran_paths() for name in CASE_NAMES}
+PATHS["sarb"]["spliced-v3"] = partial(sarb.run_spliced,
+                                      variant="GLAF-parallel v3")
 
 
-@pytest.mark.parametrize("path", sorted(SARB_PATHS))
+@pytest.mark.parametrize("path", sorted(PATHS["sarb"]))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sarb_fortran_bitwise_equals_ir_interpreter(seed, path):
     inp = sarb.make_inputs(seed=seed)
     want = sarb.run_ir_interpreter(inp, guarded=False, executor="interpreter")
-    got = SARB_PATHS[path](inp)
+    got = PATHS["sarb"][path](inp)[0]
     for name in sarb.OUTPUT_NAMES:
         assert np.array_equal(got[name], want[name]), name
 
 
-@pytest.mark.parametrize("path", sorted(FUN3D_PATHS))
+@pytest.mark.parametrize("path", sorted(PATHS["fun3d"]))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fun3d_fortran_bitwise_equals_ir_interpreter(seed, path):
     mesh = fun3d.make_mesh(27, seed)
     want = fun3d.run_ir_interpreter(mesh, guarded=False, executor="interpreter")
-    assert np.array_equal(FUN3D_PATHS[path](mesh), want)
+    assert np.array_equal(PATHS["fun3d"][path](mesh)[0], want)

@@ -21,6 +21,10 @@ import numpy as np
 import pytest
 
 from repro import fun3d, sarb
+from repro.codegen.fortran import FortranGenerator
+from repro.core import GlafBuilder, I, T_INT, T_VOID, ref
+from repro.errors import ExecutionError, FortranRuntimeError
+from repro.fortranlib import FortranRuntime
 from repro.fuzz.generate import build_program, generate_spec
 from repro.fuzz.profile import STEP_KINDS
 from repro.fuzz.runner import _unit_args
@@ -30,6 +34,7 @@ from repro.glafexec import (
     VectorizedInterpreter,
     run_generated_python,
 )
+from repro.optimize import make_plan
 
 SEEDS = range(1, 41)
 PROFILES = ("small", "full")
@@ -254,3 +259,70 @@ def test_vectorized_sweeps_equal_interpreter():
             lifted += not any(e.function == "f" for e in vec.fallbacks)
     # Not vacuous: most draws really lift.
     assert lifted >= 60
+
+
+# -- integer division is exact on every back end ---------------------------
+def _division_program():
+    """``q(i) = a(i) / b(i)`` and ``r(i) = a(i) // b(i)`` over INTEGERs."""
+    b = GlafBuilder("idiv")
+    f = b.module("M").function("divide", return_type=T_VOID)
+    f.param("n", T_INT, intent="in")
+    for name, intent in (("a", "in"), ("b", "in"), ("q", "out"), ("r", "out")):
+        f.param(name, T_INT, dims=("n",), intent=intent)
+    for name, target, op in (("div", "q", "/"), ("floordiv", "r", "//")):
+        s = f.step(name)
+        s.foreach(i=(1, "n"))
+        left, right = ref("a", I("i")), ref("b", I("i"))
+        s.formula(ref(target, I("i")),
+                  left / right if op == "/" else left // right)
+    return b.build()
+
+
+def _interpreter(cls):
+    def run(program, args):
+        interp = cls(program, ExecutionContext(program))
+        interp.call("divide", args)
+        assert getattr(interp, "fallbacks", []) == []   # the steps lifted
+    return run
+
+
+def _generated_fortran(program, args):
+    rt = FortranRuntime()
+    rt.load(FortranGenerator(make_plan(program, "GLAF serial")).generate_module())
+    rt.call("divide", args)
+
+
+DIVISION_BACKENDS = {
+    "interpreter": (_interpreter(Interpreter), ExecutionError),
+    "vectorized": (_interpreter(VectorizedInterpreter), ExecutionError),
+    "generated-python": (
+        lambda program, args: run_generated_python(program, "divide", args),
+        ZeroDivisionError),
+    "generated-fortran": (_generated_fortran, FortranRuntimeError),
+}
+
+
+def _division_args(a, b):
+    n = len(a)
+    return [n, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            np.zeros(n, np.int64), np.zeros(n, np.int64)]
+
+
+@pytest.mark.parametrize("backend", sorted(DIVISION_BACKENDS))
+def test_integer_division_above_2_53_is_exact(backend):
+    run, _ = DIVISION_BACKENDS[backend]
+    a = [2**53 + 1, -(2**62 + 3), 2**62 + 1, -7, 7, 2**63 - 1, -2**63 + 1]
+    b = [1, 7, -3, 2, -2, -2, 3]
+    want = [abs(x) // abs(y) * (1 if (x < 0) == (y < 0) else -1)
+            for x, y in zip(a, b)]
+    args = _division_args(a, b)
+    run(_division_program(), args)
+    assert args[3].tolist() == want
+    assert args[4].tolist() == want
+
+
+@pytest.mark.parametrize("backend", sorted(DIVISION_BACKENDS))
+def test_integer_division_by_zero_raises(backend):
+    run, error = DIVISION_BACKENDS[backend]
+    with pytest.raises(error, match="by zero"):
+        run(_division_program(), _division_args([2**53 + 1, 5], [3, 0]))

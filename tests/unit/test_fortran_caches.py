@@ -14,11 +14,13 @@ shared unit holds nothing of a runtime is pinned in
 import gc
 import hashlib
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import fun3d, observe, sarb
+from repro.cases import CASE_NAMES, get_case
 from repro.fortranlib import FortranRuntime, interp, parser
 from repro.fortranlib.parser import parse_source
 from repro.glafexec import vectorize
@@ -49,17 +51,24 @@ def _compiled(obs) -> list[str]:
 
 
 # -- cold and warm runs agree ---------------------------------------------
-PATHS = {
-    "sarb-legacy": lambda s: sarb.run_legacy_fortran(sarb.make_inputs(seed=s)),
-    "sarb-generated": lambda s: sarb.run_generated_fortran(
-        sarb.make_inputs(seed=s)),
-    "sarb-spliced-v3": lambda s: sarb.run_spliced(
-        sarb.make_inputs(seed=s), variant="GLAF-parallel v3"),
-    "fun3d-legacy": lambda s: fun3d.run_legacy_fortran(fun3d.make_mesh(27, s)),
-    "fun3d-generated": lambda s: fun3d.run_generated_fortran(
-        fun3d.make_mesh(27, s)),
-    "fun3d-spliced": lambda s: fun3d.run_spliced(fun3d.make_mesh(27, s)),
-}
+INPUTS = {"sarb": lambda s: sarb.make_inputs(seed=s),
+          "fun3d": lambda s: fun3d.make_mesh(27, s)}
+
+
+def _paths() -> dict:
+    """Every case's FORTRAN paths by ``case-path``; SARB splices at its
+    most pruned level."""
+    paths = {}
+    for name in CASE_NAMES:
+        for path, run in get_case(name).fortran_paths().items():
+            if (name, path) == ("sarb", "spliced"):
+                path, run = "spliced-v3", partial(run, variant="GLAF-parallel v3")
+            paths[f"{name}-{path}"] = (
+                lambda s, run=run, name=name: run(INPUTS[name](s)))
+    return paths
+
+
+PATHS = _paths()
 
 
 def _outputs(out) -> bytes:

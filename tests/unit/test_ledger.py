@@ -33,6 +33,26 @@ def _observed_demo(counter_value: int = 1):
     return obs
 
 
+def _record_with_threads():
+    """Nested main-thread spans, two with empty attrs, and a worker's."""
+    import threading
+
+    def work():
+        with observe.get_tracer().span("batch.item", item=1):
+            pass
+
+    with observe.observed() as obs:
+        with obs.tracer.span("analysis.plan", step="demo"):
+            for _ in range(2):
+                with obs.tracer.span("analysis.deps"):
+                    pass
+        worker = threading.Thread(target=work, name="worker-1")
+        worker.start()
+        worker.join()
+    return observe.build_record(command="experiments", observation=obs,
+                                environment={"git_sha": "deadbeef"})
+
+
 def _record(command: str = "experiments", **kw):
     return observe.build_record(
         command=command, argv=["x"], observation=_observed_demo(),
@@ -49,10 +69,35 @@ class TestBuildRecord:
         assert [s["stage"] for s in rec["stages"]] == ["analysis"]
         assert rec["spans"][0]["name"] == "analysis.plan"
         assert rec["spans"][0]["attrs"] == {"step": "demo"}
-        assert rec["spans"][0]["thread"] == "MainThread"
+        assert "thread" not in rec["spans"][0]    # the main thread
+        assert "children" not in rec["spans"][0]
         assert rec["metrics"]["counters"]["plan.steps"] == 1
         assert rec["decisions"][0]["stage"] == "guard"
         json.dumps(rec)                           # fully serializable
+
+    def test_full_form_spans_load_and_render_as_the_compact_form(
+            self, tmp_path):
+        # A record written before spans omitted their defaults.
+        compact = _record_with_threads()
+        main, worker = compact["spans"]
+        assert "thread" not in main and "attrs" not in main["children"][0]
+        assert worker["thread"] == "worker-1"
+        full = json.loads(json.dumps(compact))
+
+        def fill(spans):
+            for s in spans:
+                s.setdefault("thread", "MainThread")
+                s.setdefault("attrs", {})
+                fill(s.setdefault("children", []))
+
+        fill(full["spans"])
+        ledger = observe.RunLedger(tmp_path)
+        loaded = ledger.load(ledger.append(full)["id"])
+        assert loaded["spans"] == full["spans"]
+        del loaded["id"], loaded["sha256"]
+        assert observe.render_run(loaded) == observe.render_run(compact)
+        assert (observe.record_to_chrome(loaded)
+                == observe.record_to_chrome(compact))
 
     def test_decision_stamps_are_rebased_to_the_run(self):
         rec = _record()

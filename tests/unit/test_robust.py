@@ -203,18 +203,18 @@ class TestGuardedRunner:
         assert np.array_equal(run.context.get("v"), _reference())
 
     def test_guarded_results_and_stats_equal_the_plain_interpreter(self):
+        from repro.cases import get_case
         from repro.glafexec import GuardedInterpreter, Interpreter
-        from repro.robust.scenarios import scenario_for
 
-        tiny = (_program(), "work", [N], {"n": N}, None)
-        sarb = scenario_for("sarb").setup()
-        for program, entry, args, sizes, values in (
-                tiny, (sarb[0], "entropy_interface") + sarb[1:4]):
-            plain = Interpreter(program, ExecutionContext(
-                program, sizes=sizes, values=values))
+        sarb = get_case("sarb")
+        sarb_program, sarb_args, sarb_context = sarb.setup(sarb.sample())
+        for program, entry, args, context in (
+                (_program(), "work", [N], {"sizes": {"n": N}}),
+                (sarb_program, sarb.entry, sarb_args, sarb_context)):
+            plain = Interpreter(program, ExecutionContext(program, **context))
             plain.call(entry, list(args))
             guarded = GuardedInterpreter(program, ExecutionContext(
-                program, sizes=sizes, values=values), make_plan(program))
+                program, **context), make_plan(program))
             guarded.call(entry, list(args))
             assert guarded.checked_steps and not guarded.demoted
             assert guarded.stats == plain.stats
@@ -500,7 +500,7 @@ class TestFaultCheck:
         assert doc["sites"][0]["site"] == "exec.interp.step"
 
     def test_unknown_scenario_is_a_workload_error(self):
-        from repro.robust.scenarios import scenario_for
+        from repro.cases import get_case
 
-        with pytest.raises(WorkloadError, match="no robustness scenario"):
-            scenario_for("nope")
+        with pytest.raises(WorkloadError, match="no case study 'nope'"):
+            get_case("nope")
