@@ -9,8 +9,8 @@ generic worklist engine (:mod:`.engine`):
   UNINIT pseudo-definition) → use-before-def and INTENT violations,
   interprocedural across CALL sites via :mod:`.intent` summaries;
 * :mod:`.liveness` — backward liveness → dead stores, never-read local
-  arrays, and the grid-liveness proof the vectorized executor uses to
-  skip rollback snapshots;
+  arrays, and the grid liveness the vectorizer's inliner uses to decide
+  per-iteration scratch;
 * :mod:`.ranges` — forward interval propagation on integer scalars with
   widening at loop joins;
 * :mod:`.bounds` — affine subscript classification (proven-in-bounds /

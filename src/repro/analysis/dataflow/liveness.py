@@ -10,10 +10,10 @@ is dead storage wholesale (weak per-element kills make element-level
 liveness vacuous, so the flow-insensitive check is the precise one).
 
 :func:`step_live_on_entry` runs the same engine over a GLAF step CFG
-with grid-level uses and weak kills; the resulting live-on-entry set is
-the proof obligation for eliding the vectorized executor's rollback
-snapshot: a grid written pointwise, unmasked, and *not* live on entry
-can never expose a pre-step (or torn mid-step) value to any read.
+with grid-level uses and weak kills.  The vectorizer's inliner
+(:mod:`repro.glafexec.inline`) uses the live-on-entry set to decide
+per-iteration scratch: a grid that a split nest writes in full and that
+is *not* live on entry is never read before that write in an iteration.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ from typing import Any, Callable
 from .codegen.fortran import FortranGenerator
 from .errors import WorkloadError
 from .fortranlib import FortranRuntime
-from .glafexec import ExecutionContext, GeneratedModule, run_configured
+from .glafexec import (ExecutionContext, run_configured,
+                       run_generated_python)
 from .integration import LegacyCodebase, check_program, splice_into_codebase
 from .optimize.plan import Tweaks, make_plan
 
@@ -97,9 +98,7 @@ class Case:
 
     def run_generated_python(self, inp: Any) -> Any:
         program, args, context = self.setup(inp)
-        ctx = ExecutionContext(program, **context)
-        GeneratedModule(make_plan(program, "GLAF serial"), ctx).call(
-            self.entry, args)
+        _, ctx = run_generated_python(program, self.entry, args, **context)
         return self._outputs(ctx.get)
 
     def _run_fortran(self, inp: Any, texts: list[str],

@@ -260,7 +260,10 @@ def _div(lv: Any, rv: Any) -> Any:
         if b == 0:
             raise FortranRuntimeError("integer division by zero")
         q = abs(a) // abs(b)
-        return np.int64(q if (a < 0) == (b < 0) else -q)
+        try:
+            return np.int64(q if (a < 0) == (b < 0) else -q)
+        except OverflowError:
+            raise FortranRuntimeError("integer overflow") from None
     return lv / rv
 
 

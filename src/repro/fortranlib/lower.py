@@ -56,8 +56,8 @@ Lowering rules:
 * an intrinsic lowers only through the library-function registry, and
   only where the name resolves to no variable, special form or
   subprogram first (the scalar path's order);
-* ``/`` lowers only when an operand is provably REAL: the runtime divides
-  integers exactly, the engine does not above 2**53.
+* ``/`` lowers like any other operator: the engine divides INTEGERs
+  exactly, truncating toward zero, as the runtime does.
 
 A callee's body is a prefix of ALLOCATE statements over constant-shape
 locals, then DO nests, assignments (``x = f(...)`` too), IF blocks and
@@ -93,8 +93,9 @@ zero trips or a zero step; when a subscript or range falls outside its
 array; and when storage bound to a dummy argument may share memory with
 other storage the statement touches.  A lift that fails partway (a
 floating-point condition under ``np.errstate(all="raise")``, an integer
-zero divisor or overflow, a failed cast) restores what it wrote, and
-``allocation_count``, and runs the scalar closure.  A sweep runs a
+zero divisor or overflow, a failed cast) runs the scalar closure from the
+state before the statement: the lifted program restores what it wrote,
+and :func:`lifted_do` restores ``allocation_count``.  A sweep runs a
 negative-stride nest's lanes in loop order.
 """
 
@@ -152,16 +153,9 @@ from .intrinsics import INTRINSICS, SPECIAL_FORMS
 
 __all__ = ["lower_nest", "lifted_do", "note_rejected"]
 
-_OPS = {"+": "+", "-": "-", "*": "*", "**": "**", "==": "==", "/=": "!=",
-        "<": "<", "<=": "<=", ">": ">", ">=": ">=", "and": "and",
+_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "**": "**", "==": "==",
+        "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "and": "and",
         "or": "or"}
-#: Library functions whose value is REAL whatever their arguments.
-_REAL_FUNCS = frozenset((
-    "SQRT", "EXP", "LOG", "ALOG", "ALOG10", "LOG10", "SIN", "COS", "TAN",
-    "ASIN", "ACOS", "ATAN", "ATAN2", "SINH", "COSH", "TANH", "REAL", "DBLE",
-    "FLOOR", "CEILING", "SIGN"))
-#: ...and those whose value is REAL when any argument is.
-_PROMOTING_FUNCS = frozenset(("ABS", "MIN", "MAX", "MOD"))
 _LOGICAL_OPS = frozenset(("and", "or", "==", "/=", "<", "<=", ">", ">="))
 _GLAF_TYPES = {np.dtype(np.int64): GlafType.T_INT,
                np.dtype(np.float32): GlafType.T_REAL,
@@ -515,10 +509,6 @@ class _Scope:
             return self.expr(e.operand)
         if isinstance(e, FBin):
             op = _OPS.get(e.op)
-            if op is None and e.op == "/":
-                if not (self.real(e.left) or self.real(e.right)):
-                    raise _NoLower("integer division")
-                op = "/"
             if op is None:
                 raise _NoLower(f"operator {e.op!r}")
             return BinOp(op, self.expr(e.left), self.expr(e.right))
@@ -552,29 +542,6 @@ class _Scope:
         if isinstance(e, FIndexed) and isinstance(e.base, FVar):
             return e.base.name
         return None
-
-    def real(self, e: FExpr) -> bool:
-        """Is ``e`` provably REAL (so ``/`` on it is real division)?"""
-        if isinstance(e, FNum):
-            return isinstance(e.value, float)
-        if isinstance(e, FUn):
-            return e.op != "not" and self.real(e.operand)
-        if isinstance(e, FBin):
-            return e.op in ("+", "-", "*", "/", "**") and (
-                self.real(e.left) or self.real(e.right))
-        name = self._named(e)
-        if name is None or name in self.vars:
-            return False
-        if self.is_var(name):
-            spec = self.uc._spec_of(name)
-            return spec is not None and spec.base == "real"
-        if isinstance(e, FIndexed) and self.uc._callee(name) is None:
-            fn = name.upper()
-            if fn in _REAL_FUNCS:
-                return True
-            if fn in _PROMOTING_FUNCS:
-                return any(self.real(a) for a in e.args)
-        return False
 
     def dtype(self, e: FExpr) -> np.dtype | None:
         """The type of an actual argument, when it is known."""
@@ -1283,25 +1250,20 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
             if not count:
                 return refuse(f, "a range has zero trips or a zero step")
         if sweep is None:
-            undo: list = []
             try:
                 if arith:
                     with np.errstate(all="raise"):
-                        run(S, ranges, None, undo)
+                        run(S, ranges)
                 else:
-                    run(S, ranges, None, undo)
+                    run(S, ranges)
             except Exception as e:
                 # Whatever stopped the lift (a floating-point condition, a
                 # zero divisor, an overflow, a cast, a bad gather), the
-                # scalar closure decides the outcome from the state before
-                # the nest.
-                for region, copy in reversed(undo):
-                    region[...] = copy
+                # program restored what it wrote: the scalar closure
+                # decides the outcome from the state before the nest.
                 return refuse(f, f"runtime lift failure: {e}")
         else:
             store = dict(zip(names, S))
-            saved = [(store[g], store[g].copy())
-                     for g in program.sweep.written]
             count = rt.allocation_count
 
             def account(note, n: int) -> None:
@@ -1313,9 +1275,7 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
                         b[0]: r for b, r in zip(top, ranges)}, f,
                         account, lambda t: store[t[1]], {}, label)
             except Exception as e:
-                # As above; the sweep also restores allocation_count.
-                for region, copy in saved:
-                    region[...] = copy
+                # As above; allocation_count is this runtime's to restore.
                 rt.allocation_count = count
                 return refuse(f, f"runtime lift failure: {e}")
         for store, (start, stride, count) in zip(D, ranges):

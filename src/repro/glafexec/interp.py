@@ -319,7 +319,10 @@ def _floordiv(lv: Any, rv: Any) -> Any:
         raise ExecutionError("integer division by zero")
     if _is_int(lv) and _is_int(rv):
         q = abs(int(lv)) // abs(int(rv))
-        return np.int64(q if (lv < 0) == (rv < 0) else -q)
+        try:
+            return np.int64(q if (lv < 0) == (rv < 0) else -q)
+        except OverflowError:
+            raise ExecutionError("integer overflow") from None
     return np.int64(np.trunc(lv / rv))
 
 

@@ -45,10 +45,10 @@ Everything else — loop-carried dependences, plain indirect stores,
 calls the inliner refuses, early exits in the body, triangular bounds —
 is *not* lifted: the step runs on its front end's scalar path, and the
 demotion is recorded as an ``executor:fallback`` decision, so a lifted
-run is never wrong, only selectively slower.  A lift that fails at run
-time (out-of-bounds gather, zero integer divisor, integer overflow)
-raises :class:`ExecutionError`; the front end restores what it wrote and
-runs the scalar path.
+run is never wrong, only selectively slower.  A lifted program that fails
+at run time (out-of-bounds gather, zero integer divisor, integer
+overflow) restores what it wrote and raises :class:`ExecutionError`; the
+front end then runs the scalar path.
 
 Sequencing statements as whole-grid operations is loop distribution; it is
 legal here because :func:`compile_step` only accepts steps in which every
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -139,15 +138,6 @@ class LiftedStep:
     """A step that :func:`compile_step` accepted, with its classified
     assignments in statement order.
 
-    ``snapshot_free`` lists written grids whose pre-step copy the IR
-    executor provably never needs: the grid is written pointwise with no
-    mask and no step condition, and the step reads it nowhere (per the
-    backward grid-liveness pass over the step CFG).  Re-executing such a
-    step through the interpreter rewrites every cell of the written slice
-    from inputs the failed lift never touched, so a torn partial write
-    heals itself and the rollback snapshot is dead weight.  The proof
-    runs on first access, so a front end that never asks pays nothing.
-
     ``keep`` pairs an expanded scalar temporary with the grid that holds
     its last lane's value after the nest; ``inlined`` names the functions
     inlined into the step, ``depth`` their deepest nesting.
@@ -168,21 +158,6 @@ class LiftedStep:
         return bool(self.inlined or self.keep) or any(
             a.kind == "scatter" for a in self.assigns)
 
-    @cached_property
-    def snapshot_free(self) -> tuple[str, ...]:
-        from ..analysis.dataflow import step_live_on_entry
-
-        live_in = step_live_on_entry(self.step)
-        kinds: dict[str, set[str]] = {}
-        for a in self.assigns:
-            kinds.setdefault(a.target.grid, set()).add(
-                "masked" if a.mask is not None else a.kind)
-        return tuple(sorted(
-            g for g in self.written
-            if kinds.get(g) == {"pointwise"}
-            and self.step.condition is None
-            and g not in live_in))
-
 
 @dataclass(frozen=True)
 class LiftedSweep:
@@ -190,8 +165,8 @@ class LiftedSweep:
     its leaf calls inlined, its per-iteration scratch expanded.
 
     ``written`` names the storage outside the scratch that the nests and
-    the final keeps write; the front end snapshots it before the first
-    nest.
+    the final keeps write; :meth:`SweepProgram.run` copies it before the
+    first nest and restores it if the sweep fails.
     """
 
     nests: tuple[LiftedStep, ...]
@@ -200,7 +175,6 @@ class LiftedSweep:
     step: Step = field(repr=False, compare=False, hash=False)
 
     extended = True
-    snapshot_free = ()
 
     @property
     def inlined(self) -> tuple[str, ...]:
@@ -476,6 +450,9 @@ def _overflow() -> ExecutionError:
     return ExecutionError("integer overflow")
 
 
+_INT64_MIN = np.iinfo(np.int64).min
+
+
 def _add(a: Any, b: Any) -> Any:
     r = a + b
     if _int_array(r) and (((a ^ r) & (b ^ r)) < 0).any():
@@ -513,19 +490,14 @@ def _div(lv: Any, rv: Any) -> Any:
     return _floordiv(lv, rv)
 
 
-def _real_div(lv: Any, rv: Any) -> Any:
-    """``/`` where integers divide exactly on the scalar path."""
-    if _int_like(lv) and _int_like(rv):
-        raise ExecutionError("integer division does not lift")
-    return lv / rv
-
-
 def _floordiv(lv: Any, rv: Any) -> Any:
     """FORTRAN integer division: truncation toward zero, exact for integer
     operands (the dividend less its C remainder divides evenly)."""
     if np.any(np.asarray(rv) == 0):
         raise ExecutionError("integer division by zero")
     if _int_like(lv) and _int_like(rv):
+        if np.any((np.asarray(rv) == -1) & (np.asarray(lv) == _INT64_MIN)):
+            raise _overflow()             # the quotient is 2**63
         q = np.floor_divide(lv - np.fmod(lv, rv), rv)
     else:
         q = np.trunc(np.true_divide(lv, rv))
@@ -585,8 +557,8 @@ class _Run:
     """One run of a :class:`LiftProgram`: resolved storage ``S`` (in
     ``LiftProgram.names`` order), the views ``V`` and written regions ``R``
     prepared before any write, the nest axes' index arrays ``ax``, the
-    per-run mask memo ``M``, the deferred reduction terms ``T``, and the
-    caller's ``frame`` and ``undo`` list.
+    per-run mask memo ``M``, the deferred reduction terms ``T``, the
+    caller's ``frame`` and the ``undo`` log (``None`` when none is kept).
 
     A *lane-restricted* run (:func:`_restrict`) evaluates expressions on
     some lanes of the nest only: ``sel`` holds their positions along each
@@ -865,12 +837,13 @@ class LiftProgram:
     ``names`` lists every grid the step names; a caller resolves them to
     storage ``S``, in that order, on each run.  ``bounds(S)`` evaluates
     the ranges to ``(start, stride, count)`` per nest axis (constant
-    ranges once, at compile time).  ``run(S, ranges, frame, undo)``
+    ranges once, at compile time).  ``run(S, ranges, frame, undo=True)``
     executes the nest over ranges whose counts are all positive: it checks
-    every slice and builds every view before the first write, and with
-    ``undo`` a list it appends ``(region, saved copy)`` before the first
-    write of each region that a later operation could still fail after,
-    so a caller can restore exactly what a failed run touched.
+    every slice and builds every view before the first write and, with
+    ``undo``, copies each region before its first write that a later
+    operation could still fail after, and restores those copies before it
+    re-raises: a failed run leaves storage as it found it.  (A sweep's
+    nests run without, under :meth:`SweepProgram.run`'s one copy.)
 
     ``written`` names the written grids; ``dims`` maps each grid to its
     subscript count (0 for scalars and whole-grid references, -1 when the
@@ -889,11 +862,10 @@ def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
                    ) -> LiftProgram:
     """Compile a lifted step once.
 
-    ``strict`` refuses, by raising, what a scalar path with exact integer
-    arithmetic would do differently: each written value is cast to its
-    storage dtype under ``np.errstate(all="raise")``, so a cast that
-    overflows raises instead of warning, and an integer ``/`` raises
-    instead of dividing through float64.  ``where(frame)`` returns
+    ``strict`` casts each written value to its storage dtype under
+    ``np.errstate(all="raise")``, so a cast that overflows or is invalid
+    raises instead of warning, as the FORTRAN runtime's assignment does.
+    ``where(frame)`` returns
     ``(function, step_index, step_name)``; with it, every write is
     screened against the active numeric sentinels, reporting the first
     offending value in loop order at its grid cell, exactly as the scalar
@@ -957,8 +929,7 @@ class _Compiler:
                 return scalar
             return self._element(e)
         if isinstance(e, BinOp):
-            fn = (_real_div if e.op == "/" and self.strict
-                  else _BINOPS.get(e.op))
+            fn = _BINOPS.get(e.op)
             if fn is None:
                 return _raiser(f"unknown operator {e.op!r}")
             self.arith |= e.op in _ARITH
@@ -1316,8 +1287,8 @@ class _Compiler:
                         for j, subs, grid in targets)
 
         def run(S: list, ranges: tuple, frame: Any = None,
-                undo: list | None = None) -> None:
-            r = _Run(S, frame, undo)
+                undo: bool = True) -> None:
+            r = _Run(S, frame, [] if undo else None)
             geom = fixed_geom if ranges is fixed else None
             if geom is None:
                 geom = _Geometry(ranges, need_axes)
@@ -1326,8 +1297,14 @@ class _Compiler:
             r.R = [prep(S, r) for prep in regions]
             r.M = [None] * nmasks
             r.T = [None] * nterms
-            for op in ops:
-                op(r)
+            try:
+                for op in ops:
+                    op(r)
+            except BaseException:
+                if undo:
+                    for region, saved in reversed(r.undo):
+                        region[...] = saved
+                raise
         return run
 
     # -- writes ------------------------------------------------------------
@@ -1750,8 +1727,22 @@ class SweepProgram:
         accounting for its ``n`` active lanes (iterations, for an
         ``iter`` note).  ``target(spec.target)`` is the storage a kept
         scratch goes to; ``sizes`` resolves symbolic scratch extents.
-        Raises :class:`ExecutionError` where the lift cannot go on; the
-        caller restores what the sweep wrote."""
+        Raises :class:`ExecutionError` where the lift cannot go on, after
+        restoring ``sweep.written`` from copies taken before the first
+        nest; undoing what ``account`` did is the caller's."""
+        saved = [(store, store.copy())
+                 for store in map(storage, self.sweep.written)]
+        try:
+            self._nests(storage, var_ranges, frame, account, target, sizes,
+                        label)
+        except BaseException:
+            for store, copy in saved:
+                store[...] = copy
+            raise
+
+    def _nests(self, storage: Callable[[str], np.ndarray], var_ranges: dict,
+               frame: Any, account: Callable, target: Callable,
+               sizes: dict, label: str) -> None:
         scratch: dict[str, np.ndarray] = {}
         specs, notes = self.specs, self.notes
         for k, (nest, program) in enumerate(zip(self.sweep.nests,
@@ -1773,7 +1764,7 @@ class SweepProgram:
                 if n in specs and S[j] is None:
                     S[j] = scratch[n] = _scratch(specs[n], var_ranges,
                                                  storage, sizes)
-            program.run(S, ranges, frame)
+            program.run(S, ranges, frame, undo=False)
             for n in self.sweep.split.nests[k].locals:
                 local = specs[specs[n].target[1]]
                 if local.name not in scratch:
@@ -2038,12 +2029,9 @@ class VectorizedInterpreter(Interpreter):
                 where=_frame_where, count=_frame_count))
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
-            elif plan is not _DIRECT:
-                lifted = plan[0]
-                if lifted.snapshot_free:
-                    self._note_snapshot_elide(frame, idx, step, lifted)
-                if isinstance(lifted, LiftedSweep) or lifted.inlined:
-                    note_inline(frame.fn.name, idx, step.name, lifted)
+            elif plan is not _DIRECT and (
+                    isinstance(plan[0], LiftedSweep) or plan[0].inlined):
+                note_inline(frame.fn.name, idx, step.name, plan[0])
             self._plans[key] = plan
         return plan
 
@@ -2077,21 +2065,16 @@ class VectorizedInterpreter(Interpreter):
             return
         frame.current_step = idx
         frame.current_step_name = step.name
-        elided = lifted.snapshot_free
-        snap = {g: self._storage(frame, g).copy() for g in lifted.written
-                if g not in elided}
         state = self._sweep_state(lifted)
         try:
             self._run_lifted(frame, idx, step, program)
         except ResourceLimitError:
             # The budget is spent for *this* run — the error stays
-            # terminal — but the step's partial writes must not survive:
-            # a later call on this interpreter (fresh budget) or a guard
-            # probing a clone must see pre-step storage, not a torn grid.
-            # Sticky-demote so any re-run interprets the step instead of
-            # re-tripping the lift.
-            for g, saved in snap.items():
-                self._storage(frame, g)[...] = saved
+            # terminal — and the lifted program has restored what it
+            # wrote, so a later call on this interpreter (fresh budget)
+            # sees pre-step storage, not a torn grid.  Sticky-demote so
+            # any re-run interprets the step instead of re-tripping the
+            # lift.
             self._restore_sweep_state(state, stats=False)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,
@@ -2100,10 +2083,9 @@ class VectorizedInterpreter(Interpreter):
         except NumericIntegrityError:
             raise
         except ExecutionError as e:
-            # Roll back the step's writes and let the reference interpreter
-            # produce the authoritative result (or the canonical error).
-            for g, saved in snap.items():
-                self._storage(frame, g)[...] = saved
+            # The lifted program restored what it wrote: let the reference
+            # interpreter produce the authoritative result (or the
+            # canonical error).
             self._restore_sweep_state(state, stats=True)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,
@@ -2212,25 +2194,6 @@ class VectorizedInterpreter(Interpreter):
                 stats.allocations += 1
                 self._save_store[(fn, local)] = as_storage(
                     g, sizes=self.context.sizes)
-
-    def _note_snapshot_elide(self, frame, idx: int, step: Step,
-                             plan: LiftedStep) -> None:
-        """Record the liveness-proved rollback-snapshot elision (once per
-        compiled step)."""
-        from ..observe import get_decisions, get_metrics
-
-        m = get_metrics()
-        if m.enabled:
-            m.counter("exec.vectorized.snapshot_elided").inc(
-                len(plan.snapshot_free))
-        dl = get_decisions()
-        if dl.enabled:
-            dl.record("executor:snapshot-elide", frame.fn.name, idx,
-                      step.name, "no-rollback-copy",
-                      reasons=tuple(
-                          f"grid {g!r} written pointwise, unmasked, and "
-                          "never read in the step (dead on step entry)"
-                          for g in plan.snapshot_free))
 
     def _note_fallback(self, frame, idx: int, step: Step, reason: str) -> None:
         self.fallbacks.append(

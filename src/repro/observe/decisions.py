@@ -21,7 +21,6 @@ Stages and their verdict vocabularies:
 ``retry``                    ``retried`` | ``gave-up``
 ``executor:fallback``        ``interpreter`` | ``scalar``
 ``executor:inline``          ``inlined``
-``executor:snapshot-elide``  ``no-rollback-copy``
 ``fuzz:item``                ``clean`` | ``failed``
 ``fuzz:signature``           ``new`` | ``duplicate``
 ``fuzz:shrink``              ``minimized``
@@ -57,10 +56,8 @@ by the numeric sentinels on every trip, and ``retry`` by
 :class:`repro.glafexec.VectorizedInterpreter` whenever a step it cannot
 lift to a whole-grid array program is demoted to the reference
 interpreter (verdict ``interpreter``, with the reason the lift was
-refused), ``executor:inline`` for every lifted step that inlines calls or
-expands per-iteration scratch, and ``executor:snapshot-elide`` for every
-lifted step whose rollback snapshot liveness proved unnecessary; the
-FORTRAN runtime emits ``executor:fallback`` (verdict ``scalar``) for a DO
+refused), and ``executor:inline`` for every lifted step that inlines
+calls or expands per-iteration scratch; the FORTRAN runtime emits ``executor:fallback`` (verdict ``scalar``) for a DO
 nest it keeps on its scalar closure, and ``executor:inline`` for every DO
 statement it lifts through the inliner or with per-iteration scratch
 (the generated and spliced FUN3D ``DO c; CALL cell_loop(c)`` sweep) —

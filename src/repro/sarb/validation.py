@@ -27,8 +27,8 @@ from .fuliou import fresh_state, ref_entropy_interface
 from .kernels import SARB_SUBROUTINES, build_sarb_program
 from .legacy_src import full_legacy_source
 
-__all__ = ["load_sarb_runtime", "set_sarb_inputs", "read_outputs",
-           "run_reference", "run_ir_interpreter", "run_generated_python",
+__all__ = ["set_sarb_inputs", "read_outputs", "run_reference",
+           "run_ir_interpreter", "run_generated_python",
            "run_legacy_fortran", "run_generated_fortran", "run_spliced",
            "build_legacy_codebase", "compare_outputs", "OUTPUT_NAMES",
            "SARB_COMPARE_TOLERANCE", "CASE"]
@@ -55,13 +55,6 @@ def compare_outputs(
         raise NumericIntegrityError(
             "compare_outputs: no outputs to compare (empty reference)")
     return compare_grids(got, outputs, AbsolutePolicy(tolerance))
-
-
-def load_sarb_runtime(sources: dict[str, str]) -> FortranRuntime:
-    rt = FortranRuntime()
-    for fname in sorted(sources):
-        rt.load(sources[fname])
-    return rt
 
 
 def set_sarb_inputs(rt: FortranRuntime, inp: AtmosphereInputs) -> None:

@@ -28,7 +28,7 @@ import pytest
 from repro import observe
 from repro.core import GlafBuilder, I, T_INT, T_REAL8, T_VOID, lib, ref
 from repro.core.builder import StepBuilder as SB
-from repro.errors import NumericIntegrityError
+from repro.errors import ExecutionError, NumericIntegrityError
 from repro.fun3d import make_mesh
 from repro.fun3d import validation as f3v
 from repro.glafexec import get_executor
@@ -423,83 +423,62 @@ class TestResourceExhaustion:
             ex.run(p, "f", [N, x, y], sizes={"n": N})
         assert np.array_equal(y, np.zeros(N))
 
-    def test_mid_write_trip_rolls_back_and_sticky_demotes(self, monkeypatch):
-        # Simulate the wall-clock case: the budget trips after the lift
-        # has already written part of the grid.  The grid is *live* on
-        # step entry (read-modify-write), so its pre-step storage must be
-        # restored, and a later call on the same interpreter (fresh
-        # budget) must serve the step through the scalar interpreter.
+    def test_mid_write_trip_rolls_back_and_sticky_demotes(self):
+        # The budget trips inside the lifted program, after its first
+        # write: the step updates y, which is live on step entry
+        # (read-modify-write), and then an inlined search counts its
+        # iterations against the budget.  The program restores y before
+        # the error leaves it, and a later call on the same interpreter
+        # (fresh budget) serves the step through the scalar interpreter.
+        from repro.core.expr import FuncCall
         from repro.errors import ResourceLimitError
         from repro.glafexec.context import ExecutionContext
         from repro.glafexec.vectorize import VectorizedInterpreter
+        from repro.robust import ResourceLimits
 
-        def body(f):
-            s = f.step("double")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")),
-                      ref("y", I("i")) + ref("x", I("i")) * 2.0)
-        p = _kernel(body)
+        b = GlafBuilder("k")
+        m = b.module("M")
+        g = m.function("first", return_type=T_INT)
+        g.param("n", T_INT, intent="in")
+        g.param("t", T_INT, intent="in")
+        s = g.step("scan")
+        s.foreach(p=(1, "n"))
+        s.if_(I("p").ge(ref("t")), [SB.ret(I("p"))])
+        g.returns(-1)
+        f = m.function("f", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        f.param("t", T_INT, intent="in")
+        f.param("x", T_REAL8, dims=("n",), intent="in")
+        f.param("y", T_REAL8, dims=("n",), intent="inout")
+        f.param("k", T_INT, dims=("n",), intent="inout")
+        s = f.step("double")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", I("i")),
+                  ref("y", I("i")) + ref("x", I("i")) * 2.0)
+        s.formula(ref("k", I("i")), FuncCall("first", (ref("n"), ref("t"))))
+        p = b.build()
 
-        def torn(self, frame, idx, step, plan):
-            self._storage(frame, "y")[...] = 123.0  # partial garbage
-            raise ResourceLimitError("simulated mid-write budget trip")
-
-        monkeypatch.setattr(VectorizedInterpreter, "_run_lifted", torn)
+        # Each lane scans t positions: N + N * N iterations pass the
+        # budget, N + N do not.
         ctx = ExecutionContext(p, sizes={"n": N})
-        vec = VectorizedInterpreter(p, ctx)
+        vec = VectorizedInterpreter(
+            p, ctx, limits=ResourceLimits(max_loop_iterations=3 * N))
         x = _x()
         y = np.zeros(N)
-        with pytest.raises(ResourceLimitError, match="mid-write"):
-            vec.call("f", [N, x, y])
+        k = np.zeros(N, np.int64)
+        with pytest.raises(ResourceLimitError):
+            vec.call("f", [N, N, x, y, k])
         assert np.array_equal(y, np.zeros(N))  # rolled back, not torn
+        assert np.array_equal(k, np.zeros(N))
         assert ("f", 0) in vec._demoted
         assert [e.reason for e in vec.fallbacks] == [
             "resource budget exhausted mid-lift"]
 
-        # Demotion is sticky: the re-run never touches the (still
-        # patched, still poisonous) lift path and produces the
-        # interpreter's answer.
-        vec.call("f", [N, x, y])
+        # Demotion is sticky: the re-run interprets the step and produces
+        # the interpreter's answer.
+        vec.call("f", [N, 1, x, y, k])
         assert np.array_equal(y, x * 2.0)
-
-    def test_mid_write_trip_on_dead_grid_skips_rollback(self, monkeypatch):
-        # A grid the liveness proof marks dead on step entry
-        # (unconditional pointwise overwrite, never read in the step)
-        # carries no rollback snapshot, so a terminal mid-write trip may
-        # leave it torn — same contract as a sentinel trip — and the
-        # sticky-demoted re-run fully overwrites it before any read, so
-        # the next call is still exactly right (docs/EXECUTORS.md).
-        from repro.errors import ResourceLimitError
-        from repro.glafexec.context import ExecutionContext
-        from repro.glafexec.vectorize import VectorizedInterpreter, compile_step
-
-        def body(f):
-            s = f.step("double")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
-        p = _kernel(body)
-        assert compile_step(
-            p.find_function("f").steps[0]).snapshot_free == ("y",)
-
-        def torn(self, frame, idx, step, plan):
-            self._storage(frame, "y")[...] = 123.0  # partial garbage
-            raise ResourceLimitError("simulated mid-write budget trip")
-
-        monkeypatch.setattr(VectorizedInterpreter, "_run_lifted", torn)
-        ctx = ExecutionContext(p, sizes={"n": N})
-        vec = VectorizedInterpreter(p, ctx)
-        x = _x()
-        y = np.zeros(N)
-        with pytest.raises(ResourceLimitError, match="mid-write"):
-            vec.call("f", [N, x, y])
-        # No snapshot was taken — the torn values survive the raise (the
-        # runtime proof that the copy was actually elided) ...
-        assert np.array_equal(y, np.full(N, 123.0))
-        assert ("f", 0) in vec._demoted
-        # ... and the demoted re-run overwrites every element before any
-        # read, so no later computation can observe them.
-        vec.call("f", [N, x, y])
-        assert np.array_equal(y, x * 2.0)
+        assert np.array_equal(k, np.ones(N))
 
     def test_guarded_probe_writes_never_pollute_reference_inputs(self):
         # Accumulating kernel: if the probe shared the caller's arrays,
@@ -514,6 +493,79 @@ class TestResourceExhaustion:
         y = np.zeros(N)
         get_executor("guarded").run(p, "f", [N, x, y], sizes={"n": N})
         assert np.isclose(y[0], x.sum())
+
+
+# ----------------------------------------------------------------------
+# a lift that fails at run time
+# ----------------------------------------------------------------------
+def test_failed_lift_leaves_the_interpreters_storage():
+    # y(i) = x(i) * 2 lifts over every lane before z's gather fails at
+    # i = 3: the lifted program restores y, and the scalar re-run stops
+    # where the interpreter stops, so both leave the same y and z.
+    def body(f):
+        s = f.step("two")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
+        s.formula(ref("z", I("i")), ref("x", ref("ix", I("i"))))
+    p = _kernel(body, [("ix", T_INT, ("n",), "in"),
+                       ("z", T_REAL8, ("n",), "inout")])
+    n = 6
+    out = {}
+    for how in ("interpreter", "vectorized"):
+        ix = np.arange(1, n + 1)
+        ix[2] = 99
+        args = [n, np.arange(1.0, n + 1), np.full(n, -1.0), ix,
+                np.full(n, -1.0)]
+        with pytest.raises(ExecutionError) as err:
+            get_executor(how).run(p, "f", args, sizes={"n": n})
+        out[how] = (str(err.value), args[2].tolist(), args[4].tolist())
+    assert out["vectorized"] == out["interpreter"]
+    assert out["interpreter"][1:] == ([2.0, 4.0, 6.0, -1.0, -1.0, -1.0],
+                                      [1.0, 2.0, -1.0, -1.0, -1.0, -1.0])
+
+
+def test_failed_sweep_leaves_the_interpreters_storage():
+    # DO i; CALL put(i), where put writes y(i), then g(1:2), then gathers
+    # num(ix(i)): three split nests, the last of which fails at i = 3.
+    # The sweep restores what its nests wrote before the scalar re-run.
+    from repro.glafexec.context import ExecutionContext
+
+    b = GlafBuilder("sw")
+    for name, ty in (("x", T_REAL8), ("y", T_REAL8), ("num", T_INT),
+                     ("res", T_INT), ("ix", T_INT)):
+        b.global_grid(name, ty, dims=(8,), module_scope=True)
+    b.global_grid("g", T_REAL8, dims=(2,), module_scope=True)
+    m = b.module("M")
+    put = m.function("put", return_type=T_VOID)
+    put.param("i", T_INT, intent="in")
+    put.step("double").formula(ref("y", ref("i")), ref("x", ref("i")) * 2.0)
+    s = put.step("scale")
+    s.foreach(k=(1, 2))
+    s.formula(ref("g", I("k")), ref("x", ref("i")) * I("k"))
+    put.step("gather").formula(ref("res", ref("i")),
+                               ref("num", ref("ix", ref("i"))))
+    s = m.function("f", return_type=T_VOID).step("sweep")
+    s.foreach(i=(1, 8))
+    s.call("put", [I("i")])
+    p = b.build()
+    out = {}
+    for how in ("interpreter", "vectorized"):
+        ctx = ExecutionContext(p)
+        ctx.get("x")[...] = np.arange(1.0, 9.0)
+        ctx.get("num")[...] = np.arange(10, 18)
+        ctx.get("ix")[...] = [1, 2, 99, 4, 5, 6, 7, 8]
+        with observe.observed() as obs, \
+                pytest.raises(ExecutionError) as err:
+            get_executor(how).run(p, "f", context=ctx)
+        out[how] = (str(err.value),
+                    {n: ctx.get(n).tolist() for n in ("y", "g", "res")})
+    # The sweep did lift, and failed at run time.
+    fallback, = obs.decisions.for_stage("executor:fallback")
+    assert fallback.reasons[0].startswith("runtime lift failure: index 99")
+    assert out["vectorized"] == out["interpreter"]
+    assert out["interpreter"][1] == {
+        "y": [2.0, 4.0, 6.0] + [0.0] * 5, "g": [3.0, 6.0],
+        "res": [10, 11] + [0] * 6}
 
 
 # ----------------------------------------------------------------------

@@ -326,3 +326,16 @@ def test_integer_division_by_zero_raises(backend):
     run, error = DIVISION_BACKENDS[backend]
     with pytest.raises(error, match="by zero"):
         run(_division_program(), _division_args([2**53 + 1, 5], [3, 0]))
+
+
+@pytest.mark.parametrize("backend", sorted(DIVISION_BACKENDS))
+def test_integer_division_overflow_raises(backend):
+    # -2**63 / -1 is 2**63, one past INTEGER's range: a typed error, or
+    # Python's OverflowError in generated Python (as ZeroDivisionError
+    # above).
+    run, error = DIVISION_BACKENDS[backend]
+    if error is ZeroDivisionError:
+        error = OverflowError
+    with pytest.raises(error):
+        run(_division_program(), _division_args([2**53 + 1, -2**63],
+                                                [3, -1]))

@@ -92,7 +92,6 @@ class TestObservabilityDoc:
         doc = (REPO / "docs" / "OBSERVABILITY.md").read_text()
         fixed = ["parallelize", "pruning", "advisor", "guard", "fault",
                  "retry", "executor:fallback", "executor:inline",
-                 "executor:snapshot-elide",
                  "fuzz:item", "fuzz:signature", "fuzz:shrink",
                  "fuzz:quarantine", "fuzz:campaign", "run:record",
                  "sample:resource", "batch:item", "batch:quarantine",

@@ -294,6 +294,7 @@ MODULE gm
   INTEGER :: num(8)
   INTEGER :: den(8)
   INTEGER :: res(8)
+  INTEGER :: quo(8)
   INTEGER :: ix(8)
   REAL(KIND=8) :: t
   REAL(KIND=8) :: g(2)
@@ -388,6 +389,39 @@ CONTAINS
       res(i) = MOD(num(i), den(i))
     END DO
   END SUBROUTINE ratio
+  SUBROUTINE quotient()
+    INTEGER :: i
+    DO i = 1, 8
+      {guard}
+      y(i) = x(i) * 2.0D0
+      res(i) = num(i) / den(i) + i / 2
+      quo(i) = num(i) / 3
+    END DO
+  END SUBROUTINE quotient
+  SUBROUTINE gather()
+    INTEGER :: i
+    DO i = 1, 8
+      {guard}
+      y(i) = x(i) * 2.0D0
+      res(i) = num(ix(i))
+    END DO
+  END SUBROUTINE gather
+  SUBROUTINE put_gather(i)
+    INTEGER, INTENT(IN) :: i
+    INTEGER :: k
+    y(i) = x(i) * 2.0D0
+    DO k = 1, 2
+      g(k) = x(i) * k
+    END DO
+    res(i) = num(ix(i))
+  END SUBROUTINE put_gather
+  SUBROUTINE gather_call()
+    INTEGER :: i
+    DO i = 1, 8
+      {guard}
+      CALL put_gather(i)
+    END DO
+  END SUBROUTINE gather_call
 END MODULE gm
 """
 
@@ -537,6 +571,76 @@ class TestGuards:
                              "divide by zero encountered in remainder")
             assert np.frombuffer(state["y"]).tolist() == [
                 2.0, 3.0, 4.0] + [0.0] * 5
+
+    @pytest.mark.parametrize("name", ["gather", "gather_call"])
+    def test_failed_gather_leaves_the_scalar_state(self, name):
+        # y(i) = x(i) * 2 runs over every lane (a plain nest, or the first
+        # split nest of a sweep) before res's gather fails at i = 3: the
+        # lifted program restores what it wrote, and the scalar closure
+        # stops where its twin stops.
+        def prepare(rt):
+            ix = rt.modules["gm"].variables["ix"].store
+            ix[...] = np.arange(1, 9)
+            ix[2] = 99
+        error, state, reasons, _ = _both(name, prepare)
+        assert error == ("FortranRuntimeError",
+                         "subscript 99 out of bounds for dimension 1 "
+                         "(extent 8)")
+        assert reasons == ["runtime lift failure: index 99 out of bounds "
+                           "for dimension 1 of grid 'num' (extent 8)"]
+        assert np.frombuffer(state["y"]).tolist() == [
+            2.0, 4.0, 6.0] + [0.0] * 5
+        assert np.frombuffer(state["res"], np.int64).tolist() == [
+            10, 11] + [0] * 6
+
+
+class TestIntegerDivision:
+    """INTEGER ``/`` lowers like any other operator: the engine divides
+    exactly, truncating toward zero, and refuses at run time what the
+    scalar path raises on."""
+
+    NUM = [2**62 + 7, -(2**62 + 9), 2**53 + 1, -(2**53 + 3), 2**63 - 1,
+           -7, 7, -2**63 + 1]
+    DEN = [3, 7, -2, 5, -3, 2, -2, 9]
+
+    @staticmethod
+    def _div(a, b):
+        return abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+
+    def _prepare(self, num, den):
+        def prepare(rt):
+            v = rt.modules["gm"].variables
+            v["num"].store[...] = num
+            v["den"].store[...] = den
+        return prepare
+
+    def test_lifts_exactly_above_2_53(self):
+        # One lifted nest and no executor:fallback decision; the twin
+        # refuses on its CYCLE and divides on the scalar closure.
+        error, state, reasons, lifted = _both(
+            "quotient", self._prepare(self.NUM, self.DEN))
+        assert (error, reasons, lifted) == (None, [], 1)
+        res = np.frombuffer(state["res"], np.int64).tolist()
+        quo = np.frombuffer(state["quo"], np.int64).tolist()
+        assert res == [self._div(a, b) + (i + 1) // 2 for i, (a, b)
+                       in enumerate(zip(self.NUM, self.DEN))]
+        assert quo == [self._div(a, 3) for a in self.NUM]
+
+    @pytest.mark.parametrize("lane, num, den, message", [
+        (2, 5, 0, "integer division by zero"),
+        (4, -2**63, -1, "integer overflow"),
+    ])
+    def test_a_failing_lane_refuses_at_run_time(self, lane, num, den,
+                                                message):
+        nums, dens = list(self.NUM), list(self.DEN)
+        nums[lane], dens[lane] = num, den
+        error, state, reasons, lifted = _both(
+            "quotient", self._prepare(nums, dens))
+        assert error == ("FortranRuntimeError", message)
+        assert lifted == 0
+        assert reasons == [f"runtime lift failure: {message}"]
+        assert np.frombuffer(state["y"]).tolist() == [
+            2.0 * (k + 1) for k in range(lane + 1)] + [0.0] * (7 - lane)
 
 
 def test_bounds_that_overflow_warn_once():

@@ -184,70 +184,6 @@ class TestCompileStep:
             assert names == sorted(names)
 
 
-class TestSnapshotElision:
-    def test_dead_on_entry_pointwise_grid_is_snapshot_free(self):
-        def body(f):
-            s = f.step("pw")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
-
-        lifted = compile_step(_step(_build(body), "f"))
-        assert lifted.snapshot_free == ("y",)
-
-    def test_live_on_entry_grid_keeps_its_snapshot(self):
-        def body(f):
-            s = f.step("acc")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")), ref("y", I("i")) + 1.0)
-
-        lifted = compile_step(_step(_build(body), "f"))
-        assert lifted.snapshot_free == ()
-
-    def test_masked_write_keeps_its_snapshot(self):
-        def body(f):
-            s = f.step("mask")
-            s.foreach(i=(1, "n"))
-            s.if_(ref("x", I("i")).gt(0.0),
-                  [SB.assign(ref("y", I("i")), ref("x", I("i")))], [])
-
-        lifted = compile_step(_step(_build(body), "f"))
-        assert lifted.snapshot_free == ()
-
-    def test_elision_counted_and_logged(self):
-        from repro import observe
-
-        def body(f):
-            s = f.step("pw")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
-
-        p = _build(body)
-        x = np.arange(1.0, 6.0)
-        y = np.zeros(5)
-        with observe.observed() as obs:
-            get_executor("vectorized").run(p, "f", [5, x, y], sizes={"n": 5})
-        assert np.array_equal(y, x * 2.0)
-        assert obs.metrics.counter(
-            "exec.vectorized.snapshot_elided").value >= 1
-        events = obs.decisions.for_stage("executor:snapshot-elide")
-        assert events and events[0].verdict == "no-rollback-copy"
-        assert any("dead on step entry" in r for r in events[0].reasons)
-
-    def test_fun3d_benchmark_steps_elide_snapshots(self):
-        # The acceptance gate: at least one shipped benchmark step skips
-        # its rollback copy via the liveness proof.
-        from repro.fun3d import build_fun3d_program
-
-        program = build_fun3d_program()
-        elided = []
-        for fn in program.functions():
-            for idx, step in enumerate(fn.steps):
-                lifted = compile_step(step)
-                if isinstance(lifted, LiftedStep) and lifted.snapshot_free:
-                    elided.append((fn.name, idx, lifted.snapshot_free))
-        assert elided, "no FUN3D step proves a snapshot-free write"
-
-
 class TestExecutorSelection:
     def test_registry_names(self):
         assert EXECUTOR_NAMES == ("interpreter", "vectorized", "guarded")
