@@ -8,7 +8,8 @@ Both revisions (commits or tree ids) are exported with ``git archive``
 directory of its own, with ``REPRO_LEDGER=0`` and ``PYTHONPATH`` set to
 its tree's ``src``:
 
-* ``experiments C1 C2``, ``faultcheck`` and ``lint --level all --case
+* ``experiments C1 C2`` (on the configured executor, then with
+  ``--executor guarded``), ``faultcheck`` and ``lint --level all --case
   all``, each with ``--json FILE``: the file's sha256;
 * ``fuzz --seed 7 --count 25 --profile small --crosscheck --json FILE``:
   the summary's ``content_sha256``;
@@ -43,6 +44,9 @@ _BATCH = ["--jobs", "2", "--cache", ".repro/batch-smoke/cache",
 OUTPUTS = (
     ("experiments C1 C2", ["experiments", "C1", "C2", "--json", "exp.json"],
      0, "exp.json", None),
+    ("experiments guarded", ["experiments", "C1", "C2", "--executor",
+                             "guarded", "--json", "exp-guarded.json"],
+     0, "exp-guarded.json", None),
     ("faultcheck", ["faultcheck", "--json", "faultcheck.json"], 0,
      "faultcheck.json", None),
     ("lint all/all", ["lint", "--level", "all", "--case", "all", "--json",
@@ -97,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         base, head = sides[0][name], sides[1][name]
         ok = base == head and len(base) == 64
         same &= ok
-        print(f"{'same' if ok else 'DIFF'}  {name:17}  {base}  {head}")
+        print(f"{'same' if ok else 'DIFF'}  {name:19}  {base}  {head}")
     return 0 if same else 1
 
 

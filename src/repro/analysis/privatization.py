@@ -32,9 +32,6 @@ class PrivatizationResult:
     firstprivate: set[str] = field(default_factory=set)
     shared: set[str] = field(default_factory=set)
 
-    def clause_vars(self) -> list[str]:
-        return sorted(self.private)
-
 
 def classify_privates(
     program: GlafProgram, fn: GlafFunction, step: Step

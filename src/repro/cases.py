@@ -23,8 +23,7 @@ from typing import Any, Callable
 from .codegen.fortran import FortranGenerator
 from .errors import WorkloadError
 from .fortranlib import FortranRuntime
-from .glafexec import (ExecutionContext, run_configured,
-                       run_generated_python)
+from .glafexec import get_executor, run_generated_python
 from .integration import LegacyCodebase, check_program, splice_into_codebase
 from .optimize.plan import Tweaks, make_plan
 
@@ -84,17 +83,15 @@ class Case:
                 "spliced": self.run_spliced}
 
     def run_ir_interpreter(self, inp: Any, *, save_inner_arrays: bool = False,
-                           guarded: bool | None = None,
+                           guarded: bool = False,
                            executor: str | None = None) -> Any:
-        """Run the IR the way :func:`repro.glafexec.run_configured` says:
-        under :class:`GuardedRunner` when guarded (``--guarded``), else on
-        ``executor`` (``None``: the configured ``--executor``)."""
+        """Run the IR on ``executor`` (``None``: the configured
+        ``--executor``); ``guarded=True`` is ``executor="guarded"``."""
         program, args, context = self.setup(inp)
-        ctx = ExecutionContext(program, **context)
-        run_configured(program, self.entry, args, context=ctx,
-                       guarded=guarded, executor=executor,
-                       save_inner_arrays=save_inner_arrays)
-        return self._outputs(ctx.get)
+        run = get_executor("guarded" if guarded else executor,
+                           save_inner_arrays=save_inner_arrays).run(
+            program, self.entry, args, **context)
+        return self._outputs(run.context.get)
 
     def run_generated_python(self, inp: Any) -> Any:
         program, args, context = self.setup(inp)

@@ -16,11 +16,12 @@
   :mod:`repro.observe` tracer and print its run record: the timing tree,
   the per-stage summary, the metrics, and the decision log (``--json
   FILE`` writes the record itself, ``--chrome FILE`` its Chrome trace;
-  see ``docs/OBSERVABILITY.md``).  With ``--guarded``
-  the project's case-study workload is also executed under the
-  :class:`repro.glafexec.GuardedRunner`, so access conflicts and guard
-  demotions show up in the decision log; ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects
-  seeded faults first (see ``docs/ROBUSTNESS.md``).
+  see ``docs/OBSERVABILITY.md``).  With ``--executor X`` the project's
+  case-study sample also runs once under executor ``X``; ``--executor
+  guarded`` runs it under the :class:`repro.glafexec.GuardedRunner`, so
+  access conflicts and guard demotions show up in the decision log.
+  ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects seeded faults
+  first (see ``docs/ROBUSTNESS.md``).
 * ``faultcheck`` — sweep every registered fault-injection site and report
   whether each fault was recovered or surfaced as a typed error.
 * ``lint [--level v0|v1|v2|v3|all] [--case sarb|fun3d|all] [--json [FILE]]``
@@ -64,16 +65,15 @@
 ``experiments`` and ``generate`` also accept ``--profile [FILE]``: with no
 argument the run record's text view is printed to stderr after the normal
 output; with a file argument the run record is written there instead.
-``experiments --guarded`` routes the case-study interpreter runs through
-guarded execution with serial fallback, ``experiments --json FILE``
-writes the machine-readable tables (``ExperimentResult.to_json``),
-``--sentinels`` screens every interpreter assignment for NaN/Inf/overflow
-(``docs/NUMERICS.md``), and ``--resume`` continues an interrupted sweep
-from its per-case checkpoints.  ``experiments``, ``profile``, and
-``bench record`` accept ``--executor {interpreter,vectorized,guarded}``
-to choose the IR execution engine (``docs/EXECUTORS.md``): the reference
-interpreter, the vectorized whole-grid array executor, or the guarded
-executor that cross-checks the two with serial fallback.  :func:`main`
+``experiments --json FILE`` writes the machine-readable tables
+(``ExperimentResult.to_json``), ``--sentinels`` screens every interpreter
+assignment for NaN/Inf/overflow (``docs/NUMERICS.md``), and ``--resume``
+continues an interrupted sweep from its per-case checkpoints.
+``experiments``, ``profile``, and ``bench record`` accept ``--executor
+{interpreter,vectorized,guarded}`` to choose the IR execution engine
+(``docs/EXECUTORS.md``): the reference interpreter, the vectorized
+whole-grid array executor, or the interpreter under the access-conflict
+guard, which demotes a mis-parallelized step to serial.  :func:`main`
 builds one :class:`repro.runconfig.RunConfig` from these flags (and
 ``profile --fault``), runs the command under it, and states it in the
 run record.
@@ -141,8 +141,9 @@ def _add_executor_flag(sub: argparse.ArgumentParser) -> None:
         "--executor", choices=["interpreter", "vectorized", "guarded"],
         default=None,
         help="IR execution engine (docs/EXECUTORS.md): the reference "
-             "interpreter, the vectorized array executor, or the guarded "
-             "executor that cross-checks the two (default: interpreter, "
+             "interpreter, the vectorized array executor, or the "
+             "interpreter under the access-conflict guard (serial "
+             "fallback on mis-parallelization) (default: interpreter, "
              "or $REPRO_EXECUTOR)",
     )
 
@@ -156,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiments", help="run paper experiments")
     exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    exp.add_argument("--guarded", action="store_true",
-                     help="run interpreter workloads under the access-"
-                          "conflict guard (serial fallback on "
-                          "mis-parallelization)")
     exp.add_argument("--sentinels", action="store_true",
                      help="screen every interpreter assignment for NaN/Inf/"
                           "overflow; abort with a typed error on the first "
@@ -332,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--chrome", dest="chrome_path", metavar="FILE",
                       help="also write the trace in Chrome trace-event "
                            "format (open in chrome://tracing or Perfetto)")
-    prof.add_argument("--guarded", action="store_true",
-                      help="also execute the project's case-study workload "
-                           "under the access-conflict guard")
     prof.add_argument("--fault", action="append", default=[],
                       metavar="SITE:KIND[:FUNCTION]",
                       help="inject a fault before running (repeatable); "
@@ -642,20 +636,16 @@ def _cmd_profile(args) -> int:
     with observe.get_tracer().span("pipeline", project=args.project,
                                    variant=args.variant):
         program = _load_program(args.project)
-        if args.guarded or args.executor:
-            # Run the case-study workload under the access-conflict guard,
-            # then under the chosen executor, so an injected
-            # mis-parallelization is both caused and recovered, and the
-            # exec.run.* spans and executor:fallback decisions land, in
-            # this one profiled run (docs/EXECUTORS.md).
+        if args.executor:
+            # Run the case-study sample under the chosen executor, so its
+            # exec.run.* span and decisions (executor:fallback, or a
+            # guard:serial-fallback recovering an injected
+            # mis-parallelization) land in this one profiled run
+            # (docs/EXECUTORS.md).
             from .cases import get_case
 
             case = get_case(program.name)
-            if args.guarded:
-                case.run_ir_interpreter(case.sample(), guarded=True)
-            if args.executor:
-                case.run_ir_interpreter(case.sample(), guarded=False,
-                                        executor=args.executor)
+            case.run_ir_interpreter(case.sample(), executor=args.executor)
         plan = make_plan(program, args.variant, threads=args.threads)
         for target in targets:
             if target == "fortran":
@@ -1031,13 +1021,13 @@ def _runs_selftest() -> int:
 
         # A default record, then one under a config that changes every
         # run field: show and diff must state what each ran under.
-        tuned = RunConfig("vectorized", True, SentinelConfig(), FaultPlan())
+        tuned = RunConfig("guarded", SentinelConfig(), FaultPlan())
         for config in (RunConfig(), tuned):
             with configured(config):
                 ledger.append(observe.build_record(command="selftest"))
         latest = ledger.resolve("latest")
         check("show states the executor",
-              "executor vectorized" in observe.render_run(latest))
+              "executor guarded" in observe.render_run(latest))
         diff = observe.diff_runs(ledger.load("run-000004"), latest)
         check("diff lists run fields",
               all(f"  {k}: " in diff for k in tuned.run_fields()))
@@ -1095,8 +1085,6 @@ def _run_changes(args) -> dict:
     changes: dict = {}
     if getattr(args, "executor", None):
         changes["executor"] = args.executor
-    if getattr(args, "guarded", False):
-        changes["guarded"] = True
     if getattr(args, "sentinels", False):
         changes["sentinels"] = SentinelConfig()
     if args.command == "profile" and args.fault:

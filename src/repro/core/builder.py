@@ -260,14 +260,6 @@ class StepBuilder:
         self.step.stmts.append(IfStmt(cond=E(cond), then=tuple(then), orelse=tuple(orelse)))
         return self
 
-    def return_(self, value: object | None = None) -> "StepBuilder":
-        self.step.stmts.append(Return(E(value) if value is not None else None))
-        return self
-
-    def exit_loop(self) -> "StepBuilder":
-        self.step.stmts.append(ExitLoop())
-        return self
-
     # Statement constructors usable inside if_(...) bodies.
     @staticmethod
     def assign(target: GridRef, expr: object) -> Assign:

@@ -59,9 +59,6 @@ class GlafFunction:
     def local_grids(self) -> dict[str, Grid]:
         return {n: g for n, g in self.grids.items() if n not in self.params}
 
-    def param_grids(self) -> list[Grid]:
-        return [self.grids[p] for p in self.params]
-
     def add_grid(self, grid: Grid, param: bool = False) -> Grid:
         if grid.name in self.grids:
             raise ValidationError(f"{self.name}: duplicate grid {grid.name!r}")

@@ -16,7 +16,6 @@ from .executor import (
     InterpreterExecutor,
     VectorizedExecutor,
     get_executor,
-    run_configured,
 )
 from .guard import (
     GuardedInterpreter,
@@ -25,7 +24,6 @@ from .guard import (
     GuardEvent,
     GuardResult,
     guarded_python_run,
-    guarded_vectorized_run,
 )
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python, run_interpreted
@@ -45,10 +43,9 @@ __all__ = [
     "CheckedInterpreter", "Conflict", "ParallelValidation",
     "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "GuardResult", "guarded_python_run", "guarded_vectorized_run",
+    "GuardResult", "guarded_python_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "get_executor",
-    "run_configured",
     "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",
     "compile_step", "liftability_report",
 ]

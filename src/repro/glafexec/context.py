@@ -91,19 +91,6 @@ class ExecutionContext:
                 )
         return out
 
-    def clone(self) -> "ExecutionContext":
-        """An independent deep copy of the global storage.
-
-        Used by the guarded executor to run the vectorized probe without
-        touching the authoritative state.  Aliasing is *not* preserved
-        between the clone and the original — they are separate worlds.
-        """
-        c = object.__new__(ExecutionContext)
-        c.program = self.program
-        c.sizes = dict(self.sizes)
-        c.globals = {n: arr.copy() for n, arr in self.globals.items()}
-        return c
-
     # -- access ----------------------------------------------------------
     def get(self, name: str) -> np.ndarray:
         try:

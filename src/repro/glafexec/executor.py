@@ -12,16 +12,15 @@ Three interchangeable back ends run a program's entry point against an
     steps run as whole-grid NumPy array programs; everything else falls back
     to the interpreter per step (recorded as ``executor:fallback`` events).
 ``guarded``
-    :func:`~repro.glafexec.guard.guarded_vectorized_run` — the vectorized
-    path runs on a cloned context and is cross-checked against the
-    interpreter under the ``abs`` policy; the interpreter's result is
-    always the one kept.
+    :class:`~repro.glafexec.guard.GuardedRunner` — the interpreter, with
+    every step the optimization plan marks parallel checked for access
+    conflicts and demoted to serial on one (``guard:serial-fallback``
+    events); its results equal the interpreter's.
 
 Selection is either explicit (:func:`get_executor`) or through the
 active :class:`~repro.runconfig.RunConfig` (the CLI's ``--executor`` flag,
 or the ``REPRO_EXECUTOR`` environment variable for whole-process runs such
-as the CI vectorized leg).  :func:`run_configured` is the one place that
-chooses between the divergence guard and the configured executor.
+as the CI vectorized leg).
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from ..core.function import GlafProgram
 from ..robust import ResourceLimits
 from ..runconfig import EXECUTOR_NAMES, RunConfig, current
 from .context import ExecutionContext
-from .guard import (DEFAULT_GUARD_TOLERANCE, GuardedRunner, GuardResult,
-                    guarded_vectorized_run)
+from .guard import GuardedRun, GuardedRunner
 from .interp import Interpreter
 from .vectorize import FallbackEvent, VectorizedInterpreter
 
 __all__ = [
     "EXECUTOR_NAMES", "Executor", "ExecutorRun",
     "GuardedExecutor", "InterpreterExecutor", "VectorizedExecutor",
-    "get_executor", "run_configured",
+    "get_executor",
 ]
 
 
@@ -53,7 +51,7 @@ class ExecutorRun:
     context: ExecutionContext
     executor: str
     fallbacks: tuple[FallbackEvent, ...] = ()
-    guard: GuardResult | None = None
+    guard: GuardedRun | None = None
 
 
 class Executor:
@@ -122,30 +120,18 @@ class VectorizedExecutor(Executor):
 
 
 class GuardedExecutor(Executor):
-    """Vectorized execution cross-checked against the interpreter.
-
-    The vectorized probe runs on a clone of the context; the interpreter
-    then runs on the real one, so the kept state is always the reference
-    result — divergence only decides whether a ``guard:serial-fallback``
-    event is recorded.
-    """
+    """The interpreter under the access-conflict guard
+    (:class:`GuardedRunner`); ``guard`` holds its :class:`GuardedRun`."""
 
     name = "guarded"
 
-    def __init__(self, *, tolerance: float = DEFAULT_GUARD_TOLERANCE,
-                 **kw: Any):
-        super().__init__(**kw)
-        self.tolerance = tolerance
-
     def run(self, program, entry, args=(), *, sizes=None, values=None,
             context=None) -> ExecutorRun:
-        ctx = self._context(program, sizes, values, context)
-        res = guarded_vectorized_run(
-            program, entry, args, context=ctx,
-            tolerance=self.tolerance, limits=self.limits)
-        return ExecutorRun(result=res.result, context=res.context,
-                           executor=self.name, fallbacks=res.fallbacks,
-                           guard=res)
+        run = GuardedRunner(program, save_inner_arrays=self.save_inner_arrays,
+                            limits=self.limits).run(
+            entry, args, sizes=sizes, values=values, context=context)
+        return ExecutorRun(result=run.result, context=run.context,
+                           executor=self.name, guard=run)
 
 
 _EXECUTORS: dict[str, type[Executor]] = {
@@ -160,18 +146,3 @@ def get_executor(name: str | None = None, **kw: Any) -> Executor:
     :class:`RunConfig` rejects an unknown name with ``ExecutionError``."""
     config = current() if name is None else RunConfig(executor=name)
     return _EXECUTORS[config.executor](**kw)
-
-
-def run_configured(program: GlafProgram, entry: str, args: list[Any], *,
-                   context: ExecutionContext, guarded: bool | None = None,
-                   executor: str | None = None, **kw: Any) -> None:
-    """Run ``entry`` on ``context`` the way the active configuration says:
-    through :class:`GuardedRunner` (per-step access-conflict checks, serial
-    fallback) when guarded, else on the configured executor.  ``guarded``
-    and ``executor`` override the configuration; ``kw``
-    (``save_inner_arrays``, ``limits``) goes to either."""
-    if current().guarded if guarded is None else guarded:
-        GuardedRunner(program, **kw).run(entry, args, context=context)
-    else:
-        get_executor(executor, **kw).run(program, entry, args,
-                                         context=context)

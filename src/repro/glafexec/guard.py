@@ -3,30 +3,29 @@ serial fallback.
 
 The paper checks its OpenMP directives by hand and validates the
 parallelized kernels offline against the legacy output (§4, Table 1).
-The :class:`GuardedRunner` moves the directive check *into* the run:
-every step the optimization plan marks parallel runs once, serially,
-under the access-conflict check of :mod:`repro.glafexec.conflicts`.  A
-conflict — or an :class:`ExecutionError` at the step's
-``exec.interp.step`` fault site — demotes the step to serial and records
-a ``guard:serial-fallback`` decision naming the cause.  Nothing is
-snapshotted, probed or re-executed, so a guarded run's results and
-``ExecStats`` equal a plain interpreted run's.
+The :class:`GuardedRunner`, which the ``guarded`` executor runs, moves
+the directive check *into* the run: every step the optimization plan
+marks parallel runs once, serially, under the access-conflict check of
+:mod:`repro.glafexec.conflicts`.  A conflict — or an
+:class:`ExecutionError` at the step's ``exec.interp.step`` fault site —
+demotes the step to serial and records a ``guard:serial-fallback``
+decision naming the cause.  Nothing is snapshotted, probed or
+re-executed, so a guarded run's results and ``ExecStats`` equal a plain
+interpreted run's.
 
-:func:`guarded_python_run` and :func:`guarded_vectorized_run` guard whole
-runs differentially: they run the generated Python or the vectorized
-executor against the interpreter, compare under the ``abs`` policy
-through :func:`repro.numeric.compare_grids`, and keep the interpreter's
-result on divergence, :class:`CodegenError` or :class:`ExecutionError`.
-Every guard reports a fallback through one recorder, so each one counts
-``guard.serial_fallbacks``; none recovers a :class:`ResourceLimitError`.
+:func:`guarded_python_run` guards a whole run differentially: it runs
+the generated Python against the interpreter, compares under the ``abs``
+policy through :func:`repro.numeric.compare_grids`, and keeps the
+interpreter's result on divergence, :class:`CodegenError` or
+:class:`ExecutionError`.  Both guards report a fallback through one
+recorder, so each one counts ``guard.serial_fallbacks``; neither
+recovers a :class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from ..core.function import GlafProgram
 from ..core.step import Step
@@ -36,11 +35,10 @@ from ..optimize.plan import OptimizationPlan, Tweaks, make_plan
 from ..robust import ResourceLimits, inject
 from .conflicts import CheckedInterpreter, Conflict
 from .context import ExecutionContext
-from .interp import Interpreter
 
 __all__ = [
     "GuardEvent", "GuardResult", "GuardedInterpreter", "GuardedRun",
-    "GuardedRunner", "guarded_python_run", "guarded_vectorized_run",
+    "GuardedRunner", "guarded_python_run",
 ]
 
 DEFAULT_GUARD_TOLERANCE = 1e-9
@@ -49,7 +47,7 @@ DEFAULT_GUARD_TOLERANCE = 1e-9
 def _record_fallback(function: str, step_index: int, step_name: str,
                      reason: str, **attrs: object) -> None:
     """Count one serial fallback in ``guard.serial_fallbacks`` and record
-    its ``guard:serial-fallback`` decision; every guard reports here."""
+    its ``guard:serial-fallback`` decision; both guards report here."""
     from ..observe import get_decisions, get_metrics
 
     m = get_metrics()
@@ -167,12 +165,11 @@ class GuardedRunner:
 
 
 # ----------------------------------------------------------------------
-# whole-run guards: generated Python and the vectorized executor
+# the whole-run guard of generated Python
 # ----------------------------------------------------------------------
 @dataclass
 class GuardResult:
-    """Outcome of :func:`guarded_python_run` or
-    :func:`guarded_vectorized_run`."""
+    """Outcome of :func:`guarded_python_run`."""
 
     result: Any
     context: ExecutionContext          # authoritative (interpreter on fallback)
@@ -180,8 +177,6 @@ class GuardResult:
     reason: str = ""
     max_error: float | None = None
     tolerance: float = DEFAULT_GUARD_TOLERANCE
-    #: per-step lift demotions recorded by the vectorized probe
-    fallbacks: tuple = ()
 
 
 def guarded_python_run(
@@ -231,77 +226,3 @@ def guarded_python_run(
     return GuardResult(
         result=py_result, context=py_ctx, fell_back=False,
         max_error=cmp.max_error, tolerance=tolerance)
-
-
-def guarded_vectorized_run(
-    program: GlafProgram,
-    entry: str,
-    args: list[Any] | tuple = (),
-    *,
-    sizes: dict[str, int] | None = None,
-    values: dict[str, Any] | None = None,
-    context: ExecutionContext | None = None,
-    compare: list[str] | None = None,
-    tolerance: float = DEFAULT_GUARD_TOLERANCE,
-    limits: ResourceLimits | None = None,
-) -> GuardResult:
-    """Run the vectorized executor against the interpreter reference.
-
-    The vectorized path executes on a **clone** of the context and on
-    copies of the array arguments; the interpreter then executes on the
-    real ones, so the kept state is always the reference result (same
-    contract as :class:`GuardedRunner`).  The final globals (the
-    ``compare`` grids, all by default) and the array arguments, by
-    parameter name, are compared under the ``abs`` policy; divergence — or
-    an :class:`ExecutionError` in the vectorized probe — records a
-    ``guard:serial-fallback`` decision naming the vectorized executor.
-    """
-    from ..observe import get_tracer
-    from .vectorize import VectorizedInterpreter
-
-    ctx = context if context is not None else ExecutionContext(
-        program, sizes=sizes, values=values)
-    probe_ctx = ctx.clone()
-    reason: str | None = None
-    with get_tracer().span("exec.run.guarded-vectorized", entry=entry,
-                           program=program.name):
-        vec = VectorizedInterpreter(program, probe_ctx, limits=limits)
-        # Array arguments are storage, exactly like context grids: the
-        # probe gets copies, so neither its writes nor a mid-probe budget
-        # trip can leak into the arrays the authoritative interpreter run
-        # below reads and the caller keeps.
-        probe_args = [a.copy() if isinstance(a, np.ndarray) else a
-                      for a in args]
-        try:
-            vec.call(entry, probe_args)
-        except ResourceLimitError:
-            raise                        # budget exhausted: never retry
-        except ExecutionError as e:
-            reason = f"{type(e).__name__} in vectorized execution: {e}"
-        ref_result = Interpreter(program, ctx, limits=limits).call(
-            entry, list(args))
-
-    fallbacks = tuple(vec.fallbacks)
-    err: float | None = None
-    if reason is None:
-        params = program.find_function(entry).params
-
-        def grids(c: ExecutionContext, a: list[Any] | tuple) -> dict:
-            return {**c.snapshot(compare),
-                    **{p: v for p, v in zip(params, a)
-                       if isinstance(v, np.ndarray)}}
-
-        cmp = compare_grids(grids(probe_ctx, probe_args), grids(ctx, args),
-                            AbsolutePolicy(tolerance))
-        err = cmp.max_error
-        if cmp.ok:
-            return GuardResult(
-                result=ref_result, context=ctx, fell_back=False,
-                max_error=err, tolerance=tolerance, fallbacks=fallbacks)
-        reason = f"vectorized divergence on {cmp.detail}"
-    _record_fallback(entry, -1, "vectorized-executor", reason,
-                     max_abs_error=err, tolerance=tolerance)
-    return GuardResult(
-        result=ref_result, context=ctx, fell_back=True, reason=reason,
-        max_error=err, tolerance=tolerance, fallbacks=fallbacks)
-

@@ -47,8 +47,8 @@ is *not* lifted: the step runs on its front end's scalar path, and the
 demotion is recorded as an ``executor:fallback`` decision, so a lifted
 run is never wrong, only selectively slower.  A lifted program that fails
 at run time (out-of-bounds gather, zero integer divisor, integer
-overflow) restores what it wrote and raises :class:`ExecutionError`; the
-front end then runs the scalar path.
+overflow, a numeric sentinel trip) restores what it wrote and raises
+:class:`ExecutionError`; the front end then runs the scalar path.
 
 Sequencing statements as whole-grid operations is loop distribution; it is
 legal here because :func:`compile_step` only accepts steps in which every
@@ -84,7 +84,6 @@ from ..core.step import Step
 from ..errors import (
     CodegenError,
     ExecutionError,
-    NumericIntegrityError,
     ResourceLimitError,
 )
 from ..numeric import sentinel as _sentinel
@@ -857,7 +856,6 @@ class LiftProgram:
 
 
 def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
-                   where: Callable[[Any], tuple] | None = None,
                    count: Callable[[Any, str, Any, int], None] | None = None
                    ) -> LiftProgram:
     """Compile a lifted step once.
@@ -865,27 +863,24 @@ def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
     ``strict`` casts each written value to its storage dtype under
     ``np.errstate(all="raise")``, so a cast that overflows or is invalid
     raises instead of warning, as the FORTRAN runtime's assignment does.
-    ``where(frame)`` returns
-    ``(function, step_index, step_name)``; with it, every write is
-    screened against the active numeric sentinels, reporting the first
-    offending value in loop order at its grid cell, exactly as the scalar
-    loop would.  ``count(frame, kind, key, n)`` accounts what an inlined
+    When numeric sentinels are active, every write is screened against
+    them, and a value that trips raises :class:`ExecutionError`: the
+    caller's scalar path then runs the step and trips as it does without
+    the lift.  ``count(frame, kind, key, n)`` accounts what an inlined
     function does on the scalar path: ``n`` calls of function ``key``
     (kind ``"call"``), or ``n`` iterations of its step ``key`` =
     (function, index) (kind ``"iter"``).
     """
-    return _Compiler(lifted, strict, where, count).compile()
+    return _Compiler(lifted, strict, count).compile()
 
 
 class _Compiler:
     """Compiles one :class:`LiftedStep` into a :class:`LiftProgram`."""
 
     def __init__(self, lifted: LiftedStep, strict: bool,
-                 where: Callable[[Any], tuple] | None,
                  count: Callable | None = None) -> None:
         self.lifted = lifted
         self.strict = strict
-        self.where = where
         self.count = count
         self.axis = {r.var: k for k, r in enumerate(lifted.step.ranges)}
         self.bound: dict[str, int] = {}       # search variable -> ax slot
@@ -1330,7 +1325,7 @@ class _Compiler:
             region = r.R[t]
             if m is None:
                 v = value(r)
-                if screen is not None and _rc._active.sentinels is not None:
+                if _rc._active.sentinels is not None:
                     screen(r, v, None)
                 if perm is not None and type(v) is np.ndarray and v.ndim:
                     v = v.transpose(perm)
@@ -1343,7 +1338,7 @@ class _Compiler:
             # The value on the active lanes only, written lane by lane.
             sub, where = _restrict(r, m)
             v = value(sub)
-            if screen is not None and _rc._active.sentinels is not None:
+            if _rc._active.sentinels is not None:
                 full = np.zeros(r.geom.shape, np.asarray(v).dtype)
                 full[where] = v
                 screen(r, full, m)
@@ -1424,8 +1419,7 @@ class _Compiler:
                     masks.append(m)
             region, shape = r.R[t], r.geom.shape
             dtype = np.result_type(region.dtype, *terms)
-            screening = (screen is not None
-                         and _rc._active.sentinels is not None)
+            screening = _rc._active.sentinels is not None
             if dtype == region.dtype and ordered:
                 # x[..., 0] is the accumulator; x[..., 1:] runs over the
                 # reduction positions in nest order, then the updates.
@@ -1466,31 +1460,21 @@ class _Compiler:
         return fold
 
     # -- sentinels ---------------------------------------------------------
-    def _screen(self, a: _ArrayAssign, fold: tuple | None
-                ) -> Callable | None:
-        """Screen a write's values as the scalar loop would: the first
-        offending value in loop order trips, reported at its grid cell.
-        ``fold`` is the (kept + reduced) axis order of a reduction's
-        partial results, whose last axis runs over (reduction position,
-        update)."""
-        where = self.where
-        if where is None:
-            return None
+    def _screen(self, a: _ArrayAssign, fold: tuple | None) -> Callable:
+        """Screen a write's values as the scalar loop would, on its active
+        lanes: any value that trips raises :class:`ExecutionError`, so the
+        step falls back and the scalar path trips, reports and records it
+        at its own cell.  ``fold`` is the (kept + reduced) axis order of a
+        reduction's partial results, whose last axis runs over (reduction
+        position, update)."""
         grid = a.target.grid
-        parts = tuple(self.axis[ie.name]
-                      if isinstance(ie, IndexVar) and ie.name in self.axis
-                      else self._invariant(ie) for ie in a.target.indices)
 
         def screen(r: _Run, values: Any, lanes: Any) -> None:
             arr = np.asarray(values)
             if not np.issubdtype(arr.dtype, np.floating):
                 return
-            shape = r.geom.shape
-            if fold is None:
-                arr = np.broadcast_to(arr, shape)
-                if lanes is not None:
-                    lanes = np.broadcast_to(lanes, shape)
-            else:
+            if fold is not None:
+                shape = r.geom.shape
                 inv = [fold.index(k) for k in range(len(shape))]
                 arr = arr.reshape(tuple(shape[k] for k in fold) + (-1,))
                 arr = arr.transpose(inv + [len(shape)])
@@ -1501,21 +1485,8 @@ class _Compiler:
             bad = _sentinel.tripped(arr, _rc._active.sentinels)
             if lanes is not None:
                 bad = bad & lanes
-            if not bad.any():
-                return
-            pos = np.unravel_index(int(np.argmax(bad)), arr.shape)
-            cell = []
-            for p in parts:
-                if type(p) is int:
-                    start, stride, _ = r.geom.ranges[p]
-                    cell.append(start + int(pos[p]) * stride)
-                else:
-                    cell.append(p(r))
-            function, step_index, step_name = where(r.frame)
-            _sentinel.check_value(arr[pos], function=function,
-                                  step_index=step_index, step_name=step_name,
-                                  grid=grid,
-                                  cell=tuple(cell) if cell else None)
+            if bad.any():
+                raise ExecutionError(f"numeric sentinel trips on {grid!r}")
         return screen
 
 
@@ -1675,10 +1646,6 @@ class FallbackEvent:
 
 
 _DIRECT = object()   # sentinel plan: non-loop step, interpret without demoting
-
-
-def _frame_where(frame) -> tuple:
-    return frame.fn.name, frame.current_step, frame.current_step_name
 
 
 def _frame_count(frame, kind: str, key: Any, n: int) -> None:
@@ -1993,10 +1960,11 @@ class VectorizedInterpreter(Interpreter):
     leaf subprograms runs as split nests with the scalar path's
     :class:`ExecStats` accounting.  Fault-injection runs
     (:mod:`repro.robust.faults`) disable lifting entirely so injected
-    faults hit the same per-iteration sites as the reference; under
+    faults hit the same per-iteration sites as the reference.  Under
     sentinels, a step lifted through inlining, scratch or an indirect
-    accumulator runs on the scalar path, so trips report the scalar
-    path's function, step and cell.
+    accumulator runs on the scalar path: the lift's screen sees only the
+    lifted program's pointwise and fold writes, not a callee's own
+    assignments or a scatter's writes, so it would miss their trips.
     """
 
     def __init__(self, *args: Any, **kw: Any):
@@ -2026,7 +1994,7 @@ class VectorizedInterpreter(Interpreter):
             plan = (_DIRECT if not step.is_loop else compiled_plan(
                 step, self.program, frame.fn,
                 save_inner_arrays=self.save_inner_arrays,
-                where=_frame_where, count=_frame_count))
+                count=_frame_count))
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
             elif plan is not _DIRECT and (
@@ -2052,8 +2020,9 @@ class VectorizedInterpreter(Interpreter):
 
         lifted, program = plan
         if _rc._active.sentinels is not None and lifted.extended:
-            # Sentinel reports must name the scalar path's function, step
-            # and cell: call the callee per iteration, as without the lift.
+            # The screen sees only the lifted program's pointwise and fold
+            # writes, not a callee's own or a scatter's: run the scalar
+            # path, which screens every assignment.
             Interpreter._exec_step(self, frame, idx, step)
             return
         if self._depth + lifted.depth > self.max_call_depth:
@@ -2080,12 +2049,10 @@ class VectorizedInterpreter(Interpreter):
             self._note_fallback(frame, idx, step,
                                 "resource budget exhausted mid-lift")
             raise
-        except NumericIntegrityError:
-            raise
         except ExecutionError as e:
             # The lifted program restored what it wrote: let the reference
             # interpreter produce the authoritative result (or the
-            # canonical error).
+            # canonical error, a sentinel trip's included).
             self._restore_sweep_state(state, stats=True)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,

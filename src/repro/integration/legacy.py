@@ -186,6 +186,3 @@ class LegacyCodebase:
 
     def module_has(self, module: str, name: str) -> bool:
         return name.lower() in self.module_exports.get(module.lower(), set())
-
-    def all_sources(self) -> str:
-        return "\n".join(self.files[f] for f in sorted(self.files))

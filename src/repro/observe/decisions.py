@@ -40,7 +40,7 @@ The ``parallel:conflict`` stage is emitted by the access-conflict check
 conflicting cell and the two iterations (attrs ``grid``, ``kind``).  The
 ``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner` when
 a step's checked run conflicts (attr ``grid``) or its boundary raises,
-and by the two differential guards when they fall back (attrs
+and by the generated-Python guard when it falls back (attrs
 ``max_abs_error``, ``tolerance``); the ``fault``
 stage is emitted by :mod:`repro.robust.faults` whenever an injected fault
 fires, so a profiled fault-injection run shows cause and recovery side by

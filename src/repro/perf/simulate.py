@@ -99,9 +99,6 @@ class SimResult:
     alloc_cycles: float = 0.0
     call_overhead_cycles: float = 0.0
 
-    def speedup_over(self, baseline: "SimResult") -> float:
-        return baseline.total_cycles / self.total_cycles
-
 
 class Simulator:
     def __init__(

@@ -156,8 +156,7 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
     from ..observe import observed
 
     case, inp, program, args, context = _sarb()
-    ref = case.run_ir_interpreter(inp, guarded=False,
-                                 executor="interpreter")
+    ref = case.run_ir_interpreter(inp, executor="interpreter")
     plan = FaultPlan([spec], seed=seed)
     with observed(), configured(faults=plan):
         run = GuardedRunner(program).run(case.entry, args, **context)
@@ -188,8 +187,7 @@ def _check_codegen(seed: int) -> SiteResult:
 
     site, kind = "codegen.python.assign", "perturb"
     case, inp, program, args, context = _sarb()
-    ref = case.run_ir_interpreter(inp, guarded=False,
-                                 executor="interpreter")
+    ref = case.run_ir_interpreter(inp, executor="interpreter")
     plan = FaultPlan(
         [FaultSpec(site, kind, match={"function": "shortwave_entropy_model"})],
         seed=seed)

@@ -1,5 +1,5 @@
-"""One run configuration: the executor, the divergence guard, the numeric
-sentinels and the fault plan a run executes under.
+"""One run configuration: the executor, the numeric sentinels and the
+fault plan a run executes under.
 
 One :class:`RunConfig` is active at a time, and :func:`configured`
 installs a changed copy for a block.  It is read where it is used, not
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 __all__ = ["EXECUTOR_NAMES", "RunConfig", "configured", "current"]
 
-#: Valid executor names, in guard-strictness order.
+#: Valid executor names; ``guarded`` is the access-conflict guard.
 EXECUTOR_NAMES = ("interpreter", "vectorized", "guarded")
 
 
@@ -36,7 +36,6 @@ class RunConfig:
     must run), so the IR interpreter's per-assignment test is one read."""
 
     executor: str = "interpreter"
-    guarded: bool = False
     sentinels: SentinelConfig | None = None
     faults: FaultPlan | None = None
     hooked: bool = field(init=False, repr=False, compare=False)
@@ -56,7 +55,8 @@ class RunConfig:
 
     def run_fields(self) -> dict[str, object]:
         """What bench artifacts and run records state about the run."""
-        return {"executor": self.executor, "guard_mode": self.guarded,
+        return {"executor": self.executor,
+                "guard_mode": self.executor == "guarded",
                 "fault_plan_active": self.faults is not None,
                 "sentinels": self.sentinels is not None}
 

@@ -105,7 +105,8 @@ class TestFun3dEquivalence:
 
     def test_guarded_no_reallocation_run_keeps_save(self, mesh, monkeypatch):
         # The guarded path takes the executors' keywords: a SAVE'd run
-        # allocates the temporaries once, guarded or not.
+        # allocates the temporaries once, guarded or not, selected as
+        # guarded=True or as the guarded executor.
         from repro.glafexec import executor as executor_mod
         from repro.glafexec import guard as guard_mod
 
@@ -124,12 +125,14 @@ class TestFun3dEquivalence:
         spy(guard_mod, "GuardedInterpreter", "guarded")
         plain = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
                                        executor="interpreter")
-        guarded = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
-                                         guarded=True)
-        assert built["guarded"].save_inner_arrays
-        assert built["guarded"].stats.allocations == \
-            built["plain"].stats.allocations
-        assert np.array_equal(guarded, plain)
+        for how in ({"guarded": True}, {"executor": "guarded"}):
+            built.pop("guarded", None)
+            guarded = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
+                                             **how)
+            assert built["guarded"].save_inner_arrays, how
+            assert built["guarded"].stats.allocations == \
+                built["plain"].stats.allocations
+            assert np.array_equal(guarded, plain)
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +375,7 @@ class TestResourceExhaustion:
 
     ``ResourceLimitError`` is terminal for the run, but the arrays the
     caller handed in are authoritative storage: the tripping step's
-    partial writes are rolled back, the step is sticky-demoted, and a
-    guarded probe's writes never reach the caller's arrays at all.
+    partial writes are rolled back and the step is sticky-demoted.
     """
 
     def _two_step(self):
@@ -405,23 +407,6 @@ class TestResourceExhaustion:
         fb = obs.decisions.for_stage("executor:fallback")
         assert [(d.step_name, d.reasons) for d in fb] == [
             ("shift", ("resource budget exhausted mid-lift",))]
-
-    def test_guarded_probe_trip_leaves_callers_arrays_untouched(self):
-        # The probe runs on copies: even though its first step completed
-        # before the budget tripped, none of its writes may leak into the
-        # arrays the caller (and the authoritative interpreter run)
-        # owns.
-        from repro.errors import ResourceLimitError
-        from repro.robust import ResourceLimits
-
-        p = self._two_step()
-        x = _x()
-        y = np.zeros(N)
-        ex = get_executor("guarded",
-                          limits=ResourceLimits(max_loop_iterations=N))
-        with pytest.raises(ResourceLimitError):
-            ex.run(p, "f", [N, x, y], sizes={"n": N})
-        assert np.array_equal(y, np.zeros(N))
 
     def test_mid_write_trip_rolls_back_and_sticky_demotes(self):
         # The budget trips inside the lifted program, after its first
@@ -479,20 +464,6 @@ class TestResourceExhaustion:
         vec.call("f", [N, 1, x, y, k])
         assert np.array_equal(y, x * 2.0)
         assert np.array_equal(k, np.ones(N))
-
-    def test_guarded_probe_writes_never_pollute_reference_inputs(self):
-        # Accumulating kernel: if the probe shared the caller's arrays,
-        # the authoritative interpreter run would start from the probe's
-        # result and double-count.
-        def body(f):
-            s = f.step("acc")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", 1), ref("y", 1) + ref("x", I("i")))
-        p = _kernel(body)
-        x = _x()
-        y = np.zeros(N)
-        get_executor("guarded").run(p, "f", [N, x, y], sizes={"n": N})
-        assert np.isclose(y[0], x.sum())
 
 
 # ----------------------------------------------------------------------
@@ -596,3 +567,33 @@ class TestSentinelParity:
                 get_executor(executor).run(p, "f", [5, x, np.zeros(5)],
                                            sizes={"n": 5})
         assert exc.value.kind == "nan"
+
+    def test_trip_leaves_the_interpreters_storage(self):
+        # The lift screens z's values over every lane and finds the NaN
+        # lane before it writes anything; the scalar re-run writes
+        # i = 1..3 and trips at i = 4, where the interpreter trips, and
+        # only that trip is recorded.
+        def body(f):
+            s = f.step("two")
+            s.foreach(i=(1, "n"))
+            s.formula(ref("z", I("i")), ref("x", I("i")) + 1.0)
+            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
+        p = _kernel(body, [("z", T_REAL8, ("n",), "inout")])
+        n = 6
+        out = {}
+        for how in ("interpreter", "vectorized"):
+            x = np.arange(1.0, n + 1)
+            x[3] = np.nan
+            args = [n, x, np.full(n, -1.0), np.full(n, -1.0)]
+            with observe.observed() as obs, \
+                    configured(sentinels=SentinelConfig()), \
+                    pytest.raises(NumericIntegrityError) as exc:
+                get_executor(how).run(p, "f", args, sizes={"n": n})
+            trips = obs.decisions.for_stage("numeric:nan")
+            out[how] = (str(exc.value), args[2].tolist(), args[3].tolist(),
+                        len(trips),
+                        obs.metrics.counter("numeric.sentinel.nan").value)
+        assert out["vectorized"] == out["interpreter"]
+        assert out["interpreter"][1:] == (
+            [2.0, 4.0, 6.0, -1.0, -1.0, -1.0],
+            [2.0, 3.0, 4.0, -1.0, -1.0, -1.0], 1, 1)

@@ -324,7 +324,7 @@ class TestRunTimed:
 
 class TestEnvironmentFingerprint:
     def test_guard_mode_is_reflected(self):
-        with configured(guarded=True):
+        with configured(executor="guarded"):
             assert environment_fingerprint()["guard_mode"] is True
         assert environment_fingerprint()["guard_mode"] is False
 

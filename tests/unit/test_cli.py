@@ -203,13 +203,14 @@ class TestRobustnessCli:
     def test_profile_guarded_fault_shows_injection_and_fallback(
             self, project_file, capsys):
         assert main([
-            "profile", project_file, "--guarded",
+            "profile", project_file, "--executor", "guarded",
             "--fault", "analysis.parallelize.verdict:misparallelize:adjust2",
         ]) == 0
         out = capsys.readouterr().out
         assert "[fault:injected]" in out
         assert "[guard:serial-fallback]" in out
         assert "guard.serial_fallbacks" in out
+        assert "executor guarded" in out
 
     def test_bad_fault_spec_is_a_friendly_error(self, project_file, capsys):
         assert main(["profile", project_file, "--fault", "bogus"]) == 2
@@ -234,9 +235,18 @@ class TestRobustnessCli:
     def test_guard_mode_resets_after_experiments(self, capsys):
         from repro.runconfig import current
 
-        assert main(["experiments", "C1", "--guarded"]) == 0
-        assert not current().guarded
+        before = current()
+        assert main(["experiments", "C1", "--executor", "guarded"]) == 0
+        assert current() is before
         capsys.readouterr()
+
+    def test_guarded_flag_is_gone(self, project_file, capsys):
+        for argv in (["experiments", "C1", "--guarded"],
+                     ["profile", project_file, "--guarded"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "unrecognized arguments: --guarded" in capsys.readouterr().err
 
 
 class TestProfileFlag:
@@ -706,7 +716,7 @@ class TestRunConfigCli:
         for argv in (
                 ["experiments", "T2", "--sentinels", "--executor",
                  "vectorized"],
-                ["experiments", "C1", "--guarded"],
+                ["experiments", "C1", "--executor", "guarded"],
                 ["profile", project_file, "--target", "c", "--fault",
                  "analysis.parallelize.verdict:misparallelize:adjust2"]):
             assert main(argv + ["--ledger", str(ledger)]) == 0
@@ -717,7 +727,7 @@ class TestRunConfigCli:
         assert [tuple(r["environment"][k] for k in self.FIELDS)
                 for r in records] == [
             ("vectorized", False, False, True),
-            (default, True, False, False),
+            ("guarded", True, False, False),
             (default, False, True, False),
         ]
         assert all("executor" not in r["meta"] for r in records)

@@ -20,7 +20,6 @@ from repro.glafexec.vectorize import (
     LiftFailure,
     compiled_plan,
     _frame_count,
-    _frame_where,
 )
 
 
@@ -50,8 +49,8 @@ def _compile(program, **kw):
     """Compile ``f``'s sweep; whether it missed the cache."""
     fn = program.find_function("f")
     with observe.observed() as obs:
-        plan = compiled_plan(fn.steps[0], program, fn, where=_frame_where,
-                             count=_frame_count, **kw)
+        plan = compiled_plan(fn.steps[0], program, fn, count=_frame_count,
+                             **kw)
     assert not isinstance(plan, LiftFailure), plan
     return obs.metrics.counter("exec.plan_cache.misses").value == 1
 

@@ -23,6 +23,7 @@ from repro.fortranlib.parser import parse_source
 from repro.glafexec import (
     ExecutionContext,
     GuardedRunner,
+    get_executor,
     guarded_python_run,
     run_interpreted,
 )
@@ -188,19 +189,28 @@ class TestGuardedRunner:
         assert np.array_equal(run.context.get("v"), _reference())
 
     def test_misparallelized_step_is_demoted_and_result_correct(self):
-        plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
-                                    "misparallelize",
-                                    match={"function": "work"})])
-        with configured(faults=plan):
-            run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        assert plan.fired, "fault must actually fire"
-        assert run.fell_back
-        assert ("work", 1) in run.demoted           # the carried 'scan' step
-        # The reason names the grid and two iterations of the carried step.
-        assert run.events[0].reason == (
-            "access conflict: write-read on v(2) in work/1, iterations 2 and 3")
-        assert run.events[0].conflict.grid == "v"
-        assert np.array_equal(run.context.get("v"), _reference())
+        # The runner itself, and the guarded executor, whose run holds the
+        # runner's GuardedRun.
+        for guarded in (
+                lambda: GuardedRunner(_program()).run(
+                    "work", [N], sizes={"n": N}),
+                lambda: get_executor("guarded").run(
+                    _program(), "work", [N], sizes={"n": N}).guard):
+            plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
+                                        "misparallelize",
+                                        match={"function": "work"})])
+            with configured(faults=plan):
+                run = guarded()
+            assert plan.fired, "fault must actually fire"
+            assert run.fell_back
+            assert ("work", 1) in run.demoted       # the carried 'scan' step
+            # The reason names the grid and two iterations of the carried
+            # step.
+            assert run.events[0].reason == (
+                "access conflict: write-read on v(2) in work/1, "
+                "iterations 2 and 3")
+            assert run.events[0].conflict.grid == "v"
+            assert np.array_equal(run.context.get("v"), _reference())
 
     def test_guarded_results_and_stats_equal_the_plain_interpreter(self):
         from repro.cases import get_case
@@ -251,19 +261,23 @@ class TestGuardedRunner:
             assert not demoted.step_is_parallel(*key)
 
     def test_resource_limit_error_is_never_recovered(self):
-        runner = GuardedRunner(
-            _program(), limits=ResourceLimits(max_loop_iterations=10))
+        limits = ResourceLimits(max_loop_iterations=10)
+        runner = GuardedRunner(_program(), limits=limits)
         with pytest.raises(ResourceLimitError, match="iteration budget"):
             runner.run("work", [N], sizes={"n": N})
+        with pytest.raises(ResourceLimitError, match="iteration budget"):
+            get_executor("guarded", limits=limits).run(
+                _program(), "work", [N], sizes={"n": N})
 
     def test_guard_mode_context_manager(self):
-        assert not current().guarded
-        with configured(guarded=True):
-            assert current().guarded
-            with configured(guarded=False):
-                assert not current().guarded
-            assert current().guarded
-        assert not current().guarded
+        before = current()
+        assert not before.run_fields()["guard_mode"]
+        with configured(executor="guarded"):
+            assert current().run_fields()["guard_mode"]
+            with configured(executor="interpreter"):
+                assert not current().run_fields()["guard_mode"]
+            assert current().run_fields()["guard_mode"]
+        assert current() is before
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ from repro.runconfig import EXECUTOR_NAMES, RunConfig, configured, current
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
-        assert (config.executor, config.guarded, config.sentinels,
-                config.faults) == ("interpreter", False, None, None)
+        assert (config.executor, config.sentinels, config.faults) == (
+            "interpreter", None, None)
         assert not config.hooked
 
     def test_is_frozen(self):
@@ -36,17 +36,16 @@ class TestRunConfig:
     def test_hooked_follows_sentinels_and_faults(self):
         assert RunConfig(sentinels=SentinelConfig()).hooked
         assert RunConfig(faults=FaultPlan()).hooked
-        assert not RunConfig(executor="vectorized", guarded=True).hooked
+        assert not RunConfig(executor="guarded").hooked
 
     def test_pickle_round_trip(self):
         config = RunConfig(
-            "vectorized", guarded=True,
-            sentinels=SentinelConfig(denormal=True),
+            "guarded", sentinels=SentinelConfig(denormal=True),
             faults=FaultPlan([FaultSpec("exec.interp.step", "raise")],
                              seed=3))
         back = pickle.loads(pickle.dumps(config))
-        assert (back.executor, back.guarded, back.sentinels) == (
-            "vectorized", True, SentinelConfig(denormal=True))
+        assert (back.executor, back.sentinels) == (
+            "guarded", SentinelConfig(denormal=True))
         assert back.faults.faults == config.faults.faults
         assert back.faults.seed == 3
         assert back.hooked
@@ -55,8 +54,9 @@ class TestRunConfig:
         assert RunConfig().run_fields() == {
             "executor": "interpreter", "guard_mode": False,
             "fault_plan_active": False, "sentinels": False}
-        tuned = RunConfig("guarded", guarded=True,
-                          sentinels=SentinelConfig(), faults=FaultPlan())
+        assert RunConfig("vectorized").run_fields()["guard_mode"] is False
+        tuned = RunConfig("guarded", sentinels=SentinelConfig(),
+                          faults=FaultPlan())
         assert tuned.run_fields() == {
             "executor": "guarded", "guard_mode": True,
             "fault_plan_active": True, "sentinels": True}
@@ -65,17 +65,17 @@ class TestRunConfig:
 class TestConfigured:
     def test_installs_a_changed_copy_and_restores(self):
         before = current()
-        with configured(guarded=True) as config:
+        with configured(sentinels=SentinelConfig()) as config:
             assert current() is config
-            assert config.guarded
+            assert config.sentinels == SentinelConfig()
             assert config.executor == before.executor
         assert current() is before
 
     def test_installs_a_given_config(self):
         before = current()
         given = RunConfig("vectorized", sentinels=SentinelConfig())
-        with configured(given, guarded=True) as config:
-            assert config == dataclasses.replace(given, guarded=True)
+        with configured(given, executor="guarded") as config:
+            assert config == dataclasses.replace(given, executor="guarded")
         assert current() is before
 
     def test_restores_on_exception(self):

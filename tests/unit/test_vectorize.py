@@ -3,8 +3,8 @@
 The integration-level cross-executor equivalence suite lives in
 ``tests/integration/test_executor_equivalence.py``; this file covers the
 lift-legality analysis (``compile_step``), the executor selection
-machinery, FORTRAN scalar semantics surviving the lift, fallback
-bookkeeping, and the guarded executor's divergence handling.
+machinery, FORTRAN scalar semantics surviving the lift, and fallback
+bookkeeping.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.glafexec import (
     VectorizedInterpreter,
     compile_step,
     get_executor,
-    guarded_vectorized_run,
     liftability_report,
 )
 from repro.numeric import SentinelConfig
@@ -354,7 +353,10 @@ class TestFortranSemantics:
                     interp.call("f", [5, x, np.zeros((5,) * len(z_dims))])
             got[cls] = (exc.value.cell, str(exc.value))
             if cls is VectorizedInterpreter:
-                assert interp.fallbacks == []       # the step did lift
+                # The step lifted, tripped at run time and re-ran on the
+                # scalar path, which raised.
+                assert [e.reason for e in interp.fallbacks] == [
+                    "runtime lift failure: numeric sentinel trips on 'z'"]
         assert got[Interpreter][0] == want
         assert got[VectorizedInterpreter] == got[Interpreter]
 
@@ -431,76 +433,6 @@ class TestFallback:
         assert np.array_equal(y, [2.0, 2.0, 2.0])
         # No step went through the array path while injection was armed.
         assert obs.metrics.counter("exec.vectorized.steps").value == 0
-
-
-class TestGuardedExecutor:
-    def _program(self):
-        # The guard compares the *global* state of the two contexts, so
-        # the kernel must write a module-scope grid, not just a param.
-        b = GlafBuilder("g")
-        b.global_grid("out", T_REAL8, dims=("n",), module_scope=True)
-        m = b.module("M")
-        f = m.function("f", return_type=T_VOID)
-        f.param("n", T_INT, intent="in")
-        f.param("x", T_REAL8, dims=("n",), intent="in")
-        s = f.step("pw")
-        s.foreach(i=(1, "n"))
-        s.formula(ref("out", I("i")), ref("x", I("i")) * 2.0)
-        return b.build()
-
-    def test_agreement_keeps_interpreter_result(self):
-        p = self._program()
-        run = get_executor("guarded").run(p, "f", [4, np.ones(4)],
-                                          sizes={"n": 4})
-        assert run.guard is not None
-        assert not run.guard.fell_back
-        assert np.array_equal(run.context.get("out"),
-                              [2.0, 2.0, 2.0, 2.0])
-
-    def test_forced_divergence_falls_back_and_logs(self):
-        from repro import observe
-
-        p = self._program()
-        ctx = ExecutionContext(p, sizes={"n": 4})
-        with observe.observed() as obs:
-            res = guarded_vectorized_run(
-                p, "f", [4, np.ones(4)], context=ctx,
-                tolerance=-1.0)     # nothing can agree at tolerance < 0
-        assert res.fell_back
-        assert res.context is ctx                       # interpreter's
-        assert np.array_equal(ctx.get("out"), [2.0, 2.0, 2.0, 2.0])
-        guard = obs.decisions.for_stage("guard")
-        assert any(d.step_name == "vectorized-executor" and
-                   d.verdict == "serial-fallback" for d in guard)
-
-    def test_array_arguments_are_compared(self, monkeypatch):
-        # The inout argument y is this kernel's only result: the guard must
-        # check it like a global grid.
-        from repro.glafexec import vectorize
-
-        def body(f):
-            s = f.step("pw")
-            s.foreach(i=(1, "n"))
-            s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
-
-        p = _build(body)
-        assert not guarded_vectorized_run(
-            p, "f", [4, np.ones(4), np.zeros(4)], sizes={"n": 4}).fell_back
-        real_call = vectorize.VectorizedInterpreter.call
-
-        def off_by_one(self, entry, args):
-            out = real_call(self, entry, args)
-            args[2][0] += 1.0               # the probe's copy of y diverges
-            return out
-
-        monkeypatch.setattr(vectorize.VectorizedInterpreter, "call",
-                            off_by_one)
-        y = np.zeros(4)
-        res = guarded_vectorized_run(p, "f", [4, np.ones(4), y],
-                                     sizes={"n": 4})
-        assert res.fell_back and res.max_error == 1.0
-        assert res.reason.startswith("vectorized divergence on grid 'y'")
-        assert np.array_equal(y, [2.0, 2.0, 2.0, 2.0])   # interpreter's
 
 
 # ----------------------------------------------------------------------
