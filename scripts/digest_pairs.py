@@ -9,8 +9,9 @@ directory of its own, with ``REPRO_LEDGER=0`` and ``PYTHONPATH`` set to
 its tree's ``src``:
 
 * ``experiments C1 C2`` (on the configured executor, then with
-  ``--executor guarded``), ``faultcheck`` and ``lint --level all --case
-  all``, each with ``--json FILE``: the file's sha256;
+  ``--executor guarded``, then with ``--sentinels --executor
+  vectorized``), ``faultcheck`` and ``lint --level all --case all``,
+  each with ``--json FILE``: the file's sha256;
 * ``fuzz --seed 7 --count 25 --profile small --crosscheck --json FILE``:
   the summary's ``content_sha256``;
 * CI's two batch-smoke commands: each manifest's ``content_sha256``.
@@ -47,6 +48,10 @@ OUTPUTS = (
     ("experiments guarded", ["experiments", "C1", "C2", "--executor",
                              "guarded", "--json", "exp-guarded.json"],
      0, "exp-guarded.json", None),
+    ("experiments sentinels", ["experiments", "C1", "C2", "--sentinels",
+                               "--executor", "vectorized", "--json",
+                               "exp-sentinels.json"],
+     0, "exp-sentinels.json", None),
     ("faultcheck", ["faultcheck", "--json", "faultcheck.json"], 0,
      "faultcheck.json", None),
     ("lint all/all", ["lint", "--level", "all", "--case", "all", "--json",
@@ -101,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         base, head = sides[0][name], sides[1][name]
         ok = base == head and len(base) == 64
         same &= ok
-        print(f"{'same' if ok else 'DIFF'}  {name:19}  {base}  {head}")
+        print(f"{'same' if ok else 'DIFF'}  {name:21}  {base}  {head}")
     return 0 if same else 1
 
 

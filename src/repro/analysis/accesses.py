@@ -16,14 +16,12 @@ from ..core.expr import (
     BinOp,
     Const,
     Expr,
-    FuncCall,
     GridRef,
     IndexVar,
-    LibCall,
     UnOp,
     walk,
 )
-from ..core.step import Assign, CallStmt, IfStmt, Return, Step, Stmt, walk_stmts
+from ..core.step import Assign, CallStmt, IfStmt, Return, Step, Stmt
 
 __all__ = ["AffineForm", "Access", "affine_form", "step_accesses", "collect_reads"]
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 
-from ..core.expr import Const, GridRef, IndexVar, UnOp, index_vars_used, walk
-from ..core.step import Assign, CallStmt, IfStmt, Step, walk_stmts
+from ..core.expr import Const, GridRef, UnOp, index_vars_used
+from ..core.step import Assign, CallStmt, Step, walk_stmts
 
 __all__ = ["LoopClass", "classify_step", "SIMPLE_BODY_MAX_STMTS"]
 

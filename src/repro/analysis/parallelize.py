@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.expr import GridRef, walk
+from ..core.expr import walk
 from ..core.function import GlafFunction, GlafProgram
 from ..core.step import Assign, CallStmt, ExitLoop, Return, Step, walk_stmts
 from ..observe import get_decisions, get_metrics, get_tracer

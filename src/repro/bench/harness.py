@@ -10,7 +10,7 @@ asserted in the benchmark suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["ExperimentResult", "Experiment", "format_table", "run_and_format",

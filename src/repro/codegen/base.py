@@ -7,8 +7,6 @@ precedence-aware walker so parentheses are minimal but always sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, IndexVar, LibCall, UnOp
 from ..errors import CodegenError
 

@@ -16,12 +16,12 @@ The C back-end mirrors the FORTRAN generator's structure with C idioms:
 
 from __future__ import annotations
 
-from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, LibCall, UnOp
+from ..core.expr import BinOp, Const, FuncCall, GridRef, LibCall, UnOp
 from ..core.function import GlafFunction, GlafProgram
 from ..core.grid import Grid
 from ..core.libfuncs import get as get_libfunc
 from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step, Stmt
-from ..core.types import GlafType, c_decl
+from ..core.types import c_decl
 from ..errors import CodegenError
 from ..optimize.plan import OptimizationPlan
 from .base import Emitter, ExprRenderer, PRECEDENCE

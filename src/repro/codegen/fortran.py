@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, LibCall, UnOp
+from ..core.expr import BinOp, Const, FuncCall, GridRef, LibCall, UnOp
 from ..core.function import GlafFunction, GlafProgram
 from ..core.grid import Grid
 from ..core.libfuncs import get as get_libfunc
@@ -39,7 +39,7 @@ from ..core.step import (
     Stmt,
     walk_stmts,
 )
-from ..core.types import GlafType, fortran_decl
+from ..core.types import fortran_decl
 from ..errors import CodegenError
 from ..optimize.plan import OptimizationPlan
 from ..robust import inject
@@ -555,12 +555,12 @@ class FortranGenerator:
             raise CodegenError(f"cannot emit statement {type(s).__name__}")
 
 
-def generate_fortran_module(plan: OptimizationPlan, module_name: str | None = None) -> str:
+def generate_fortran_module(plan: OptimizationPlan) -> str:
     """Convenience wrapper: one call, one generated MODULE."""
     from ..observe import get_metrics, get_tracer
 
     with get_tracer().span("codegen.fortran", variant=plan.variant.name) as _sp:
-        src = FortranGenerator(plan, module_name).generate_module()
+        src = FortranGenerator(plan).generate_module()
         _sp.set(lines=src.count("\n"))
         get_metrics().counter("codegen.fortran.lines").inc(src.count("\n"))
         return src

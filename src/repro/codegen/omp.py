@@ -8,7 +8,7 @@ with ``PRIVATE``, ``FIRSTPRIVATE``, ``REDUCTION`` (possibly multi-variable),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["OmpDirective", "render_fortran", "render_fortran_end",
            "render_c", "FORTRAN_SENTINEL"]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.expr import Const
 from ..core.function import GlafFunction
 from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step, Stmt
 from ..core.types import opencl_decl

@@ -33,7 +33,7 @@ from ..core.types import GlafType
 from ..errors import CodegenError
 from ..optimize.plan import OptimizationPlan
 from ..robust import inject
-from .base import Emitter, ExprRenderer, PRECEDENCE
+from .base import Emitter, ExprRenderer
 
 __all__ = ["PythonGenerator", "generate_python_source"]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import BuilderError
-from .expr import Expr, GridRef, E
+from .expr import GridRef, E
 from .function import GLOBAL_SCOPE, GlafFunction, GlafModule, GlafProgram
 from .grid import DimSize, Grid
 from .step import Assign, CallStmt, ExitLoop, IfStmt, Range, Return, Step, Stmt

@@ -22,14 +22,12 @@ attributes introduced in §3 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..errors import ValidationError
-from .expr import Const, Expr, GridRef, E
-from .types import GlafType, numpy_dtype
+from .expr import GridRef, E
+from .types import GlafType
 
 __all__ = ["Grid", "DimSize", "Intent", "scalar", "array"]
 
@@ -140,18 +138,6 @@ class Grid:
                     )
                 out.append(int(sizes[d]))
         return tuple(out)
-
-    def allocate(self, sizes: dict[str, int] | None = None) -> np.ndarray | Any:
-        """Fresh zero-initialized storage for this grid (NumPy semantics)."""
-        dtype = numpy_dtype(self.ty)
-        if self.is_scalar:
-            if self.init_data is not None:
-                return dtype.type(self.init_data)
-            return dtype.type(0)
-        arr = np.zeros(self.shape(sizes), dtype=dtype)
-        if self.init_data is not None:
-            arr[...] = self.init_data
-        return arr
 
     def ref(self, *indices: object) -> GridRef:
         """An expression node referring to this grid."""

@@ -28,7 +28,6 @@ from .expr import Expr, FuncCall, GridRef, LibCall, walk
 from .function import GlafFunction, GlafProgram
 from .libfuncs import REGISTRY
 from .step import Assign, CallStmt, Return, Step, walk_stmts
-from .types import GlafType
 
 __all__ = ["validate_program", "validate_function"]
 

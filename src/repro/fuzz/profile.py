@@ -11,7 +11,7 @@ the pipeline claims to handle (docs/FUZZING.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 

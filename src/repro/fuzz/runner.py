@@ -11,7 +11,10 @@ bounds loop iterations and wall clock inside both executors), seeded
 
 The **differential oracle**: every kernel runs under the reference
 interpreter and the vectorized array executor on independent, identically
-seeded inputs; the inout grids and every context grid must agree under
+seeded inputs.  Only the interpreter runs under the sentinels; the
+vectorized executor runs without them, so it lifts what it lifts in any
+other run, and a NaN, Inf or huge value of its own is a value
+divergence.  The inout grids and every context grid must agree under
 the profile's :mod:`repro.numeric.tolerance` policy (one
 :func:`~repro.numeric.compare_grids` call per kernel, so a diverging
 kernel records one failure naming its worst grid), and the emitted
@@ -50,7 +53,7 @@ from ..numeric import (
 from ..robust import FaultPlan, FaultSpec
 from ..robust.watchdog import ResourceLimits
 from ..runconfig import configured
-from .generate import CodebaseSpec, build_program, generate_spec, item_rng
+from .generate import CodebaseSpec, build_program, generate_spec
 from .profile import FuzzProfile, get_profile
 from .shrink import shrink_spec
 from .triage import FailureSignature, ItemFailure, Triage
@@ -140,7 +143,10 @@ def _execute_unit(program, spec: CodebaseSpec, unit,
                          seed=spec.seed * 1000 + spec.index)
     sizes = {"n": spec.extent}
     runs = {}
-    for engine in ("interpreter", "vectorized"):
+    # The vectorized leg runs only once the interpreter assigned no value
+    # that trips, so it needs no sentinels of its own.
+    for engine, sentinels in (("interpreter", SentinelConfig()),
+                              ("vectorized", None)):
         args = _unit_args(spec, unit)
 
         def attempt(engine=engine, args=args):
@@ -153,9 +159,10 @@ def _execute_unit(program, spec: CodebaseSpec, unit,
             return run, retry_args
 
         try:
-            runs[engine] = retry_call(
-                attempt, policy=policy, limits=limits,
-                what=f"fuzz:{unit.name}:{engine}")
+            with configured(sentinels=sentinels):
+                runs[engine] = retry_call(
+                    attempt, policy=policy, limits=limits,
+                    what=f"fuzz:{unit.name}:{engine}")
         except (ResourceLimitError, NumericIntegrityError, GlafError) as e:
             return [ItemFailure(
                 signature=FailureSignature("execute", type(e).__name__,
@@ -201,8 +208,9 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
     Typed :class:`GlafError`\\ s, lint findings, oracle divergence, and
     budget/sentinel trips become :class:`ItemFailure`\\ s; only raw
     non-framework exceptions (genuine harness bugs) still propagate.
-    The item runs with sentinels on.  ``faults`` configures a fresh seeded
-    fault-injection plan for just this item, so one-shot faults fire
+    Each kernel's interpreter run is screened by the sentinels.
+    ``faults`` configures a fresh seeded fault-injection plan for just
+    this item (both executors run under it), so one-shot faults fire
     identically on every reproduction; without it an outer plan stays
     active.
     With ``crosscheck``, the static bounds checker's proven-in-bounds
@@ -212,7 +220,7 @@ def run_item(spec: CodebaseSpec, profile: FuzzProfile | str, *,
     prof = get_profile(profile) if isinstance(profile, str) else profile
     res = ItemResult(index=spec.index, spec=spec)
 
-    changes = {"sentinels": SentinelConfig()}
+    changes = {}
     if faults:
         changes["faults"] = FaultPlan(list(faults), seed=fault_seed)
     with configured(**changes):

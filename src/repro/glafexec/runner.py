@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..codegen.python_gen import generate_python_source
 from ..core.function import GlafProgram
 from ..errors import CodegenError, ExecutionError

@@ -47,8 +47,12 @@ is *not* lifted: the step runs on its front end's scalar path, and the
 demotion is recorded as an ``executor:fallback`` decision, so a lifted
 run is never wrong, only selectively slower.  A lifted program that fails
 at run time (out-of-bounds gather, zero integer divisor, integer
-overflow, a numeric sentinel trip) restores what it wrote and raises
-:class:`ExecutionError`; the front end then runs the scalar path.
+overflow) restores what it wrote and raises :class:`ExecutionError`; the
+front end then runs the scalar path.  No lifted code runs while a hook
+could fire inside it: fault sites and sentinel screens sit on the scalar
+paths, per iteration and per assignment.  The IR front end lifts nothing
+while the run configuration is hooked (a fault plan or numeric
+sentinels), the FORTRAN front end nothing while the sentinels are on.
 
 Sequencing statements as whole-grid operations is loop distribution; it is
 legal here because :func:`compile_step` only accepts steps in which every
@@ -86,7 +90,6 @@ from ..errors import (
     ExecutionError,
     ResourceLimitError,
 )
-from ..numeric import sentinel as _sentinel
 from ..recurring import RecurringCache, digest
 from .context import as_storage
 from .inline import (
@@ -149,14 +152,6 @@ class LiftedStep:
     inlined: tuple[str, ...] = ()
     depth: int = 0
 
-    @property
-    def extended(self) -> bool:
-        """Does the step use a form the scalar path's fault and sentinel
-        hooks cannot see through (an inlined call, a scratch copy, an
-        indirect accumulator)?"""
-        return bool(self.inlined or self.keep) or any(
-            a.kind == "scatter" for a in self.assigns)
-
 
 @dataclass(frozen=True)
 class LiftedSweep:
@@ -172,8 +167,6 @@ class LiftedSweep:
     split: Split = field(repr=False)
     written: tuple[str, ...]
     step: Step = field(repr=False, compare=False, hash=False)
-
-    extended = True
 
     @property
     def inlined(self) -> tuple[str, ...]:
@@ -863,13 +856,11 @@ def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
     ``strict`` casts each written value to its storage dtype under
     ``np.errstate(all="raise")``, so a cast that overflows or is invalid
     raises instead of warning, as the FORTRAN runtime's assignment does.
-    When numeric sentinels are active, every write is screened against
-    them, and a value that trips raises :class:`ExecutionError`: the
-    caller's scalar path then runs the step and trips as it does without
-    the lift.  ``count(frame, kind, key, n)`` accounts what an inlined
-    function does on the scalar path: ``n`` calls of function ``key``
-    (kind ``"call"``), or ``n`` iterations of its step ``key`` =
-    (function, index) (kind ``"iter"``).
+    The program screens no write against the numeric sentinels: no front
+    end runs it while they are on.  ``count(frame, kind, key, n)``
+    accounts what an inlined function does on the scalar path: ``n``
+    calls of function ``key`` (kind ``"call"``), or ``n`` iterations of
+    its step ``key`` = (function, index) (kind ``"iter"``).
     """
     return _Compiler(lifted, strict, count).compile()
 
@@ -1308,7 +1299,7 @@ class _Compiler:
         out_axes = [self.axis[ie.name] for ie in a.target.indices
                     if isinstance(ie, IndexVar) and ie.name in self.axis]
         perm = None if out_axes == sorted(out_axes) else tuple(out_axes)
-        strict, screen = self.strict, self._screen(a, None)
+        strict = self.strict
 
         def write(r: _Run) -> None:
             m = None
@@ -1325,8 +1316,6 @@ class _Compiler:
             region = r.R[t]
             if m is None:
                 v = value(r)
-                if _rc._active.sentinels is not None:
-                    screen(r, v, None)
                 if perm is not None and type(v) is np.ndarray and v.ndim:
                     v = v.transpose(perm)
                 if strict:
@@ -1338,10 +1327,6 @@ class _Compiler:
             # The value on the active lanes only, written lane by lane.
             sub, where = _restrict(r, m)
             v = value(sub)
-            if _rc._active.sentinels is not None:
-                full = np.zeros(r.geom.shape, np.asarray(v).dtype)
-                full[where] = v
-                screen(r, full, m)
             if strict:
                 v = _cast(v, region.dtype, strict)
             if snap and r.undo is not None:
@@ -1402,7 +1387,7 @@ class _Compiler:
                       else ufunc if u[3].acc_first or op == "+"
                       else _swapped(ufunc) for u in group)
         negate = tuple(u[3].negate for u in group)
-        strict, screen = self.strict, self._screen(a, perm)
+        strict = self.strict
         updates = tuple((value, mask, u) for value, mask, u, _ in group)
         check_int = op == "+"
 
@@ -1419,7 +1404,6 @@ class _Compiler:
                     masks.append(m)
             region, shape = r.R[t], r.geom.shape
             dtype = np.result_type(region.dtype, *terms)
-            screening = _rc._active.sentinels is not None
             if dtype == region.dtype and ordered:
                 # x[..., 0] is the accumulator; x[..., 1:] runs over the
                 # reduction positions in nest order, then the updates.
@@ -1445,49 +1429,15 @@ class _Compiler:
                                   where=np.logical_not(m))
                 if check_int and dtype.kind == "i":
                     _check_int_sum(x)
-                partial = ufunc.accumulate(x, axis=-1)
-                if screening:
-                    screen(r, partial[..., 1:], masks)
-                final = partial[..., -1]
+                final = ufunc.accumulate(x, axis=-1)[..., -1]
             else:
                 final = _fold_stepwise(region, terms, masks, steps, shape,
-                                       perm, strict,
-                                       screen if screening else None, r)
+                                       perm, strict)
             final = _cast(final, region.dtype, strict)
             if snap and r.undo is not None:
                 r.undo.append((region, region.copy()))
             region[...] = final
         return fold
-
-    # -- sentinels ---------------------------------------------------------
-    def _screen(self, a: _ArrayAssign, fold: tuple | None) -> Callable:
-        """Screen a write's values as the scalar loop would, on its active
-        lanes: any value that trips raises :class:`ExecutionError`, so the
-        step falls back and the scalar path trips, reports and records it
-        at its own cell.  ``fold`` is the (kept + reduced) axis order of a
-        reduction's partial results, whose last axis runs over (reduction
-        position, update)."""
-        grid = a.target.grid
-
-        def screen(r: _Run, values: Any, lanes: Any) -> None:
-            arr = np.asarray(values)
-            if not np.issubdtype(arr.dtype, np.floating):
-                return
-            if fold is not None:
-                shape = r.geom.shape
-                inv = [fold.index(k) for k in range(len(shape))]
-                arr = arr.reshape(tuple(shape[k] for k in fold) + (-1,))
-                arr = arr.transpose(inv + [len(shape)])
-                lanes = np.stack(
-                    [np.broadcast_to(np.asarray(True if m is None else m,
-                                                dtype=bool), shape)
-                     for m in lanes], axis=-1)
-            bad = _sentinel.tripped(arr, _rc._active.sentinels)
-            if lanes is not None:
-                bad = bad & lanes
-            if bad.any():
-                raise ExecutionError(f"numeric sentinel trips on {grid!r}")
-        return screen
 
 
 def _defer(u: int, value: _Eval, mask: _Eval | None) -> Callable[[_Run], None]:
@@ -1596,8 +1546,8 @@ def _swapped(ufunc) -> Callable[[Any, Any], Any]:
 
 
 def _fold_stepwise(region: np.ndarray, terms: list, masks: list,
-                   steps: tuple, shape: tuple, perm: tuple, strict: bool,
-                   screen: Callable | None, r: _Run) -> Any:
+                   steps: tuple, shape: tuple, perm: tuple,
+                   strict: bool) -> Any:
     """The fold one position at a time, ``cur = step(cur, term)`` per
     update: for an accumulator whose type needs a cast on every store, or
     whose operand order (``MIN(t, acc)``) an accumulate cannot follow."""
@@ -1612,17 +1562,12 @@ def _fold_stepwise(region: np.ndarray, terms: list, masks: list,
                 perm).reshape(region.shape + (nred,))
         cols.append((term, m))
     cur = region.copy()
-    partials = []
     for p in range(nred):
         for (term, m), step in zip(cols, steps):
             new = step(cur, term[..., p] if type(term) is np.ndarray
                        else term)
-            if screen is not None:
-                partials.append(new)
             new = _cast(new, region.dtype, strict)
             cur = new if m is None else np.where(m[..., p], new, cur)
-    if screen is not None:
-        screen(r, np.moveaxis(np.asarray(partials), 0, -1), masks)
     return cur
 
 
@@ -1958,13 +1903,11 @@ class VectorizedInterpreter(Interpreter):
     Results match the reference interpreter bit for bit: reductions fold
     in loop order rather than reassociating, and a step whose body calls
     leaf subprograms runs as split nests with the scalar path's
-    :class:`ExecStats` accounting.  Fault-injection runs
-    (:mod:`repro.robust.faults`) disable lifting entirely so injected
-    faults hit the same per-iteration sites as the reference.  Under
-    sentinels, a step lifted through inlining, scratch or an indirect
-    accumulator runs on the scalar path: the lift's screen sees only the
-    lifted program's pointwise and fold writes, not a callee's own
-    assignments or a scatter's writes, so it would miss their trips.
+    :class:`ExecStats` accounting.  A hooked run (a fault plan of
+    :mod:`repro.robust.faults`, or the numeric sentinels) lifts nothing
+    and records no fallback: injected faults and sentinel trips hit the
+    same per-iteration sites as the reference, with its function, step
+    and cell.
     """
 
     def __init__(self, *args: Any, **kw: Any):
@@ -2004,13 +1947,11 @@ class VectorizedInterpreter(Interpreter):
         return plan
 
     def _exec_step(self, frame, idx: int, step: Step) -> None:
-        if _rc._active.faults is not None:
-            # Keep injection sites (exec.interp.step/iter, numeric.sentinel)
-            # hitting per iteration, exactly as the reference does.
-            Interpreter._exec_step(self, frame, idx, step)
-            return
         key = (frame.fn.name, idx)
-        if key in self._demoted:
+        if _rc._active.hooked or key in self._demoted:
+            # Fault sites (exec.interp.step/iter, numeric.sentinel) and
+            # sentinel screens hit per iteration, exactly as the
+            # reference does.
             Interpreter._exec_step(self, frame, idx, step)
             return
         plan = self._plan(frame, idx, step)
@@ -2019,12 +1960,6 @@ class VectorizedInterpreter(Interpreter):
             return
 
         lifted, program = plan
-        if _rc._active.sentinels is not None and lifted.extended:
-            # The screen sees only the lifted program's pointwise and fold
-            # writes, not a callee's own or a scatter's: run the scalar
-            # path, which screens every assignment.
-            Interpreter._exec_step(self, frame, idx, step)
-            return
         if self._depth + lifted.depth > self.max_call_depth:
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,
@@ -2052,7 +1987,7 @@ class VectorizedInterpreter(Interpreter):
         except ExecutionError as e:
             # The lifted program restored what it wrote: let the reference
             # interpreter produce the authoritative result (or the
-            # canonical error, a sentinel trip's included).
+            # canonical error).
             self._restore_sweep_state(state, stats=True)
             self._demoted.add(key)
             self._note_fallback(frame, idx, step,

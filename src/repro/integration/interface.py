@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..codegen.fortran import FortranGenerator
 from ..core.function import GlafFunction, GlafProgram
 from ..core.types import GlafType
-from .legacy import LegacyCodebase, ParamSpec, SubprogramSignature
+from .legacy import LegacyCodebase, ParamSpec
 
 __all__ = ["InterfaceIssue", "InterfaceReport", "check_interface", "check_program"]
 

@@ -10,7 +10,7 @@ the original interface before splicing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DiagnosticBundle, IntegrationError
 from ..fortranlib.ast import (
@@ -19,12 +19,9 @@ from ..fortranlib.ast import (
     FDeclEntity,
     FModule,
     FNum,
-    FProgramUnit,
     FSourceFile,
     FSubprogram,
     FTypeDef,
-    FTypeSpec,
-    FUse,
     FVar,
 )
 from ..fortranlib.parser import parse_source

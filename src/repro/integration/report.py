@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from ..codegen.fortran import FortranGenerator
 from ..core.expr import LibCall, walk
-from ..core.function import GlafProgram
 from ..optimize.plan import OptimizationPlan
 
 __all__ = ["UnitIntegrationSummary", "IntegrationReport", "build_report"]

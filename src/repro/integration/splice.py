@@ -19,7 +19,7 @@ paper's workflow.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..codegen.fortran import FortranGenerator
 from ..errors import IntegrationError

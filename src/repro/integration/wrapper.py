@@ -38,7 +38,6 @@ def generate_wrapper(
     sample_inputs: dict[str, Any],
     *,
     module_name: str,
-    wrapper_name: str | None = None,
 ) -> str:
     """Generate a PROGRAM that drives ``fn_name`` with the given samples.
 
@@ -49,7 +48,7 @@ def generate_wrapper(
     """
     fn = program.find_function(fn_name)
     renderer = FortranExprRenderer(program, fn)
-    wrapper_name = wrapper_name or f"test_{fn_name}"
+    wrapper_name = f"test_{fn_name}"
     em = Emitter()
     em.emit(f"! Correctness wrapper for {fn_name} (paper section 4.1.1)")
     em.emit(f"PROGRAM {wrapper_name}")

@@ -92,21 +92,21 @@ def _build_case(name: str):
     return case, case.program(inp), case.legacy_codebase(case.sources(inp))
 
 
-def lint_case(case: str, variant: str, *, spliced: bool = True,
+def lint_case(case: str, variant: str, *,
               dataflow: bool = False) -> LintReport:
     """Lint one case study at one pruning variant.
 
-    Covers the generated MODULE and (by default) the spliced legacy
-    codebase — legacy units that surround the replacements included —
-    with the plan cross-check applied to both.
+    Covers the generated MODULE and the spliced legacy codebase — legacy
+    units that surround the replacements included — with the plan
+    cross-check applied to both.
     """
     from ..observe import get_tracer
 
     with get_tracer().span("lint.case", case=case, variant=variant):
-        return _lint_case(case, variant, spliced=spliced, dataflow=dataflow)
+        return _lint_case(case, variant, dataflow=dataflow)
 
 
-def _lint_case(case: str, variant: str, *, spliced: bool,
+def _lint_case(case: str, variant: str, *,
                dataflow: bool = False) -> LintReport:
     from ..codegen.fortran import FortranGenerator
     from ..integration.splice import splice_into_codebase
@@ -121,15 +121,14 @@ def _lint_case(case: str, variant: str, *, spliced: bool,
                          legacy=legacy, label=f"{case} {variant}",
                          dataflow=dataflow, plan=plan)
 
-    if spliced:
-        result = splice_into_codebase(plan, legacy, list(study.units),
-                                      add_missing=study.add_missing)
-        sources = dict(result.files)
-        if result.support_source:
-            sources["glaf_support_module.f90"] = result.support_source
-        parsed = {f: parse_source(src) for f, src in sorted(sources.items())}
-        report.merge(lint_parsed(parsed, legacy=legacy, dataflow=dataflow,
-                                 plan=plan))
+    result = splice_into_codebase(plan, legacy, list(study.units),
+                                  add_missing=study.add_missing)
+    sources = dict(result.files)
+    if result.support_source:
+        sources["glaf_support_module.f90"] = result.support_source
+    parsed = {f: parse_source(src) for f, src in sorted(sources.items())}
+    report.merge(lint_parsed(parsed, legacy=legacy, dataflow=dataflow,
+                             plan=plan))
     return report
 
 

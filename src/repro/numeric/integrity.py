@@ -57,7 +57,6 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def atomic_write_json(path: str | Path, doc: object, *,
-                      indent: int | None = 2) -> Path:
+def atomic_write_json(path: str | Path, doc: object) -> Path:
     """Serialize ``doc`` and write it atomically; returns ``path``."""
-    return atomic_write_text(path, json.dumps(doc, indent=indent) + "\n")
+    return atomic_write_text(path, json.dumps(doc, indent=2) + "\n")

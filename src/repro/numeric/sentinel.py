@@ -16,6 +16,10 @@ The hook follows the same pattern as :mod:`repro.robust.faults`: the
 interpreters test the run configuration (one attribute load per
 assignment when sentinels are off) and only call :func:`check_value` when
 a config is installed, so un-sentineled runs pay nothing measurable.
+The hook sits on the scalar paths only: while sentinels are on, neither
+the vectorized IR executor nor the FORTRAN runtime runs a lifted loop
+nest (:mod:`repro.glafexec.vectorize`), so every assignment is screened
+where the reference screens it.
 
 This module must stay dependency-light (errors, runconfig and numpy
 only): :mod:`repro.observe` is imported lazily at trip time.
@@ -33,7 +37,7 @@ from .. import runconfig as _rc
 from ..errors import NumericIntegrityError
 
 __all__ = [
-    "SENTINEL_KINDS", "SentinelConfig", "check_value", "tripped",
+    "SENTINEL_KINDS", "SentinelConfig", "check_value",
 ]
 
 #: Every condition a sentinel can trip on, in detection-priority order.
@@ -103,15 +107,6 @@ def _first_bad(arr: np.ndarray, cfg: SentinelConfig) -> tuple[str, tuple[int, ..
             flat = int(np.argmax(mask))
             return kind, tuple(int(i) for i in np.unravel_index(flat, arr.shape))
     return None
-
-
-def tripped(arr: np.ndarray, cfg: SentinelConfig) -> np.ndarray:
-    """Elementwise: does each value of the floating array ``arr`` trip
-    ``cfg`` (the vector form of :meth:`SentinelConfig.classify`)?"""
-    bad = np.zeros(arr.shape, dtype=bool)
-    for _, mask in _kind_masks(arr, cfg):
-        bad |= mask
-    return bad
 
 
 def check_value(

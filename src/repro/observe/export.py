@@ -94,8 +94,8 @@ def _prom_labels(labels: dict[str, str] | None) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def to_prometheus(snapshot: dict, labels: dict[str, str] | None = None,
-                  help_prefix: str = "GLAF pipeline metric") -> str:
+def to_prometheus(snapshot: dict,
+                  labels: dict[str, str] | None = None) -> str:
     """A metrics snapshot (``MetricsRegistry.snapshot()`` / a run
     record's ``metrics`` field) in Prometheus text exposition format.
 
@@ -110,7 +110,7 @@ def to_prometheus(snapshot: dict, labels: dict[str, str] | None = None,
     lines: list[str] = []
 
     def family(name: str, kind: str, samples: list[tuple[str, object]]):
-        lines.append(f"# HELP {name} {help_prefix}")
+        lines.append(f"# HELP {name} GLAF pipeline metric")
         lines.append(f"# TYPE {name} {kind}")
         for sample_name, value in samples:
             lines.append(f"{sample_name}{lab} {_prom_value(value)}")
@@ -691,8 +691,7 @@ def _events_rows(records: list[dict]) -> str:
     return "".join(rows)
 
 
-def render_runs_html(records: list[dict],
-                     title: str = "repro run ledger") -> str:
+def render_runs_html(records: list[dict]) -> str:
     """The self-contained dashboard page for ``repro runs html``."""
     slots = _stage_slots(records)
     css_vars_light = "".join(
@@ -718,7 +717,7 @@ def render_runs_html(records: list[dict],
 <head>
 <meta charset="utf-8">
 <meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_html.escape(title)}</title>
+<title>repro run ledger</title>
 <style>
 {_CSS}
 .viz-root {{ {css_vars_light} }}
@@ -726,7 +725,7 @@ def render_runs_html(records: list[dict],
 </style>
 </head>
 <body class="viz-root">
-<h1>{_html.escape(title)}</h1>
+<h1>repro run ledger</h1>
 <p class="sub">{n} recorded run(s) · schema repro.run/v1 ·
 generated by <code>repro runs html</code></p>
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..analysis.classify import LoopClass
 from ..core.function import GlafProgram
 from ..core.step import CallStmt, walk_stmts
 from .plan import OptimizationPlan, Tweaks, make_plan

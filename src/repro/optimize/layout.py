@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, IndexVar, LibCall, UnOp
+from ..core.expr import BinOp, Expr, FuncCall, GridRef, LibCall, UnOp
 from ..core.function import GlafFunction, GlafProgram
 from ..core.grid import Grid
-from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Range, Return, Step, Stmt
+from ..core.step import Assign, CallStmt, IfStmt, Range, Return, Step, Stmt
 from ..core.types import DerivedType, GlafType
 from ..errors import AnalysisError
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from ..analysis.accesses import step_accesses
 from ..analysis.dependence import DepKind, test_pair
 from ..core.expr import index_vars_used
-from ..core.function import GlafFunction
 from ..core.step import Range, Step
 
 __all__ = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, IndexVar, LibCall, UnOp
+from ..core.expr import BinOp, Const, Expr, FuncCall, GridRef, UnOp
 from ..core.function import GlafFunction, GlafProgram
 from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step, Stmt, walk_stmts
 from ..errors import PerfModelError

@@ -15,7 +15,7 @@ factor proportional to the cosine of its central latitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

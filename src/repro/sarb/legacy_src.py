@@ -14,7 +14,7 @@ production-level codes").
 
 from __future__ import annotations
 
-from .atmosphere import DEFAULT_DIMS, AtmosphereInputs, SarbDimensions
+from .atmosphere import DEFAULT_DIMS, SarbDimensions
 
 __all__ = ["legacy_modules_source", "legacy_kernels_source", "legacy_driver_source",
            "setup_source", "full_legacy_source"]

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..codegen.fortran import FortranGenerator
 from ..codegen.sloc import module_unit_slocs
 from ..optimize.plan import make_plan
-from ..optimize.pruning import VARIANTS, describe_variants
+from ..optimize.pruning import describe_variants
 from ..perf.machine import MachineSpec, i5_2400
 from ..perf.simulate import SimOptions, SimResult, simulate
 from .atmosphere import DEFAULT_DIMS, SarbDimensions

@@ -28,7 +28,7 @@ import numpy as np
 from ..glafexec import ExecutionContext, Interpreter
 from .atmosphere import DEFAULT_DIMS, SarbDimensions, make_inputs, zone_sizes
 from .kernels import build_sarb_program
-from .validation import OUTPUT_NAMES, _context_values
+from .validation import _context_values
 
 __all__ = ["ZoneResult", "SynopticResult", "run_synoptic",
            "MpiZoneModel", "mpi_omp_speedup"]

@@ -569,10 +569,9 @@ class TestSentinelParity:
         assert exc.value.kind == "nan"
 
     def test_trip_leaves_the_interpreters_storage(self):
-        # The lift screens z's values over every lane and finds the NaN
-        # lane before it writes anything; the scalar re-run writes
-        # i = 1..3 and trips at i = 4, where the interpreter trips, and
-        # only that trip is recorded.
+        # Under the sentinels the vectorized executor lifts nothing: its
+        # scalar path writes i = 1..3 and trips at i = 4, where the
+        # interpreter trips, and records that one trip.
         def body(f):
             s = f.step("two")
             s.foreach(i=(1, "n"))

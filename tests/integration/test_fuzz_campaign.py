@@ -22,7 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro import observe
-from repro.fuzz import run_campaign
+from repro.fuzz import build_program, generate_spec, run_campaign, run_item
+from repro.fuzz.runner import _unit_args
+from repro.glafexec import get_executor
 from repro.robust import FaultSpec
 
 REPO = Path(__file__).resolve().parents[2]
@@ -101,6 +103,25 @@ class TestCrashResume:
         assert (work / "report.json").read_bytes() == expected
         # a finished campaign clears its checkpoints
         assert not list(ckpt.glob("*.ckpt.json"))
+
+
+class TestOracleLifts:
+    # Items that lift inlined call-helper steps: the oracle's vectorized
+    # leg must lift each of them, as a plain vectorized run does.
+    @pytest.mark.parametrize("index", [9, 20])
+    def test_vectorized_leg_lifts_what_the_executor_lifts(self, index):
+        spec = generate_spec(SEED, "small", index)
+        with observe.observed() as obs:
+            run_item(spec, "small")
+        oracle = obs.metrics.counter("exec.vectorized.steps").value
+        program = build_program(spec)
+        with observe.observed() as obs:
+            for unit in spec.units:
+                get_executor("vectorized").run(
+                    program, unit.name, _unit_args(spec, unit),
+                    sizes={"n": spec.extent})
+        plain = obs.metrics.counter("exec.vectorized.steps").value
+        assert oracle == plain > 0
 
 
 class TestKnownBadInjection:

@@ -1,6 +1,5 @@
 """Unit tests for the grid abstraction and its integration attributes."""
 
-import numpy as np
 import pytest
 
 from repro.core.grid import Grid, array, scalar
@@ -77,22 +76,6 @@ class TestStorage:
         assert g.shape({"n": 7}) == (7, 4)
         with pytest.raises(ValidationError):
             g.shape()
-
-    def test_allocate_scalar(self):
-        g = scalar("x", T_REAL8, init_data=2.5)
-        v = g.allocate()
-        assert v == np.float64(2.5)
-
-    def test_allocate_array_zeroed(self):
-        g = array("a", T_INT, (3,))
-        arr = g.allocate()
-        assert arr.dtype == np.int64
-        assert np.all(arr == 0)
-
-    def test_allocate_with_init_data(self):
-        g = array("a", T_REAL8, (2, 2), init_data=1.5)
-        arr = g.allocate()
-        assert np.all(arr == 1.5)
 
     def test_symbolic_dims(self):
         g = array("a", T_REAL8, ("n", 4, "m"))

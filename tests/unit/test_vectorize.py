@@ -310,7 +310,7 @@ class TestFortranSemantics:
                                                sizes={"n": 4})
         assert exc.value.kind == "nan"
 
-    # A lifted write trips at the grid cell of its first offending value
+    # A liftable write trips at the grid cell of its first offending value
     # in loop order, with the interpreter's message: (x dims, z dims, the
     # step, NaN positions in x, the cell the interpreter reports).
     SENTINEL_CASES = {
@@ -334,6 +334,8 @@ class TestFortranSemantics:
 
     @pytest.mark.parametrize("case", sorted(SENTINEL_CASES))
     def test_sentinel_trip_reports_the_interpreters_cell(self, case):
+        from repro import observe
+
         x_dims, z_dims, build, nans, want = self.SENTINEL_CASES[case]
         b = GlafBuilder("c")
         f = b.module("M").function("f", return_type=T_VOID)
@@ -348,15 +350,17 @@ class TestFortranSemantics:
             for cell in nans:
                 x[tuple(k - 1 for k in cell)] = np.nan
             interp = cls(p, ExecutionContext(p, sizes={"n": 5}))
-            with configured(sentinels=SentinelConfig()):
-                with pytest.raises(NumericIntegrityError) as exc:
-                    interp.call("f", [5, x, np.zeros((5,) * len(z_dims))])
+            with observe.observed() as obs, \
+                    configured(sentinels=SentinelConfig()), \
+                    pytest.raises(NumericIntegrityError) as exc:
+                interp.call("f", [5, x, np.zeros((5,) * len(z_dims))])
             got[cls] = (exc.value.cell, str(exc.value))
             if cls is VectorizedInterpreter:
-                # The step lifted, tripped at run time and re-ran on the
-                # scalar path, which raised.
-                assert [e.reason for e in interp.fallbacks] == [
-                    "runtime lift failure: numeric sentinel trips on 'z'"]
+                # Under the sentinels the step runs on the scalar path
+                # from the start: nothing lifts and nothing falls back.
+                assert interp.fallbacks == []
+                assert obs.metrics.counter(
+                    "exec.vectorized.steps").value == 0
         assert got[Interpreter][0] == want
         assert got[VectorizedInterpreter] == got[Interpreter]
 
