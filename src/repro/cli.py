@@ -18,8 +18,9 @@
   FILE`` writes the record itself, ``--chrome FILE`` its Chrome trace;
   see ``docs/OBSERVABILITY.md``).  With ``--executor X`` the project's
   case-study sample also runs once under executor ``X``; ``--executor
-  guarded`` runs it under the :class:`repro.glafexec.GuardedRunner`, so
-  access conflicts and guard demotions show up in the decision log.
+  guarded`` runs it under the access-conflict check
+  (:mod:`repro.glafexec.conflicts`), so each conflict shows up in the
+  decision log.
   ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects seeded faults
   first (see ``docs/ROBUSTNESS.md``).
 * ``faultcheck`` — sweep every registered fault-injection site and report
@@ -73,7 +74,7 @@ continues an interrupted sweep from its per-case checkpoints.
 {interpreter,vectorized,guarded}`` to choose the IR execution engine
 (``docs/EXECUTORS.md``): the reference interpreter, the vectorized
 whole-grid array executor, or the interpreter under the access-conflict
-guard, which demotes a mis-parallelized step to serial.  :func:`main`
+check, which reports a mis-parallelized step.  :func:`main`
 builds one :class:`repro.runconfig.RunConfig` from these flags (and
 ``profile --fault``), runs the command under it, and states it in the
 run record.
@@ -142,8 +143,8 @@ def _add_executor_flag(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="IR execution engine (docs/EXECUTORS.md): the reference "
              "interpreter, the vectorized array executor, or the "
-             "interpreter under the access-conflict guard (serial "
-             "fallback on mis-parallelization) (default: interpreter, "
+             "interpreter under the access-conflict check (reports "
+             "each mis-parallelized step) (default: interpreter, "
              "or $REPRO_EXECUTOR)",
     )
 
@@ -638,10 +639,9 @@ def _cmd_profile(args) -> int:
         program = _load_program(args.project)
         if args.executor:
             # Run the case-study sample under the chosen executor, so its
-            # exec.run.* span and decisions (executor:fallback, or a
-            # guard:serial-fallback recovering an injected
-            # mis-parallelization) land in this one profiled run
-            # (docs/EXECUTORS.md).
+            # exec.run.* span and decisions (executor:fallback, or the
+            # parallel:conflict an injected mis-parallelization causes)
+            # land in this one profiled run (docs/EXECUTORS.md).
             from .cases import get_case
 
             case = get_case(program.name)

@@ -107,9 +107,10 @@ class ExecutionError(GlafError):
 class ResourceLimitError(ExecutionError):
     """An execution watchdog tripped (iteration budget or wall-clock limit).
 
-    Deliberately *not* recoverable by the divergence guard: re-executing a
-    step that already exhausted its budget can only make things worse, so
-    the guard re-raises this instead of falling back to serial."""
+    Deliberately *not* recoverable: re-executing a run that already
+    exhausted its budget can only make things worse, so
+    :func:`repro.numeric.retry.retry_call` re-raises this instead of
+    retrying."""
 
 
 class NumericIntegrityError(ExecutionError):

@@ -82,9 +82,12 @@ and ``allocation_count``; and the same error and the same
 ``RuntimeWarning`` are raised.  Only a private local, or an inner DO
 variable, of an outlined statement may hold another value, and nothing
 reads it.  ``allocation_count`` grows by the array locals each active
-call binds or ALLOCATEs.  The statement runs on the scalar closure,
-before touching any state, when numeric sentinels are on; when the
-inlined call nesting would pass ``max_call_depth``; when a store is
+call binds or ALLOCATEs.  While numeric sentinels are on, every DO
+statement runs on its scalar closure, where they screen each
+assignment, and records no fallback, as the IR's vectorized executor
+does under a hooked run.  The statement also runs on the scalar
+closure, before touching any state, when the inlined call nesting would
+pass ``max_call_depth``; when a store is
 unallocated or has the wrong rank or shape (a fixed module array's
 shape is the one it had at load: lowering reads declarations, never
 storage), a written one is a PARAMETER, or a DO variable is not an
@@ -1163,8 +1166,9 @@ def _common(rt: Any, where: tuple) -> Any:
 def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
               unit: str, do: FDo) -> Callable:
     """The DO statement's closure: the lifted program behind the guards,
-    the scalar closure when they refuse or the lift fails.  Each refusal
-    counts; the first in each runtime records the decision."""
+    the scalar closure while the sentinels are on, when the guards refuse
+    or when the lift fails.  Each refusal counts; the first in each
+    runtime records the decision."""
     program, getters, dovars, pairs, labels, depth, sweep = nest
     if sweep is None:
         bounds, run, arith, fixed = (program.bounds, program.run,
@@ -1186,7 +1190,7 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
 
     def lifted(f) -> None:
         if _rc._active.sentinels is not None:
-            return refuse(f, "numeric sentinels are on")
+            return scalar(f)            # screened per assignment there
         rt = f.rt
         if depth and rt._call_depth + depth > rt.max_call_depth:
             return refuse(f, "inlined call nesting would pass "

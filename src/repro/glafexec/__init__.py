@@ -17,14 +17,6 @@ from .executor import (
     VectorizedExecutor,
     get_executor,
 )
-from .guard import (
-    GuardedInterpreter,
-    GuardedRun,
-    GuardedRunner,
-    GuardEvent,
-    GuardResult,
-    guarded_python_run,
-)
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python, run_interpreted
 from .vectorize import (
@@ -42,8 +34,6 @@ __all__ = [
     "GeneratedModule", "run_generated_python", "run_interpreted",
     "CheckedInterpreter", "Conflict", "ParallelValidation",
     "validate_parallel_semantics",
-    "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "GuardResult", "guarded_python_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "get_executor",
     "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",

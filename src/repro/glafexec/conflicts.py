@@ -183,9 +183,9 @@ class CheckedInterpreter(Interpreter):
         else:
             super()._exec_step(frame, idx, step)
 
-    def _run_checked(self, frame, idx: int, step: Step) -> list[Conflict]:
-        """Run the step once through its ordinary nest under a new check;
-        returns this execution's conflicts, one per grid."""
+    def _run_checked(self, frame, idx: int, step: Step) -> None:
+        """Run the step once through its ordinary nest under a new check,
+        keeping the first conflict per grid of the step."""
         from ..observe import get_decisions
 
         fname, grids = frame.fn.name, frame.grids
@@ -202,14 +202,12 @@ class CheckedInterpreter(Interpreter):
             Interpreter._exec_step(self, frame, idx, step)
         finally:
             self._checks.pop()
-        found = [Conflict(fname, idx, grid, *detail)
-                 for grid, detail in check.found.items()]
         dl = get_decisions()
-        for c in found:
-            if self.conflicts.setdefault((fname, idx, c.grid), c) is c and dl.enabled:
+        for grid, detail in check.found.items():
+            c = Conflict(fname, idx, grid, *detail)
+            if self.conflicts.setdefault((fname, idx, grid), c) is c and dl.enabled:
                 dl.record("parallel:conflict", fname, idx, step.name, "conflict",
-                          reasons=(str(c),), grid=c.grid, kind=c.kind)
-        return found
+                          reasons=(str(c),), grid=grid, kind=c.kind)
 
     def _note(self, f, store: np.ndarray, name: str, cell: tuple | None,
               write: bool, update: str | None) -> None:

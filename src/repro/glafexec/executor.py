@@ -12,10 +12,11 @@ Three interchangeable back ends run a program's entry point against an
     steps run as whole-grid NumPy array programs; everything else falls back
     to the interpreter per step (recorded as ``executor:fallback`` events).
 ``guarded``
-    :class:`~repro.glafexec.guard.GuardedRunner` — the interpreter, with
-    every step the optimization plan marks parallel checked for access
-    conflicts and demoted to serial on one (``guard:serial-fallback``
-    events); its results equal the interpreter's.
+    :class:`~repro.glafexec.conflicts.CheckedInterpreter` — the
+    interpreter, with every step the ``GLAF-parallel v0`` plan marks
+    parallel run under the access-conflict check (one
+    ``parallel:conflict`` event per conflicting step and grid); its
+    results equal the interpreter's.
 
 Selection is either explicit (:func:`get_executor`) or through the
 active :class:`~repro.runconfig.RunConfig` (the CLI's ``--executor`` flag,
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.function import GlafProgram
+from ..optimize.plan import Tweaks, make_plan
 from ..robust import ResourceLimits
 from ..runconfig import EXECUTOR_NAMES, RunConfig, current
+from .conflicts import CheckedInterpreter, Conflict
 from .context import ExecutionContext
-from .guard import GuardedRun, GuardedRunner
 from .interp import Interpreter
 from .vectorize import FallbackEvent, VectorizedInterpreter
 
@@ -51,7 +53,7 @@ class ExecutorRun:
     context: ExecutionContext
     executor: str
     fallbacks: tuple[FallbackEvent, ...] = ()
-    guard: GuardedRun | None = None
+    conflicts: tuple[Conflict, ...] = ()
 
 
 class Executor:
@@ -120,18 +122,25 @@ class VectorizedExecutor(Executor):
 
 
 class GuardedExecutor(Executor):
-    """The interpreter under the access-conflict guard
-    (:class:`GuardedRunner`); ``guard`` holds its :class:`GuardedRun`."""
+    """The interpreter under the access-conflict check of the
+    ``GLAF-parallel v0`` plan, whose ``save_inner_arrays`` tweak is the
+    executor's; ``conflicts`` holds the check's findings."""
 
     name = "guarded"
 
     def run(self, program, entry, args=(), *, sizes=None, values=None,
             context=None) -> ExecutorRun:
-        run = GuardedRunner(program, save_inner_arrays=self.save_inner_arrays,
-                            limits=self.limits).run(
-            entry, args, sizes=sizes, values=values, context=context)
-        return ExecutorRun(result=run.result, context=run.context,
-                           executor=self.name, guard=run)
+        from ..observe import get_tracer
+
+        ctx = self._context(program, sizes, values, context)
+        plan = make_plan(program, "GLAF-parallel v0", tweaks=Tweaks(
+            save_inner_arrays=self.save_inner_arrays))
+        interp = CheckedInterpreter(program, ctx, plan, limits=self.limits)
+        with get_tracer().span("exec.run.guarded", entry=entry,
+                               program=program.name):
+            result = interp.call(entry, list(args))
+        return ExecutorRun(result=result, context=ctx, executor=self.name,
+                           conflicts=tuple(interp.conflicts.values()))
 
 
 _EXECUTORS: dict[str, type[Executor]] = {

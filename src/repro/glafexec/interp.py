@@ -276,7 +276,7 @@ class Interpreter:
         frame.current_step_name = step.name
         if _rc._active.faults is not None:
             _faults.inject("exec.interp.step", function=frame.fn.name,
-                           step=idx, parallel=False)
+                           step=idx)
         self._compiled(frame.fn, idx, step).run(frame)
 
     def _compiled(self, fn: GlafFunction, idx: int, step: Step) -> "_CompiledStep":

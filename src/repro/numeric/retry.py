@@ -12,8 +12,7 @@ which the last error propagates.
 Two error classes are deliberately never retried:
 
 * :class:`repro.errors.ResourceLimitError` — the stage already exhausted
-  a budget; re-running digs deeper (same contract as the divergence
-  guard);
+  a budget; re-running digs deeper;
 * :class:`repro.errors.NumericIntegrityError` — a sentinel trip is
   deterministic; the NaN will be there on every attempt.
 

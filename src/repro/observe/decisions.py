@@ -14,7 +14,6 @@ Stages and their verdict vocabularies:
 ``pruning``                  ``kept`` | ``pruned`` | ``not-parallel``
 ``advisor``                  ``omp`` | ``simd`` | ``none``
 ``parallel:conflict``         ``conflict``
-``guard``                    ``serial-fallback``
 ``fault``                    ``injected``
 ``lint:<rule>``              ``violation``
 ``numeric:<kind>``           ``detected``
@@ -37,11 +36,9 @@ Stages and their verdict vocabularies:
 
 The ``parallel:conflict`` stage is emitted by the access-conflict check
 (:mod:`repro.glafexec.conflicts`), one per (step, grid), naming the first
-conflicting cell and the two iterations (attrs ``grid``, ``kind``).  The
-``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner` when
-a step's checked run conflicts (attr ``grid``) or its boundary raises,
-and by the generated-Python guard when it falls back (attrs
-``max_abs_error``, ``tolerance``); the ``fault``
+conflicting cell and the two iterations (attrs ``grid``, ``kind``):
+under ``validate_parallel_semantics`` and under the ``guarded`` executor,
+which is that check; the ``fault``
 stage is emitted by :mod:`repro.robust.faults` whenever an injected fault
 fires, so a profiled fault-injection run shows cause and recovery side by
 side.  The ``lint:<rule>`` stages (one per rule id in

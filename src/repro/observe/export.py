@@ -19,7 +19,7 @@ ledgered one are the same text:
 * :func:`render_runs_html` — a fully self-contained static HTML
   dashboard (inline CSS + SVG, zero external dependencies) showing the
   run trajectory, per-stage flame summaries, and the
-  guard/fallback/sentinel event timeline;
+  conflict/fallback/sentinel event timeline;
 * :func:`render_runs_table` / :func:`diff_runs` /
   :func:`render_runs_trend` — the text views for ``repro runs
   list|diff|trend``.
@@ -323,7 +323,7 @@ def render_runs_table(entries: list[dict]) -> str:
 
 
 _EVENT_GROUPS = (
-    ("guard", lambda s: s == "guard"),
+    ("parallel:conflict", lambda s: s == "parallel:conflict"),
     ("executor:fallback", lambda s: s == "executor:fallback"),
     ("numeric:*", lambda s: s.startswith("numeric:")),
     ("fault", lambda s: s == "fault"),

@@ -73,13 +73,6 @@ class OptimizationPlan:
         sp = self.parallel_plan.steps.get(key)
         return key in self.force_simd and bool(sp and sp.parallel)
 
-    def with_force_serial(self, keys) -> "OptimizationPlan":
-        """A copy of this plan with ``keys`` added to ``force_serial`` —
-        how the divergence guard exports its demotions back to codegen."""
-        from dataclasses import replace
-
-        return replace(self, force_serial=self.force_serial | frozenset(keys))
-
     def collapse_for(self, function: str, step_index: int) -> int:
         fn = self.program.find_function(function)
         return decide_collapse(fn.steps[step_index], enable=self.enable_collapse).depth

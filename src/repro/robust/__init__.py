@@ -14,11 +14,13 @@ half of that contract (see ``docs/ROBUSTNESS.md``):
   clock budgets enforced by the IR interpreter and generated-Python
   execution, raising the typed :class:`repro.errors.ResourceLimitError`;
 * :mod:`repro.robust.faultcheck` — the ``repro faultcheck`` sweep: fire
-  every registered fault and verify each one is either *recovered* (serial
-  fallback with a DecisionLog event) or *surfaced* as a typed GlafError.
+  every registered fault and verify each one is either *recovered* (found
+  by a check, or retried, with outputs matching the reference) or
+  *surfaced* as a typed GlafError.
 
-The per-step guard itself (:class:`repro.glafexec.GuardedRunner`) lives
-in :mod:`repro.glafexec` next to the interpreter it wraps.
+The access-conflict check that the ``guarded`` executor runs
+(:mod:`repro.glafexec.conflicts`) lives next to the interpreter it
+extends.
 
 This ``__init__`` imports only the dependency-light legs (``faults``,
 ``watchdog``) because the instrumented modules (``fortranlib``,

@@ -6,8 +6,10 @@ seeded one-fault :class:`FaultPlan`, runs a representative workload, and
 classifies the outcome:
 
 * **recovered** — the recovery machinery engaged (parser resynchronization,
-  guard serial-fallback, generated-Python fallback) *and* the final results
-  match the fault-free reference;
+  the guarded executor's access-conflict check, a retry) *and* the final
+  results match the fault-free reference, or a checker caught the
+  corrupted code before it ships (the linter, the comparison of generated
+  Python with the IR interpreter);
 * **surfaced** — the fault could not be recovered but was reported as a
   typed :class:`repro.errors.GlafError` (e.g. the watchdog's
   :class:`ResourceLimitError`);
@@ -28,7 +30,7 @@ from ..errors import (
     NumericIntegrityError,
     ResourceLimitError,
 )
-from ..numeric import AbsolutePolicy, compare_grids
+from ..numeric import AbsolutePolicy, RetryPolicy, compare_grids, retry_call
 from ..runconfig import configured
 from .faults import SITES, FaultPlan, FaultSpec
 from .watchdog import ResourceLimits
@@ -68,7 +70,7 @@ class SiteResult:
     outcome: str          # 'recovered' | 'surfaced' | 'failed'
     detail: str
     fired: int            # faults that actually fired
-    events: int           # recovery events observed (guard demotions, diags)
+    events: int           # recovery events (conflicts, retries, diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -150,66 +152,91 @@ def _sarb():
     return case, inp, *case.setup(inp)
 
 
-def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResult:
-    """Shared harness: SARB under GuardedRunner must demote and still match."""
-    from ..glafexec import GuardedRunner
-    from ..observe import observed
+def _check_verdict(seed: int) -> SiteResult:
+    """SARB with ``adjust2`` mis-parallelized, on the guarded executor:
+    the check must find the step's conflict, and the outputs match."""
+    from ..glafexec import get_executor
 
+    site, kind, fn = "analysis.parallelize.verdict", "misparallelize", "adjust2"
     case, inp, program, args, context = _sarb()
     ref = case.run_ir_interpreter(inp, executor="interpreter")
-    plan = FaultPlan([spec], seed=seed)
-    with observed(), configured(faults=plan):
-        run = GuardedRunner(program).run(case.entry, args, **context)
+    plan = FaultPlan([FaultSpec(site, kind, match={"function": fn})],
+                     seed=seed)
+    with configured(faults=plan):
+        run = get_executor("guarded").run(program, case.entry, args,
+                                          **context)
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
-    if not run.events:
+    found = [c for c in run.conflicts if c.function == fn]
+    if not found:
         return SiteResult(site, kind, "failed",
-                          "fault fired but the guard recorded no fallback",
-                          len(plan.fired), 0)
+                          f"fault fired but the check found no conflict in "
+                          f"{fn}", len(plan.fired), 0)
     cmp = compare_grids(run.context.snapshot(list(case.outputs)), ref,
                         AbsolutePolicy(_TOLERANCE))
     if not cmp.ok:
         return SiteResult(site, kind, "failed",
-                          f"fallback taken but outputs diverge "
+                          f"conflict found but outputs diverge "
                           f"({cmp.max_error:.3e})",
-                          len(plan.fired), len(run.events))
-    demoted = ", ".join(f"{f}/{i}" for f, i in sorted(run.demoted))
+                          len(plan.fired), len(run.conflicts))
     return SiteResult(
         site, kind, "recovered",
-        f"serial fallback on {demoted}; outputs match reference "
+        f"guarded run found {found[0]}; outputs match reference "
         f"(max abs err {cmp.max_error:.1e})", len(plan.fired),
-        len(run.events))
+        len(run.conflicts))
+
+
+def _check_retry(seed: int) -> SiteResult:
+    """One injected step-boundary error: ``retry_call``, the recovery of
+    the fuzz oracle and the batch driver, must re-run SARB to matching
+    outputs."""
+    site, kind = "exec.interp.step", "raise"
+    case, inp, *_ = _sarb()
+    ref = case.run_ir_interpreter(inp, executor="interpreter")
+    plan = FaultPlan([FaultSpec(site, kind)], seed=seed)
+    with configured(faults=plan):
+        got = retry_call(
+            lambda: case.run_ir_interpreter(inp, executor="interpreter"),
+            policy=RetryPolicy(retries=1, base_delay=0.0, seed=seed),
+            what=site)
+    if not plan.fired:
+        return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
+    retries = len(plan.fired)        # each fault that fired cost one retry
+    cmp = compare_grids(got, ref, AbsolutePolicy(_TOLERANCE))
+    if not cmp.ok:
+        return SiteResult(site, kind, "failed",
+                          f"retried run's outputs diverge "
+                          f"({cmp.max_error:.3e})", len(plan.fired), retries)
+    return SiteResult(
+        site, kind, "recovered",
+        f"retry_call re-ran the run after the injected ExecutionError; "
+        f"outputs match reference (max abs err {cmp.max_error:.1e})",
+        len(plan.fired), retries)
 
 
 def _check_codegen(seed: int) -> SiteResult:
-    from ..glafexec import guarded_python_run
-    from ..observe import observed
-
+    """Perturbed generated Python must differ from the IR interpreter:
+    the comparison catches it before the code ships."""
     site, kind = "codegen.python.assign", "perturb"
-    case, inp, program, args, context = _sarb()
+    case, inp, *_ = _sarb()
     ref = case.run_ir_interpreter(inp, executor="interpreter")
     plan = FaultPlan(
         [FaultSpec(site, kind, match={"function": "shortwave_entropy_model"})],
         seed=seed)
-    with observed(), configured(faults=plan):
-        result = guarded_python_run(
-            program, case.entry, args, compare=list(case.outputs),
-            tolerance=_TOLERANCE, **context)
+    with configured(faults=plan):
+        got = case.run_generated_python(inp)
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
-    if not result.fell_back:
+    cmp = compare_grids(got, ref, AbsolutePolicy(_TOLERANCE))
+    if cmp.ok:
         return SiteResult(site, kind, "failed",
-                          "perturbed generated Python was not detected",
-                          len(plan.fired), 0)
-    cmp = compare_grids(result.context.snapshot(list(case.outputs)), ref,
-                        AbsolutePolicy(_TOLERANCE))
-    if not cmp.ok:
-        return SiteResult(site, kind, "failed",
-                          f"fallback taken but outputs diverge "
-                          f"({cmp.max_error:.3e})", len(plan.fired), 1)
-    return SiteResult(site, kind, "recovered",
-                      f"fell back to interpreter: {result.reason}",
-                      len(plan.fired), 1)
+                          "perturbed generated Python matches the IR "
+                          "interpreter", len(plan.fired), 0)
+    return SiteResult(
+        site, kind, "recovered",
+        f"comparison with the IR interpreter caught the perturbation "
+        f"(max abs err {cmp.max_error:.3e} > {_TOLERANCE:.0e})",
+        len(plan.fired), 1)
 
 
 def _check_watchdog(seed: int) -> SiteResult:
@@ -382,17 +409,11 @@ def run_faultcheck(seed: int = 0) -> FaultCheckReport:
             lambda: _check_lint_mutant(
                 "codegen.fortran.body", "fun3d-drop-init-edge", seed),
         "analysis.parallelize.verdict":
-            lambda: _check_guarded(
-                "analysis.parallelize.verdict", "misparallelize",
-                FaultSpec("analysis.parallelize.verdict", "misparallelize",
-                          match={"function": "adjust2"}), seed),
+            lambda: _check_verdict(seed),
         "codegen.python.assign":
             lambda: _check_codegen(seed),
         "exec.interp.step":
-            lambda: _check_guarded(
-                "exec.interp.step", "raise",
-                FaultSpec("exec.interp.step", "raise",
-                          match={"parallel": True}), seed),
+            lambda: _check_retry(seed),
         "exec.interp.iter":
             lambda: _check_watchdog(seed),
         "numeric.sentinel":

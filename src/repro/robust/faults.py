@@ -110,9 +110,8 @@ class FaultSpec:
 
     ``at`` is the first *matching* visit at which the fault may fire (0 =
     immediately); ``max_fires`` bounds how often it does (the default of 1
-    makes faults one-shot, so a serial re-execution after a fallback is
-    clean).  ``match`` filters visits by the metadata the hook supplies
-    (e.g. ``{"function": "adjust2"}`` or ``{"parallel": True}``).
+    makes faults one-shot, so a retried run is clean).  ``match`` filters visits by the metadata the hook supplies
+    (e.g. ``{"function": "adjust2"}`` or ``{"step": 1}``).
     """
 
     site: str

@@ -9,8 +9,8 @@ generated-Python execution, where we cannot count iterations but can trace
 the generated module's frames.
 
 All violations raise the typed :class:`repro.errors.ResourceLimitError`
-(an :class:`ExecutionError` the divergence guard deliberately refuses to
-recover from — re-running an exhausted step only digs deeper).
+(an :class:`ExecutionError` that ``retry_call`` deliberately never
+retries — re-running an exhausted step only digs deeper).
 """
 
 from __future__ import annotations

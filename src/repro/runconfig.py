@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 __all__ = ["EXECUTOR_NAMES", "RunConfig", "configured", "current"]
 
-#: Valid executor names; ``guarded`` is the access-conflict guard.
+#: Valid executor names; ``guarded`` is the access-conflict check.
 EXECUTOR_NAMES = ("interpreter", "vectorized", "guarded")
 
 

@@ -108,7 +108,6 @@ class TestFun3dEquivalence:
         # allocates the temporaries once, guarded or not, selected as
         # guarded=True or as the guarded executor.
         from repro.glafexec import executor as executor_mod
-        from repro.glafexec import guard as guard_mod
 
         built = {}
 
@@ -122,7 +121,7 @@ class TestFun3dEquivalence:
             monkeypatch.setattr(mod, name, Spy)
 
         spy(executor_mod, "Interpreter", "plain")
-        spy(guard_mod, "GuardedInterpreter", "guarded")
+        spy(executor_mod, "CheckedInterpreter", "guarded")
         plain = f3v.run_ir_interpreter(mesh, save_inner_arrays=True,
                                        executor="interpreter")
         for how in ({"guarded": True}, {"executor": "guarded"}):

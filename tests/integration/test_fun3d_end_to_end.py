@@ -124,6 +124,27 @@ class TestCellSweepLift:
         assert "grad" in inline[0].reasons[1]
         assert obs.metrics.counter("exec.fortran.lifted").value >= 1
 
+    def test_sentinels_run_the_scalar_path_without_fallback(self):
+        # While the sentinels are on, every DO statement runs on its scalar
+        # closure and records nothing.  What remains are the compile-time
+        # refusals of the two callees that run on their own only when the
+        # sweep runs scalar.
+        from repro import observe
+        from repro.cases import get_case
+        from repro.numeric import SentinelConfig
+        from repro.runconfig import configured
+
+        with observe.observed() as obs, \
+                configured(sentinels=SentinelConfig()):
+            run_generated_fortran(get_case("fun3d").sample())
+        refused = sorted((d.function, d.step_name, d.reasons) for d in
+                         obs.decisions.for_stage("executor:fallback"))
+        assert refused == [
+            ("angle_check", "DO fc", ("RETURN statement in the loop body",)),
+            ("ioff_search", "DO p", ("RETURN statement in the loop body",))]
+        assert obs.metrics.counter("exec.fortran.fallbacks").value == 2
+        assert obs.metrics.counter("exec.fortran.lifted").value == 0
+
     def test_legacy_cell_loop_outlines_without_fallback(self, mesh):
         # Legacy edgejp's DO c holds the inner DOs, searches and IF that
         # GLAF splits into functions; the runtime outlines them itself.

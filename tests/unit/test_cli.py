@@ -208,8 +208,13 @@ class TestRobustnessCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "[fault:injected]" in out
-        assert "[guard:serial-fallback]" in out
-        assert "guard.serial_fallbacks" in out
+        # One finding, one decision; no second line for it.
+        found = [line for line in out.splitlines()
+                 if "[parallel:conflict" in line]
+        assert len(found) == 1
+        assert ("[parallel:conflict:conflict] — write-read on flux(2) in "
+                "adjust2/1, iterations 2 and 3") in found[0]
+        assert "[guard" not in out and "guard." not in out
         assert "executor guarded" in out
 
     def test_bad_fault_spec_is_a_friendly_error(self, project_file, capsys):

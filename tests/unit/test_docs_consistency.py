@@ -90,7 +90,8 @@ class TestObservabilityDoc:
         any subsystem emits (fixed stages literally, parameterized
         families as their ``<placeholder>`` template)."""
         doc = (REPO / "docs" / "OBSERVABILITY.md").read_text()
-        fixed = ["parallelize", "pruning", "advisor", "guard", "fault",
+        fixed = ["parallelize", "pruning", "advisor", "parallel:conflict",
+                 "fault",
                  "retry", "executor:fallback", "executor:inline",
                  "fuzz:item", "fuzz:signature", "fuzz:shrink",
                  "fuzz:quarantine", "fuzz:campaign", "run:record",

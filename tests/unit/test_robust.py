@@ -1,6 +1,6 @@
-"""Unit tests for the fault-tolerance machinery (`repro.robust` +
-`repro.glafexec.guard`): fault plans, the guards with serial fallback,
-watchdogs, parser error recovery, and the faultcheck sweep."""
+"""Unit tests for the fault-tolerance machinery (`repro.robust` and the
+guarded executor): fault plans, the access-conflict check, watchdogs,
+parser error recovery, and the faultcheck sweep."""
 
 import os
 
@@ -20,13 +20,7 @@ from repro.errors import (
 )
 from repro.fortranlib.lexer import Token
 from repro.fortranlib.parser import parse_source
-from repro.glafexec import (
-    ExecutionContext,
-    GuardedRunner,
-    get_executor,
-    guarded_python_run,
-    run_interpreted,
-)
+from repro.glafexec import ExecutionContext, get_executor, run_interpreted
 from repro.optimize import make_plan
 from repro.robust import (
     SITES,
@@ -180,41 +174,36 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# GuardedRunner: the per-step access-conflict guard
+# the guarded executor: the access-conflict check
 # ----------------------------------------------------------------------
-class TestGuardedRunner:
+def _guarded(program, entry, args, **context):
+    return get_executor("guarded").run(program, entry, args, **context)
+
+
+class TestGuardedExecutor:
     def test_clean_run_is_bit_identical_and_quiet(self):
-        run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        assert not run.fell_back and not run.events and not run.demoted
+        with observe.observed() as obs:
+            run = _guarded(_program(), "work", [N], sizes={"n": N})
+        assert run.conflicts == ()
+        assert obs.decisions.for_stage("parallel:conflict") == []
         assert np.array_equal(run.context.get("v"), _reference())
 
-    def test_misparallelized_step_is_demoted_and_result_correct(self):
-        # The runner itself, and the guarded executor, whose run holds the
-        # runner's GuardedRun.
-        for guarded in (
-                lambda: GuardedRunner(_program()).run(
-                    "work", [N], sizes={"n": N}),
-                lambda: get_executor("guarded").run(
-                    _program(), "work", [N], sizes={"n": N}).guard):
-            plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
-                                        "misparallelize",
-                                        match={"function": "work"})])
-            with configured(faults=plan):
-                run = guarded()
-            assert plan.fired, "fault must actually fire"
-            assert run.fell_back
-            assert ("work", 1) in run.demoted       # the carried 'scan' step
-            # The reason names the grid and two iterations of the carried
-            # step.
-            assert run.events[0].reason == (
-                "access conflict: write-read on v(2) in work/1, "
-                "iterations 2 and 3")
-            assert run.events[0].conflict.grid == "v"
-            assert np.array_equal(run.context.get("v"), _reference())
+    def test_misparallelized_step_is_found_and_result_correct(self):
+        plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
+                                    "misparallelize",
+                                    match={"function": "work"})])
+        with configured(faults=plan):
+            run = _guarded(_program(), "work", [N], sizes={"n": N})
+        assert plan.fired, "fault must actually fire"
+        # The finding names the grid and two iterations of the carried
+        # 'scan' step, which still runs in order.
+        assert [str(c) for c in run.conflicts] == [
+            "write-read on v(2) in work/1, iterations 2 and 3"]
+        assert np.array_equal(run.context.get("v"), _reference())
 
     def test_guarded_results_and_stats_equal_the_plain_interpreter(self):
         from repro.cases import get_case
-        from repro.glafexec import GuardedInterpreter, Interpreter
+        from repro.glafexec import CheckedInterpreter, Interpreter
 
         sarb = get_case("sarb")
         sarb_program, sarb_args, sarb_context = sarb.setup(sarb.sample())
@@ -223,48 +212,44 @@ class TestGuardedRunner:
                 (sarb_program, sarb.entry, sarb_args, sarb_context)):
             plain = Interpreter(program, ExecutionContext(program, **context))
             plain.call(entry, list(args))
-            guarded = GuardedInterpreter(program, ExecutionContext(
+            checked = CheckedInterpreter(program, ExecutionContext(
                 program, **context), make_plan(program))
-            guarded.call(entry, list(args))
-            assert guarded.checked_steps and not guarded.demoted
-            assert guarded.stats == plain.stats
+            checked.call(entry, list(args))
+            assert checked.checked_steps and not checked.conflicts
+            assert checked.stats == plain.stats
             for name, arr in plain.context.globals.items():
-                assert np.array_equal(guarded.context.get(name), arr), name
+                assert np.array_equal(checked.context.get(name), arr), name
+            run = _guarded(program, entry, args, **context)
+            for name, arr in plain.context.globals.items():
+                assert np.array_equal(run.context.get(name), arr), name
 
-    def test_probe_execution_error_demotes_and_recovers(self):
-        plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
-                                    match={"parallel": True})])
-        with configured(faults=plan):
-            run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        assert run.fell_back and ("work", 0) in run.demoted
-        assert "ExecutionError" in run.events[0].reason
-        assert np.array_equal(run.context.get("v"), _reference())
+    def test_one_decision_per_finding(self):
+        # FUN3D's v0 plan shares grad across the cell sweep: one finding,
+        # one decision, the same as the explicit check of that plan.
+        from repro.cases import get_case
+        from repro.glafexec import validate_parallel_semantics
+        from repro.optimize import Tweaks
 
-    def test_demotion_recorded_in_decision_log_and_metrics(self):
-        plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
-                                    match={"parallel": True})])
-        with observe.observed() as obs, configured(faults=plan):
-            GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        guard = obs.decisions.for_stage("guard")
-        assert len(guard) == 1 and guard[0].verdict == "serial-fallback"
-        assert obs.metrics.snapshot()["counters"]["guard.serial_fallbacks"] == 1
-
-    def test_demoted_plan_forces_serial(self):
-        program = _program()
-        plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
-                                    match={"parallel": True})])
-        with configured(faults=plan):
-            run = GuardedRunner(program).run("work", [N], sizes={"n": N})
-        demoted = run.demoted_plan()
-        for key in run.demoted:
-            assert run.plan.step_is_parallel(*key)
-            assert not demoted.step_is_parallel(*key)
+        fun3d = get_case("fun3d")
+        program, args, context = fun3d.setup(fun3d.sample())
+        with observe.observed() as obs:
+            run = _guarded(program, fun3d.entry, args, **context)
+        found = obs.decisions.for_stage("parallel:conflict")
+        assert [(d.function, d.step_index, dict(d.attrs)["grid"])
+                for d in found] == [("edgejp", 2, "grad")]
+        # Besides the plan's own parallelize and pruning verdicts, nothing.
+        assert {d.stage for d in obs.decisions.events} == {
+            "parallelize", "pruning", "parallel:conflict"}
+        plan = make_plan(program, "GLAF-parallel v0",
+                         tweaks=Tweaks(save_inner_arrays=False))
+        checked = validate_parallel_semantics(program, plan, fun3d.entry,
+                                              args, **context)
+        assert list(run.conflicts) == checked.conflicts
+        assert [str(c) for c in run.conflicts] == [
+            "write-write on grad(1, 1) in edgejp/2, iterations 1 and 2"]
 
     def test_resource_limit_error_is_never_recovered(self):
         limits = ResourceLimits(max_loop_iterations=10)
-        runner = GuardedRunner(_program(), limits=limits)
-        with pytest.raises(ResourceLimitError, match="iteration budget"):
-            runner.run("work", [N], sizes={"n": N})
         with pytest.raises(ResourceLimitError, match="iteration budget"):
             get_executor("guarded", limits=limits).run(
                 _program(), "work", [N], sizes={"n": N})
@@ -281,33 +266,9 @@ class TestGuardedRunner:
 
 
 # ----------------------------------------------------------------------
-# guarded generated-Python execution
+# generated-Python compilation
 # ----------------------------------------------------------------------
-class TestGuardedPythonRun:
-    def test_healthy_module_is_trusted(self):
-        res = guarded_python_run(_program(), "work", [N], sizes={"n": N},
-                                 compare=["v"])
-        assert not res.fell_back
-        assert np.array_equal(res.context.get("v"), _reference())
-
-    def test_perturbed_module_falls_back_to_interpreter(self):
-        plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with configured(faults=plan):
-            res = guarded_python_run(_program(), "work", [N], sizes={"n": N},
-                                     compare=["v"])
-        assert plan.fired
-        assert res.fell_back and "divergence" in res.reason
-        assert np.array_equal(res.context.get("v"), _reference())
-
-    def test_fallback_recorded_in_decision_log(self):
-        plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with observe.observed() as obs, configured(faults=plan):
-            guarded_python_run(_program(), "work", [N], sizes={"n": N},
-                               compare=["v"])
-        guard = obs.decisions.for_stage("guard")
-        assert guard and guard[0].verdict == "serial-fallback"
-        assert obs.metrics.snapshot()["counters"]["guard.serial_fallbacks"] == 1
-
+class TestGeneratedModule:
     def test_uncompilable_module_surfaces_as_codegen_error(self, monkeypatch):
         from repro.glafexec import runner as runner_mod
 
@@ -320,16 +281,6 @@ class TestGuardedPythonRun:
         # names the module and quotes the offending line
         assert "<glaf:tiny>" in str(ei.value)
         assert "def broken(:" in str(ei.value)
-
-    def test_uncompilable_module_falls_back_in_guarded_run(self, monkeypatch):
-        from repro.glafexec import runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "generate_python_source",
-                            lambda plan: "import json(\n")
-        res = guarded_python_run(_program(), "work", [N], sizes={"n": N},
-                                 compare=["v"])
-        assert res.fell_back and "CodegenError" in res.reason
-        assert np.array_equal(res.context.get("v"), _reference())
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +450,10 @@ class TestFaultCheck:
         assert {r.site for r in report.results} == set(SITES)
         assert report.ok, report.render()
         outcomes = {r.site: r.outcome for r in report.results}
-        assert outcomes["analysis.parallelize.verdict"] == "recovered"
+        for site in ("analysis.parallelize.verdict", "exec.interp.step",
+                     "codegen.python.assign", "numeric.sentinel"):
+            assert outcomes[site] == "recovered", site
         assert outcomes["exec.interp.iter"] == "surfaced"
-        assert outcomes["numeric.sentinel"] == "recovered"
 
     def test_report_json_schema(self):
         from repro.robust.faultcheck import FaultCheckReport, SiteResult

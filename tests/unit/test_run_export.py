@@ -26,8 +26,8 @@ def _run_record(i: int = 0, command: str = "experiments"):
             h = obs.metrics.histogram("exec.step_ms")
             for v in (1.0, 2.0, 3.0):
                 h.observe(v + i)
-        obs.decisions.record("guard", "adjust2", 1, "sweep", "fallback",
-                             reasons=["diverged"])
+        obs.decisions.record("parallel:conflict", "adjust2", 1, "sweep",
+                             "conflict", reasons=["write-read on flux(2)"])
     return observe.build_record(
         command=command, argv=["x"], wall_s=0.1 * (i + 1),
         observation=obs, started=1700000000.0 + i,
@@ -94,7 +94,7 @@ class TestRecordToChrome:
         assert any(e["name"] == "sample.rss_mb" and e["cat"] == "sample"
                    for e in counters)
         instants = [e for e in events if e["ph"] == "i"]
-        assert instants[0]["name"] == "guard:fallback"
+        assert instants[0]["name"] == "parallel:conflict:conflict"
         json.dumps(doc)
 
     def test_nesting_survives_the_flame_roundtrip(self):
@@ -174,7 +174,8 @@ class TestTextRenderers:
         assert "run-000007" in text
         assert "analysis" in text
         assert "exec.interp.calls" in text
-        assert "guard" in text
+        events = text.split("-- events --")[1].splitlines()
+        assert "  parallel:conflict         1" in events
         assert "resource samples: 2 tick(s)" in text
 
     def test_show_quotes_argv_so_it_pastes_back(self):

@@ -295,7 +295,9 @@ class TestFortranSemantics:
         assert np.array_equal(written[0], [1, 0, 0])
         assert np.array_equal(written[0], written[1])
 
-    def test_sentinel_trip_raises_through_lifted_step(self):
+    def test_sentinel_trip_raises_on_the_scalar_path(self):
+        from repro import observe
+
         def body(f):
             s = f.step("pw")
             s.foreach(i=(1, "n"))
@@ -304,11 +306,12 @@ class TestFortranSemantics:
         p = _build(body)
         x = np.ones(4)
         x[2] = np.nan
-        with configured(sentinels=SentinelConfig()):
+        with observe.observed() as obs, configured(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as exc:
                 get_executor("vectorized").run(p, "f", [4, x, np.zeros(4)],
                                                sizes={"n": 4})
         assert exc.value.kind == "nan"
+        assert obs.metrics.counter("exec.vectorized.steps").value == 0
 
     # A liftable write trips at the grid cell of its first offending value
     # in loop order, with the interpreter's message: (x dims, z dims, the
