@@ -9,6 +9,7 @@ runs:
 * called functions exist, and argument counts match;
 * subroutines (void return) contain no value-returning ``Return``; functions
   return a value on every trailing path (checked shallowly);
+* an ``ExitLoop`` (FORTRAN ``EXIT``) sits in a step with a loop nest;
 * steps contain at most one loop nest (GLAF's nesting rule — interior loops
   must be separate functions, paper §3.3);
 * TYPE-element grids name a registered derived type that has the field;
@@ -27,7 +28,7 @@ from ..errors import DiagnosticBundle, ValidationError
 from .expr import Expr, FuncCall, GridRef, LibCall, walk
 from .function import GlafFunction, GlafProgram
 from .libfuncs import REGISTRY
-from .step import Assign, CallStmt, Return, Step, walk_stmts
+from .step import Assign, CallStmt, ExitLoop, Return, Step, walk_stmts
 
 __all__ = ["validate_program", "validate_function"]
 
@@ -127,7 +128,9 @@ def _validate_step(
     for e in step.all_exprs():
         _validate_expr(program, fn, e, where, sink)
 
+    exits = False
     for s in walk_stmts(step.stmts):
+        exits = exits or isinstance(s, ExitLoop)
         if isinstance(s, Assign):
             grid = _resolve(program, fn, s.target.grid, where, sink)
             if grid is None:
@@ -147,6 +150,8 @@ def _validate_step(
         elif isinstance(s, CallStmt):
             _validate_call(program, s.name, len(s.args), where,
                            subroutine_only=True, sink=sink)
+    if exits and not step.is_loop:
+        sink.error(f"{where}: EXIT outside a loop")
 
 
 def _validate_expr(

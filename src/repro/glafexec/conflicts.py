@@ -6,8 +6,9 @@ OpenMP do (Archer, Atzeni et al., IPDPS 2016), over the IR and in one
 deterministic serial run.  While a plan-parallel loop step without
 ``RETURN``/``EXIT`` runs through its ordinary compiled nest, every grid
 access — inside CALLs and function calls too — is recorded with the step's
-iteration: its leading ``plan.collapse_for`` loop indices.  Storage is
-keyed by the array object, so a by-reference dummy is its actual argument.
+iteration: its leading ``plan.collapse_for`` loop indices, which the step
+sets once per trip of those loops.  Storage is keyed by the array object,
+so a by-reference dummy is its actual argument.
 
 * **Private** storage — the step's PRIVATE and FIRSTPRIVATE names, the
   grids the FORTRAN generator declares THREADPRIVATE, and storage a call
@@ -34,16 +35,13 @@ from typing import Any
 
 import numpy as np
 
-from .. import runconfig as _rc
-from ..core.expr import Expr, GridRef, LibCall
+from ..core.expr import GridRef, LibCall
 from ..core.function import GlafFunction, GlafProgram
 from ..core.grid import Grid
 from ..core.step import Assign, ExitLoop, Return, Step, walk_stmts
-from ..errors import ExecutionError
 from ..optimize.plan import OptimizationPlan
 from .context import ExecutionContext
-from .interp import (Interpreter, _check_bounds, _checked_read, _Closure,
-                     _screen, _StepCompiler)
+from .interp import Interpreter, _Emitter, _Local
 
 __all__ = ["CheckedInterpreter", "Conflict", "ParallelValidation",
            "validate_parallel_semantics"]
@@ -91,24 +89,21 @@ class Conflict:
 class _Check:
     """The shadow state of one execution of one checked step."""
 
-    __slots__ = ("frame", "lead", "private", "shadow", "found")
+    __slots__ = ("frame", "it", "private", "shadow", "found")
 
     def __init__(self, frame, lead: tuple[str, ...], private: dict) -> None:
         self.frame = frame
-        self.lead = lead
+        #: the running iteration, which the step sets once per trip of its
+        #: lead loops; None while the leading bounds evaluate
+        self.it: tuple[int, ...] | None = None if lead else ()
         #: id(array) -> (firstprivate?, {cell: the iteration that last wrote it})
         self.private: dict[int, tuple[bool, dict]] = private
         self.shadow: dict[tuple, list] = {}     # shared cell -> _SLOTS
         self.found: dict[str, tuple] = {}       # grid -> its first conflict
 
-    def iteration(self) -> tuple[int, ...] | None:
-        """The running iteration; None while the leading bounds evaluate."""
-        it = tuple(map(self.frame.indices.get, self.lead))
-        return None if None in it else it
-
     def fresh(self, store: np.ndarray, written: bool) -> None:
         """Storage a call allocated inside the running iteration."""
-        self.private[id(store)] = (False, {(): self.iteration()} if written else {})
+        self.private[id(store)] = (False, {(): self.it} if written else {})
 
     def note(self, store: np.ndarray, name: str, cell: tuple | None,
              op: str) -> None:
@@ -116,7 +111,7 @@ class _Check:
         every cell)."""
         if name in self.found:
             return
-        it = self.iteration()
+        it = self.it
         if it is None:
             return
         sid = id(store)
@@ -174,8 +169,10 @@ class CheckedInterpreter(Interpreter):
             and not any(isinstance(s, (Return, ExitLoop))
                         for s in walk_stmts(step.stmts))}
 
-    def _compile(self, fn: GlafFunction, idx: int, step: Step):
-        return _RecordingCompiler(fn, idx, step, self.plan).compile()
+    def _compile(self, frame, idx: int, step: Step):
+        return _RecordingEmitter(
+            frame.fn, idx, step, frame.grids, self.plan,
+            self._leads.get((frame.fn.name, idx))).run()
 
     def _exec_step(self, frame, idx: int, step: Step) -> None:
         if (frame.fn.name, idx) in self._leads:
@@ -235,16 +232,17 @@ class CheckedInterpreter(Interpreter):
                 for check in self._checks:
                     check.private.pop(sid, None)
 
-    def _bind_argument(self, g: Grid, value: Any) -> np.ndarray:
-        store = super()._bind_argument(g, value)
+    def _bind_argument(self, g: Grid, dtype: np.dtype,
+                       value: Any) -> np.ndarray:
+        store = super()._bind_argument(g, dtype, value)
         if store is not value and self._checks:     # a by-value scalar
             self._note_fresh(store, written=True)
         return store
 
-    def _allocate_local(self, fn: GlafFunction, g: Grid,
-                        sizes: dict[str, int]) -> np.ndarray:
-        store = super()._allocate_local(fn, g, sizes)
-        if self._checks and self._save_store.get((fn.name, g.name)) is not store:
+    def _allocate_local(self, local: _Local,
+                        sizes: dict[str, int] | None) -> np.ndarray:
+        store = super()._allocate_local(local, sizes)
+        if self._checks and self._save_store.get(local.key) is not store:
             self._note_fresh(store, written=False)
         return store
 
@@ -254,83 +252,75 @@ class CheckedInterpreter(Interpreter):
             check.fresh(store, written)
 
 
-class _RecordingCompiler(_StepCompiler):
-    """Closures that also report each grid access to the active checks;
-    bounds, sentinel, fault and budget checks run as in the plain ones."""
+def _rd(f, store: np.ndarray, name: str, update: str | None, value: Any,
+        cell: tuple | None) -> Any:
+    """A read, reported to the active checks; returns the value read."""
+    interp = f.interp
+    if interp._checks:
+        interp._note(f, store, name, cell, False, update)
+    return value
 
-    def __init__(self, fn: GlafFunction, idx: int, step: Step,
-                 plan: OptimizationPlan):
-        super().__init__(fn, idx, step)
+
+class _RecordingEmitter(_Emitter):
+    """Steps that also report each grid access to the active checks;
+    bounds, sentinel, fault and budget checks run as in the plain ones.
+    A checked step (``lead``: its lead loops' variables) sets its check's
+    iteration once per trip of those loops, and clears it while their
+    inner bounds evaluate."""
+
+    def __init__(self, fn: GlafFunction, idx: int, step: Step, grids: dict,
+                 plan: OptimizationPlan, lead: tuple[str, ...] | None):
+        super().__init__(fn, idx, step, grids)
         self.plan = plan
+        self.lead = lead
         # A REDUCTION update is one for the check whose frame runs it, and
         # only the step itself can be checked in its frame.
         self.reductions = {g for g, _ in plan.reductions_for(fn.name, idx)}
-        self._target: tuple[GridRef, str | None] | None = None
+        self.target: tuple[GridRef, str | None] | None = None
+        self.ns["_rd"] = _rd
+        self.uses.add("I")
+        self.head.append("C = I._checks; N = I._note")
+        if lead is not None:
+            self.head.append("K = C[-1]")
 
-    def _assign(self, s: Assign) -> _Closure:
-        name, fname = s.target.grid, self.fname
-        update = (_ALL if self.plan.atomic_update(fname, self.idx, name)
+    def _enter(self, level: int, ind: int) -> None:
+        if self.lead is not None and 0 < level < len(self.lead):
+            self._line(ind, "K.it = None")
+
+    def _trip(self, level: int, ind: int) -> None:
+        if self.lead is not None and level == len(self.lead) - 1:
+            its = "".join(f"{self.vars[v]}, " for v in self.lead)
+            self._line(ind, f"K.it = ({its})")
+
+    def _assign(self, s: Assign, ind: int) -> None:
+        name = s.target.grid
+        update = (_ALL if self.plan.atomic_update(self.fn.name, self.idx, name)
                   else _OWN if name in self.reductions else None)
-        self._target = (s.target, update)    # its self-read shares `update`
-        value = self._expr(s.expr)
-        self._target = None
-        subs = tuple(self._sub(i) for i in s.target.indices)
-        whole = f"cannot assign scalar to whole array {name!r}"
+        self.target = (s.target, update)    # its self-read shares `update`
+        super()._assign(s, ind)
+        self.target = None
 
-        def assign(f) -> None:
-            store = f.grids[name]
-            v = value(f)
-            idx = tuple([sub(f) for sub in subs])
-            if idx:
-                _check_bounds(fname, name, store, idx)
-            elif store.ndim != 0:
-                raise ExecutionError(whole)
-            if _rc._active.hooked:
-                v = _screen(f, name, store, v, idx or None)
-            if f.interp._checks:
-                f.interp._note(f, store, name, idx, True, update)
-            store[idx] = v
-        return assign
+    def _write(self, ind: int, store: str, name: str, cell: str) -> None:
+        self._line(ind, f"if C: N(f, {store}, {name!r}, {cell}, True, "
+                        f"{self.target[1]!r})")
 
-    def _expr(self, e: Expr) -> _Closure:
-        if not isinstance(e, GridRef):
-            return super()._expr(e)
-        name, fname = e.grid, self.fname
-        update = (self._target[1] if self._target is not None
-                  and e == self._target[0] else None)
-        if not e.indices:
-            def scalar(f) -> Any:
-                store = f.grids[name]
-                if f.interp._checks:
-                    f.interp._note(f, store, name, () if store.ndim == 0 else None,
-                                   False, update)
-                return store[()] if store.ndim == 0 else store
-            return scalar
-        subs = tuple(self._sub(i) for i in e.indices)
+    def _grid(self, e: GridRef) -> str:
+        store, cell, text = self._read(e)
+        if store is None:
+            return text
+        update = (self.target[1] if self.target is not None
+                  and e == self.target[0] else None)
+        return f"_rd(f, {store}, {e.grid!r}, {update!r}, {text}, {cell})"
 
-        def element(f) -> Any:
-            store = f.grids[name]
-            idx = tuple([sub(f) for sub in subs])
-            v = _checked_read(fname, name, store, idx)
-            if f.interp._checks:
-                f.interp._note(f, store, name, idx, False, update)
-            return v
-        return element
-
-    def _libcall(self, e: LibCall) -> _Closure:
-        """A whole-grid argument (``SUM``...) reads every cell; ``SIZE``'s
-        reads none."""
+    def _libcall(self, e: LibCall) -> str:
+        """A whole-grid argument (``SUM``...) reads every cell first;
+        ``SIZE``'s reads none."""
         call = super()._libcall(e)
-        reads = tuple(self._expr(a) for a in e.args if e.name != "SIZE"
-                      and isinstance(a, GridRef) and not a.indices)
+        reads = [self._grid(a) for a in e.args if e.name != "SIZE"
+                 and isinstance(a, GridRef) and not a.indices]
         if not reads:
             return call
-
-        def libcall(f) -> Any:
-            for read in reads:
-                read(f)
-            return call(f)
-        return libcall
+        return f"({', '.join(reads)}, {call})[-1]"
 
 
 @dataclass

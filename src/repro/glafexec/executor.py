@@ -5,8 +5,8 @@ Three interchangeable back ends run a program's entry point against an
 
 ``interpreter``
     The reference :class:`~repro.glafexec.interp.Interpreter` —
-    authoritative FORTRAN semantics.  Each step compiles once to nested
-    closures and then runs one loop iteration at a time.
+    authoritative FORTRAN semantics.  Each step compiles once to one
+    emitted Python function and then runs one loop iteration at a time.
 ``vectorized``
     :class:`~repro.glafexec.vectorize.VectorizedInterpreter` — liftable loop
     steps run as whole-grid NumPy array programs; everything else falls back

@@ -6,32 +6,51 @@ outputs must agree.
 
 Execution model:
 
-* A step compiles on its first execution.  Its range bounds, condition
-  and body become nested Python closures, with every library function,
-  operator and constant resolved once.  Each call binds one table of the
-  grids it can name (its own storage over the context's globals), so a
-  grid access is a single lookup.  Compiled steps are cached per
-  interpreter by (function name, step index).  ``_exec_step`` stays the
-  subclass hook: the vectorized interpreter runs the same compiled pieces
-  (:class:`_CompiledStep`), and the access-conflict checking interpreter
-  (:mod:`repro.glafexec.conflicts`) overrides ``_compile`` to compile
-  closures that also record every grid access.
-* Compilation never raises.  An unknown library function, a valued RETURN
-  in a subroutine or an unknown node compiles to a closure that raises the
-  same error only if it runs.  Every run-time check (argument count, dtype
-  and rank, call depth, bounds per dimension, non-positive stride, unbound
-  index, scalar-to-whole-array, budget, fault sites, sentinels) happens on
-  execution, in the order the statement evaluates.
-* Closures take the activation frame and reach the interpreter through
-  it; they never hold the interpreter or its context, so a dropped
-  interpreter is freed without the cycle collector.
+* A step compiles on its first execution to one Python function over the
+  activation frame: :class:`_Emitter` writes its source, and ``compile``
+  turns it into code.  Loop variables are the function's locals; each
+  grid the step names is looked up once per run of the step, with its
+  rank and extents, so a read in bounds is one comparison chain and an
+  index, and the slow-path helpers run only when it fails.  IR strings —
+  grid, call, function and step names, messages — enter the source only
+  through ``repr()`` or the function's namespace, which also binds the
+  step's constants (one name each, carrying the constant's type), its
+  library implementations and its return cast.  The code is kept
+  process-wide in a :class:`~repro.recurring.RecurringCache` keyed by a
+  digest of the text, so a rebuilt program's steps reuse it, and each
+  compiled function is named after its step, in a file
+  ``<glaf-step FN/IDX>``, for profiles and tracebacks.
+* Each function's call set-up — its parameters and locals with their
+  dtypes and SAVE keys, its fall-off result — is computed once per
+  interpreter, on its first call.  Each call binds one table of the grids
+  it can name (its own storage over the context's globals).
+* ``_exec_step`` stays the subclass hook: the vectorized interpreter runs
+  the same compiled steps (and a sweep's range bounds, from
+  :meth:`_Emitter.bounds`), and the access-conflict checking interpreter
+  (:mod:`repro.glafexec.conflicts`) overrides ``_compile`` to emit steps
+  that also record every grid access.
+* Compilation defers every error to the statement that raises it: an
+  unknown library function, a valued RETURN in a subroutine, an EXIT
+  outside a loop or an unknown node compiles to code that raises only if
+  it runs.  Every run-time check (argument count, dtype and rank, call
+  depth, bounds per dimension, non-positive stride, unbound index,
+  scalar-to-whole-array, budget, fault sites, sentinels) happens on
+  execution, in the order the statement evaluates.  Only a step Python
+  cannot compile (an expression nested past its parser's two hundred
+  parenthesis levels; a left-associative chain takes one) raises
+  :class:`ExecutionError` at its first execution, before it runs.
+* Compiled steps take the activation frame and reach the interpreter
+  through it; neither they nor their namespaces hold the interpreter or
+  its context, so a dropped interpreter is freed without the cycle
+  collector.
 
 Semantics follow FORTRAN:
 
 * 1-based inclusive loop ranges (``DO i = start, end, step``);
 * integer ``/`` truncates toward zero; ``MOD`` takes the dividend's sign;
   an integer zero divisor raises :class:`ExecutionError`;
-* ``EXIT`` (:class:`ExitLoop`) leaves the innermost loop of the step's nest;
+* ``EXIT`` (:class:`ExitLoop`) leaves the innermost loop of the step's
+  nest; in a step without a loop it raises :class:`ExecutionError`;
 * arguments are passed by reference — array arguments alias caller storage,
   and scalar ``intent(out/inout)`` arguments must be 0-d arrays;
 * SAVE'd locals persist across calls in the interpreter's save store, which
@@ -40,8 +59,9 @@ Semantics follow FORTRAN:
 
 from __future__ import annotations
 
-import operator
+import builtins
 from dataclasses import dataclass, field
+from types import CodeType, FunctionType
 from typing import Any, Callable
 
 import numpy as np
@@ -65,6 +85,7 @@ from ..core.step import (
     CallStmt,
     ExitLoop,
     IfStmt,
+    Range,
     Return,
     Step,
     Stmt,
@@ -72,9 +93,12 @@ from ..core.step import (
 from ..core.types import numpy_dtype
 from ..errors import CodegenError, ExecutionError
 from ..numeric import sentinel as _sentinel
+from ..observe.metrics import get_metrics
+from ..observe.trace import get_tracer
+from ..recurring import RecurringCache, digest
 from ..robust import Budget, ResourceLimits
 from ..robust import faults as _faults
-from .context import ExecutionContext, as_storage
+from .context import ExecutionContext
 
 __all__ = ["Interpreter", "ExecStats"]
 
@@ -82,10 +106,6 @@ __all__ = ["Interpreter", "ExecStats"]
 class _ReturnSignal(Exception):
     def __init__(self, value: Any = None):
         self.value = value
-
-
-class _ExitSignal(Exception):
-    pass
 
 
 @dataclass
@@ -114,20 +134,11 @@ class _Grids(dict):
         raise ExecutionError(f"no global grid {name!r}")
 
 
-class _Indices(dict):
-    """The loop index variables bound in a frame."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str) -> int:
-        raise ExecutionError(f"unbound index variable {name!r}")
-
-
 class _Frame:
     """One activation: the interpreter, the function and its storage."""
 
-    __slots__ = ("interp", "fn", "storage", "grids", "indices",
-                 "current_step", "current_step_name")
+    __slots__ = ("interp", "fn", "storage", "grids", "current_step",
+                 "current_step_name")
 
     def __init__(self, interp: "Interpreter", fn: GlafFunction) -> None:
         self.interp = interp
@@ -136,10 +147,55 @@ class _Frame:
         self.storage: dict[str, np.ndarray] = {}
         #: ``storage`` over the context's globals, set once storage is bound
         self.grids = _Grids()
-        self.indices = _Indices()
         # Set by _exec_step so assignment-time sentinels can name the step.
         self.current_step = -1
         self.current_step_name = ""
+
+
+class _Local:
+    """A local grid's allocation, resolved once: its dtype, its shape when
+    no dimension is symbolic, and its SAVE key."""
+
+    __slots__ = ("name", "grid", "dtype", "shape", "key", "saved")
+
+    def __init__(self, fn: GlafFunction, grid: Grid, saved: bool) -> None:
+        self.name = grid.name
+        self.grid = grid
+        self.dtype = numpy_dtype(grid.ty)
+        self.shape = None if grid.symbolic_dims() else grid.shape()
+        self.key = (fn.name, grid.name)
+        self.saved = saved
+
+    def allocate(self, sizes: dict[str, int] | None) -> np.ndarray:
+        """Fresh storage, as :func:`~repro.glafexec.context.as_storage`
+        makes it."""
+        g = self.grid
+        store = np.zeros(self.shape if self.shape is not None
+                         else g.shape(sizes), dtype=self.dtype)
+        if g.init_data is not None:
+            store[() if g.rank == 0 else ...] = g.init_data
+        return store
+
+
+class _Callee:
+    """One function's call set-up, computed on its first call."""
+
+    __slots__ = ("fn", "params", "locals", "sized", "result")
+
+    def __init__(self, fn: GlafFunction, save_inner_arrays: bool) -> None:
+        self.fn = fn
+        #: (name, grid, dtype) per parameter
+        self.params = tuple((p, fn.grids[p], numpy_dtype(fn.grids[p].ty))
+                            for p in fn.params)
+        self.locals = tuple(
+            _Local(fn, g, g.save or (save_inner_arrays and g.allocatable))
+            for g in fn.local_grids().values())
+        #: does a local need the frame's sizes?
+        self.sized = any(local.shape is None for local in self.locals)
+        #: what a function returns when it falls off its end (the
+        #: zero-initialized result variable, as FORTRAN would)
+        self.result = (None if fn.is_subroutine
+                       else numpy_dtype(fn.return_type).type(0))
 
 
 class Interpreter:
@@ -165,7 +221,8 @@ class Interpreter:
         )
         self.stats = ExecStats()
         self._save_store: dict[tuple[str, str], np.ndarray] = {}
-        self._steps: dict[tuple[str, int], _CompiledStep] = {}
+        self._callees: dict[str, _Callee] = {}
+        self._steps: dict[tuple[str, int], Callable[[_Frame], None]] = {}
         self._depth = 0
 
     def reset_save_store(self) -> None:
@@ -176,8 +233,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     def call(self, name: str, args: list[Any] | tuple = ()) -> Any:
         """Call a GLAF function; returns its value (None for subroutines)."""
-        from ..observe import get_metrics, get_tracer
-
         _m = get_metrics()
         if _m.enabled:
             _m.counter("exec.interp.calls").inc()
@@ -191,26 +246,31 @@ class Interpreter:
         return self._call(name, args)
 
     def _call(self, name: str, args: list[Any] | tuple = ()) -> Any:
-        fn = self.program.find_function(name)
-        if len(args) != len(fn.params):
+        callee = self._callees.get(name)
+        if callee is None:
+            callee = self._callees[name] = _Callee(
+                self.program.find_function(name), self.save_inner_arrays)
+        fn = callee.fn
+        if len(args) != len(callee.params):
             raise ExecutionError(
-                f"{name}: expected {len(fn.params)} argument(s), got {len(args)}"
+                f"{name}: expected {len(callee.params)} argument(s), "
+                f"got {len(args)}"
             )
         if self._depth >= self.max_call_depth:
             raise ExecutionError(f"call depth exceeded at {name}")
         self.stats.note_call(name)
 
         frame = _Frame(self, fn)
+        storage = frame.storage
         # Bind dummies by reference where possible.
-        for pname, value in zip(fn.params, args):
-            g = fn.grids[pname]
-            frame.storage[pname] = self._bind_argument(g, value)
+        for (pname, g, dtype), value in zip(callee.params, args):
+            storage[pname] = self._bind_argument(g, dtype, value)
         # Resolve symbolic local dims from already-bound scalars.
-        sizes = self._frame_sizes(frame)
-        for lname, g in fn.local_grids().items():
-            frame.storage[lname] = self._allocate_local(fn, g, sizes)
+        sizes = self._frame_sizes(frame) if callee.sized else None
+        for local in callee.locals:
+            storage[local.name] = self._allocate_local(local, sizes)
         frame.grids.update(self.context.globals)
-        frame.grids.update(frame.storage)
+        frame.grids.update(storage)
 
         self._depth += 1
         try:
@@ -220,14 +280,9 @@ class Interpreter:
             return r.value
         finally:
             self._depth -= 1
-        if not fn.is_subroutine:
-            # Fell off the end without an explicit return: FORTRAN would
-            # return the (zero-initialized) result variable.
-            return numpy_dtype(fn.return_type).type(0)
-        return None
+        return callee.result
 
-    def _bind_argument(self, g: Grid, value: Any) -> np.ndarray:
-        dtype = numpy_dtype(g.ty)
+    def _bind_argument(self, g: Grid, dtype: np.dtype, value: Any) -> np.ndarray:
         if g.rank == 0:
             if isinstance(value, np.ndarray) and value.ndim == 0:
                 return value  # by reference
@@ -253,19 +308,20 @@ class Interpreter:
     def _frame_sizes(self, frame: _Frame) -> dict[str, int]:
         sizes = dict(self.context.sizes)
         for name, store in frame.storage.items():
-            if store.ndim == 0 and np.issubdtype(store.dtype, np.integer):
+            if store.ndim == 0 and issubclass(store.dtype.type, np.integer):
                 sizes[name] = int(store[()])
         return sizes
 
-    def _allocate_local(self, fn: GlafFunction, g: Grid, sizes: dict[str, int]) -> np.ndarray:
-        saved = g.save or (self.save_inner_arrays and g.allocatable)
-        key = (fn.name, g.name)
-        if saved and key in self._save_store:
-            return self._save_store[key]
+    def _allocate_local(self, local: _Local,
+                        sizes: dict[str, int] | None) -> np.ndarray:
+        if local.saved:
+            store = self._save_store.get(local.key)
+            if store is not None:
+                return store
         self.stats.allocations += 1
-        store = as_storage(g, sizes=sizes)
-        if saved:
-            self._save_store[key] = store
+        store = local.allocate(sizes)
+        if local.saved:
+            self._save_store[local.key] = store
         return store
 
     # ------------------------------------------------------------------
@@ -277,31 +333,27 @@ class Interpreter:
         if _rc._active.faults is not None:
             _faults.inject("exec.interp.step", function=frame.fn.name,
                            step=idx)
-        self._compiled(frame.fn, idx, step).run(frame)
+        self._compiled(frame, idx, step)(frame)
 
-    def _compiled(self, fn: GlafFunction, idx: int, step: Step) -> "_CompiledStep":
-        """The step's closures, compiled on its first execution."""
-        key = (fn.name, idx)
-        compiled = self._steps.get(key)
-        if compiled is None:
-            compiled = self._steps[key] = self._compile(fn, idx, step)
-        return compiled
+    def _compiled(self, frame: _Frame, idx: int,
+                  step: Step) -> Callable[[_Frame], None]:
+        """The step's function, compiled on its first execution."""
+        key = (frame.fn.name, idx)
+        run = self._steps.get(key)
+        if run is None:
+            run = self._steps[key] = self._compile(frame, idx, step)
+        return run
 
-    def _compile(self, fn: GlafFunction, idx: int, step: Step) -> "_CompiledStep":
-        """Compile one step; the checking interpreter compiles its own
-        recording closures here."""
-        return _StepCompiler(fn, idx, step).compile()
-
-    def _storage(self, frame: _Frame, name: str) -> np.ndarray:
-        return frame.grids[name]
+    def _compile(self, frame: _Frame, idx: int,
+                 step: Step) -> Callable[[_Frame], None]:
+        """Compile one step; the checking interpreter emits its own
+        recording steps here."""
+        return _Emitter(frame.fn, idx, step, frame.grids).run()
 
 
 # ----------------------------------------------------------------------
-# run-time helpers shared by the compiled closures
+# run-time helpers the compiled steps call
 # ----------------------------------------------------------------------
-_Closure = Callable[[_Frame], Any]
-
-
 def _is_int(v: Any) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -331,24 +383,6 @@ def _mod(lv: Any, rv: Any) -> Any:
         raise ExecutionError("modulo by zero")
     r = np.abs(lv) % np.abs(rv)
     return -r if lv < 0 else r
-
-
-# ``and``/``or`` short-circuit, so they compile separately.
-_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "//": _floordiv,
-    "%": _mod,
-    "**": operator.pow,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 
 def _check_bounds(fname: str, gname: str, store: np.ndarray, idx: tuple) -> None:
@@ -383,342 +417,404 @@ def _screen(f: _Frame, gname: str, store: np.ndarray, value: Any,
     return value
 
 
-def _raiser(exc_type: type[Exception], message: str) -> _Closure:
-    def fail(f: _Frame) -> Any:
-        raise exc_type(message)
-    return fail
+def _fail(exc_type: type[Exception], message: str) -> Any:
+    """A compiled node's error, raised where the node evaluates."""
+    raise exc_type(message)
 
 
-def _exit(f: _Frame) -> None:
-    raise _ExitSignal()
+def _loop(start: int, end: int, stride: int, message: str) -> range:
+    """One loop level's iterations, once its stride is checked."""
+    if stride <= 0:
+        raise ExecutionError(message)
+    return range(start, end + 1, stride)
 
 
-def _return_none(f: _Frame) -> None:
-    raise _ReturnSignal(None)
+def _iter(budget: Budget | None, faults: Any, fname: str, idx: int) -> None:
+    """An innermost iteration's budget tick and fault site."""
+    if budget is not None:
+        budget.tick()
+    if faults is not None:
+        _faults.inject("exec.interp.iter", function=fname, step=idx)
 
 
-class _CompiledStep:
-    """One step as closures over a frame.
+#: What every compiled step's namespace starts from.
+_NAMESPACE: dict[str, Any] = {
+    "__builtins__": builtins, "ExecutionError": ExecutionError,
+    "CodegenError": CodegenError, "_ReturnSignal": _ReturnSignal,
+    "_rc": _rc, "_div": _div, "_floordiv": _floordiv, "_mod": _mod,
+    "_check_bounds": _check_bounds, "_checked_read": _checked_read,
+    "_screen": _screen,
+    "_fail": _fail, "_loop": _loop, "_iter": _iter,
+}
 
-    ``ranges`` holds ``(var, start, end, stride)`` per loop level, each
-    bound a closure returning an ``int``; ``cond`` is the step condition
-    (``None`` when absent); ``body`` runs the statements once; ``run``
-    executes the whole step: its nest, or the guarded body of a non-loop
-    step.
+#: Compiled step code, process-wide, by a digest of its text.
+_CODE = RecurringCache(512)
+
+#: The names a compiled step binds first, when its text uses them.
+_FRAME_NAMES = (("G", "f.grids"), ("I", "f.interp"), ("A", "_rc._active"),
+                ("H", "A.hooked"))
+_INFIX = frozenset(("+", "-", "*", "**", "==", "!=", "<", "<=", ">", ">="))
+_HELPERS = {"/": "_div", "//": "_floordiv", "%": "_mod"}
+#: Left-associative operators of one precedence level, by level.
+_CHAINS = {"+": 0, "-": 0, "*": 1, "/": 1}
+
+
+def _is_float(e: Expr) -> bool:
+    return isinstance(e, Const) and isinstance(e.value, (float, np.floating))
+
+
+class _Emitter:
+    """Writes one step of one function as the source of a Python function
+    of the activation frame ``f``, and compiles it.
+
+    ``grids`` holds the names the function's frames resolve (its storage
+    and the context's globals); the step reads each of those once per run,
+    and touching any other name raises the frame's "no global grid" error
+    where the step touches it.  Index variables are the locals ``i0``,
+    ``i1``..., by loop level, never their IR names.
     """
 
-    __slots__ = ("ranges", "cond", "body", "run")
+    def __init__(self, fn: GlafFunction, idx: int, step: Step,
+                 grids: dict[str, np.ndarray]) -> None:
+        self.fn, self.idx, self.step = fn, idx, step
+        self.grids = grids
+        self.ns: dict[str, Any] = dict(_NAMESPACE, FN=fn.name, IDX=idx)
+        self.head: list[str] = []      # per run, after the frame's names
+        self.lines: list[str] = []
+        self.uses: set[str] = set()    # which frame names the text uses
+        self.stores: dict[str, str] = {}
+        self.extents: dict[tuple[str, int], list[str]] = {}
+        self.ranks: dict[str, str] = {}
+        self.vars: dict[str, str] = {}  # bound index variable -> its local
+        self.count = 0
 
-    def __init__(self, ranges: tuple, cond: _Closure | None, body: _Closure,
-                 run: _Closure) -> None:
-        self.ranges = ranges
-        self.cond = cond
-        self.body = body
-        self.run = run
-
-
-class _StepCompiler:
-    """Compiles one step of one function into a :class:`_CompiledStep`."""
-
-    def __init__(self, fn: GlafFunction, idx: int, step: Step):
-        self.fn = fn
-        self.fname = fn.name
-        self.idx = idx
-        self.step = step
-
-    def compile(self) -> _CompiledStep:
+    # -- the two functions ---------------------------------------------------
+    def run(self) -> Callable[[_Frame], None]:
+        """The step: its loop nest, or the guarded body of a non-loop step."""
         step = self.step
-        ranges = tuple((r.var, self._int(r.start), self._int(r.end),
-                        self._int(r.step)) for r in step.ranges)
-        cond = None if step.condition is None else self._expr(step.condition)
-        body = self._block(step.stmts)
-        if ranges:
-            run = self._nest(ranges, cond, body)
-        elif cond is None:
-            run = body
-        else:
-            def run(f: _Frame) -> None:
-                if cond(f):
-                    body(f)
-        return _CompiledStep(ranges, cond, body, run)
+        ind = 2 if step.ranges else 1
+        for level, r in enumerate(step.ranges):
+            self._enter(level, ind)
+            rng = self._range(r)
+            var = self.vars[r.var] = f"i{level}"
+            self._line(ind, f"for {var} in {rng}:")
+            ind += 1
+            self._trip(level, ind)
+        if step.ranges:
+            self._line(ind, "n += 1")
+            self._line(ind, "if X: _iter(T, F, FN, IDX)")
+        if step.condition is not None:
+            self._line(ind, f"if {self._expr(step.condition)}:")
+            ind += 1
+        self._stmts(step.stmts, ind)
+        if not step.ranges:
+            return self._function("run", self.lines)
+        self.uses.update("IA")
+        return self._function("run", [
+            "    T = I._budget; F = A.faults; "
+            "X = T is not None or F is not None; n = 0",
+            "    try:", *self.lines,
+            "    finally:",
+            "        if n: I.stats.note_iter(FN, IDX, n)"])
 
-    # -- the loop nest -----------------------------------------------------
-    def _nest(self, ranges: tuple, cond: _Closure | None, body: _Closure) -> _Closure:
-        var, lo, hi, by = ranges[0]
-        bad_stride = f"{self.fname}/{self.step.name}: non-positive stride"
-        if len(ranges) > 1:
-            inner = self._nest(ranges[1:], cond, body)
+    def bounds(self) -> Callable[[_Frame], tuple[range, ...]]:
+        """The step's loop ranges, outermost first, each evaluated with no
+        index variable bound and stride-checked before the next."""
+        spans = "".join(f"{self._range(r)}, " for r in self.step.ranges)
+        return self._function("bounds", [f"    return ({spans})"])
 
-            def loop(f: _Frame) -> None:
-                start, end, stride = lo(f), hi(f), by(f)
-                if stride <= 0:
-                    raise ExecutionError(bad_stride)
-                indices = f.indices
-                try:
-                    for i in range(start, end + 1, stride):
-                        indices[var] = i
-                        inner(f)
-                finally:
-                    indices.pop(var, None)
-            return loop
-
-        fname, idx = self.fname, self.idx
-
-        def innermost(f: _Frame) -> None:
-            start, end, stride = lo(f), hi(f), by(f)
-            if stride <= 0:
-                raise ExecutionError(bad_stride)
-            indices = f.indices
-            note_iter = f.interp.stats.note_iter
-            budget = f.interp._budget
+    # -- compiling -----------------------------------------------------------
+    def _function(self, name: str, body: list[str]) -> Callable:
+        if "H" in self.uses:
+            self.uses.add("A")
+        head = [f"{k} = {v}" for k, v in _FRAME_NAMES if k in self.uses]
+        head += self.head
+        text = "\n".join([f"def {name}(f):",
+                          *(["    " + "; ".join(head)] if head else []),
+                          *(body or ["    pass"])])
+        key = digest(text)
+        code = _CODE.get(key)
+        if code is None:
             try:
-                for i in range(start, end + 1, stride):
-                    indices[var] = i
-                    note_iter(fname, idx)
-                    if budget is not None:
-                        budget.tick()
-                    if _rc._active.faults is not None:
-                        _faults.inject("exec.interp.iter", function=fname,
-                                       step=idx)
-                    if cond is None or cond(f):
-                        body(f)
-            except _ExitSignal:
-                # FORTRAN EXIT leaves the innermost enclosing DO.
-                pass
-            finally:
-                indices.pop(var, None)
-        return innermost
+                module = compile(text, "<glaf-step>", "exec")
+            except (SyntaxError, RecursionError, MemoryError):
+                raise ExecutionError(
+                    f"{self.fn.name}/{self.step.name}: step too deeply "
+                    "nested to compile") from None
+            code = next(c for c in module.co_consts if isinstance(c, CodeType))
+            _CODE.offer(key, code)
+        names = {"co_filename": f"<glaf-step {self.fn.name}/{self.idx}>",
+                 "co_name": self.step.name}
+        if hasattr(code, "co_qualname"):
+            names["co_qualname"] = self.step.name
+        return FunctionType(code.replace(**names), self.ns)
 
-    # -- statements --------------------------------------------------------
-    def _block(self, stmts) -> _Closure:
-        compiled = tuple(self._stmt(s) for s in stmts)
-        if len(compiled) == 1:
-            return compiled[0]
+    def _line(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
 
-        def block(f: _Frame) -> None:
-            for s in compiled:
-                s(f)
-        return block
+    def _name(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
 
-    def _stmt(self, s: Stmt) -> _Closure:
+    def _bind(self, prefix: str, value: Any) -> str:
+        """A namespace name for ``value``."""
+        name = self._name(prefix)
+        self.ns[name] = value
+        return name
+
+    def _const(self, value: Any) -> str:
+        kind = type(value).__name__
+        return self._bind(f"c_{kind}_" if kind.isidentifier() else "c", value)
+
+    def _message(self, text: str) -> str:
+        return self._bind("m", text)
+
+    def _fail(self, exc_type: type[Exception], message: str) -> str:
+        return f"_fail({exc_type.__name__}, {self._message(message)})"
+
+    # -- hooks of the recording emitter --------------------------------------
+    def _enter(self, level: int, ind: int) -> None:
+        """Before a loop level's bounds evaluate."""
+
+    def _trip(self, level: int, ind: int) -> None:
+        """At the start of each trip of a loop level."""
+
+    def _write(self, ind: int, store: str, name: str, cell: str) -> None:
+        """Just before a write stores."""
+
+    # -- grids ---------------------------------------------------------------
+    def _store(self, name: str) -> str | None:
+        """The local holding grid ``name`` for this run (None: the frames
+        cannot resolve it)."""
+        store = self.stores.get(name)
+        if store is None and name in self.grids:
+            store = self.stores[name] = self._name("S")
+            self.uses.add("G")
+            self.head.append(f"{store} = G[{name!r}]")
+        return store
+
+    def _rank0(self, name: str, store: str) -> str:
+        flag = self.ranks.get(name)
+        if flag is None:
+            flag = self.ranks[name] = self._name("z")
+            self.head.append(f"{flag} = {store}.ndim == 0")
+        return flag
+
+    def _in_bounds(self, name: str, store: str, cell: list[str],
+                   subs: list[str]) -> str:
+        """The fast bounds test of one to three subscripts, binding each to
+        its name in ``cell`` in order; false whenever the grid's rank is
+        not the subscript count."""
+        n = len(subs)
+        ext = self.extents.get((name, n))
+        if ext is None:
+            ext = self.extents[(name, n)] = [self._name("b") for _ in subs]
+            if n == 1:
+                self.head.append(
+                    f"{ext[0]} = {store}.shape[0] if {store}.ndim == 1 else -1")
+            else:
+                self.head.append(
+                    f"{', '.join(ext)} = {store}.shape if {store}.ndim == {n}"
+                    f" else ({', '.join(['-1'] * n)})")
+        if n == 1:
+            return f"0 <= ({cell[0]} := {subs[0]}) < {ext[0]}"
+        return " & ".join(f"(0 <= ({k} := {sub}) < {b})"
+                          for k, sub, b in zip(cell, subs, ext))
+
+    def _read(self, e: GridRef) -> tuple[str | None, str, str]:
+        """A grid read: its store's local (None: unresolvable), the cell it
+        reads once the text has run (None: every cell) and the text."""
+        name = e.grid
+        store = self._store(name)
+        if store is None:
+            self.uses.add("G")
+            return None, "", f"G[{name!r}]"
+        if not e.indices:
+            flag = self._rank0(name, store)
+            return (store, f"(() if {flag} else None)",
+                    f"({store}[()] if {flag} else {store})")
+        subs = [self._sub(i) for i in e.indices]
+        if len(subs) > 3:
+            k = self._name("k")
+            return store, k, (f"_checked_read(FN, {name!r}, {store}, "
+                              f"({k} := ({', '.join(subs)},)))")
+        cell = [self._name("k") for _ in subs]
+        at = ", ".join(cell)
+        return store, f"({at},)", (
+            f"({store}[{at}] if {self._in_bounds(name, store, cell, subs)}"
+            f" else _checked_read(FN, {name!r}, {store}, ({at},)))")
+
+    def _grid(self, e: GridRef) -> str:
+        return self._read(e)[2]
+
+    # -- statements ----------------------------------------------------------
+    def _stmts(self, stmts, ind: int) -> None:
+        if not stmts:
+            self._line(ind, "pass")
+        for s in stmts:
+            self._stmt(s, ind)
+
+    def _stmt(self, s: Stmt, ind: int) -> None:
         if isinstance(s, Assign):
-            return self._assign(s)
-        if isinstance(s, CallStmt):
-            name, args = s.name, tuple(self._arg(a) for a in s.args)
+            self._assign(s, ind)
+        elif isinstance(s, CallStmt):
+            self.uses.add("I")
+            self._line(ind, f"I.call({s.name!r}, [{self._args(s.args)}])")
+        elif isinstance(s, IfStmt):
+            self._line(ind, f"if {self._expr(s.cond)}:")
+            self._stmts(s.then, ind + 1)
+            if s.orelse:
+                self._line(ind, "else:")
+                self._stmts(s.orelse, ind + 1)
+        elif isinstance(s, Return):
+            self._return(s, ind)
+        elif isinstance(s, ExitLoop):
+            # FORTRAN EXIT leaves the innermost enclosing DO.
+            self._line(ind, "break" if self.step.ranges else
+                       "raise ExecutionError(" + self._message(
+                           f"{self.fn.name}/{self.step.name}: EXIT outside "
+                           "a loop") + ")")
+        else:
+            self._line(ind, "raise ExecutionError(" + self._message(
+                f"cannot execute statement {type(s).__name__}") + ")")
 
-            def call(f: _Frame) -> None:
-                f.interp.call(name, [a(f) for a in args])
-            return call
-        if isinstance(s, IfStmt):
-            cond, then = self._expr(s.cond), self._block(s.then)
-            orelse = self._block(s.orelse)
+    def _return(self, s: Return, ind: int) -> None:
+        if s.value is None:
+            self._line(ind, "raise _ReturnSignal(None)")
+            return
+        try:
+            cast = numpy_dtype(self.fn.return_type).type
+        except ValueError as e:
+            self._line(ind, f"raise ValueError({self._message(str(e))})")
+            return
+        self._line(ind, f"raise _ReturnSignal({self._bind('r', cast)}"
+                        f"({self._expr(s.value)}))")
 
-            def if_(f: _Frame) -> None:
-                if cond(f):
-                    then(f)
-                else:
-                    orelse(f)
-            return if_
-        if isinstance(s, Return):
-            if s.value is None:
-                return _return_none
-            try:
-                cast = numpy_dtype(self.fn.return_type).type
-            except ValueError as e:
-                return _raiser(ValueError, str(e))
-            value = self._expr(s.value)
-
-            def ret(f: _Frame) -> None:
-                raise _ReturnSignal(cast(value(f)))
-            return ret
-        if isinstance(s, ExitLoop):
-            return _exit
-        return _raiser(ExecutionError,
-                       f"cannot execute statement {type(s).__name__}")
-
-    def _assign(self, s: Assign) -> _Closure:
+    def _assign(self, s: Assign, ind: int) -> None:
+        """Lookup, value, subscripts, checks, store — the order the
+        statement evaluates in."""
         name = s.target.grid
-        value = self._expr(s.expr)
-        subs = tuple(self._sub(i) for i in s.target.indices)
-        fname = self.fname
-
+        store = self._store(name)
+        if store is None:
+            self.uses.add("G")
+            self._line(ind, f"G[{name!r}]")
+            return
+        self.uses.add("H")
+        self._line(ind, f"v = {self._expr(s.expr)}")
+        subs = [self._sub(i) for i in s.target.indices]
         if not subs:
-            whole = f"cannot assign scalar to whole array {name!r}"
+            cell = at = "()"
+            whole = self._message(
+                f"cannot assign scalar to whole array {name!r}")
+            self._line(ind, f"if not {self._rank0(name, store)}: "
+                            f"raise ExecutionError({whole})")
+            screened = "None"
+        elif len(subs) <= 3:
+            ks = [self._name("k") for _ in subs]
+            at = ", ".join(ks)
+            cell = screened = f"({at},)"
+            self._line(ind, f"if not {self._in_bounds(name, store, ks, subs)}"
+                            f": _check_bounds(FN, {name!r}, {store}, {cell})")
+        else:
+            cell = at = screened = self._name("k")
+            self._line(ind, f"{cell} = ({', '.join(subs)},); "
+                            f"_check_bounds(FN, {name!r}, {store}, {cell})")
+        self._line(ind, f"if H: v = _screen(f, {name!r}, {store}, v, "
+                        f"{screened})")
+        self._write(ind, store, name, cell)
+        self._line(ind, f"{store}[{at}] = v")
 
-            def assign0(f: _Frame) -> None:
-                store = f.grids[name]
-                v = value(f)
-                if store.ndim != 0:
-                    raise ExecutionError(whole)
-                if _rc._active.hooked:
-                    v = _screen(f, name, store, v, None)
-                store[()] = v
-            return assign0
-        if len(subs) == 1:
-            s0, = subs
-
-            def assign1(f: _Frame) -> None:
-                store = f.grids[name]
-                v = value(f)
-                k = s0(f)
-                if store.ndim != 1 or not 0 <= k < store.shape[0]:
-                    _check_bounds(fname, name, store, (k,))
-                if _rc._active.hooked:
-                    v = _screen(f, name, store, v, (k,))
-                store[k] = v
-            return assign1
-        if len(subs) == 2:
-            s0, s1 = subs
-
-            def assign2(f: _Frame) -> None:
-                store = f.grids[name]
-                v = value(f)
-                k0, k1 = s0(f), s1(f)
-                if store.ndim != 2:
-                    _check_bounds(fname, name, store, (k0, k1))
-                else:
-                    n0, n1 = store.shape
-                    if not (0 <= k0 < n0 and 0 <= k1 < n1):
-                        _check_bounds(fname, name, store, (k0, k1))
-                if _rc._active.hooked:
-                    v = _screen(f, name, store, v, (k0, k1))
-                store[k0, k1] = v
-            return assign2
-
-        def assign(f: _Frame) -> None:
-            store = f.grids[name]
-            v = value(f)
-            idx = tuple(sub(f) for sub in subs)
-            _check_bounds(fname, name, store, idx)
-            if _rc._active.hooked:
-                v = _screen(f, name, store, v, idx)
-            store[idx] = v
-        return assign
-
-    # -- expressions -------------------------------------------------------
-    def _expr(self, e: Expr) -> _Closure:
-        if isinstance(e, Const):
-            value = e.value
-            return lambda f: value
-        if isinstance(e, IndexVar):
-            name = e.name
-            return lambda f: f.indices[name]
+    # -- expressions ---------------------------------------------------------
+    def _expr(self, e: Expr) -> str:
         if isinstance(e, GridRef):
-            if e.indices:
-                return self._element(e.grid, tuple(self._sub(i) for i in e.indices))
-            name = e.grid
-
-            def scalar(f: _Frame) -> Any:
-                store = f.grids[name]
-                return store[()] if store.ndim == 0 else store
-            return scalar
+            return self._grid(e)
         if isinstance(e, BinOp):
             return self._binop(e)
+        if isinstance(e, Const):
+            return self._const(e.value)
+        if isinstance(e, IndexVar):
+            var = self.vars.get(e.name)
+            return var if var is not None else self._fail(
+                ExecutionError, f"unbound index variable {e.name!r}")
         if isinstance(e, UnOp):
             operand = self._expr(e.operand)
-            if e.op == "not":
-                return lambda f: not operand(f)
-            return lambda f: -operand(f)
+            return f"(not {operand})" if e.op == "not" else f"(-{operand})"
         if isinstance(e, LibCall):
             return self._libcall(e)
         if isinstance(e, FuncCall):
-            name, args = e.name, tuple(self._arg(a) for a in e.args)
-            return lambda f: f.interp.call(name, [a(f) for a in args])
-        return _raiser(ExecutionError,
-                       f"cannot evaluate expression {type(e).__name__}")
+            self.uses.add("I")
+            return f"I.call({e.name!r}, [{self._args(e.args)}])"
+        return self._fail(ExecutionError,
+                          f"cannot evaluate expression {type(e).__name__}")
 
-    def _arg(self, e: Expr) -> _Closure:
+    def _args(self, args: tuple[Expr, ...]) -> str:
+        return ", ".join(map(self._arg, args))
+
+    def _arg(self, e: Expr) -> str:
         """Arguments: whole-grid references pass storage by reference."""
         if isinstance(e, GridRef) and not e.indices:
-            name = e.grid
-            return lambda f: f.grids[name]
+            store = self._store(e.grid)
+            if store is None:
+                self.uses.add("G")
+                return f"G[{e.grid!r}]"
+            return store
         return self._expr(e)
 
-    def _int(self, e: Expr) -> _Closure:
+    def _int(self, e: Expr) -> str:
         """A loop bound: the expression's value as an ``int``."""
-        get = self._expr(e)
-        return lambda f: int(get(f))
-
-    def _sub(self, e: Expr) -> _Closure:
-        """A subscript: the expression's value as a 0-based ``int``."""
         if isinstance(e, Const) and type(e.value) is int:
-            value = e.value - 1
-            return lambda f: value
+            return self._const(e.value)
+        if isinstance(e, IndexVar) and e.name in self.vars:
+            return self.vars[e.name]
+        return f"int({self._expr(e)})"
+
+    def _sub(self, e: Expr) -> str:
+        """A subscript: the expression's value as a 0-based ``int``."""
         if isinstance(e, IndexVar):
-            name = e.name
-            return lambda f: f.indices[name] - 1
-        get = self._expr(e)
-        return lambda f: int(get(f)) - 1
+            var = self.vars.get(e.name)
+            return f"{var if var is not None else self._expr(e)} - 1"
+        if isinstance(e, Const) and type(e.value) is int:
+            return self._const(e.value - 1)
+        return f"int({self._expr(e)}) - 1"
 
-    def _element(self, name: str, subs: tuple) -> _Closure:
-        fname = self.fname
-        if len(subs) == 1:
-            s0, = subs
+    def _range(self, r: Range) -> str:
+        """One loop level's iterations: start, end and stride evaluate in
+        that order, then the stride is checked."""
+        start, end = self._int(r.start), self._int(r.end)
+        by = r.step
+        if isinstance(by, Const) and type(by.value) is int and by.value > 0:
+            if by.value == 1:
+                return f"range({start}, {end} + 1)"
+            return f"range({start}, {end} + 1, {self._const(by.value)})"
+        message = self._message(
+            f"{self.fn.name}/{self.step.name}: non-positive stride")
+        return f"_loop({start}, {end}, {self._int(by)}, {message})"
 
-            def element1(f: _Frame) -> Any:
-                store = f.grids[name]
-                k = s0(f)
-                if store.ndim == 1 and 0 <= k < store.shape[0]:
-                    return store[k]
-                return _checked_read(fname, name, store, (k,))
-            return element1
-        if len(subs) == 2:
-            s0, s1 = subs
-
-            def element2(f: _Frame) -> Any:
-                store = f.grids[name]
-                k0, k1 = s0(f), s1(f)
-                if store.ndim == 2:
-                    n0, n1 = store.shape
-                    if 0 <= k0 < n0 and 0 <= k1 < n1:
-                        return store[k0, k1]
-                return _checked_read(fname, name, store, (k0, k1))
-            return element2
-        if len(subs) == 3:
-            s0, s1, s2 = subs
-
-            def element3(f: _Frame) -> Any:
-                store = f.grids[name]
-                k0, k1, k2 = s0(f), s1(f), s2(f)
-                if store.ndim == 3:
-                    n0, n1, n2 = store.shape
-                    if 0 <= k0 < n0 and 0 <= k1 < n1 and 0 <= k2 < n2:
-                        return store[k0, k1, k2]
-                return _checked_read(fname, name, store, (k0, k1, k2))
-            return element3
-
-        def element(f: _Frame) -> Any:
-            store = f.grids[name]
-            return _checked_read(fname, name, store, tuple(sub(f) for sub in subs))
-        return element
-
-    def _binop(self, e: BinOp) -> _Closure:
+    def _binop(self, e: BinOp) -> str:
         op = e.op
         left, right = self._expr(e.left), self._expr(e.right)
-        if op == "and":
-            return lambda f: bool(left(f)) and bool(right(f))
-        if op == "or":
-            return lambda f: bool(left(f)) or bool(right(f))
-        fn = _BINOPS.get(op)
-        if fn is None:
-            return _raiser(ExecutionError, f"unknown operator {op!r}")
-        if isinstance(e.right, Const):
-            value = e.right.value
-            return lambda f: fn(left(f), value)
-        return lambda f: fn(left(f), right(f))
+        if op in ("and", "or"):
+            return f"(bool({left}) {op} bool({right}))"
+        if op in _INFIX or (op == "/" and (_is_float(e.left)
+                                           or _is_float(e.right))):
+            # A float operand makes ``/`` the true division _div picks.
+            group = _CHAINS.get(op)
+            if (group is not None and isinstance(e.left, BinOp)
+                    and _CHAINS.get(e.left.op) == group
+                    and left.startswith("(")):
+                # Python's own left-associative chain, one paren level
+                # for the whole of it (the parser nests at most 200).
+                left = left[1:-1]
+            return f"({left} {op} {right})"
+        helper = _HELPERS.get(op)
+        if helper is None:
+            return self._fail(ExecutionError, f"unknown operator {op!r}")
+        return f"{helper}({left}, {right})"
 
-    def _libcall(self, e: LibCall) -> _Closure:
+    def _libcall(self, e: LibCall) -> str:
         try:
             lf = get_libfunc(e.name)
             lf.check_arity(len(e.args))
         except CodegenError as err:
-            return _raiser(CodegenError, str(err))
-        impl = lf.impl
-        args = tuple(self._arg(a) for a in e.args)
-        if len(args) == 1:
-            a0, = args
-            return lambda f: impl(a0(f))
-        if len(args) == 2:
-            a0, a1 = args
-            return lambda f: impl(a0(f), a1(f))
-        return lambda f: impl(*[a(f) for a in args])
+            return self._fail(CodegenError, str(err))
+        return f"{self._bind('L', lf.impl)}({self._args(e.args)})"

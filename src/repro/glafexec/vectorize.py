@@ -90,6 +90,9 @@ from ..errors import (
     ExecutionError,
     ResourceLimitError,
 )
+from ..observe.decisions import get_decisions
+from ..observe.metrics import get_metrics
+from ..observe.trace import get_tracer
 from ..recurring import RecurringCache, digest
 from .context import as_storage
 from .inline import (
@@ -102,7 +105,7 @@ from .inline import (
     search_vars,
     split_step,
 )
-from .interp import Interpreter
+from .interp import Interpreter, _Emitter
 
 __all__ = [
     "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
@@ -1793,8 +1796,6 @@ def _keep_inner(spec, lead: tuple, scratch: dict, var_ranges: dict
 def note_inline(function: str, index: int, step: str, plan: Any) -> None:
     """Record a lifted step's inlined callees and expanded grids (once
     per compiled step)."""
-    from ..observe import get_decisions
-
     dl = get_decisions()
     if dl.enabled:
         expanded = (plan.split.expanded
@@ -1871,8 +1872,6 @@ def compiled_plan(step: Step, program=None, fn=None, *,
     what compiles once in a process (a fuzz draw) costs one ``repr`` of
     its step, or of its content, and keeps nothing alive.  The caller
     records the decisions a plan implies, hit or miss alike."""
-    from ..observe import get_metrics
-
     text = repr((step, descending, sorted(
         (k, getattr(v, "__qualname__", v)) for k, v in compile_kw.items())))
     m, key = get_metrics(), None
@@ -1915,10 +1914,9 @@ class VectorizedInterpreter(Interpreter):
         self.fallbacks: list[FallbackEvent] = []
         self._plans: dict[tuple[str, int], Any] = {}
         self._demoted: set[tuple[str, int]] = set()
+        self._bounds: dict[tuple[str, int], Callable] = {}
 
     def call(self, name: str, args: list[Any] | tuple = ()) -> Any:
-        from ..observe import get_metrics, get_tracer
-
         _m = get_metrics()
         if _m.enabled:
             _m.counter("exec.vectorized.calls").inc()
@@ -1994,8 +1992,6 @@ class VectorizedInterpreter(Interpreter):
                                 f"runtime lift failure: {e}")
             Interpreter._exec_step(self, frame, idx, step)
             return
-        from ..observe import get_metrics
-
         m = get_metrics()
         if m.enabled:
             m.counter("exec.vectorized.steps").inc()
@@ -2060,15 +2056,17 @@ class VectorizedInterpreter(Interpreter):
                    prog: SweepProgram) -> None:
         """Run a sweep through the shared runner, with the scalar path's
         accounting."""
+        key = (frame.fn.name, idx)
+        bounds = self._bounds.get(key)
+        if bounds is None:
+            bounds = self._bounds[key] = _Emitter(
+                frame.fn, idx, step, frame.grids).bounds()
         var_ranges: dict[str, tuple] = {}
         total = 1
-        label = f"{frame.fn.name}/{step.name}"
-        for var, lo, hi, by in self._compiled(frame.fn, idx, step).ranges:
-            start, end, stride = lo(frame), hi(frame), by(frame)
-            if stride <= 0:
-                raise ExecutionError(f"{label}: non-positive stride")
-            var_ranges[var] = (start, stride, _trips(start, end, stride))
-            total *= var_ranges[var][2]
+        for rg, r in zip(step.ranges, bounds(frame)):
+            var_ranges[rg.var] = (r.start, r.step,
+                                  _trips(r.start, r.stop - 1, r.step))
+            total *= var_ranges[rg.var][2]
         if total == 0:
             return
         self.stats.note_iter(frame.fn.name, idx, total)
@@ -2078,7 +2076,7 @@ class VectorizedInterpreter(Interpreter):
         prog.run(grids.__getitem__, var_ranges, frame, self._account,
                  lambda t: (grids[t[1]] if t[0] == "grid"
                             else self._save_store[t[1:]]),
-                 self.context.sizes, label)
+                 self.context.sizes, f"{frame.fn.name}/{step.name}")
 
     def _account(self, note, n: int) -> None:
         """The scalar path's accounting of ``n`` inlined calls or callee
@@ -2100,8 +2098,6 @@ class VectorizedInterpreter(Interpreter):
     def _note_fallback(self, frame, idx: int, step: Step, reason: str) -> None:
         self.fallbacks.append(
             FallbackEvent(frame.fn.name, idx, step.name, reason))
-        from ..observe import get_decisions, get_metrics
-
         m = get_metrics()
         if m.enabled:
             m.counter("exec.vectorized.fallbacks").inc()

@@ -200,7 +200,7 @@ class TestRobustnessCli:
         assert doc["ok"] is True
         capsys.readouterr()
 
-    def test_profile_guarded_fault_shows_injection_and_fallback(
+    def test_profile_guarded_fault_shows_injection_and_conflict(
             self, project_file, capsys):
         assert main([
             "profile", project_file, "--executor", "guarded",

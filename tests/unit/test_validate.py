@@ -6,7 +6,7 @@ from repro.core import GlafBuilder, I, T_INT, T_REAL8, T_VOID, ref
 from repro.core.builder import StepBuilder as SB
 from repro.core.function import GlafFunction, GlafModule, GlafProgram
 from repro.core.grid import Grid
-from repro.core.step import Assign, Range, Return, Step
+from repro.core.step import Assign, ExitLoop, Range, Return, Step
 from repro.core.validate import validate_program
 from repro.errors import ValidationError
 
@@ -123,6 +123,15 @@ class TestSubroutineRule:
         fn.steps = [Step(name="s", stmts=[Return(ref("x"))])]
         with pytest.raises(ValidationError, match="subroutine"):
             validate_program(_program_with(fn))
+
+    def test_exit_outside_a_loop(self):
+        fn = GlafFunction(name="f", return_type=T_VOID)
+        fn.steps = [Step(name="s", stmts=[ExitLoop()])]
+        with pytest.raises(ValidationError, match="f/s: EXIT outside a loop"):
+            validate_program(_program_with(fn))
+        fn.steps = [Step(name="s", ranges=[Range("i", 1, 2)],
+                         stmts=[ExitLoop()])]
+        validate_program(_program_with(fn))
 
     def test_unknown_lib_function(self):
         from repro.core.expr import LibCall
