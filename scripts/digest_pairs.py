@@ -14,6 +14,10 @@ its tree's ``src``:
   each with ``--json FILE``: the file's sha256;
 * ``fuzz --seed 7 --count 25 --profile small --crosscheck --json FILE``:
   the summary's ``content_sha256``;
+* ``experiments C1 C2 --executor vectorized --profile FILE``: the lift
+  decisions, a sha256 of the run record's decisions (without their times)
+  and its ``exec.*`` counters, so both lift front ends' inline and
+  fallback decisions and counts are compared;
 * CI's two batch-smoke commands: each manifest's ``content_sha256``.
   The first command must exit 1, as in CI (its poison item is
   quarantined), and every other command must exit 0.
@@ -40,8 +44,22 @@ _BATCH = ["--jobs", "2", "--cache", ".repro/batch-smoke/cache",
           "--checkpoint", ".repro/batch-smoke/ckpt",
           "--quarantine", ".repro/batch-smoke/quarantine"]
 
+
+def lift_decisions(record: dict) -> str:
+    """A run record's decisions, without their times, and its ``exec.*``
+    counters, as one sha256."""
+    counters = record["metrics"]["counters"]
+    payload = {"decisions": [{k: v for k, v in d.items() if k != "t"}
+                             for d in record["decisions"]],
+               "counters": {k: v for k, v in counters.items()
+                            if k.startswith("exec.")}}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True)
+                          .encode()).hexdigest()
+
+
 #: (output, ``repro`` arguments, expected exit status, file written, the
-#: key of its digest, or ``None`` for the file's sha256), in run order.
+#: key of its digest, a function of its JSON that gives the digest, or
+#: ``None`` for the file's sha256), in run order.
 OUTPUTS = (
     ("experiments C1 C2", ["experiments", "C1", "C2", "--json", "exp.json"],
      0, "exp.json", None),
@@ -59,6 +77,9 @@ OUTPUTS = (
     ("fuzz seed 7", ["fuzz", "--seed", "7", "--count", "25", "--profile",
                      "small", "--crosscheck", "--json", "fuzz.json"], 0,
      "fuzz.json", "content_sha256"),
+    ("lift decisions", ["experiments", "C1", "C2", "--executor",
+                        "vectorized", "--profile", "lift.json"], 0,
+     "lift.json", lift_decisions),
     ("batch smoke", ["batch", "fuzz:7:8", "poison:crash", *_BATCH,
                      "--retries", "1", "--timeout", "10", "--manifest",
                      ".repro/batch-smoke/manifest.json"], 1,
@@ -86,6 +107,8 @@ def digests(tree: Path, work: Path) -> dict[str, str]:
             out[name] = f"no {path}"
         elif key is None:
             out[name] = hashlib.sha256(target.read_bytes()).hexdigest()
+        elif callable(key):
+            out[name] = key(json.loads(target.read_text()))
         else:
             out[name] = str(json.loads(target.read_text()).get(key))
     return out

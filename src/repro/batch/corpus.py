@@ -88,6 +88,8 @@ def _from_file(path: Path, taken: set[str]) -> CorpusItem:
         content = path.read_text(encoding="utf-8")
     except OSError as e:
         raise BatchError(f"{path}: unreadable corpus file ({e})") from e
+    except UnicodeDecodeError:
+        raise BatchError(f"{path}: not UTF-8 text") from None
     item_id = _unique(_safe_id(path.name), taken)
     return CorpusItem(id=item_id, kind=kind, content=content,
                       origin=str(path))

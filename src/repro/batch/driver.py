@@ -61,6 +61,7 @@ from .worker import (
     POISON_CRASH_EXIT,
     POISON_OOM_EXIT,
     WorkerConfig,
+    _transportable,
     run_item,
     worker_entry,
 )
@@ -277,9 +278,17 @@ def _simulate_poison(item: CorpusItem, options: BatchOptions) -> None:
 
 def _run_serial(item: CorpusItem, config: WorkerConfig,
                 options: BatchOptions) -> dict:
+    """The worker's compile in-process: whatever it raises fails the item
+    as it does in a worker (:func:`~repro.batch.worker._transportable`)."""
     if item.kind == "poison":
         _simulate_poison(item, options)
-    return run_item(item, config)
+    try:
+        return run_item(item, config)
+    except Exception as e:
+        typed = _transportable(e, item.id)
+        if typed is e:
+            raise
+        raise typed from e
 
 
 # -- quarantine ---------------------------------------------------------

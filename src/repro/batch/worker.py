@@ -30,7 +30,8 @@ import os
 import time
 from dataclasses import dataclass
 
-from ..errors import BatchError, GlafError, ResourceLimitError
+from ..errors import (BatchError, GlafError, ResourceLimitError,
+                      ValidationError)
 from ..robust.watchdog import Budget, ResourceLimits, apply_memory_limit
 
 __all__ = ["ARTIFACT_SCHEMA", "POISON_CRASH_EXIT", "POISON_OOM_EXIT",
@@ -195,6 +196,10 @@ def _compile_program(item, config: WorkerConfig, budget: Budget) -> dict:
             except ValueError as e:
                 raise BatchError(
                     f"batch:{item.id}: invalid project JSON ({e})") from e
+            except RecursionError:
+                raise ValidationError(
+                    f"batch:{item.id}: project JSON is nested too "
+                    "deeply") from None
             program = program_from_dict(data)
             validate_program(program, collect=True)
         budget.check_time()

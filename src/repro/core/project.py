@@ -99,9 +99,8 @@ def stmt_to_dict(s: Stmt) -> dict[str, Any]:
 def stmt_from_dict(d: dict[str, Any]) -> Stmt:
     kind = d["kind"]
     if kind == "assign":
-        target = expr_from_dict(d["target"])
-        assert isinstance(target, GridRef)
-        return Assign(target=target, expr=expr_from_dict(d["expr"]))
+        return Assign(target=expr_from_dict(d["target"]),
+                      expr=expr_from_dict(d["expr"]))
     if kind == "callstmt":
         return CallStmt(d["name"], tuple(expr_from_dict(a) for a in d["args"]))
     if kind == "if":
@@ -168,10 +167,17 @@ def grid_to_dict(g: Grid) -> dict[str, Any]:
     }
 
 
+def _glaf_type(name: Any) -> GlafType:
+    try:
+        return GlafType[name]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown type {name!r}") from None
+
+
 def grid_from_dict(d: dict[str, Any]) -> Grid:
     return Grid(
         name=d["name"],
-        ty=GlafType[d["type"]],
+        ty=_glaf_type(d["type"]),
         dims=tuple(d["dims"]),
         comment=d.get("comment", ""),
         exists_in_module=d.get("exists_in_module"),
@@ -201,7 +207,7 @@ def function_to_dict(fn: GlafFunction) -> dict[str, Any]:
 def function_from_dict(d: dict[str, Any]) -> GlafFunction:
     fn = GlafFunction(
         name=d["name"],
-        return_type=GlafType[d["return_type"]],
+        return_type=_glaf_type(d["return_type"]),
         comment=d.get("comment", ""),
     )
     for gd in d["grids"]:
@@ -229,26 +235,42 @@ def program_to_dict(program: GlafProgram) -> dict[str, Any]:
     }
 
 
-def program_from_dict(d: dict[str, Any]) -> GlafProgram:
+def program_from_dict(d: Any) -> GlafProgram:
+    """The program a project document describes; a malformed document
+    raises :class:`ValidationError` naming the problem."""
+    if not isinstance(d, dict):
+        raise ValidationError(
+            f"project document is a JSON {type(d).__name__}, not an object")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported project format {d.get('format_version')!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    program = GlafProgram(name=d["name"])
-    for td in d["derived_types"]:
-        program.add_derived_type(DerivedType(
-            name=td["name"],
-            defined_in_module=td.get("defined_in_module"),
-            fields={k: (GlafType[v[0]], int(v[1])) for k, v in td["fields"].items()},
-        ))
-    for gd in d["global_grids"]:
-        program.add_global_grid(grid_from_dict(gd))
-    for md in d["modules"]:
-        mod = GlafModule(name=md["name"], comment=md.get("comment", ""))
-        for fd in md["functions"]:
-            mod.add_function(function_from_dict(fd))
-        program.add_module(mod)
+    try:
+        program = GlafProgram(name=d["name"])
+        for td in d["derived_types"]:
+            program.add_derived_type(DerivedType(
+                name=td["name"],
+                defined_in_module=td.get("defined_in_module"),
+                fields={k: (_glaf_type(v[0]), int(v[1]))
+                        for k, v in td["fields"].items()},
+            ))
+        for gd in d["global_grids"]:
+            program.add_global_grid(grid_from_dict(gd))
+        for md in d["modules"]:
+            mod = GlafModule(name=md["name"], comment=md.get("comment", ""))
+            for fd in md["functions"]:
+                mod.add_function(function_from_dict(fd))
+            program.add_module(mod)
+    except KeyError as e:
+        raise ValidationError(
+            f"malformed project document: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValidationError(
+            f"malformed project document: {type(e).__name__}: {e}") from None
+    except RecursionError:
+        raise ValidationError(
+            "malformed project document: nested too deeply") from None
     return program
 
 
@@ -261,10 +283,16 @@ def load_project(path: str | Path) -> GlafProgram:
 
     with get_tracer().span("project.load", path=str(path)) as _sp:
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise ValidationError(
+                f"project file {path} is not UTF-8 text") from None
         except json.JSONDecodeError as e:
             raise ValidationError(
                 f"project file {path} is not valid JSON: {e}") from e
+        except RecursionError:
+            raise ValidationError(
+                f"project file {path} is nested too deeply") from None
         program = program_from_dict(doc)
         _sp.set(program=program.name,
                 functions=len(list(program.functions())))

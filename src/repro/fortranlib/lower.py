@@ -8,16 +8,13 @@ the lift rules the GLAF IR executor uses,
 :func:`~repro.glafexec.vectorize.compile_step`:
 
 * a perfect DO nest of assignments and IF blocks lifts as one array
-  program (:func:`~repro.glafexec.vectorize.compile_lifted`), or as a
-  one-nest sweep when it keeps a scalar temporary;
+  program, with scratch when it keeps a scalar temporary;
 * a *sweep*, a nest that CALLs subroutines or references user functions,
   has the FORTRAN text of every reachable callee translated to
   :class:`~repro.core.function.GlafFunction` s, each callee resolved as
   the scalar path resolves it, in a synthetic program whose global grids
   are the variables the sweep names.  The shared inliner
-  (:mod:`repro.glafexec.inline`) splits it into nests, which
-  :class:`~repro.glafexec.vectorize.SweepProgram` runs: the IR executor's
-  runner;
+  (:mod:`repro.glafexec.inline`) splits it into nests;
 * a DO statement whose body is not a perfect nest's is *outlined* into a
   sweep, mechanically, as GLAF splits legacy FUN3D by hand: its body
   becomes a synthetic SUBROUTINE ``unit@line`` (a name no FORTRAN
@@ -41,9 +38,12 @@ the lift rules the GLAF IR executor uses,
   Every other name stays the caller's, which the inliner expands per
   iteration and keeps, or refuses.
 
-:func:`lifted_do` then wraps the program with this runtime's guards; the
-scalar closure stays as the fallback.  Lowering reads the text the
-runtime loaded, never a GLAF program that produced it.
+Each lifts to one program (:func:`~repro.glafexec.vectorize.compiled_plan`,
+the IR executor's too), and :func:`lifted_do` runs it behind this
+runtime's guards, with a callback that counts the arrays each inlined
+call allocates; the scalar closure stays as the fallback.  Lowering
+reads the text the runtime loaded, never a GLAF program that produced
+it.
 
 Lowering rules:
 
@@ -118,12 +118,7 @@ from ..core.libfuncs import REGISTRY
 from ..core.step import Assign, CallStmt, IfStmt, Range, Return, Step, Stmt
 from ..core.types import GlafType, numpy_dtype
 from ..errors import FortranRuntimeError, ValidationError
-from ..glafexec.vectorize import (
-    LiftedSweep,
-    LiftFailure,
-    compiled_plan,
-    note_inline,
-)
+from ..glafexec.vectorize import LiftFailure, compiled_plan, note_inline
 from ..observe import get_decisions, get_metrics
 from .ast import (
     FAllocate,
@@ -174,21 +169,19 @@ class Nest(NamedTuple):
     """A lowered DO statement: its compiled program and what the guards
     need.
 
-    ``program`` is a :class:`~repro.glafexec.vectorize.LiftProgram`, or
-    for a sweep a :class:`~repro.glafexec.vectorize.SweepProgram`.
-    ``getters`` resolves the storage the program names, in order: per
-    name a frame slot index (or, for a callee's COMMON variable, its
-    ``(block, name, dtype)``), the TYPE component (or ``None``), the
-    expected rank, whether the program writes it, the name, and the
-    shape the compile assumed (or ``None``): a fixed module array's at
-    load, or that of a grid a sweep keeps a per-iteration copy of.
-    ``dovars`` holds the DO variables' slots, outer first; ``pairs`` the
-    index pairs of ``labels`` (the names, then the DO variables) that may
-    alias through a dummy argument; ``depth`` the inlined call nesting.
-    A sweep also has ``sweep``: per DO variable the scalar path's bounds
-    closures, and the array locals each callee allocates per call.
-    Nothing in a nest is a runtime's: runtimes that share the unit share
-    it.
+    ``program`` is what :func:`~repro.glafexec.vectorize.compiled_plan`
+    compiled.  ``getters`` resolves the storage the program names, in
+    order: per name a frame slot index (or, for a callee's COMMON
+    variable, its ``(block, name, dtype)``), the TYPE component (or
+    ``None``), the expected rank, whether the program writes it, the
+    name, and the shape the compile assumed (or ``None``): a fixed module
+    array's at load, or that of a grid a sweep keeps a per-iteration copy
+    of.  ``dovars`` holds the DO variables' slots, outer first; ``pairs``
+    the index pairs of ``labels`` (the names, then the DO variables) that
+    may alias through a dummy argument; ``depth`` the inlined call
+    nesting; ``allocs`` the array locals each callee that has any
+    allocates per call.  Nothing in a nest is a runtime's: runtimes that
+    share the unit share it.
     """
 
     program: Any
@@ -197,7 +190,7 @@ class Nest(NamedTuple):
     pairs: tuple
     labels: tuple
     depth: int
-    sweep: tuple | None
+    allocs: dict
 
 
 def _glaf_type(spec: Any) -> GlafType:
@@ -1061,24 +1054,10 @@ class _Lowering:
         # A fixed module array's shape at load: its store may be swapped.
         shapes = {n: d[2] for n, d in self.decls.items()
                   if self.keys[n][0] == "module" and d[2]}
-        if isinstance(lifted, LiftedSweep):
-            dims: dict[str, int] = {}
-            for p in prog.programs:
-                for name in p.names:
-                    if name not in prog.specs:
-                        rank = p.dims[name]
-                        dims[name] = rank if dims.get(name, rank) == rank \
-                            else -1
-            for s in lifted.split.scratch:
-                if s.target is not None and not s.in_nest:
-                    shapes[s.target[1]] = tuple(s.dims)
-                    dims[s.target[1]] = len(s.dims)
-            sweep = (tuple((lp.var, uc._int(lp.start), uc._int(lp.end),
-                            None if lp.step is None else uc._int(lp.step))
-                           for lp in loops), self.allocs)
-        else:
-            dims, sweep = prog.dims, None
-        written = set(lifted.written)
+        for s in lifted.split.scratch:
+            if s.target is not None and not s.in_nest:
+                shapes[s.target[1]] = tuple(s.dims)
+        dims, written = prog.dims, set(prog.written)
         getters, bases = [], []
         for name, rank in dims.items():
             if rank < 0:
@@ -1106,11 +1085,12 @@ class _Lowering:
                       if not (fresh(bases[a]) or fresh(bases[b]))
                       and (bases[a] in params or bases[b] in params)
                       and (changed[a] or changed[b]))
-        if isinstance(lifted, LiftedSweep) or lifted.inlined:
+        if lifted.inlined or lifted.split.expanded:
             uc.notes.append(partial(note_inline, uc.name, do.line,
                                     f"DO {do.var}", lifted))
         return Nest(prog, tuple(getters), dovars, pairs, tuple(labels),
-                    self.depth(step.called_functions()), sweep)
+                    self.depth(step.called_functions()),
+                    {n: k for n, k in self.allocs.items() if k})
 
 
 def _inert(s: Any) -> bool:
@@ -1169,14 +1149,9 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
     the scalar closure while the sentinels are on, when the guards refuse
     or when the lift fails.  Each refusal counts; the first in each
     runtime records the decision."""
-    program, getters, dovars, pairs, labels, depth, sweep = nest
-    if sweep is None:
-        bounds, run, arith, fixed = (program.bounds, program.run,
-                                     program.arith, program.fixed)
-    else:
-        top, allocs = sweep
-        names, fixed = tuple(g[4] for g in getters), None
-        label = f"{unit}/DO {do.var}"
+    program, getters, dovars, pairs, labels, depth, allocs = nest
+    bounds, run, arith, fixed = (program.bounds, program.run, program.arith,
+                                 program.fixed)
     ndarray = np.ndarray
     token = object()            # this statement, in a runtime's ``_noted``
 
@@ -1238,50 +1213,31 @@ def lifted_do(nest: Nest, scalar: Callable, omp: FOmpDirective | None,
                 # A condition raised here, not warned, so the scalar
                 # closure warns once when it evaluates the bounds itself.
                 with np.errstate(all="raise"):
-                    if sweep is None:
-                        ranges = bounds(S)
-                    else:
-                        ranges = tuple(
-                            (lo(f), 1 if by is None else by(f), hi(f))
-                            for _, lo, hi, by in top)
+                    ranges = bounds(S)
             except Exception as e:
                 return refuse(f, f"loop bounds: {e}")
-            if sweep is not None:
-                ranges = tuple((start, stride, max(0, (end - start) // stride
-                                                   + 1) if stride else 0)
-                               for start, stride, end in ranges)
         for _, _, count in ranges:
             if not count:
                 return refuse(f, "a range has zero trips or a zero step")
-        if sweep is None:
-            try:
-                if arith:
-                    with np.errstate(all="raise"):
-                        run(S, ranges)
-                else:
-                    run(S, ranges)
-            except Exception as e:
-                # Whatever stopped the lift (a floating-point condition, a
-                # zero divisor, an overflow, a cast, a bad gather), the
-                # program restored what it wrote: the scalar closure
-                # decides the outcome from the state before the nest.
-                return refuse(f, f"runtime lift failure: {e}")
-        else:
-            store = dict(zip(names, S))
-            count = rt.allocation_count
-
+        account, allocated = None, rt.allocation_count
+        if allocs:
             def account(note, n: int) -> None:
                 if note.kind == "call":
-                    rt.allocation_count += allocs[note.key] * n
-            try:
+                    rt.allocation_count += allocs.get(note.key, 0) * n
+        try:
+            if arith:
                 with np.errstate(all="raise"):
-                    program.run(store.__getitem__, {
-                        b[0]: r for b, r in zip(top, ranges)}, f,
-                        account, lambda t: store[t[1]], {}, label)
-            except Exception as e:
-                # As above; allocation_count is this runtime's to restore.
-                rt.allocation_count = count
-                return refuse(f, f"runtime lift failure: {e}")
+                    run(S, ranges, account)
+            else:
+                run(S, ranges, account)
+        except Exception as e:
+            # Whatever stopped the lift (a floating-point condition, a
+            # zero divisor, an overflow, a cast, a bad gather), the
+            # program restored what it wrote, and allocation_count is this
+            # runtime's to restore: the scalar closure decides the outcome
+            # from the state before the nest.
+            rt.allocation_count = allocated
+            return refuse(f, f"runtime lift failure: {e}")
         for store, (start, stride, count) in zip(D, ranges):
             store[()] = start + count * stride
         if omp is not None:

@@ -22,6 +22,7 @@ from .runner import GeneratedModule, run_generated_python, run_interpreted
 from .vectorize import (
     FallbackEvent,
     LiftedStep,
+    LiftedSweep,
     LiftFailure,
     VectorizedInterpreter,
     compile_step,
@@ -36,6 +37,7 @@ __all__ = [
     "validate_parallel_semantics",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "get_executor",
-    "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",
+    "FallbackEvent", "LiftFailure", "LiftedStep", "LiftedSweep",
+    "VectorizedInterpreter",
     "compile_step", "liftability_report",
 ]

@@ -170,12 +170,16 @@ class Scratch:
 
 @dataclass(frozen=True)
 class Note:
-    """Accounting the scalar path does that a split nest does not.
+    """Accounting the scalar path does that a split nest does not, as a
+    lifted program hands it to its front end's callback.
 
     ``call``: one call of ``key`` per active lane of ``lead``, allocating
     ``plain`` locals each time and each SAVE'd local of ``saved`` once.
     ``iter``: ``key`` = (function, step index) runs its own ranges
-    ``own`` once per active lane of ``lead``.
+    ``own`` once per active lane of ``lead``.  A sweep also asks the
+    callback for what only the front end holds: ``save``, the storage of
+    the SAVE'd local ``key`` = (function, local), and ``size``, the value
+    of the symbolic extent ``key``.
     """
 
     kind: str

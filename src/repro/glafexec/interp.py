@@ -25,8 +25,7 @@ Execution model:
   interpreter, on its first call.  Each call binds one table of the grids
   it can name (its own storage over the context's globals).
 * ``_exec_step`` stays the subclass hook: the vectorized interpreter runs
-  the same compiled steps (and a sweep's range bounds, from
-  :meth:`_Emitter.bounds`), and the access-conflict checking interpreter
+  the same compiled steps, and the access-conflict checking interpreter
   (:mod:`repro.glafexec.conflicts`) overrides ``_compile`` to emit steps
   that also record every grid access.
 * Compilation defers every error to the statement that raises it: an
@@ -488,7 +487,6 @@ class _Emitter:
         self.vars: dict[str, str] = {}  # bound index variable -> its local
         self.count = 0
 
-    # -- the two functions ---------------------------------------------------
     def run(self) -> Callable[[_Frame], None]:
         """The step: its loop nest, or the guarded body of a non-loop step."""
         step = self.step
@@ -508,28 +506,22 @@ class _Emitter:
             ind += 1
         self._stmts(step.stmts, ind)
         if not step.ranges:
-            return self._function("run", self.lines)
+            return self._function(self.lines)
         self.uses.update("IA")
-        return self._function("run", [
+        return self._function([
             "    T = I._budget; F = A.faults; "
             "X = T is not None or F is not None; n = 0",
             "    try:", *self.lines,
             "    finally:",
             "        if n: I.stats.note_iter(FN, IDX, n)"])
 
-    def bounds(self) -> Callable[[_Frame], tuple[range, ...]]:
-        """The step's loop ranges, outermost first, each evaluated with no
-        index variable bound and stride-checked before the next."""
-        spans = "".join(f"{self._range(r)}, " for r in self.step.ranges)
-        return self._function("bounds", [f"    return ({spans})"])
-
     # -- compiling -----------------------------------------------------------
-    def _function(self, name: str, body: list[str]) -> Callable:
+    def _function(self, body: list[str]) -> Callable:
         if "H" in self.uses:
             self.uses.add("A")
         head = [f"{k} = {v}" for k, v in _FRAME_NAMES if k in self.uses]
         head += self.head
-        text = "\n".join([f"def {name}(f):",
+        text = "\n".join(["def run(f):",
                           *(["    " + "; ".join(head)] if head else []),
                           *(body or ["    pass"])])
         key = digest(text)

@@ -24,22 +24,25 @@ pass, restricted to the patterns GLAF steps actually produce:
   so the updates land in loop order.
 
 It is one engine with two front ends.  :func:`compile_step` decides
-legality on the IR :class:`~repro.core.step.Step` form and
-:func:`compile_lifted` turns a legal step into closures once; the GLAF IR
-executor (:class:`VectorizedInterpreter`, below) and the FORTRAN-text
-runtime (:mod:`repro.fortranlib.lower`, which lowers DO nests into the
-same step form) each wrap it with their own guards.  A lifted step equals
-the scalar loop bit for bit: reads of plain loop-variable subscripts are
-strided views, reductions fold with ``np.add.accumulate`` (or the
-``minimum``/``maximum`` ufunc) in nest order, and every update of one
-accumulator interleaves in statement order.
-
-Given the program, :func:`compile_step` also lifts a loop step whose body
-calls leaf subprograms (FUN3D's cell sweep) or keeps a per-iteration
-scalar temporary: :mod:`repro.glafexec.inline` inlines the callees and
-splits the body into nests with per-iteration scratch, and the result is
-a :class:`LiftedSweep` that :class:`SweepProgram` runs nest by nest, for
-either front end.
+legality on the IR :class:`~repro.core.step.Step` form, and every step
+it lifts is a :class:`LiftedSweep`: a perfect nest is a sweep of one nest.
+Given the program, it also lifts a loop step whose body calls leaf
+subprograms (FUN3D's cell sweep) or keeps a per-iteration scalar
+temporary: :mod:`repro.glafexec.inline` inlines the callees and splits
+the body into nests with per-iteration scratch.  :func:`compiled_plan`
+compiles a sweep once into one program interface, ``names``,
+``written``, ``dims``, ``arith``, ``fixed``, ``bounds(S)`` and ``run(S,
+ranges, account)``: a sweep of one nest with no scratch and no notes is
+its nest's :class:`LiftProgram`, any other a :class:`SweepProgram` that
+runs its nests' programs in order.  The GLAF IR executor
+(:class:`VectorizedInterpreter`, below) and the FORTRAN-text runtime
+(:mod:`repro.fortranlib.lower`, which lowers DO nests into the same step
+form) each run it behind their own guards, with their own accounting
+callback.  A lifted step equals the scalar loop bit for bit: reads of
+plain loop-variable subscripts are strided views, reductions fold with
+``np.add.accumulate`` (or the ``minimum``/``maximum`` ufunc) in nest
+order, and every update of one accumulator interleaves in statement
+order.
 
 Everything else — loop-carried dependences, plain indirect stores,
 calls the inliner refuses, early exits in the body, triangular bounds —
@@ -98,6 +101,8 @@ from .context import as_storage
 from .inline import (
     Cast,
     Inlined,
+    Nest,
+    Note,
     Search,
     Split,
     Unliftable,
@@ -105,7 +110,7 @@ from .inline import (
     search_vars,
     split_step,
 )
-from .interp import Interpreter, _Emitter
+from .interp import Interpreter
 
 __all__ = [
     "FallbackEvent", "LiftFailure", "LiftProgram", "LiftedStep",
@@ -140,26 +145,25 @@ class _ArrayAssign:
 
 @dataclass(frozen=True)
 class LiftedStep:
-    """A step that :func:`compile_step` accepted, with its classified
+    """One nest that the one-nest rules accepted, with its classified
     assignments in statement order.
 
     ``keep`` pairs an expanded scalar temporary with the grid that holds
-    its last lane's value after the nest; ``inlined`` names the functions
-    inlined into the step, ``depth`` their deepest nesting.
+    its last lane's value after the nest.
     """
 
     assigns: tuple[_ArrayAssign, ...]
     written: tuple[str, ...]
     step: Step = field(repr=False, compare=False, hash=False)
     keep: tuple[tuple[str, str], ...] = ()
-    inlined: tuple[str, ...] = ()
-    depth: int = 0
 
 
 @dataclass(frozen=True)
 class LiftedSweep:
-    """A loop step lifted as split nests (:mod:`repro.glafexec.inline`):
-    its leaf calls inlined, its per-iteration scratch expanded.
+    """A loop step that :func:`compile_step` lifted: its nests, in order,
+    and the split (:mod:`repro.glafexec.inline`) that made them, which
+    inlined its leaf calls and expanded its per-iteration scratch.  A
+    perfect nest is a sweep of that one nest, with an empty split.
 
     ``written`` names the storage outside the scratch that the nests and
     the final keeps write; :meth:`SweepProgram.run` copies it before the
@@ -204,8 +208,8 @@ def _match_reduction(target: GridRef,
 
 def compile_step(step: Step, program=None, fn=None, *,
                  save_inner_arrays: bool = False
-                 ) -> LiftedStep | LiftedSweep | LiftFailure:
-    """Analyze one loop step; return the lifted step or the lift failure.
+                 ) -> LiftedSweep | LiftFailure:
+    """Analyze one loop step; return the lifted sweep or the lift failure.
 
     These are the lift rules, in one place:
 
@@ -216,21 +220,22 @@ def compile_step(step: Step, program=None, fn=None, *,
       the rules for callees, arguments and scratch); each split nest must
       then pass the one-nest rules;
     * without them, a scalar temporary (written before it is read in
-      every iteration) still expands, into a :class:`LiftedSweep` of one
-      nest.
+      every iteration) still expands, into one nest with scratch.
 
     ``save_inner_arrays`` is the interpreter's setting: it makes a
     callee's allocatable locals SAVE'd.
     """
     if not step.is_loop:
         return LiftFailure("not a loop step")
+    calls = step.called_functions()
     direct = None
-    if not step.called_functions():
+    if not calls or program is None or fn is None:
         direct = _lift_nest(step)
         if isinstance(direct, LiftedStep):
-            return direct
-    elif program is None or fn is None:
-        return _lift_nest(step)
+            return LiftedSweep((direct,), Split((Nest(step),), (), (), (),
+                                                (), 0), direct.written, step)
+        if calls:
+            return direct               # no program to inline them from
     try:
         split = split_step(step, program, fn,
                            save_inner_arrays=save_inner_arrays)
@@ -247,10 +252,6 @@ def compile_step(step: Step, program=None, fn=None, *,
             return LiftFailure(f"split nest {nest.step.name!r}: "
                                f"{lifted.reason}")
         nests.append(lifted)
-    if len(nests) == 1 and not split.scratch and not split.notes:
-        one = nests[0]
-        return LiftedStep(one.assigns, one.written, one.step,
-                          inlined=split.inlined, depth=split.depth)
     scratch = {s.name for s in split.scratch}
     written = {g for n in nests for g in n.written if g not in scratch}
     written |= {s.target[1] for s in split.scratch
@@ -553,7 +554,8 @@ class _Run:
     ``LiftProgram.names`` order), the views ``V`` and written regions ``R``
     prepared before any write, the nest axes' index arrays ``ax``, the
     per-run mask memo ``M``, the deferred reduction terms ``T``, the
-    caller's ``frame`` and the ``undo`` log (``None`` when none is kept).
+    front end's ``account`` callback and the ``undo`` log (``None`` when
+    none is kept).
 
     A *lane-restricted* run (:func:`_restrict`) evaluates expressions on
     some lanes of the nest only: ``sel`` holds their positions along each
@@ -561,12 +563,13 @@ class _Run:
     may carry the per-lane values of search variables after the nest
     axes.  ``sel`` is ``None`` for the full nest."""
 
-    __slots__ = ("S", "V", "R", "ax", "M", "T", "geom", "frame", "undo",
+    __slots__ = ("S", "V", "R", "ax", "M", "T", "geom", "account", "undo",
                  "sel")
 
-    def __init__(self, S: list, frame: Any = None, undo: list | None = None):
+    def __init__(self, S: list, account: Callable | None = None,
+                 undo: list | None = None):
         self.S = S
-        self.frame = frame
+        self.account = account
         self.undo = undo
         self.sel = None
 
@@ -613,7 +616,7 @@ def _restrict(r: _Run, m: Any) -> tuple[_Run, Any]:
         return _take(r, where), where
     base = r.geom
     where = np.nonzero(np.broadcast_to(m, base.shape))
-    sub = _Run(r.S, r.frame, r.undo)
+    sub = _Run(r.S, r.account, r.undo)
     sub.sel = where
     sub.ax = tuple(start + w * stride
                    for (start, stride, _), w in zip(base.ranges, where))
@@ -626,7 +629,7 @@ def _restrict(r: _Run, m: Any) -> tuple[_Run, Any]:
 def _take(r: _Run, where: np.ndarray) -> _Run:
     """The restricted run over the lanes ``where`` of restricted run
     ``r``."""
-    sub = _Run(r.S, r.frame, r.undo)
+    sub = _Run(r.S, r.account, r.undo)
     sub.sel = tuple(a[where] for a in r.sel)
     sub.ax = tuple(a[where] for a in r.ax)
     sub.V = _Views(r.V.full, sub.sel)
@@ -637,6 +640,12 @@ def _take(r: _Run, where: np.ndarray) -> _Run:
 
 def _lanes(r: _Run) -> int:
     return _prod(r.geom.shape)
+
+
+def _charge(r: _Run, note: Note, n: int) -> None:
+    """Hand ``n`` of a note's events to the run's accounting callback."""
+    if n and r.account is not None:
+        r.account(note, n)
 
 
 def _on_lanes(value: _Eval, mask: _Eval | None, r: _Run) -> tuple:
@@ -827,18 +836,23 @@ def _check_int_sum(x: np.ndarray) -> None:
 
 
 class LiftProgram:
-    """A lifted step compiled once into closures.
+    """A lifted nest compiled once into closures: the program interface
+    every lifted step has (:class:`SweepProgram` serves it too).
 
     ``names`` lists every grid the step names; a caller resolves them to
     storage ``S``, in that order, on each run.  ``bounds(S)`` evaluates
     the ranges to ``(start, stride, count)`` per nest axis (constant
-    ranges once, at compile time).  ``run(S, ranges, frame, undo=True)``
-    executes the nest over ranges whose counts are all positive: it checks
-    every slice and builds every view before the first write and, with
-    ``undo``, copies each region before its first write that a later
-    operation could still fail after, and restores those copies before it
-    re-raises: a failed run leaves storage as it found it.  (A sweep's
-    nests run without, under :meth:`SweepProgram.run`'s one copy.)
+    ranges once, at compile time).  ``run(S, ranges, account=None,
+    undo=True)`` executes the nest over ranges whose counts are all
+    positive: it checks every slice and builds every view before the
+    first write and, with ``undo``, copies each region before its first
+    write that a later operation could still fail after, and restores
+    those copies before it re-raises: a failed run leaves storage as it
+    found it.  (A sweep's nests run without, under
+    :meth:`SweepProgram.run`'s one copy.)  ``account(note, n)``, the
+    front end's callback, counts what an inlined function does on the
+    scalar path (an :class:`~repro.glafexec.inline.Note` of ``n`` calls
+    or iterations).
 
     ``written`` names the written grids; ``dims`` maps each grid to its
     subscript count (0 for scalars and whole-grid references, -1 when the
@@ -851,31 +865,25 @@ class LiftProgram:
                  "run")
 
 
-def compile_lifted(lifted: LiftedStep, *, strict: bool = False,
-                   count: Callable[[Any, str, Any, int], None] | None = None
+def compile_lifted(lifted: LiftedStep, *, strict: bool = False
                    ) -> LiftProgram:
-    """Compile a lifted step once.
+    """Compile a lifted nest once.
 
     ``strict`` casts each written value to its storage dtype under
     ``np.errstate(all="raise")``, so a cast that overflows or is invalid
     raises instead of warning, as the FORTRAN runtime's assignment does.
     The program screens no write against the numeric sentinels: no front
-    end runs it while they are on.  ``count(frame, kind, key, n)``
-    accounts what an inlined function does on the scalar path: ``n``
-    calls of function ``key`` (kind ``"call"``), or ``n`` iterations of
-    its step ``key`` = (function, index) (kind ``"iter"``).
+    end runs it while they are on.
     """
-    return _Compiler(lifted, strict, count).compile()
+    return _Compiler(lifted, strict).compile()
 
 
 class _Compiler:
     """Compiles one :class:`LiftedStep` into a :class:`LiftProgram`."""
 
-    def __init__(self, lifted: LiftedStep, strict: bool,
-                 count: Callable | None = None) -> None:
+    def __init__(self, lifted: LiftedStep, strict: bool) -> None:
         self.lifted = lifted
         self.strict = strict
-        self.count = count
         self.axis = {r.var: k for k, r in enumerate(lifted.step.ranges)}
         self.bound: dict[str, int] = {}       # search variable -> ax slot
         self.names: list[str] = []
@@ -959,20 +967,15 @@ class _Compiler:
             return self._search(e)
         return _raiser(f"cannot vectorize expression {type(e).__name__}")
 
-    def _note(self, r: _Run, kind: str, key: Any, n: int) -> None:
-        if n and self.count is not None:
-            self.count(r.frame, kind, key, n)
-
     def _inlined(self, e: Inlined) -> _Eval:
         """An expression function: one call per lane, its value in the
         return dtype."""
-        cast, body, name = _cast_to(np.dtype(e.dtype)), self.expr(e.body), \
-            e.name
-        note = self._note
+        cast, body = _cast_to(np.dtype(e.dtype)), self.expr(e.body)
+        call = Note("call", e.name, ())
 
         def inlined(r: _Run) -> Any:
             v = cast(body(r))
-            note(r, "call", name, _lanes(r))
+            _charge(r, call, _lanes(r))
             return v
         return inlined
 
@@ -989,8 +992,9 @@ class _Compiler:
         self.bound[e.var] = slot
         cond, value = self.expr(e.cond), self.expr(e.value)
         del self.bound[e.var]
-        dtype, stride, name = np.dtype(e.dtype), e.stride, e.name
-        key, note = (e.name, e.step), self._note
+        dtype, stride = np.dtype(e.dtype), e.stride
+        call, loop = Note("call", e.name, ()), Note("iter",
+                                                    (e.name, e.step), ())
 
         def search(r: _Run) -> Any:
             sub = r if r.sel is not None else _restrict(r, True)[0]
@@ -1019,8 +1023,8 @@ class _Compiler:
             if not found.all():
                 miss = np.flatnonzero(~found)
                 out[miss] = default(_take(sub, miss))
-            note(r, "call", name, n)
-            note(r, "iter", key, int(iters.sum()))
+            _charge(r, call, n)
+            _charge(r, loop, int(iters.sum()))
             return out if r.sel is not None else out.reshape(r.geom.shape)
         return search
 
@@ -1171,9 +1175,8 @@ class _Compiler:
     def compile(self) -> LiftProgram:
         lifted, step = self.lifted, self.lifted.step
         nd = len(step.ranges)
-        bound_fns = [tuple(self._bound(b) for b in (rg.start, rg.end,
-                                                    rg.step))
-                     for rg in step.ranges]
+        prog = LiftProgram()
+        prog.bounds, prog.fixed = self.bounds()
         regions: dict[str, int] = {}
         targets = []
         scattered: dict[str, int] = {}
@@ -1238,18 +1241,21 @@ class _Compiler:
         for scratch, grid in lifted.keep:
             ops.append(_keep(regions[scratch], self._name(grid, 0), grid,
                              cond))
-        prog = LiftProgram()
         prog.names = tuple(self.names)
         prog.written = tuple(regions) + tuple(scattered) + tuple(
             grid for _, grid in lifted.keep)
         prog.dims = dict(self.dims)
         prog.arith = self.arith
-        prog.bounds, fixed = self._bounds(bound_fns)
-        prog.fixed = fixed
-        prog.run = self._runner(tuple(targets), tuple(ops), fixed, nterms)
+        prog.run = self._runner(tuple(targets), tuple(ops), prog.fixed,
+                                nterms)
         return prog
 
-    def _bounds(self, bound_fns: list) -> tuple:
+    def bounds(self) -> tuple:
+        """``(bounds, fixed)`` of the step's ranges, compiled first, so
+        ``bounds(S)`` reads only the first names."""
+        bound_fns = [tuple(self._bound(b) for b in (rg.start, rg.end,
+                                                    rg.step))
+                     for rg in self.lifted.step.ranges]
         if all(type(v) is int for rg in bound_fns for v in rg):
             fixed = tuple((s, by, _trips(s, e, by)) for s, e, by in bound_fns)
             return (lambda S: fixed), fixed
@@ -1275,9 +1281,9 @@ class _Compiler:
         regions = tuple(_preparer(j, subs, grid, fixed_geom)
                         for j, subs, grid in targets)
 
-        def run(S: list, ranges: tuple, frame: Any = None,
+        def run(S: list, ranges: tuple, account: Callable | None = None,
                 undo: bool = True) -> None:
-            r = _Run(S, frame, [] if undo else None)
+            r = _Run(S, account, [] if undo else None)
             geom = fixed_geom if ranges is fixed else None
             if geom is None:
                 geom = _Geometry(ranges, need_axes)
@@ -1596,79 +1602,81 @@ class FallbackEvent:
 _DIRECT = object()   # sentinel plan: non-loop step, interpret without demoting
 
 
-def _frame_count(frame, kind: str, key: Any, n: int) -> None:
-    """What an inlined function does to the scalar path's accounting."""
-    interp = frame.interp
-    if kind == "call":
-        interp.stats.note_call(key, n)
-        return
-    interp.stats.note_iter(key[0], key[1], n)
-    if interp._budget is not None:
-        interp._budget.tick(n)
-
-
 class SweepProgram:
-    """A :class:`LiftedSweep` compiled once, one program per nest
-    (``compile_kw`` goes to :func:`compile_lifted`), and the one runner of
-    sweeps: both front ends call :meth:`run`, each with its own storage
-    and accounting.  ``descending`` is FORTRAN's DO semantics: a nest
+    """A :class:`LiftedSweep` that is not one plain nest, compiled once:
+    the sweep's own ranges and a :class:`LiftProgram` per nest, behind
+    :class:`LiftProgram`'s interface.  ``arith`` is always true, so a
+    front end runs a whole sweep, its argument casts too, under one
+    ``np.errstate``.  ``descending`` is FORTRAN's DO semantics: a nest
     with a negative stride runs its lanes in loop order; the IR's loops
     raise on any non-positive stride."""
 
-    __slots__ = ("sweep", "programs", "specs", "notes", "descending")
+    __slots__ = ("sweep", "programs", "specs", "notes", "descending",
+                 "names", "written", "dims", "arith", "fixed", "bounds")
 
     def __init__(self, sweep: LiftedSweep, *, descending: bool = False,
-                 **compile_kw: Any) -> None:
+                 strict: bool = False) -> None:
         self.sweep = sweep
         self.descending = descending
-        self.programs = tuple(compile_lifted(n, **compile_kw)
+        self.programs = tuple(compile_lifted(n, strict=strict)
                               for n in sweep.nests)
-        self.specs = {s.name: s for s in sweep.split.scratch}
+        self.specs = specs = {s.name: s for s in sweep.split.scratch}
         notes: dict[int, list] = {}
         for k, note in sweep.split.notes:
             notes.setdefault(k, []).append(note)
         self.notes = notes
+        top = _Compiler(LiftedStep((), (), sweep.step), strict)
+        self.bounds, self.fixed = top.bounds()
+        dims = dict(top.dims)
+        for p in self.programs:
+            for name in p.names:
+                if name not in specs:
+                    rank = p.dims[name]
+                    dims[name] = rank if dims.get(name, rank) == rank else -1
+        for s in specs.values():
+            if s.target is not None and s.target[0] == "grid" \
+                    and not s.in_nest:
+                dims[s.target[1]] = len(s.dims)
+        self.dims = dims
+        self.names = tuple(dims)
+        self.written = sweep.written
+        self.arith = True
 
-    def run(self, storage: Callable[[str], np.ndarray], var_ranges: dict,
-            frame: Any, account: Callable, target: Callable,
-            sizes: dict, label: str) -> None:
+    def run(self, S: list, ranges: tuple,
+            account: Callable | None = None) -> None:
         """Run the nests in order over shared scratch, then keep what
-        outlives the sweep.
-
-        ``storage(name)`` is a grid outside the scratch; ``var_ranges``
-        holds the sweep's own ranges, ``var -> (start, stride, count)``,
-        all counts positive (a stride negative only when
-        ``descending``).  ``account(note, n)`` does a note's
-        accounting for its ``n`` active lanes (iterations, for an
-        ``iter`` note).  ``target(spec.target)`` is the storage a kept
-        scratch goes to; ``sizes`` resolves symbolic scratch extents.
-        Raises :class:`ExecutionError` where the lift cannot go on, after
-        restoring ``sweep.written`` from copies taken before the first
-        nest; undoing what ``account`` did is the caller's."""
+        outlives the sweep.  ``account`` also counts the sweep's notes,
+        and hands it what only the front end holds (asked with ``n`` 0):
+        a SAVE'd local's storage and a symbolic size
+        (:class:`~repro.glafexec.inline.Note`).  Raises
+        :class:`ExecutionError` where the lift cannot go on, after
+        restoring ``written`` from copies taken before the first nest;
+        undoing what ``account`` did is the caller's."""
+        storage = dict(zip(self.names, S))
         saved = [(store, store.copy())
-                 for store in map(storage, self.sweep.written)]
+                 for store in map(storage.__getitem__, self.written)]
         try:
-            self._nests(storage, var_ranges, frame, account, target, sizes,
-                        label)
+            self._nests(storage, {rg.var: r for rg, r in zip(
+                self.sweep.step.ranges, ranges)}, account)
         except BaseException:
             for store, copy in saved:
                 store[...] = copy
             raise
 
-    def _nests(self, storage: Callable[[str], np.ndarray], var_ranges: dict,
-               frame: Any, account: Callable, target: Callable,
-               sizes: dict, label: str) -> None:
+    def _nests(self, storage: dict, var_ranges: dict,
+               account: Callable | None) -> None:
         scratch: dict[str, np.ndarray] = {}
         specs, notes = self.specs, self.notes
         for k, (nest, program) in enumerate(zip(self.sweep.nests,
                                                 self.programs)):
-            S = [scratch.get(n) if n in specs else storage(n)
+            S = [scratch.get(n) if n in specs else storage[n]
                  for n in program.names]
             ranges = program.bounds(S)
             run = True
             for rg, (start, stride, count) in zip(nest.step.ranges, ranges):
                 if stride == 0 or (stride < 0 and not self.descending):
-                    raise ExecutionError(f"{label}: non-positive stride")
+                    raise ExecutionError(
+                        f"{nest.step.name}: non-positive stride")
                 var_ranges[rg.var] = (start, stride, count)
                 run = run and count > 0
             for note in notes.get(k, ()):
@@ -1678,19 +1686,27 @@ class SweepProgram:
             for j, n in enumerate(program.names):
                 if n in specs and S[j] is None:
                     S[j] = scratch[n] = _scratch(specs[n], var_ranges,
-                                                 storage, sizes)
-            program.run(S, ranges, frame, undo=False)
+                                                 storage, account)
+            program.run(S, ranges, account, undo=False)
             for n in self.sweep.split.nests[k].locals:
                 local = specs[specs[n].target[1]]
                 if local.name not in scratch:
                     scratch[local.name] = _scratch(local, var_ranges,
-                                                   storage, sizes)
+                                                   storage, account)
                 _keep_inner(specs[n], local.lead, scratch, var_ranges)
         for note in notes.get(len(self.programs), ()):
             _account(note, scratch, var_ranges, account)
         for spec in specs.values():
             if spec.target is not None and not spec.in_nest:
-                _keep_last(spec, scratch, var_ranges, target)
+                _keep_last(spec, scratch, var_ranges, storage, account)
+
+
+def _ask(account: Callable | None, kind: str, key: Any, what: str) -> Any:
+    """What only the front end holds (:meth:`SweepProgram.run`)."""
+    value = None if account is None else account(Note(kind, key, ()), 0)
+    if value is None:
+        raise ExecutionError(f"{what} unresolved")
+    return value
 
 
 def _slices(lead: tuple, var_ranges: dict) -> tuple:
@@ -1704,8 +1720,8 @@ def _slices(lead: tuple, var_ranges: dict) -> tuple:
     return tuple(out)
 
 
-def _scratch(spec, var_ranges: dict, storage: Callable, sizes: dict
-             ) -> np.ndarray:
+def _scratch(spec, var_ranges: dict, storage: dict,
+             account: Callable | None) -> np.ndarray:
     """A scratch grid: one copy of its grid per lane of ``spec.lead``."""
     lead = []
     for v in spec.lead:
@@ -1714,17 +1730,14 @@ def _scratch(spec, var_ranges: dict, storage: Callable, sizes: dict
                                  "unknown")
         start, stride, count = var_ranges[v]
         lead.append(max(start, start + (count - 1) * stride, 0))
-    try:
-        dims = tuple(d if isinstance(d, int) else int(sizes[d])
-                     for d in spec.dims)
-    except KeyError as e:
-        raise ExecutionError(f"scratch {spec.name!r}: size {e} "
-                             "unresolved") from None
+    dims = tuple(d if isinstance(d, int) else int(_ask(
+        account, "size", d, f"scratch {spec.name!r}: size {d!r}"))
+        for d in spec.dims)
     dtype = (np.dtype(spec.dtype) if spec.dtype is not None
-             else storage(spec.target[1]).dtype)
+             else storage[spec.target[1]].dtype)
     out = np.zeros(tuple(lead) + dims, dtype)
     if spec.init is not None and spec.init.init_data is not None:
-        out[...] = as_storage(spec.init, sizes=sizes)
+        out[...] = spec.init.init_data
     return out
 
 
@@ -1746,11 +1759,13 @@ def _active_lanes(lead: tuple, active: str | None, scratch: dict,
 
 
 def _account(note, scratch: dict, var_ranges: dict,
-             account: Callable) -> None:
+             account: Callable | None) -> None:
     """Hand a note's active lanes (times its own iterations) to
     ``account``."""
     if any(v not in var_ranges for v in note.lead + note.own):
         raise ExecutionError(f"inlined {note.key!r}: range unknown")
+    if account is None:
+        return
     act = _active_lanes(note.lead, note.active, scratch, var_ranges)
     n = (_prod(tuple(var_ranges[v][2] for v in note.lead))
          if act is None else int(np.count_nonzero(act)))
@@ -1760,8 +1775,8 @@ def _account(note, scratch: dict, var_ranges: dict,
         account(note, n)
 
 
-def _keep_last(spec, scratch: dict, var_ranges: dict,
-               target: Callable) -> None:
+def _keep_last(spec, scratch: dict, var_ranges: dict, storage: dict,
+               account: Callable | None) -> None:
     """Keep the value of the last active lane of an expanded grid in the
     grid (or SAVE'd local) it stands for."""
     arr = scratch.get(spec.name)
@@ -1778,7 +1793,10 @@ def _keep_last(spec, scratch: dict, var_ranges: dict,
         pos = np.unravel_index(flat[-1], shape)
     at = tuple(var_ranges[v][0] - 1 + int(p) * var_ranges[v][1]
                for v, p in zip(spec.lead, pos))
-    target(spec.target)[...] = arr[at]
+    kind, key = spec.target[0], spec.target[1:]
+    store = (storage[key[0]] if kind == "grid" else
+             _ask(account, kind, key, f"SAVE'd local {key!r}"))
+    store[...] = arr[at]
 
 
 def _keep_inner(spec, lead: tuple, scratch: dict, var_ranges: dict
@@ -1798,11 +1816,10 @@ def note_inline(function: str, index: int, step: str, plan: Any) -> None:
     per compiled step)."""
     dl = get_decisions()
     if dl.enabled:
-        expanded = (plan.split.expanded
-                    if isinstance(plan, LiftedSweep) else ())
         dl.record("executor:inline", function, index, step, "inlined",
                   reasons=("callees: " + (", ".join(plan.inlined) or "none"),
-                           "expanded: " + (", ".join(expanded) or "none")))
+                           "expanded: " + (", ".join(plan.split.expanded)
+                                           or "none")))
 
 
 #: Compiled plans by content digest (the policy of
@@ -1862,18 +1879,19 @@ def _plan_key(text: str, step: Step, program, fn,
 
 def compiled_plan(step: Step, program=None, fn=None, *,
                   save_inner_arrays: bool = False, descending: bool = False,
-                  **compile_kw: Any) -> Any:
+                  strict: bool = False) -> Any:
     """:func:`compile_step`'s verdict and its compiled program: a
-    :class:`LiftFailure`, or ``(lifted, program)`` with a
-    :class:`LiftProgram` (``compile_kw`` goes to :func:`compile_lifted`)
-    or a :class:`SweepProgram`.  A step whose text comes back in the
-    process is looked up by content (:func:`_plan_key`), however many
-    interpreters or runtimes ask; content that comes back is kept.  So
-    what compiles once in a process (a fuzz draw) costs one ``repr`` of
-    its step, or of its content, and keeps nothing alive.  The caller
-    records the decisions a plan implies, hit or miss alike."""
-    text = repr((step, descending, sorted(
-        (k, getattr(v, "__qualname__", v)) for k, v in compile_kw.items())))
+    :class:`LiftFailure`, or ``(sweep, program)``.  The program is the
+    nest's :class:`LiftProgram` when the sweep is one nest with no
+    scratch and no notes, else a :class:`SweepProgram`; ``strict`` goes to
+    :func:`compile_lifted`, ``descending`` to the sweep.  A step whose
+    text comes back in the process is looked up by content
+    (:func:`_plan_key`), however many interpreters or runtimes ask;
+    content that comes back is kept.  So what compiles once in a process
+    (a fuzz draw) costs one ``repr`` of its step, or of its content, and
+    keeps nothing alive.  The caller records the decisions a plan
+    implies, hit or miss alike."""
+    text = repr((step, descending, strict))
     m, key = get_metrics(), None
     if _PLANS.came_back(hash(text)):
         key = _plan_key(text, step, program, fn, save_inner_arrays)
@@ -1887,9 +1905,12 @@ def compiled_plan(step: Step, program=None, fn=None, *,
     plan = compile_step(step, program, fn,
                         save_inner_arrays=save_inner_arrays)
     if isinstance(plan, LiftedSweep):
-        plan = (plan, SweepProgram(plan, descending=descending, **compile_kw))
-    elif isinstance(plan, LiftedStep):
-        plan = (plan, compile_lifted(plan, **compile_kw))
+        split = plan.split
+        if len(plan.nests) == 1 and not split.scratch and not split.notes:
+            prog = compile_lifted(plan.nests[0], strict=strict)
+        else:
+            prog = SweepProgram(plan, descending=descending, strict=strict)
+        plan = (plan, prog)
     if key is not None:
         _PLANS.offer(key, plan)
     return plan
@@ -1914,7 +1935,6 @@ class VectorizedInterpreter(Interpreter):
         self.fallbacks: list[FallbackEvent] = []
         self._plans: dict[tuple[str, int], Any] = {}
         self._demoted: set[tuple[str, int]] = set()
-        self._bounds: dict[tuple[str, int], Callable] = {}
 
     def call(self, name: str, args: list[Any] | tuple = ()) -> Any:
         _m = get_metrics()
@@ -1934,12 +1954,11 @@ class VectorizedInterpreter(Interpreter):
         if plan is None:
             plan = (_DIRECT if not step.is_loop else compiled_plan(
                 step, self.program, frame.fn,
-                save_inner_arrays=self.save_inner_arrays,
-                count=_frame_count))
+                save_inner_arrays=self.save_inner_arrays))
             if isinstance(plan, LiftFailure):
                 self._note_fallback(frame, idx, step, plan.reason)
-            elif plan is not _DIRECT and (
-                    isinstance(plan[0], LiftedSweep) or plan[0].inlined):
+            elif plan is not _DIRECT and (plan[0].inlined
+                                          or plan[0].split.expanded):
                 note_inline(frame.fn.name, idx, step.name, plan[0])
             self._plans[key] = plan
         return plan
@@ -1996,11 +2015,12 @@ class VectorizedInterpreter(Interpreter):
         if m.enabled:
             m.counter("exec.vectorized.steps").inc()
 
-    def _sweep_state(self, lifted: Any) -> tuple:
+    def _sweep_state(self, lifted: LiftedSweep) -> tuple:
         """What a lifted step changes beyond its written grids: the stats
-        and the budget and, for a sweep, the save store."""
+        and the budget and, for a sweep that inlines calls, the save
+        store."""
         saves, store = {}, None
-        if isinstance(lifted, LiftedSweep):
+        if lifted.split.notes:
             store = dict(self._save_store)
             for s in lifted.split.scratch:
                 if s.target is not None and s.target[0] == "save":
@@ -2029,13 +2049,9 @@ class VectorizedInterpreter(Interpreter):
             if ticks is not None:
                 self._budget.iterations = ticks
 
-    def _run_lifted(self, frame, idx: int, step: Step,
-                    program: LiftProgram | SweepProgram) -> None:
-        """Run one lifted step: ranges, iteration accounting, the array
-        program (or, for a sweep, its nests)."""
-        if isinstance(program, SweepProgram):
-            self._run_sweep(frame, idx, step, program)
-            return
+    def _run_lifted(self, frame, idx: int, step: Step, program: Any) -> None:
+        """Run one lifted step: ranges, iteration accounting, the
+        program."""
         grids = frame.grids
         S = [grids[name] for name in program.names]
         ranges = program.bounds(S)
@@ -2050,50 +2066,30 @@ class VectorizedInterpreter(Interpreter):
         self.stats.note_iter(frame.fn.name, idx, total)
         if self._budget is not None:
             self._budget.tick(total)
-        program.run(S, ranges, frame)
+        program.run(S, ranges, self._account)
 
-    def _run_sweep(self, frame, idx: int, step: Step,
-                   prog: SweepProgram) -> None:
-        """Run a sweep through the shared runner, with the scalar path's
-        accounting."""
-        key = (frame.fn.name, idx)
-        bounds = self._bounds.get(key)
-        if bounds is None:
-            bounds = self._bounds[key] = _Emitter(
-                frame.fn, idx, step, frame.grids).bounds()
-        var_ranges: dict[str, tuple] = {}
-        total = 1
-        for rg, r in zip(step.ranges, bounds(frame)):
-            var_ranges[rg.var] = (r.start, r.step,
-                                  _trips(r.start, r.stop - 1, r.step))
-            total *= var_ranges[rg.var][2]
-        if total == 0:
-            return
-        self.stats.note_iter(frame.fn.name, idx, total)
-        if self._budget is not None:
-            self._budget.tick(total)
-        grids = frame.grids
-        prog.run(grids.__getitem__, var_ranges, frame, self._account,
-                 lambda t: (grids[t[1]] if t[0] == "grid"
-                            else self._save_store[t[1:]]),
-                 self.context.sizes, f"{frame.fn.name}/{step.name}")
-
-    def _account(self, note, n: int) -> None:
+    def _account(self, note, n: int) -> Any:
         """The scalar path's accounting of ``n`` inlined calls or callee
-        iterations."""
-        stats = self.stats
-        if note.kind == "iter":
+        iterations; asked, a SAVE'd local's storage or a size's value
+        (:meth:`SweepProgram.run`)."""
+        stats, kind = self.stats, note.kind
+        if kind == "iter":
             stats.note_iter(note.key[0], note.key[1], n)
             if self._budget is not None:
                 self._budget.tick(n)
-            return
-        stats.note_call(note.key, n)
-        stats.allocations += note.plain * n
-        for fn, local, g in note.saved:
-            if (fn, local) not in self._save_store:
-                stats.allocations += 1
-                self._save_store[(fn, local)] = as_storage(
-                    g, sizes=self.context.sizes)
+        elif kind == "call":
+            stats.note_call(note.key, n)
+            stats.allocations += note.plain * n
+            for fn, local, g in note.saved:
+                if (fn, local) not in self._save_store:
+                    stats.allocations += 1
+                    self._save_store[(fn, local)] = as_storage(
+                        g, sizes=self.context.sizes)
+        elif kind == "save":
+            return self._save_store.get(note.key)
+        else:
+            return self.context.sizes.get(note.key)
+        return None
 
     def _note_fallback(self, frame, idx: int, step: Step, reason: str) -> None:
         self.fallbacks.append(

@@ -5,6 +5,7 @@ hang, and OOM poison items mixed in — is driven through the *real*
 multiprocessing envelope with ``jobs=4``.  The acceptance bar:
 
 * every healthy item compiles (status ``ok``),
+* a malformed project file fails with a typed error, in both modes,
 * every poison item is quarantined with a digest-named bundle on disk,
 * the parent never hangs (the whole module is wall-clock bounded by
   pytest's session, and hung workers are SIGKILLed at a 3 s deadline),
@@ -46,8 +47,10 @@ def chaos_options(tmp_path, tag, **kw):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return ingest_corpus(INPUTS)
+def corpus(tmp_path_factory):
+    malformed = tmp_path_factory.mktemp("corpus") / "malformed.json"
+    malformed.write_text("[]")
+    return ingest_corpus(INPUTS + [str(malformed)])
 
 
 class TestBatchChaos:
@@ -56,14 +59,18 @@ class TestBatchChaos:
         result = run_batch(corpus, options)
 
         # No silent skips: one terminal outcome per corpus item.
-        assert len(result.outcomes) == len(corpus) == FUZZ_COUNT + 7
+        assert len(result.outcomes) == len(corpus) == FUZZ_COUNT + 8
 
-        healthy = [o for o in result.outcomes if o.kind != "poison"]
+        healthy = [o for o in result.outcomes if o.kind == "fuzz"]
         poison = [o for o in result.outcomes if o.kind == "poison"]
+        (malformed,) = [o for o in result.outcomes if o.kind == "project"]
 
         # Every healthy item compiled...
         assert [o.status for o in healthy] == ["ok"] * FUZZ_COUNT
         assert all(o.artifact_sha for o in healthy)
+        # ...the malformed project failed with a typed error...
+        assert malformed.status == "failed" and not malformed.deaths
+        assert malformed.failures[0]["error"] == "ValidationError"
         # ...and every poison item is quarantined with a bundle on disk.
         assert len(poison) == 7
         for o in poison:
@@ -98,7 +105,7 @@ class TestBatchChaos:
             result.manifest["content_sha256"]
 
         # -- warm-cache rerun over the healthy items ------------------
-        fuzz_items = [i for i in corpus if i.kind != "poison"]
+        fuzz_items = [i for i in corpus if i.kind == "fuzz"]
         warm = run_batch(fuzz_items, chaos_options(tmp_path, "par"))
         hit_rate = warm.stats["cache"]["hits"] / warm.stats["items"]
         assert hit_rate >= 0.9, warm.stats

@@ -109,6 +109,17 @@ class TestCorpus:
         with pytest.raises(BatchError, match="no corpus files"):
             ingest_corpus([str(tmp_path)])
 
+    def test_non_utf8_file_is_typed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        p = tmp_path / "garbage.f90"
+        p.write_bytes(bytes([0x00, 0x01, 0xFF, 0xFE]) + b"end\n")
+        with pytest.raises(BatchError, match="garbage.f90: not UTF-8 text"):
+            ingest_corpus([str(p)])
+        assert main(["batch", str(p), "--no-ledger"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {p}: not UTF-8 text"]
+
 
 # ---------------------------------------------------------------------------
 # the worker compile path (in-process)
@@ -346,6 +357,25 @@ class TestDriverSerial:
         assert o.failures[0]["stage"] == "build"
         assert not list((tmp_path / "quar").glob("*")) \
             if (tmp_path / "quar").exists() else True
+
+    def test_untyped_failure_fails_the_item_as_a_worker_does(
+            self, tmp_path, monkeypatch):
+        from repro.batch import worker
+
+        real = worker.compile_item
+
+        def compile_item(item, config):
+            if item.id == "fuzz-3-0001":
+                raise RuntimeError("boom")
+            return real(item, config)
+        monkeypatch.setattr(worker, "compile_item", compile_item)
+        items = ingest_corpus(["fuzz:3:3"])
+        res = run_batch(items, fast_options(tmp_path))
+        assert [o.status for o in res.outcomes] == ["ok", "failed", "ok"]
+        assert res.outcomes[1].failures == [{
+            "stage": "compile", "error": "GlafError",
+            "message": "batch:fuzz-3-0001: RuntimeError: boom"}]
+        assert res.stats["mode"] == "serial"
 
     def test_lint_findings_mark_item_failed(self, tmp_path):
         # A race the linter catches: a reduction-free accumulation into

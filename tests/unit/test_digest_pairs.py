@@ -35,3 +35,25 @@ def test_any_difference_or_unexpected_exit_fails(monkeypatch, capsys):
     sides["a"][names[0]] = sides["b"][names[0]] = "exit 2, not 0"
     sides["b"][names[-1]] = sides["a"][names[-1]]
     assert pairs.main(["a", "b"]) == 1
+
+
+def test_lift_decisions_digest_ignores_times_and_other_counters():
+    pairs = _script()
+    name, args, status, path, key = next(
+        o for o in pairs.OUTPUTS if o[0] == "lift decisions")
+    assert args[:5] == ["experiments", "C1", "C2", "--executor",
+                        "vectorized"] and "--profile" in args
+    assert key is pairs.lift_decisions
+
+    def record(t=0.5, reason="r", lifted=3, other=1):
+        return {"decisions": [{"stage": "executor:fallback", "function": "f",
+                               "step_index": 1, "reasons": [reason],
+                               "t": t}],
+                "metrics": {"counters": {"exec.fortran.lifted": lifted,
+                                         "lint.findings": other}}}
+
+    base = key(record())
+    assert len(base) == 64
+    assert key(record(t=9.0, other=7)) == base
+    assert key(record(reason="s")) != base
+    assert key(record(lifted=4)) != base

@@ -16,11 +16,7 @@ from repro.core import GlafBuilder, I, T_INT, T_REAL, T_REAL8, T_VOID, ref
 from repro.recurring import RecurringCache
 from repro.fortranlib import interp, parser
 from repro.glafexec import vectorize
-from repro.glafexec.vectorize import (
-    LiftFailure,
-    compiled_plan,
-    _frame_count,
-)
+from repro.glafexec.vectorize import LiftFailure, compiled_plan
 
 
 def _program(dims=(3,), ty=T_REAL8, factor=2.0, tag="pc", unused=("n",)):
@@ -49,8 +45,7 @@ def _compile(program, **kw):
     """Compile ``f``'s sweep; whether it missed the cache."""
     fn = program.find_function("f")
     with observe.observed() as obs:
-        plan = compiled_plan(fn.steps[0], program, fn, count=_frame_count,
-                             **kw)
+        plan = compiled_plan(fn.steps[0], program, fn, **kw)
     assert not isinstance(plan, LiftFailure), plan
     return obs.metrics.counter("exec.plan_cache.misses").value == 1
 

@@ -1,5 +1,7 @@
 """Unit tests for project JSON persistence."""
 
+import json
+
 import pytest
 
 from repro.core import GlafBuilder, I, T_INT, T_REAL8, T_VOID, lib, ref
@@ -90,3 +92,60 @@ class TestVersioning:
 
     def test_version_field_present(self):
         assert "format_version" in program_to_dict(_demo_program())
+
+
+class TestHostileProjects:
+    """A malformed project file is one typed ``error:`` line, exit 2."""
+
+    @staticmethod
+    def _sarb(tmp_path, edit):
+        """The saved SARB project with ``edit`` applied to its first
+        assignment, as text."""
+        from repro.sarb import build_sarb_program
+
+        path = tmp_path / "sarb.json"
+        save_project(build_sarb_program(), path)
+        doc = json.loads(path.read_text())
+        edit(next(s for m in doc["modules"] for f in m["functions"]
+                  for st in f["steps"] for s in st["stmts"]
+                  if s["kind"] == "assign"))
+        return json.dumps(doc)
+
+    @staticmethod
+    def _analyze(tmp_path, capsys, data):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        with pytest.raises(ValidationError):
+            load_project(path)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0].replace(str(path), "P")
+
+    def test_constant_assignment_target(self, tmp_path, capsys):
+        text = self._sarb(tmp_path, lambda a: a.update(
+            target={"kind": "const", "value": 1}))
+        assert self._analyze(tmp_path, capsys, text) == \
+            "error: formula target must be a grid reference"
+
+    def test_document_that_is_not_an_object(self, tmp_path, capsys):
+        assert self._analyze(tmp_path, capsys, "[]") == \
+            "error: project document is a JSON list, not an object"
+
+    def test_deeply_nested_expression(self, tmp_path, capsys):
+        deep = ('{"kind": "unop", "op": "neg", "operand": ' * 3000
+                + '{"kind": "const", "value": 1}' + "}" * 3000)
+        text = self._sarb(tmp_path, lambda a: a.update(expr="@deep@"))
+        assert self._analyze(tmp_path, capsys, text.replace(
+            '"@deep@"', deep)) == "error: project file P is nested too deeply"
+
+    def test_assignment_without_expression(self, tmp_path, capsys):
+        text = self._sarb(tmp_path, lambda a: a.pop("expr"))
+        assert self._analyze(tmp_path, capsys, text) == \
+            "error: malformed project document: missing key 'expr'"
+
+    def test_text_that_is_not_utf8(self, tmp_path, capsys):
+        assert self._analyze(tmp_path, capsys, b"\xff\xfe{}") == \
+            "error: project file P is not UTF-8 text"

@@ -24,7 +24,7 @@ from repro.glafexec import (
     ExecutionContext,
     Interpreter,
     LiftFailure,
-    LiftedStep,
+    LiftedSweep,
     VectorizedInterpreter,
     compile_step,
     get_executor,
@@ -59,8 +59,8 @@ class TestCompileStep:
             s.formula(ref("y", I("i")), ref("x", I("i")) * 2.0)
 
         lifted = compile_step(_step(_build(body), "f"))
-        assert isinstance(lifted, LiftedStep)
-        assert [a.kind for a in lifted.assigns] == ["pointwise"]
+        assert isinstance(lifted, LiftedSweep)
+        assert [a.kind for a in lifted.nests[0].assigns] == ["pointwise"]
 
     def test_sum_reduction_lifts(self):
         def body(f):
@@ -69,9 +69,9 @@ class TestCompileStep:
             s.formula(ref("y", 1), ref("y", 1) + ref("x", I("i")))
 
         lifted = compile_step(_step(_build(body), "f"))
-        assert isinstance(lifted, LiftedStep)
-        assert [a.kind for a in lifted.assigns] == ["reduce"]
-        assert lifted.assigns[0].op == "+"
+        assert isinstance(lifted, LiftedSweep)
+        assert [a.kind for a in lifted.nests[0].assigns] == ["reduce"]
+        assert lifted.nests[0].assigns[0].op == "+"
 
     def test_minmax_reduction_lifts(self):
         def body(f):
@@ -80,8 +80,8 @@ class TestCompileStep:
             s.formula(ref("y", 1), lib("MAX", ref("y", 1), ref("x", I("i"))))
 
         lifted = compile_step(_step(_build(body), "f"))
-        assert isinstance(lifted, LiftedStep)
-        assert lifted.assigns[0].op == "max"
+        assert isinstance(lifted, LiftedSweep)
+        assert lifted.nests[0].assigns[0].op == "max"
 
     def test_branch_split_same_op_reduction_lifts(self):
         # An IF whose branches both accumulate with + flattens into two
@@ -94,8 +94,8 @@ class TestCompileStep:
                   [SB.assign(ref("y", 1), ref("y", 1) + 1.0)])
 
         lifted = compile_step(_step(_build(body), "f"))
-        assert isinstance(lifted, LiftedStep)
-        assert [a.op for a in lifted.assigns] == ["+", "+"]
+        assert isinstance(lifted, LiftedSweep)
+        assert [a.op for a in lifted.nests[0].assigns] == ["+", "+"]
 
     def test_mixed_op_reduction_refused(self):
         def body(f):
@@ -163,6 +163,51 @@ class TestCompileStep:
 
         failure = compile_step(_step(_build(body), "f"))
         assert isinstance(failure, LiftFailure)
+
+    def test_every_lift_is_a_sweep_with_one_program_interface(self):
+        # Every loop step of SARB, FUN3D and the fuzz draws of seeds 1-40
+        # (both profiles) compiles to a sweep or a failure, and each
+        # compiled program serves one interface: the nest's own program
+        # when the sweep is one plain nest, else the sweep runner.
+        from repro.fun3d import build_fun3d_program
+        from repro.fuzz.generate import build_program, generate_spec
+        from repro.glafexec.vectorize import (
+            LiftProgram,
+            SweepProgram,
+            compiled_plan,
+        )
+        from repro.sarb import build_sarb_program
+
+        programs = [build_sarb_program(), build_fun3d_program()] + [
+            build_program(generate_spec(seed, profile))
+            for profile in ("small", "full") for seed in range(1, 41)]
+        shapes = set()
+        for k, p in enumerate(programs):
+            for fn in p.functions():
+                for step in fn.steps:
+                    if not step.is_loop:
+                        continue
+                    for save in (False, True):
+                        plan = compile_step(step, p, fn,
+                                            save_inner_arrays=save)
+                        assert type(plan) in (LiftedSweep, LiftFailure)
+                    plan = compiled_plan(step, p, fn)
+                    if isinstance(plan, LiftFailure):
+                        continue
+                    sweep, program = plan
+                    assert type(sweep) is LiftedSweep
+                    assert len(sweep.nests) == len(sweep.split.nests) >= 1
+                    plain = (len(sweep.nests) == 1 and not sweep.split.scratch
+                             and not sweep.split.notes)
+                    assert type(program) is (LiftProgram if plain
+                                             else SweepProgram)
+                    assert tuple(program.dims) == program.names
+                    assert set(program.written) <= set(program.names)
+                    assert callable(program.bounds) and callable(program.run)
+                    shapes.add((k == 0, plain))
+        # SARB lifts only plain nests; FUN3D's cell sweep is a sweep.
+        assert (True, True) in shapes and (True, False) not in shapes
+        assert (False, False) in shapes
 
     def test_sarb_liftability_report(self):
         from repro.sarb import build_sarb_program
@@ -801,7 +846,8 @@ class TestSweep:
                          * 0.3)])
         p = b.build()
         lifted = compile_step(_step(p, "f"))
-        assert [a.kind for a in lifted.assigns] == ["scatter", "scatter"]
+        assert [a.kind for a in lifted.nests[0].assigns] == ["scatter",
+                                                            "scatter"]
         rng = np.random.default_rng(11)
         n = 64
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
